@@ -62,7 +62,6 @@ from .rates import (
     level_shifts_renormalized,
     level_shifts_renormalized_asymptotic,
     relative_shift,
-    relative_shift_asymptotic,
     total_frequency,
 )
 from .liouville import (

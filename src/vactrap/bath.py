@@ -37,6 +37,7 @@ from .errors import (
     FitFailure,
     GuardExceeded,
 )
+from .liouville import FockSpace, build_fock_operators
 
 __all__ = [
     "DIMENSION_GUARD",
@@ -220,14 +221,8 @@ def _dense_hamiltonian(bath: BathModel, split: bool = False):
     m = bath.n_modes
     dim = n_p * n_ph**m
 
-    def ladder(n):
-        out = np.zeros((n, n))
-        for j in range(1, n):
-            out[j - 1, j] = math.sqrt(j)
-        return out
-
-    b = ladder(n_p)
-    a1 = ladder(n_ph)
+    b = build_fock_operators(FockSpace(dim=n_p)).b.real
+    a1 = build_fock_operators(FockSpace(dim=n_ph)).b.real
     eye_p = np.eye(n_p)
     eye_ph = np.eye(n_ph)
 
@@ -368,13 +363,12 @@ def bath_brute_force(
         traj_decay = _evolve(h, psi_decay, times)
         traj_super = _evolve(h, psi_super, times)
         n_field = (bath.photons_per_mode + 1) ** bath.n_modes
-        block = traj_decay.reshape(bath.particle_levels, n_field, len(times))
-        pop = np.sum(np.abs(block[1, :, :]) ** 2, axis=0)
-        b_full = np.zeros((bath.particle_levels, bath.particle_levels))
-        for j in range(1, bath.particle_levels):
-            b_full[j - 1, j] = math.sqrt(j)
-        b_op = np.kron(b_full, np.eye(n_field))
-        mean_b = np.einsum("it,ij,jt->t", traj_super.conj(), b_op, traj_super)
+        shape = (bath.particle_levels, n_field, len(times))
+        pop = np.sum(np.abs(traj_decay.reshape(shape)[1]) ** 2, axis=0)
+        # <b> = sum_{n, f} sqrt(n) conj(c[n-1, f]) c[n, f]
+        block = traj_super.reshape(shape)
+        root_n = np.sqrt(np.arange(1, bath.particle_levels))
+        mean_b = np.einsum("nft,n,nft->t", block[:-1].conj(), root_n, block[1:])
 
     norms = np.sum(np.abs(traj_decay) ** 2, axis=0)
     norm_drift = float(np.max(np.abs(norms - 1.0)))

@@ -70,12 +70,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--config",
-        default="sec-reference",
-        help="config file path or the built-in name 'sec-reference'",
-    )
+def _add_common(sub: argparse.ArgumentParser, config: bool = True) -> None:
+    if config:
+        sub.add_argument(
+            "--config",
+            default="sec-reference",
+            help="config file path or the built-in name 'sec-reference'",
+        )
     sub.add_argument("--out", default=None, help="write output here instead of stdout")
     sub.add_argument(
         "--format",
@@ -176,8 +177,7 @@ def _cmd_evolve(args) -> str:
             x_label="t (units of 1/omega_c)",
         )
     return record_to_csv(
-        record,
-        {"x": ops.x, "p": ops.p, "n": ops.n, "witness": ops.b @ ops.b + ops.bdag @ ops.bdag},
+        record, {"x": ops.x, "p": ops.p, "n": ops.n, "witness": ops.witness}
     )
 
 
@@ -275,7 +275,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_sweep_b)
 
     p = subs.add_parser("evolve", help="integrate the master equation (scaled units)")
-    _add_common(p)
+    _add_common(p, config=False)
     p.add_argument("--mode", default="beyond-rwa", choices=("with-rwa", "beyond-rwa"))
     p.add_argument("--gamma", type=float, default=1e-2)
     p.add_argument("--delta-plus", type=float, default=5e-3)
@@ -287,7 +287,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_evolve)
 
     p = subs.add_parser("witness", help="coherence witness: both generators")
-    _add_common(p)
+    _add_common(p, config=False)
     p.add_argument("--gamma", type=float, default=1e-2)
     p.add_argument("--delta-plus", type=float, default=5e-3)
     p.add_argument("--delta-minus", type=float, default=8e-3)
@@ -313,7 +313,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_pt_compare)
 
     p = subs.add_parser("bath-oracle", help="brute-force discretized-bath check")
-    _add_common(p)
+    _add_common(p, config=False)
     p.add_argument("--modes", type=int, default=64)
     p.add_argument("--omega-min", type=float, default=0.2)
     p.add_argument("--omega-max", type=float, default=5.0)

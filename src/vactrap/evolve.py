@@ -28,6 +28,7 @@ positive on Gaussian inputs strictly below it.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ from .errors import (
     ToleranceFailure,
     UnboundedWindow,
 )
-from .liouville import DensityMatrix, Superoperator, unvec, vec
+from .liouville import DensityMatrix, Superoperator, trace_product, vec
 from .params import ApproximationMode
 from .rates import RateSet
 
@@ -58,27 +59,48 @@ __all__ = [
 POSITIVITY_FLOOR_CP = -1e-8
 #: Maximum tolerated population in the top two (guard-band) levels.
 GUARD_BAND_LIMIT = 1e-6
+#: Snapshots per eigenvalue batch are sized to about this many bytes, so the
+#: diagnostics temporaries stay small whatever the trajectory length.
+_DIAGNOSTICS_BLOCK_BYTES = 2 * 1024 * 1024
 
 
 @dataclass(frozen=True, eq=False)
 class EvolutionRecord:
     """Stored trajectory plus per-point diagnostics.
 
-    ``states[k]`` is the unvalidated snapshot at ``times[k]`` (the first
-    entry is the supplied initial state).  Diagnostics arrays align with
-    ``times``: absolute trace deviation, max Hermiticity deviation, lowest
-    eigenvalue of the Hermitized snapshot, and guard-band population.
+    ``rho[k]`` is the unvalidated snapshot at ``times[k]`` (the first entry
+    is the supplied initial state), stacked as one ``(n_points, dim, dim)``
+    array.  Diagnostics arrays align with ``times``: absolute trace
+    deviation, max Hermiticity deviation, lowest eigenvalue of the
+    Hermitized snapshot, and guard-band population.
     """
 
     times: np.ndarray
-    states: list[DensityMatrix]
+    rho: np.ndarray
     trace_dev: np.ndarray
     herm_dev: np.ndarray
     min_eig: np.ndarray
     guard_pop: np.ndarray
 
-    def state_matrices(self) -> list[np.ndarray]:
-        return [s.matrix for s in self.states]
+    @property
+    def states(self) -> Sequence[DensityMatrix]:
+        """Unvalidated snapshots as views over the rows of ``rho``."""
+        return _SnapshotView(self.rho)
+
+
+class _SnapshotView(Sequence):
+    """Read-only sequence wrapping each row of a state stack on access."""
+
+    def __init__(self, rho: np.ndarray):
+        self._rho = rho
+
+    def __len__(self) -> int:
+        return len(self._rho)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        return DensityMatrix(self._rho[k], validate=False)
 
 
 def integrate(
@@ -100,7 +122,9 @@ def integrate(
     ToleranceFailure
         If the integrator cannot meet ``tol``.
     PositivityBreach
-        First stored time where the lowest eigenvalue drops below -1e-6.
+        First stored time where the lowest eigenvalue drops below
+        ``POSITIVITY_FLOOR_CP`` (-1e-8); raised for ``WITH_RWA`` generators
+        only.
     GuardBandOverflow
         First stored time where the top two levels hold more than 1e-6
         population.
@@ -136,6 +160,27 @@ def integrate(
         raise ToleranceFailure(f"integrator failed: {sol.message}")
 
     dim = generator.dim
+    # (dim*dim, n) solver output -> (n, dim, dim) view, column-major per snapshot
+    rho = sol.y.T.reshape(n_points, dim, dim).transpose(0, 2, 1)
+    trace_dev = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
+    guard_pop = rho[:, -1, -1].real + rho[:, -2, -2].real
+    herm_dev = np.empty(n_points)
+    min_eig = np.empty(n_points)
+    step = max(1, _DIAGNOSTICS_BLOCK_BYTES // rho[0].nbytes)
+    for lo in range(0, n_points, step):
+        block = rho[lo:lo + step]
+        block_h = block.conj().transpose(0, 2, 1)
+        herm_dev[lo:lo + step] = np.abs(block - block_h).max(axis=(1, 2))
+        min_eig[lo:lo + step] = np.linalg.eigvalsh((block + block_h) / 2.0).min(axis=1)
+
+    record = EvolutionRecord(
+        times=times,
+        rho=rho,
+        trace_dev=trace_dev,
+        herm_dev=herm_dev,
+        min_eig=min_eig,
+        guard_pop=guard_pop,
+    )
     # The RWA generator is completely positive, so negativity there means
     # the integration itself broke.  The beyond-RWA generator leaks genuine
     # negativity (immediately at small amplitude, substantially past the
@@ -145,37 +190,10 @@ def integrate(
         if generator.mode is ApproximationMode.WITH_RWA
         else -math.inf
     )
-    states: list[DensityMatrix] = []
-    trace_dev = np.empty(n_points)
-    herm_dev = np.empty(n_points)
-    min_eig = np.empty(n_points)
-    guard_pop = np.empty(n_points)
-    first_breach: tuple[str, int] | None = None
-    for k in range(n_points):
-        mat = unvec(sol.y[:, k], dim)
-        states.append(DensityMatrix(mat, validate=False))
-        tr = np.trace(mat)
-        trace_dev[k] = abs(tr - 1.0)
-        herm_dev[k] = float(np.max(np.abs(mat - mat.conj().T)))
-        min_eig[k] = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0).min())
-        guard_pop[k] = float(mat[-1, -1].real + mat[-2, -2].real)
-        if first_breach is None:
-            if min_eig[k] < floor:
-                first_breach = ("positivity", k)
-            elif guard_pop[k] > GUARD_BAND_LIMIT:
-                first_breach = ("guard", k)
-
-    record = EvolutionRecord(
-        times=times,
-        states=states,
-        trace_dev=trace_dev,
-        herm_dev=herm_dev,
-        min_eig=min_eig,
-        guard_pop=guard_pop,
-    )
-    if raise_on_breach and first_breach is not None:
-        kind, k = first_breach
-        if kind == "positivity":
+    breach = (min_eig < floor) | (guard_pop > GUARD_BAND_LIMIT)
+    if raise_on_breach and breach.any():
+        k = int(np.argmax(breach))
+        if min_eig[k] < floor:
             raise PositivityBreach(
                 f"state eigenvalue {min_eig[k]:.3e} below {floor} "
                 f"at t = {times[k]!r}",
@@ -245,17 +263,9 @@ def record_to_csv(
     """
     names = list(observables) if observables else []
     header = ["time", "trace_dev", "herm_dev", "min_eig", "guard_pop", *names]
+    columns = [record.times, record.trace_dev, record.herm_dev, record.min_eig,
+               record.guard_pop]
+    columns += [trace_product(record.rho, observables[name]).real for name in names]
     lines = [",".join(header)]
-    for k, t in enumerate(record.times):
-        row = [
-            repr(float(t)),
-            repr(float(record.trace_dev[k])),
-            repr(float(record.herm_dev[k])),
-            repr(float(record.min_eig[k])),
-            repr(float(record.guard_pop[k])),
-        ]
-        mat = record.states[k].matrix
-        for name in names:
-            row.append(repr(float(np.trace(observables[name] @ mat).real)))
-        lines.append(",".join(row))
+    lines.extend(",".join(repr(float(v)) for v in row) for row in zip(*columns))
     return "\n".join(lines) + "\n"

@@ -34,6 +34,7 @@ __all__ = [
     "build_fock_operators",
     "vec",
     "unvec",
+    "trace_product",
     "spre",
     "spost",
     "sandwich",
@@ -83,6 +84,11 @@ class FockOperators(NamedTuple):
     x: np.ndarray
     p: np.ndarray
     n: np.ndarray
+
+    @property
+    def witness(self) -> np.ndarray:
+        """Two-quantum coherence witness ``b^2 + (b+)^2``."""
+        return self.b @ self.b + self.bdag @ self.bdag
 
 
 def build_fock_operators(space: FockSpace) -> FockOperators:
@@ -151,6 +157,12 @@ def vec(matrix: np.ndarray) -> np.ndarray:
 def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of :func:`vec`."""
     return np.asarray(vector, dtype=complex).reshape((dim, dim), order="F")
+
+
+def trace_product(rho: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """``Tr[rho @ op]`` for one matrix or each matrix of a ``(..., dim, dim)``
+    stack (complex)."""
+    return np.einsum("...ij,ji->...", rho, op)
 
 
 def spre(op: np.ndarray) -> np.ndarray:
@@ -313,15 +325,8 @@ def build_2d_generator(
     generator is exactly the sum of two commuting single-axis generators
     acting on the tensor-product space.
     """
-    bx = np.zeros((space_x.dim, space_x.dim), dtype=complex)
-    ns = np.arange(1, space_x.dim)
-    bx[ns - 1, ns] = np.sqrt(ns)
-    by = np.zeros((space_y.dim, space_y.dim), dtype=complex)
-    ns = np.arange(1, space_y.dim)
-    by[ns - 1, ns] = np.sqrt(ns)
-
-    bx_full = np.kron(bx, np.eye(space_y.dim))
-    by_full = np.kron(np.eye(space_x.dim), by)
+    bx_full = np.kron(build_fock_operators(space_x).b, np.eye(space_y.dim))
+    by_full = np.kron(np.eye(space_x.dim), build_fock_operators(space_y).b)
 
     gen = _five_line_generator(
         bx_full, rates.gamma, rates.delta_plus, rates.delta_minus, space_x.omega_c

@@ -21,7 +21,15 @@ import numpy as np
 
 from .errors import DimensionMismatch, TruncationRisk
 from .evolve import EvolutionRecord
-from .liouville import DensityMatrix, FockSpace, build_fock_operators
+from .liouville import (
+    DensityMatrix,
+    FockSpace,
+    build_fock_operators,
+    build_redfield_generator,
+    trace_product,
+    unvec,
+    vec,
+)
 from .rates import RateSet
 
 __all__ = [
@@ -147,53 +155,57 @@ def expect(op_name: str, state: DensityMatrix | np.ndarray,
     independent ladder-sum expression (:func:`witness_sum`).
     """
     mat = state.matrix if isinstance(state, DensityMatrix) else np.asarray(state)
+    if mat.ndim != 2:
+        raise DimensionMismatch(f"expect needs one state matrix, got shape {mat.shape}")
+    return float(_expect_stack(op_name, mat, space))
+
+
+def _expect_stack(
+    op_name: str, rho: np.ndarray, space: FockSpace | None
+) -> np.ndarray:
+    """Real ``Tr[rho O]`` for one state or each state of a ``(n, dim, dim)``
+    stack, building the operator once."""
     if op_name not in _OP_NAMES:
         raise DimensionMismatch(f"unknown observable {op_name!r}; have {_OP_NAMES}")
     if space is None:
-        space = FockSpace(dim=mat.shape[0])
-    if mat.shape != (space.dim, space.dim):
+        space = FockSpace(dim=rho.shape[-1])
+    if rho.shape[-2:] != (space.dim, space.dim):
         raise DimensionMismatch(
-            f"state shape {mat.shape} does not match space dim {space.dim}"
+            f"state shape {rho.shape[-2:]} does not match space dim {space.dim}"
         )
     ops = build_fock_operators(space)
-    if op_name == "X":
-        op = ops.b @ ops.b + ops.bdag @ ops.bdag
-        value = complex(np.trace(mat @ op))
-        check = witness_sum(mat)
-        if abs(value - check) > 1e-10 * max(1.0, abs(value)):
-            raise DimensionMismatch(
-                f"witness trace {value} disagrees with ladder sum {check}"
-            )
-        return value.real
-    op = {"x": ops.x, "p": ops.p, "n": ops.n}[op_name]
-    return complex(np.trace(mat @ op)).real
+    if op_name != "X":
+        return trace_product(rho, {"x": ops.x, "p": ops.p, "n": ops.n}[op_name]).real
+    values = trace_product(rho, ops.witness)
+    gap = np.abs(values - witness_sum(rho))
+    if np.any(gap > 1e-10 * np.maximum(1.0, np.abs(values))):
+        raise DimensionMismatch(
+            f"witness trace disagrees with the ladder sum by up to {np.max(gap):.3e}"
+        )
+    return values.real
 
 
-def witness_sum(state: DensityMatrix | np.ndarray) -> float:
+def witness_sum(state: DensityMatrix | np.ndarray) -> float | np.ndarray:
     """Witness expectation from the explicit ladder sum.
 
     ``sum_n sqrt(n(n-1)) sigma[n, n-2] + sqrt((n+1)(n+2)) sigma[n, n+2]``
     -- an independent code path from the trace evaluation, kept for
-    cross-checking.  Real part returned.
+    cross-checking.  Accepts one state or a ``(..., dim, dim)`` stack;
+    real part returned.
     """
     mat = state.matrix if isinstance(state, DensityMatrix) else np.asarray(state)
-    dim = mat.shape[0]
-    total = 0.0 + 0.0j
-    for n in range(dim):
-        if n >= 2:
-            total += math.sqrt(n * (n - 1)) * mat[n, n - 2]
-        if n + 2 < dim:
-            total += math.sqrt((n + 1) * (n + 2)) * mat[n, n + 2]
-    return total.real
+    ns = np.arange(2, mat.shape[-1])
+    weights = np.sqrt(ns * (ns - 1))
+    lower = np.diagonal(mat, -2, -2, -1)
+    upper = np.diagonal(mat, 2, -2, -1)
+    return ((lower + upper) * weights).sum(axis=-1).real
 
 
 def series_from_record(
     record: EvolutionRecord, op_name: str, space: FockSpace | None = None
 ) -> ObservableSeries:
     """Expectation series of a named operator along a stored trajectory."""
-    values = np.array(
-        [expect(op_name, s, space) for s in record.states], dtype=float
-    )
+    values = _expect_stack(op_name, record.rho, space)
     return ObservableSeries(times=record.times, values=values, label=op_name)
 
 
@@ -267,8 +279,6 @@ def first_moment_rhs_check(rates: RateSet, dim: int = 16) -> float:
     channels.  Values at rounding level confirm the identities are exact
     consequences of the generator, not weak-damping approximations.
     """
-    from .liouville import build_redfield_generator, unvec, vec  # local: avoid cycle at import
-
     space = FockSpace(dim=dim, omega_c=rates.omega_c, mass=1.0, hbar=1.0)
     ops = build_fock_operators(space)
     gen = build_redfield_generator(space, rates)

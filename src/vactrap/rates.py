@@ -41,7 +41,6 @@ __all__ = [
     "frequency_shift",
     "frequency_shift_asymptotic",
     "relative_shift",
-    "relative_shift_asymptotic",
     "total_frequency",
     "free_particle_shift",
     "build_rate_set",
@@ -155,24 +154,6 @@ def relative_shift(config: ExperimentConfig) -> float:
     W = cutoff_frequency(config)
     g = damping_rate(config.particle, w, config.constants)
     return frequency_shift(g, w, W, config.mode) / w
-
-
-def relative_shift_asymptotic(
-    particle: ParticleSpec,
-    omega_c: float,
-    omega_max: float,
-    constants: PhysicalConstants = CODATA_2018,
-) -> float:
-    """Large-cut-off beyond-RWA relative shift.
-
-    ``(4 alpha_q / 3 pi) (hbar w / m c^2) (w / W)``, algebraically equal to
-    ``G / (pi W)``; written out in the first form so the scaling with the
-    small parameters is visible.
-    """
-    _guard_cutoff(omega_c, omega_max)
-    alpha_q = constants.fine_structure(particle.charge)
-    k = kappa(particle, omega_c, constants)
-    return (4.0 * alpha_q / (3.0 * math.pi)) * k * (omega_c / omega_max)
 
 
 def total_frequency(config: ExperimentConfig) -> float:

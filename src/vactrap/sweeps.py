@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,13 +85,7 @@ def table1(config: ExperimentConfig) -> Table1Report:
     rows = {}
     for kind in _GRID_KINDS:
         for mode in (ApproximationMode.WITH_RWA, ApproximationMode.BEYOND_RWA):
-            variant = ExperimentConfig(
-                particle=config.particle,
-                trap=config.trap,
-                cutoff=CutoffSpec(kind=kind),
-                mode=mode,
-                constants=config.constants,
-            )
+            variant = replace(config, cutoff=CutoffSpec(kind=kind), mode=mode)
             rows[(kind, mode)] = relative_shift(variant)
     return Table1Report(
         cutoff_labels=("omega1", "omega2", "omega3"),
@@ -163,12 +157,11 @@ def bfield_sweep(
     lwa_exceeded: list[float] = []
     for i, b in enumerate(b_values):
         w = cyclotron_frequency(config.particle, b, config.constants)
-        variant = ExperimentConfig(
-            particle=config.particle,
+        variant = replace(
+            config,
             trap=TrapSpec(omega_c=w, d_a=config.trap.d_a, d_c=config.trap.d_c),
             cutoff=_respec_cutoff(the_kind, config),
             mode=the_mode,
-            constants=config.constants,
         )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -237,12 +230,11 @@ def rwa_exponent_analytic(
         else (cutoff or config.cutoff.kind)
     )
     w = cyclotron_frequency(config.particle, b_field, config.constants)
-    variant = ExperimentConfig(
-        particle=config.particle,
+    variant = replace(
+        config,
         trap=TrapSpec(omega_c=w, d_a=config.trap.d_a, d_c=config.trap.d_c),
         cutoff=_respec_cutoff(the_kind, config),
         mode=ApproximationMode.WITH_RWA,
-        constants=config.constants,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

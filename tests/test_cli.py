@@ -130,6 +130,13 @@ def test_bath_oracle_command(capsys):
     assert "norm drift:" in captured.err
 
 
+@pytest.mark.parametrize("command", ["evolve", "witness", "bath-oracle"])
+def test_config_is_a_usage_error_where_unused(command, capsys):
+    # these subcommands take their inputs from flags, not from a config
+    assert run_cli([command, "--config", "sec-reference"]) == 1
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
 def test_missing_config_file(capsys):
     assert run_cli(["rates", "--config", "/nonexistent/config.cfg"]) == 1
     assert "input error" in capsys.readouterr().err

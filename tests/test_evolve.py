@@ -19,6 +19,7 @@ from vactrap.evolve import (
     validity_window,
 )
 from vactrap.liouville import (
+    DensityMatrix,
     FockSpace,
     Superoperator,
     build_fock_operators,
@@ -117,6 +118,38 @@ def test_raise_on_breach_false_returns_full_record():
     record = integrate(gen, rho0, (0.0, 1.0), n_points=11, raise_on_breach=False)
     assert len(record.states) == 11
     assert record.guard_pop[0] > GUARD_BAND_LIMIT
+
+
+def test_blockwise_diagnostics_match_per_snapshot_formulas():
+    # 1001 dim-20 snapshots span several diagnostics blocks
+    space = FockSpace(dim=20)
+    gen = build_redfield_generator(space, STABLE)
+    rho0 = make_state("coherent", space, alpha=1.0)
+    record = integrate(gen, rho0, (0.0, 50.0), n_points=1001)
+    assert record.rho.shape == (1001, 20, 20)
+    for k, mat in enumerate(record.rho):
+        herm = (mat + mat.conj().T) / 2.0
+        assert abs(record.trace_dev[k] - abs(np.trace(mat) - 1.0)) <= 1e-14
+        assert abs(record.herm_dev[k] - np.max(np.abs(mat - mat.conj().T))) <= 1e-14
+        assert abs(record.min_eig[k] - np.linalg.eigvalsh(herm).min()) <= 1e-14
+        assert abs(record.guard_pop[k] - (mat[-1, -1].real + mat[-2, -2].real)) <= 1e-14
+    for k in (0, 500, 1000):
+        assert np.shares_memory(record.states[k].matrix, record.rho)
+        assert np.array_equal(record.states[k].matrix, record.rho[k])
+
+
+def test_positivity_wins_when_both_limits_breach_at_once():
+    space = FockSpace(dim=8)
+    gen = build_lindblad_generator(space, STABLE)
+    assert gen.mode is ApproximationMode.WITH_RWA
+    mat = np.zeros((8, 8), dtype=complex)
+    mat[0, 0] = 1.0 - 1e-6
+    mat[1, 1] = -1e-6  # eigenvalue below POSITIVITY_FLOOR_CP
+    mat[7, 7] = 2e-6  # guard-band population above GUARD_BAND_LIMIT
+    with pytest.raises(PositivityBreach) as exc_info:
+        integrate(gen, DensityMatrix(mat, validate=False), (0.0, 1.0), n_points=11)
+    assert exc_info.value.time == 0.0
+    assert exc_info.value.min_eigenvalue < POSITIVITY_FLOOR_CP
 
 
 def test_integrate_argument_validation():
