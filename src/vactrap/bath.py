@@ -194,7 +194,7 @@ def discrete_second_order_shift(bath: BathModel) -> float:
                 "a mode sits exactly on resonance; the second-order sum diverges"
             )
         return float(np.sum(bath.couplings**2 / dets))
-    h0_diag, v = _dense_hamiltonian(bath, split=True)
+    h0_diag, v = _dense_hamiltonian(bath)
     shifts = []
     for target in (_product_index(bath, 1), _product_index(bath, 0)):
         e0 = h0_diag[target]
@@ -214,8 +214,8 @@ def _product_index(bath: BathModel, level: int) -> int:
     return level * (bath.photons_per_mode + 1) ** bath.n_modes
 
 
-def _dense_hamiltonian(bath: BathModel, split: bool = False):
-    """Full-coupling Hamiltonian on the truncated product space."""
+def _dense_hamiltonian(bath: BathModel) -> tuple[np.ndarray, np.ndarray]:
+    """Full-coupling Hamiltonian on the truncated product space as ``(diag(H0), V)``."""
     n_p = bath.particle_levels
     n_ph = bath.photons_per_mode + 1
     m = bath.n_modes
@@ -232,16 +232,13 @@ def _dense_hamiltonian(bath: BathModel, split: bool = False):
             full = np.kron(full, op if j == which else eye_ph)
         return full
 
-    eye_field = np.eye(n_ph**m)
-    h0 = bath.omega_c * np.kron(b.T @ b, eye_field)
+    h0 = bath.omega_c * np.repeat(np.diag(b.T @ b), n_ph**m)
     v = np.zeros((dim, dim), dtype=complex)
     for k in range(m):
         a_k = embed_mode(a1, k)
-        h0 += bath.mode_frequencies[k] * np.kron(eye_p, a_k.T @ a_k)
+        h0 += bath.mode_frequencies[k] * np.tile(np.diag(a_k.T @ a_k), n_p)
         v += 1j * bath.couplings[k] * np.kron(b - b.T, a_k + a_k.T)
-    if split:
-        return np.diag(h0).copy(), v
-    return h0 + v
+    return h0, v
 
 
 def _sector_hamiltonian(bath: BathModel) -> np.ndarray:
@@ -352,7 +349,8 @@ def bath_brute_force(
         # <b> = conj(c0) c1; c0 is conserved at 1/sqrt(2)
         mean_b = traj_super[0, :].conj() * traj_super[1, :]
     else:
-        h = _dense_hamiltonian(bath)
+        h0_diag, h = _dense_hamiltonian(bath)
+        h[np.diag_indices_from(h)] += h0_diag
         dim = h.shape[0]
         i0 = _product_index(bath, 0)
         i1 = _product_index(bath, 1)

@@ -11,6 +11,13 @@ The top two levels are treated as a guard band by the evolution layer:
 population reaching them means the physical state no longer fits the
 truncation, not that anything here silently fixed it up.
 
+Every generator is a triple ``(left, right, jumps)`` acting as
+``left @ sigma + sigma @ right + sum_k c_k L_k @ sigma @ R_k``; ``_assemble``
+is the one place it becomes a matrix.  The RWA generator is the rotating
+part of the ladder triple (a damped oscillator at ``omega_c + delta_minus``);
+the beyond-RWA generator adds the counter-rotating part (the ``-delta_plus``
+frequency pull and the two-quantum ``b^2``, ``(b+)^2`` channels).
+
 Generators consume the renormalized shift pair of a
 :class:`~vactrap.rates.RateSet` (``rates.delta_plus`` / ``rates.delta_minus``).
 For scaled-unit studies build the rate set with ``RateSet.scaled``.
@@ -182,16 +189,6 @@ def sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.kron(right.T, left)
 
 
-def _commutator_super(op: np.ndarray) -> np.ndarray:
-    return spre(op) - spost(op)
-
-
-def _dissipator(op: np.ndarray) -> np.ndarray:
-    opd = op.conj().T
-    anti = opd @ op
-    return sandwich(op, opd) - 0.5 * spre(anti) - 0.5 * spost(anti)
-
-
 @dataclass(frozen=True, eq=False)
 class Superoperator:
     """A dense generator on vectorized density matrices.
@@ -217,29 +214,43 @@ class Superoperator:
         return unvec(self.matrix @ vec(mat), self.dim)
 
 
-def _five_line_generator(
-    b: np.ndarray, gamma: float, delta_plus: float, delta_minus: float, omega_c: float
-) -> np.ndarray:
-    """Beyond-RWA generator for one ladder matrix ``b`` (may be embedded).
+_Jump = tuple[complex, np.ndarray, np.ndarray]
 
-    The frequency in the coherent part is shifted to
-    ``omega_c + delta_minus - delta_plus``; the two-quantum (counter-
-    rotating) channels appear both with shift weights ``i delta_+-`` and
-    with a ``gamma/2`` weight that survives even at zero shifts.
-    """
+
+def _assemble(left: np.ndarray, right: np.ndarray, jumps: list[_Jump]) -> np.ndarray:
+    """Matrix of ``sigma -> left @ sigma + sigma @ right + sum c L @ sigma @ R``
+    for the generator triple ``(left, right, [(c, L, R), ...])``."""
+    gen = spre(left) + spost(right)
+    for coeff, op_left, op_right in jumps:
+        gen += coeff * sandwich(op_left, op_right)
+    return gen
+
+
+def _ladder_terms(
+    b: np.ndarray, rates: RateSet, omega_c: float, counter_rotating: bool
+) -> tuple[np.ndarray, np.ndarray, list[_Jump]]:
+    """Generator triple for one ladder matrix ``b`` (may be embedded): the
+    rotating part, plus the counter-rotating part when asked for, whose
+    ``b sigma b`` and ``b+ sigma b+`` jumps keep ``gamma/2`` at zero shifts."""
+    g = rates.gamma
+    dp_ = rates.delta_plus
+    dm_ = rates.delta_minus
     bdag = b.conj().T
     n = bdag @ b
-    b2 = b @ b
-    bdag2 = bdag @ bdag
-    omega_tilde = omega_c + delta_minus - delta_plus
-
-    gen = -1j * omega_tilde * _commutator_super(n)
-    gen = gen + gamma * _dissipator(b)
-    gen = gen + (-1j * delta_plus) * (sandwich(b, b) - spost(b2))
-    gen = gen + (-(0.5 * gamma + 1j * delta_minus)) * (sandwich(b, b) - spre(b2))
-    gen = gen + (1j * delta_plus) * (sandwich(bdag, bdag) - spre(bdag2))
-    gen = gen + (-(0.5 * gamma - 1j * delta_minus)) * (sandwich(bdag, bdag) - spost(bdag2))
-    return gen
+    omega = omega_c + dm_ - (dp_ if counter_rotating else 0.0)
+    left = (-1j * omega - 0.5 * g) * n
+    right = (1j * omega - 0.5 * g) * n
+    jumps = [(g, b, bdag)]
+    if counter_rotating:
+        b2 = b @ b
+        bdag2 = bdag @ bdag
+        left = left + (0.5 * g + 1j * dm_) * b2 - 1j * dp_ * bdag2
+        right = right + 1j * dp_ * b2 + (0.5 * g - 1j * dm_) * bdag2
+        jumps += [
+            (-(0.5 * g + 1j * (dm_ + dp_)), b, b),
+            (-(0.5 * g - 1j * (dm_ + dp_)), bdag, bdag),
+        ]
+    return left, right, jumps
 
 
 def build_redfield_generator(space: FockSpace, rates: RateSet) -> Superoperator:
@@ -250,10 +261,8 @@ def build_redfield_generator(space: FockSpace, rates: RateSet) -> Superoperator:
     both shifts to zero does *not* reduce it to the RWA generator - the
     ``gamma/2`` weights of those terms remain.
     """
-    ops = build_fock_operators(space)
-    gen = _five_line_generator(
-        ops.b, rates.gamma, rates.delta_plus, rates.delta_minus, space.omega_c
-    )
+    b = build_fock_operators(space).b
+    gen = _assemble(*_ladder_terms(b, rates, space.omega_c, counter_rotating=True))
     return Superoperator(
         matrix=gen, dim=space.dim, mode=ApproximationMode.BEYOND_RWA, rates=rates
     )
@@ -265,9 +274,8 @@ def build_lindblad_generator(space: FockSpace, rates: RateSet) -> Superoperator:
     Completely positive by construction; the vacuum (ground state) is
     stationary and diagonal states stay diagonal.
     """
-    ops = build_fock_operators(space)
-    omega = space.omega_c + rates.delta_minus
-    gen = -1j * omega * _commutator_super(ops.n) + rates.gamma * _dissipator(ops.b)
+    b = build_fock_operators(space).b
+    gen = _assemble(*_ladder_terms(b, rates, space.omega_c, counter_rotating=False))
     return Superoperator(
         matrix=gen, dim=space.dim, mode=ApproximationMode.WITH_RWA, rates=rates
     )
@@ -297,21 +305,23 @@ def build_xp_generator(space: FockSpace, rates: RateSet) -> Superoperator:
     xp = x @ p
     px = p @ x
 
-    gen = (-1j / hb) * (1.0 + 2.0 * (dm_ - dp_) / w) * _commutator_super(p2 / (2.0 * m))
-    gen = gen + (-1j * m * w**2 / (2.0 * hb)) * _commutator_super(x2)
-    gen = gen + (g / (hb * m * w)) * (
-        sandwich(p, p) - 0.5 * spre(p2) - 0.5 * spost(p2)
-    )
-    gen = gen + ((dm_ + dp_ + 0.5j * g) / hb) * (
-        sandwich(p, x) - 0.5 * spre(xp) - 0.5 * spost(xp)
-    )
-    gen = gen + ((dm_ + dp_ - 0.5j * g) / hb) * (
-        sandwich(x, p) - 0.5 * spre(px) - 0.5 * spost(px)
-    )
-    gen = gen + ((dm_ - dp_ + w - 0.5j * g) / (2.0 * hb)) * (spost(px) - spre(px))
-    gen = gen + ((dm_ - dp_ + w + 0.5j * g) / (2.0 * hb)) * (spre(xp) - spost(xp))
+    kinetic = (-1j / hb) * (1.0 + 2.0 * (dm_ - dp_) / w) * (p2 / (2.0 * m))
+    potential = (-1j * m * w**2 / (2.0 * hb)) * x2
+    diffusion = g / (hb * m * w)
+    mixed_px = (dm_ + dp_ + 0.5j * g) / hb
+    mixed_xp = (dm_ + dp_ - 0.5j * g) / hb
+    counter_px = (dm_ - dp_ + w - 0.5j * g) / (2.0 * hb)
+    counter_xp = (dm_ - dp_ + w + 0.5j * g) / (2.0 * hb)
+    # each channel c (L sigma R - {R L, sigma}/2) loses c R L / 2 on both sides
+    anti = 0.5 * (diffusion * p2 + mixed_px * xp + mixed_xp * px)
+    left = kinetic + potential - anti + counter_xp * xp - counter_px * px
+    right = -kinetic - potential - anti - counter_xp * xp + counter_px * px
+    jumps = [(diffusion, p, p), (mixed_px, p, x), (mixed_xp, x, p)]
     return Superoperator(
-        matrix=gen, dim=space.dim, mode=ApproximationMode.BEYOND_RWA, rates=rates
+        matrix=_assemble(left, right, jumps),
+        dim=space.dim,
+        mode=ApproximationMode.BEYOND_RWA,
+        rates=rates,
     )
 
 
@@ -327,16 +337,12 @@ def build_2d_generator(
     """
     bx_full = np.kron(build_fock_operators(space_x).b, np.eye(space_y.dim))
     by_full = np.kron(np.eye(space_x.dim), build_fock_operators(space_y).b)
-
-    gen = _five_line_generator(
-        bx_full, rates.gamma, rates.delta_plus, rates.delta_minus, space_x.omega_c
-    ) + _five_line_generator(
-        by_full, rates.gamma, rates.delta_plus, rates.delta_minus, space_y.omega_c
-    )
-    dim = space_x.dim * space_y.dim
+    left_x, right_x, jumps_x = _ladder_terms(bx_full, rates, space_x.omega_c, True)
+    left_y, right_y, jumps_y = _ladder_terms(by_full, rates, space_y.omega_c, True)
+    gen = _assemble(left_x + left_y, right_x + right_y, jumps_x + jumps_y)
     return Superoperator(
         matrix=gen,
-        dim=dim,
+        dim=space_x.dim * space_y.dim,
         mode=ApproximationMode.BEYOND_RWA,
         rates=rates,
         dims=(space_x.dim, space_y.dim),
@@ -346,28 +352,24 @@ def build_2d_generator(
 def reduce_to_1d(gen2d: Superoperator) -> Superoperator:
     """Recover the single-axis generator from a planar one.
 
-    Applies the planar generator to ``sigma_x (x) |0><0|_y`` basis inputs
-    and partial-traces the second axis away.  Because the two axes do not
-    couple and each axis generator annihilates the trace, the result does
-    not depend on the reference state of the traced axis.
+    Reads the planar generator's action on ``sigma_x (x) |0><0|_y`` inputs
+    and partial-traces the second axis away, as one contraction of the
+    generator tensor.  Because the two axes do not couple and each axis
+    generator annihilates the trace, the result does not depend on the
+    reference state of the traced axis.
     """
     if len(gen2d.dims) != 2:
         raise DimensionMismatch("reduce_to_1d needs a generator with dims=(nx, ny)")
     nx, ny = gen2d.dims
-    tau = np.zeros((ny, ny), dtype=complex)
-    tau[0, 0] = 1.0
-    out = np.zeros((nx * nx, nx * nx), dtype=complex)
-    for j in range(nx):
-        for i in range(nx):
-            basis = np.zeros((nx, nx), dtype=complex)
-            basis[i, j] = 1.0
-            image = gen2d.apply(np.kron(basis, tau))
-            reduced = np.einsum(
-                "ikjk->ij", image.reshape(nx, ny, nx, ny)
-            )
-            out[:, i + j * nx] = vec(reduced)
+    d = nx * ny
+    # t[ix, iy, jx, jy, kx, ky, lx, ly]: coefficient of out[i, j] from in[k, l]
+    t = gen2d.matrix.reshape((d,) * 4, order="F").reshape((nx, ny) * 4)
+    reduced = np.einsum("akbkij->abij", t[:, :, :, :, :, 0, :, 0])
     return Superoperator(
-        matrix=out, dim=nx, mode=gen2d.mode, rates=gen2d.rates
+        matrix=reduced.reshape((nx * nx, nx * nx), order="F"),
+        dim=nx,
+        mode=gen2d.mode,
+        rates=gen2d.rates,
     )
 
 

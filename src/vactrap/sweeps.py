@@ -165,11 +165,10 @@ def bfield_sweep(
         )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            omega_max = cutoff_frequency(variant)
+            shifts[i] = relative_shift(variant) * w
         if caught:
             lwa_exceeded.append(b)
         omegas[i] = w
-        shifts[i] = relative_shift(variant) * w
 
     lnb = np.log(b_values)
     lny = np.log(np.abs(shifts))

@@ -205,6 +205,53 @@ def test_redfield_with_zero_shifts_keeps_anomalous_damping_blocks():
     )
 
 
+def _hand_ladder(dim):
+    b = np.diag(np.sqrt(np.arange(1, dim)), k=1).astype(complex)
+    return b, b.conj().T
+
+
+def test_lindblad_generator_action_is_the_damped_oscillator(herm_factory):
+    # the whole RWA action, written out with plain matrix products:
+    # -i w [n, s] + gamma (b s b+ - {n, s}/2) with w = 1 + delta_minus
+    g, dm = RATES.gamma, RATES.delta_minus
+    for dim in (6, 9):
+        gen = build_lindblad_generator(FockSpace(dim=dim), RATES)
+        gate = 1e-12 * np.max(np.abs(gen.matrix))
+        b, bd = _hand_ladder(dim)
+        n = bd @ b
+        w = 1.0 + dm
+        for _ in range(5):
+            s = herm_factory(dim)
+            want = -1j * w * (n @ s - s @ n) + g * (
+                b @ s @ bd - 0.5 * (n @ s + s @ n)
+            )
+            assert np.max(np.abs(gen.apply(s) - want)) <= gate
+
+
+def test_redfield_generator_action_matches_hand_written_formula(herm_factory):
+    # the whole beyond-RWA action, written out with plain matrix products:
+    # the oscillator at w = 1 + delta_minus - delta_plus, the damping channel
+    # and the four two-quantum blocks with their shift and gamma/2 weights
+    g, dp, dm = RATES.gamma, RATES.delta_plus, RATES.delta_minus
+    for dim in (6, 9):
+        gen = build_redfield_generator(FockSpace(dim=dim), RATES)
+        gate = 1e-12 * np.max(np.abs(gen.matrix))
+        b, bd = _hand_ladder(dim)
+        n, b2, bd2 = bd @ b, b @ b, bd @ bd
+        w = 1.0 + dm - dp
+        for _ in range(5):
+            s = herm_factory(dim)
+            want = (
+                -1j * w * (n @ s - s @ n)
+                + g * (b @ s @ bd - 0.5 * (n @ s + s @ n))
+                - 1j * dp * (b @ s @ b - s @ b2)
+                - (0.5 * g + 1j * dm) * (b @ s @ b - b2 @ s)
+                + 1j * dp * (bd @ s @ bd - bd2 @ s)
+                - (0.5 * g - 1j * dm) * (bd @ s @ bd - s @ bd2)
+            )
+            assert np.max(np.abs(gen.apply(s) - want)) <= gate
+
+
 def test_sigma02_rhs_matches_generator_row(rng):
     space = FockSpace(dim=7)
     gen = build_redfield_generator(space, RATES)
@@ -257,6 +304,25 @@ def test_planar_generator_reduces_to_single_axis():
     g1 = reduce_to_1d(g2)
     ref = build_redfield_generator(FockSpace(dim=6), RATES)
     assert np.max(np.abs(g1.matrix - ref.matrix)) < 1e-12
+
+
+def test_reduce_to_1d_matches_basis_input_loop():
+    # reference: apply the planar generator to sigma_x (x) |0><0|_y for each
+    # basis sigma_x and partial-trace the y axis; the contraction sums the
+    # same ny entries, so only the summation order may differ
+    for nx, ny in ((4, 5), (5, 3)):
+        g2 = build_2d_generator(FockSpace(dim=nx), FockSpace(dim=ny), RATES)
+        tau = np.zeros((ny, ny), dtype=complex)
+        tau[0, 0] = 1.0
+        want = np.zeros((nx * nx, nx * nx), dtype=complex)
+        for j in range(nx):
+            for i in range(nx):
+                basis = np.zeros((nx, nx), dtype=complex)
+                basis[i, j] = 1.0
+                image = g2.apply(np.kron(basis, tau)).reshape(nx, ny, nx, ny)
+                want[:, i + j * nx] = vec(np.einsum("ikjk->ij", image))
+        gate = ny * np.finfo(float).eps * np.max(np.abs(g2.matrix))
+        assert np.max(np.abs(reduce_to_1d(g2).matrix - want)) <= gate
 
 
 def test_reduce_to_1d_needs_planar_input():

@@ -1,5 +1,6 @@
 """Shift tables, field sweeps with local scaling exponents, validity reports."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,15 @@ def test_sweep_notes_long_wavelength_excursions():
     assert "long-wavelength" in noted.notes[0]
     clean = bfield_sweep(REFERENCE, (1.0, 10.0), 33, cutoff="omega1")
     assert clean.notes == ()
+
+
+def test_sweep_turns_long_wavelength_warnings_into_one_note():
+    # every excursion is caught and summarised; none reaches the caller
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = bfield_sweep(REFERENCE, (1.0, 10.0), 17, cutoff="omega2")
+    assert len(result.notes) == 1
+    assert not [w for w in caught if issubclass(w.category, LongWavelengthWarning)]
 
 
 @pytest.mark.filterwarnings("ignore::vactrap.errors.LongWavelengthWarning")
