@@ -18,6 +18,10 @@ Two interaction forms are supported:
   dense product-space evolution with per-mode photon truncation, guarded
   by a hard dimension cap.
 
+Both share one representation, built by ``_hamiltonian`` (the only place
+they differ); the second-order sum, the evolution with one
+diagonalization per run, and the observables are one path.
+
 Decay is fitted from ``ln P_1(t)`` (survival of one trap quantum) and the
 frequency from the unwrapped phase of ``<b>(t)`` along a superposition
 initial state ``(|0> + |1>)/sqrt(2) x |vac>``.  A vacuum-Rabi situation
@@ -52,6 +56,9 @@ __all__ = [
 ]
 
 DIMENSION_GUARD = 2**16
+
+# share of the run skipped before fitting: the initial bandwidth transient
+_FIT_START_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
@@ -179,51 +186,56 @@ def discrete_golden_rule(bath: BathModel) -> float:
 def discrete_second_order_shift(bath: BathModel) -> float:
     """Second-order level-spacing shift from the same discrete mode set.
 
-    For the excitation-conserving coupling this is the sum
-    ``sum_k kappa_k^2 / (omega_c - Omega_k)`` (level 0 does not move).
-    With the full coupling it is evaluated as textbook second-order
-    perturbation theory on the truncated product space: the spacing drift
-    between the dressed levels adiabatically connected to one and zero
-    trap quanta.  A mode exactly on either resonance makes the sum
-    meaningless and raises.
+    Textbook second-order perturbation theory in the basis the oracle
+    evolves in: the drift of ``|1> x |vac>`` minus that of ``|0> x |vac>``,
+    each ``sum_j |V_j,target|^2 / (E_target - E_j)``.  For the
+    excitation-conserving coupling this is
+    ``sum_k kappa_k^2 / (omega_c - Omega_k)`` (level 0 does not move); with
+    the full coupling it is the spacing drift between the dressed levels
+    adiabatically connected to one and zero trap quanta.  A coupled state
+    exactly on resonance makes the sum meaningless and raises.
     """
-    if not bath.counter_rotating:
-        dets = bath.omega_c - bath.mode_frequencies
-        if np.any(np.abs(dets) <= 1e-12 * bath.omega_c):
+    h0, v, _, lower = _hamiltonian(bath)
+    shifts = []
+    for target in (int(np.flatnonzero(lower == 0)[0]), 0):
+        amp2 = np.abs(v[:, target]) ** 2
+        keep = amp2 > 0
+        denom = h0[target] - h0[keep]
+        if np.any(np.abs(denom) <= 1e-12 * bath.omega_c):
             raise FitFailure(
                 "a mode sits exactly on resonance; the second-order sum diverges"
             )
-        return float(np.sum(bath.couplings**2 / dets))
-    h0_diag, v = _dense_hamiltonian(bath)
-    shifts = []
-    for target in (_product_index(bath, 1), _product_index(bath, 0)):
-        e0 = h0_diag[target]
-        denom = e0 - h0_diag
-        amp2 = np.abs(v[:, target]) ** 2
-        mask = np.arange(len(h0_diag)) != target
-        if np.any((np.abs(denom) <= 1e-12) & (amp2 > 0) & mask):
-            raise FitFailure("degenerate intermediate state in second-order sum")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(mask & (amp2 > 0), amp2 / denom, 0.0)
-        shifts.append(float(np.sum(terms)))
+        shifts.append(float(np.sum(amp2[keep] / denom)))
     return shifts[0] - shifts[1]
 
 
-def _product_index(bath: BathModel, level: int) -> int:
-    """Index of |level> x |vac> in the kron-ordered product basis."""
-    return level * (bath.photons_per_mode + 1) ** bath.n_modes
+def _hamiltonian(bath: BathModel) -> tuple[np.ndarray, ...]:
+    """The bath Hamiltonian as ``(diag(H0), V, level, lower)``.
 
+    ``level[j]`` is the trap level of basis state ``j`` and ``lower[j]`` the
+    state one trap quantum down with the same field (negative at level 0).
+    State 0 is ``|0> x |vac>``.  The conserving coupling uses the sector
+    basis e0 = |0> x |vac>, e1 = |1> x |vac>, e_{k+2} = |0> x |1_k>; the
+    full coupling ``i kappa (b - b+)(a + a+)`` the kron-ordered truncated
+    product space.
+    """
+    m = bath.n_modes
+    if not bath.counter_rotating:
+        h0 = np.concatenate(([0.0, bath.omega_c], bath.mode_frequencies))
+        v = np.zeros((m + 2, m + 2), dtype=complex)
+        v[2:, 1] = 1j * bath.couplings
+        v[1, 2:] = -1j * bath.couplings
+        level = np.zeros(m + 2, dtype=int)
+        level[1] = 1
+        return h0, v, level, level - 1
 
-def _dense_hamiltonian(bath: BathModel) -> tuple[np.ndarray, np.ndarray]:
-    """Full-coupling Hamiltonian on the truncated product space as ``(diag(H0), V)``."""
     n_p = bath.particle_levels
     n_ph = bath.photons_per_mode + 1
-    m = bath.n_modes
-    dim = n_p * n_ph**m
+    n_field = n_ph**m
+    dim = n_p * n_field
 
     b = build_fock_operators(FockSpace(dim=n_p)).b.real
     a1 = build_fock_operators(FockSpace(dim=n_ph)).b.real
-    eye_p = np.eye(n_p)
     eye_ph = np.eye(n_ph)
 
     def embed_mode(op, which):
@@ -232,28 +244,14 @@ def _dense_hamiltonian(bath: BathModel) -> tuple[np.ndarray, np.ndarray]:
             full = np.kron(full, op if j == which else eye_ph)
         return full
 
-    h0 = bath.omega_c * np.repeat(np.diag(b.T @ b), n_ph**m)
+    h0 = bath.omega_c * np.repeat(np.diag(b.T @ b), n_field)
     v = np.zeros((dim, dim), dtype=complex)
     for k in range(m):
         a_k = embed_mode(a1, k)
         h0 += bath.mode_frequencies[k] * np.tile(np.diag(a_k.T @ a_k), n_p)
         v += 1j * bath.couplings[k] * np.kron(b - b.T, a_k + a_k.T)
-    return h0, v
-
-
-def _sector_hamiltonian(bath: BathModel) -> np.ndarray:
-    """Zero/one-excitation Hamiltonian for the conserving coupling.
-
-    Basis: e0 = |0> x |vac|, e1 = |1> x |vac>, e_{k+2} = |0> x |1_k>.
-    """
-    m = bath.n_modes
-    h = np.zeros((m + 2, m + 2), dtype=complex)
-    h[1, 1] = bath.omega_c
-    for k in range(m):
-        h[k + 2, k + 2] = bath.mode_frequencies[k]
-        h[k + 2, 1] = 1j * bath.couplings[k]
-        h[1, k + 2] = -1j * bath.couplings[k]
-    return h
+    level = np.repeat(np.arange(n_p), n_field)
+    return h0, v, level, np.arange(dim) - n_field
 
 
 @dataclass(frozen=True)
@@ -268,14 +266,6 @@ class BathFitResult:
     times: np.ndarray = field(repr=False)
     excited_population: np.ndarray = field(repr=False)
     mean_lowering: np.ndarray = field(repr=False)
-
-
-def _evolve(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Columns: exp(-i H t) psi0 for each t, via one diagonalization."""
-    energies, u = np.linalg.eigh(h)
-    coeff = u.conj().T @ psi0
-    phases = np.exp(-1j * np.outer(energies, times))
-    return u @ (phases * coeff[:, None])
 
 
 def _fit_decay(times: np.ndarray, pop: np.ndarray) -> float:
@@ -313,65 +303,58 @@ def bath_brute_force(
     rates_expected: tuple[float | None, float | None] | None = None,
     duration: float = 80.0,
     n_points: int = 2001,
-    fit_start_fraction: float = 0.05,
 ) -> BathFitResult:
     """Exact evolution against the discrete bath; fit decay and drift.
 
+    Both couplings take one path through the :func:`_hamiltonian` basis.
     Two runs share one diagonalization: ``|1> x |vac>`` for the survival
-    probability (decay fit on its logarithm, skipping the initial
+    probability ``P_1`` (decay fit on its logarithm, skipping the initial
     bandwidth transient) and ``(|0> + |1>)/sqrt 2 x |vac>`` for the phase
-    drift of ``<b>`` (frequency-shift fit on the unwrapped phase).
-    ``rates_expected`` is an optional ``(gamma, shift)`` pair recorded in
-    the result for reporting; pass the discrete-sum references.
+    drift of ``<b> = sum_j sqrt(level_j) conj(c[lower_j]) c[j]``
+    (frequency-shift fit on the unwrapped phase).  ``rates_expected`` is an
+    optional ``(gamma, shift)`` pair recorded in the result for reporting;
+    pass the discrete-sum references.
     """
     if bath.dimension() > DIMENSION_GUARD:
         raise GuardExceeded(
             f"dimension {bath.dimension()} exceeds {DIMENSION_GUARD}"
         )
+    if not bath.counter_rotating and (
+        bath.particle_levels != 2 or bath.photons_per_mode != 1
+    ):
+        raise DimensionMismatch(
+            "the excitation-conserving path evolves the one-excitation "
+            "sector; it needs particle_levels=2, photons_per_mode=1 "
+            f"(got {bath.particle_levels}, {bath.photons_per_mode})"
+        )
     times = np.linspace(0.0, duration, n_points)
+    h0, h, level, lower = _hamiltonian(bath)
+    h[np.diag_indices_from(h)] += h0
+    energies, u = np.linalg.eigh(h)
+    del h
+    phases = np.exp(-1j * np.outer(energies, times))
+    i1 = int(np.flatnonzero(lower == 0)[0])
 
-    if not bath.counter_rotating:
-        if bath.particle_levels != 2 or bath.photons_per_mode != 1:
-            raise DimensionMismatch(
-                "the excitation-conserving path evolves the one-excitation "
-                "sector; it needs particle_levels=2, photons_per_mode=1 "
-                f"(got {bath.particle_levels}, {bath.photons_per_mode})"
-            )
-        h = _sector_hamiltonian(bath)
-        dim = h.shape[0]
-        psi_decay = np.zeros(dim, dtype=complex)
-        psi_decay[1] = 1.0
-        psi_super = np.zeros(dim, dtype=complex)
-        psi_super[0] = psi_super[1] = 1.0 / math.sqrt(2.0)
-        traj_decay = _evolve(h, psi_decay, times)
-        traj_super = _evolve(h, psi_super, times)
-        pop = np.abs(traj_decay[1, :]) ** 2
-        # <b> = conj(c0) c1; c0 is conserved at 1/sqrt(2)
-        mean_b = traj_super[0, :].conj() * traj_super[1, :]
-    else:
-        h0_diag, h = _dense_hamiltonian(bath)
-        h[np.diag_indices_from(h)] += h0_diag
-        dim = h.shape[0]
-        i0 = _product_index(bath, 0)
-        i1 = _product_index(bath, 1)
-        psi_decay = np.zeros(dim, dtype=complex)
-        psi_decay[i1] = 1.0
-        psi_super = np.zeros(dim, dtype=complex)
-        psi_super[i0] = psi_super[i1] = 1.0 / math.sqrt(2.0)
-        traj_decay = _evolve(h, psi_decay, times)
-        traj_super = _evolve(h, psi_super, times)
-        n_field = (bath.photons_per_mode + 1) ** bath.n_modes
-        shape = (bath.particle_levels, n_field, len(times))
-        pop = np.sum(np.abs(traj_decay.reshape(shape)[1]) ** 2, axis=0)
-        # <b> = sum_{n, f} sqrt(n) conj(c[n-1, f]) c[n, f]
-        block = traj_super.reshape(shape)
-        root_n = np.sqrt(np.arange(1, bath.particle_levels))
-        mean_b = np.einsum("nft,n,nft->t", block[:-1].conj(), root_n, block[1:])
+    def evolve(occupied: list[int]) -> np.ndarray:
+        psi = np.zeros(len(level), dtype=complex)
+        psi[occupied] = 1.0 / math.sqrt(len(occupied))
+        return u @ (phases * (u.conj().T @ psi)[:, None])
+
+    traj_decay = evolve([i1])
+    traj_super = evolve([0, i1])
+    pop = np.sum(np.abs(traj_decay[level == 1]) ** 2, axis=0)
+    up = lower >= 0
+    mean_b = np.einsum(
+        "jt,j,jt->t",
+        traj_super[lower[up]].conj(),
+        np.sqrt(level[up]),
+        traj_super[up],
+    )
 
     norms = np.sum(np.abs(traj_decay) ** 2, axis=0)
     norm_drift = float(np.max(np.abs(norms - 1.0)))
 
-    fit_mask = times >= fit_start_fraction * duration
+    fit_mask = times >= _FIT_START_FRACTION * duration
     gamma_fit = _fit_decay(times[fit_mask], pop[fit_mask])
     shift_fit = _fit_phase_drift(times[fit_mask], mean_b[fit_mask], bath.omega_c)
 

@@ -46,8 +46,6 @@ from .rates import (
     build_rate_set,
     damping_rate,
     frequency_shift,
-    relative_shift,
-    total_frequency,
 )
 from .sweeps import (
     bfield_sweep,
@@ -105,7 +103,7 @@ def _cmd_rates(args) -> str:
     config = load_config(args.config)
     _csv_only(args.format, "rates")
     rs = build_rate_set(config)
-    rel = relative_shift(config)
+    rel = rs.delta_omega / rs.omega_c
     rows = [
         ("mode", config.mode.value),
         ("omega_c_rad_s", repr(rs.omega_c)),
@@ -117,7 +115,7 @@ def _cmd_rates(args) -> str:
         ("delta_minus_ren_per_s", repr(rs.delta_minus_ren)),
         ("delta_omega_per_s", repr(rs.delta_omega)),
         ("relative_shift", repr(rel)),
-        ("total_frequency_rad_s", repr(total_frequency(config))),
+        ("total_frequency_rad_s", repr(rs.omega_c * (1.0 + rel))),
     ]
     return "quantity,value\n" + "\n".join(f"{k},{v}" for k, v in rows) + "\n"
 

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, DimensionTooSmall
-from .params import CODATA_2018, ApproximationMode
+from .params import ApproximationMode
 from .rates import RateSet
 
 __all__ = [
@@ -76,11 +76,6 @@ class FockSpace:
             raise DimensionMismatch(
                 "omega_c, mass and hbar must be positive scalings"
             )
-
-    @classmethod
-    def si(cls, dim: int, omega_c: float, mass: float) -> "FockSpace":
-        """SI-unit space (hbar from CODATA)."""
-        return cls(dim=dim, omega_c=omega_c, mass=mass, hbar=CODATA_2018.hbar)
 
 
 class FockOperators(NamedTuple):

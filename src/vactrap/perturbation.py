@@ -27,6 +27,7 @@ from .params import (
     PhysicalConstants,
     cutoff_frequency,
 )
+from .rates import kappa
 
 __all__ = [
     "PerturbationShifts",
@@ -84,7 +85,7 @@ def pt_constants(
         )
     _check_resonances(omega_c, omega_max)
     a_q = constants.fine_structure(particle.charge)
-    k = constants.hbar * omega_c / (particle.mass * constants.c**2)
+    k = kappa(particle, omega_c, constants)
     w, W = omega_c, omega_max
 
     def d0(sign: float) -> float:
@@ -191,7 +192,7 @@ def pt_renormalization_term(
     counting.
     """
     a_q = constants.fine_structure(particle.charge)
-    k = constants.hbar * omega_c / (particle.mass * constants.c**2)
+    k = kappa(particle, omega_c, constants)
     return 2.0 * a_q * k * omega_max / math.pi
 
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from vactrap.bath import (
     DIMENSION_GUARD,
@@ -81,6 +82,15 @@ def test_second_order_shift_rejects_resonant_mode():
         discrete_second_order_shift(bath)
 
 
+def test_sector_second_order_shift_is_the_plain_mode_sum():
+    # the conserving path reads the sum off the sector Hamiltonian; it must
+    # be the textbook sum over the modes itself, to the last bit
+    bath = make_flat_bath(64, 0.2, 5.0, gamma_target=5e-3)
+    kappa2 = bath.couplings**2
+    expected = np.sum(kappa2 / (bath.omega_c - bath.mode_frequencies))
+    assert discrete_second_order_shift(bath) == expected
+
+
 def test_golden_rule_needs_two_modes():
     bath = BathModel(mode_frequencies=[1.3], couplings=[0.01])
     with pytest.raises(FitFailure):
@@ -142,6 +152,65 @@ def test_detuned_mode_gives_pure_shift_and_honest_zero_decay():
     assert result.gamma_fit == 0.0
     assert abs(result.shift_fit - pt2) / abs(pt2) < 0.05
     assert result.norm_drift < 1e-10
+
+
+def test_three_level_two_photon_observables_match_hand_built_evolution():
+    # P_1 and <b> against psi+ O psi with O = |1><1| x I and b x I, where
+    # psi evolves under a Hamiltonian written out from sqrt(n) ladders; the
+    # superposition state reaches level 2, so this checks the sqrt(2)
+    # weight of the 2 -> 1 term in <b>
+    omega, kappa = 2.0, 0.01
+    bath = BathModel(
+        mode_frequencies=[omega],
+        couplings=[kappa],
+        particle_levels=3,
+        photons_per_mode=2,
+        counter_rotating=True,
+    )
+    result = bath_brute_force(bath, duration=2000.0, n_points=4001)
+
+    b = np.diag(np.sqrt([1.0, 2.0]), 1)
+    a = np.diag(np.sqrt([1.0, 2.0]), 1)
+    eye = np.eye(3)
+    h = (
+        np.kron(b.T @ b, eye)
+        + omega * np.kron(eye, a.T @ a)
+        + 1j * kappa * np.kron(b - b.T, a + a.T)
+    )
+    excited = np.kron(np.diag([0.0, 1.0, 0.0]), eye)
+    lowering = np.kron(b, eye)
+    vac = np.eye(3)[0]
+    psi_decay = np.kron(np.eye(3)[1], vac).astype(complex)
+    psi_super = np.kron(np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0), vac)
+
+    worst = 0.0
+    for k in range(0, len(result.times), 10):
+        step = expm(-1j * h * result.times[k])
+        decay = step @ psi_decay
+        sup = step @ psi_super
+        worst = max(
+            worst,
+            abs(decay.conj() @ excited @ decay - result.excited_population[k]),
+            abs(sup.conj() @ lowering @ sup - result.mean_lowering[k]),
+        )
+    assert worst < 1e-10
+
+
+@pytest.mark.parametrize("counter_rotating", [False, True])
+def test_one_diagonalization_per_run(monkeypatch, counter_rotating):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    bath = make_flat_bath(
+        8, 0.5, 1.5, gamma_target=2e-3, counter_rotating=counter_rotating
+    )
+    bath_brute_force(bath, duration=40.0, n_points=801)
+    assert calls == [(bath.dimension(), bath.dimension())]
 
 
 def test_resonant_single_mode_is_reported_as_rabi_not_decay():

@@ -1,7 +1,10 @@
 """End-to-end command-line checks via run_cli (no subprocesses)."""
+import warnings
+
 import pytest
 
 from vactrap.cli import run_cli
+from vactrap.errors import LongWavelengthWarning
 from vactrap.params import load_config
 from vactrap.sweeps import table1, table1_csv
 
@@ -19,6 +22,24 @@ def test_rates_emits_the_closed_form_table(capsys):
     assert "gamma_per_s,11.121199473377965" in lines
     assert any(line.startswith("relative_shift,") for line in lines)
     assert any(line.startswith("mode,beyond-rwa") for line in lines)
+
+
+def test_rates_warns_once_past_the_long_wavelength_bound(capsys, tmp_path):
+    # a de Broglie cut-off at d_c = 50 nm lies past the long-wavelength
+    # bound; the table is read off one rate set, so the cut-off is resolved
+    # (and the warning raised) once even when no repeat is suppressed
+    config = tmp_path / "wide.cfg"
+    config.write_text(
+        "trap.omega_c_rad_s = 9.42e11\n"
+        "trap.d_a_m = 5.0e-6\n"
+        "trap.d_c_m = 50e-9\n"
+        "cutoff.kind = de-broglie\n"
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["rates", "--config", str(config)]) == 0
+    assert [w.category for w in caught] == [LongWavelengthWarning]
+    assert capsys.readouterr().out.startswith("quantity,value\n")
 
 
 def test_table_command_matches_library_route(capsys, tmp_path):
