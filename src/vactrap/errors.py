@@ -50,7 +50,7 @@ class NumericalGuard(VactrapError):
 
 
 class ToleranceFailure(NumericalGuard):
-    """The adaptive integrator could not meet the requested tolerance."""
+    """A propagated trajectory is not finite (an unstable generator overflowed)."""
 
 
 class PositivityBreach(NumericalGuard):

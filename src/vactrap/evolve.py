@@ -1,7 +1,16 @@
-"""Time integration with trace/Hermiticity/positivity monitors.
+"""Exact propagation on a uniform time grid, with trace/Hermiticity/positivity monitors.
+
+Every snapshot time is on a uniform grid, so the trajectory is
+``expm(L t_k) vec(rho0)`` with no step-size control and no tolerance: when
+the grid has at least as many steps as the vectorized state has entries
+and that state is small (dim 28 or less), one ``expm(L dt)`` is formed and
+applied step by step; otherwise
+``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci.
+Comput. 33, 488 (2011)) evaluates the whole grid.  The choice follows only
+from the generator size and the snapshot count.
 
 The propagated matrix is never projected, renormalized or symmetrized:
-whatever the integrator produces is stored, and its defects (trace drift,
+whatever the propagator produces is stored, and its defects (trace drift,
 Hermiticity drift, most negative eigenvalue, guard-band population) are
 recorded per time point.  Breaches raise by default, carrying the partial
 record, so studies *of* a breach can pass ``raise_on_breach=False`` and
@@ -32,7 +41,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.linalg import expm
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import expm_multiply
 
 from .errors import (
     DimensionMismatch,
@@ -55,13 +66,22 @@ __all__ = [
 ]
 
 #: Positivity floor for completely positive (RWA) dynamics, where any
-#: negative eigenvalue is integrator error.
+#: negative eigenvalue is propagation error.
 POSITIVITY_FLOOR_CP = -1e-8
 #: Maximum tolerated population in the top two (guard-band) levels.
 GUARD_BAND_LIMIT = 1e-6
 #: Snapshots per eigenvalue batch are sized to about this many bytes, so the
 #: diagnostics temporaries stay small whatever the trajectory length.
 _DIAGNOSTICS_BLOCK_BYTES = 2 * 1024 * 1024
+#: Largest vectorized state (``dim**2``, here dim 28) propagated by the
+#: cached ``expm(L dt)`` stepper.  Each of its steps is a dense product of
+#: about N^2 operations, while an ``expm_multiply`` step costs about 0.4-1 ms
+#: almost independently of N (per-term call overhead on a generator with
+#: about 8N nonzeros).  Measured on 2 cores, the dense step is the slower one
+#: from N = 1600 (dim 40) up, and past N = 1024 (dim 32) the set-up
+#: ``expm`` needs more than N steps to pay for itself (``BENCH_6.json``,
+#: ``crossover``).
+_STEPPER_MAX_SIZE = 784
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,20 +127,22 @@ def integrate(
     generator: Superoperator,
     rho0: DensityMatrix | np.ndarray,
     t_span: tuple[float, float],
-    tol: float = 1e-10,
     n_points: int = 201,
     raise_on_breach: bool = True,
 ) -> EvolutionRecord:
     """Propagate ``rho0`` under ``generator`` over ``t_span``.
 
-    Uses an adaptive high-order explicit Runge-Kutta scheme (DOP853) on the
-    vectorized state with ``rtol = atol = tol``; ``n_points`` evenly spaced
-    snapshots (including both endpoints) are stored.
+    ``n_points`` evenly spaced snapshots (including both endpoints) are
+    stored, each the exact exponential ``expm(L t_k)`` applied to the
+    vectorized initial state up to rounding: a cached ``expm(L dt)``
+    stepper when ``n_points - 1`` is at least the vector length ``dim**2``
+    and ``dim <= 28``, ``expm_multiply`` otherwise.
 
     Raises
     ------
     ToleranceFailure
-        If the integrator cannot meet ``tol``.
+        If the propagated trajectory has a non-finite entry (an unstable
+        generator overflowing).
     PositivityBreach
         First stored time where the lowest eigenvalue drops below
         ``POSITIVITY_FLOOR_CP`` (-1e-8); raised for ``WITH_RWA`` generators
@@ -141,27 +163,21 @@ def integrate(
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
 
-    gen_matrix = generator.matrix
-
-    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
-        return gen_matrix @ y
-
     times = np.linspace(t0, t1, n_points)
-    sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        vec(rho0.matrix),
-        method="DOP853",
-        t_eval=times,
-        rtol=tol,
-        atol=tol,
-    )
-    if not sol.success:
-        raise ToleranceFailure(f"integrator failed: {sol.message}")
+    # an overflow is reported below as ToleranceFailure, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = _propagate(generator.matrix, vec(rho0.matrix), times)
+    finite = np.isfinite(traj).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ToleranceFailure(
+            f"propagated state is not finite at t = {float(times[k])!r}; "
+            "the generator is unstable (check spectral_abscissa)"
+        )
 
     dim = generator.dim
-    # (dim*dim, n) solver output -> (n, dim, dim) view, column-major per snapshot
-    rho = sol.y.T.reshape(n_points, dim, dim).transpose(0, 2, 1)
+    # (n, dim*dim) trajectory -> (n, dim, dim) view, column-major per snapshot
+    rho = traj.reshape(n_points, dim, dim).transpose(0, 2, 1)
     trace_dev = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
     guard_pop = rho[:, -1, -1].real + rho[:, -2, -2].real
     herm_dev = np.empty(n_points)
@@ -209,6 +225,29 @@ def integrate(
             record=record,
         )
     return record
+
+
+def _propagate(op: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``expm(op (t_k - t_0)) y0`` for each ``t_k`` of a uniform grid, one row each.
+
+    With at least as many steps as ``op`` has rows, one dense ``expm(op dt)``
+    is applied step by step, which spreads its O(N^3) cost over the steps;
+    up to ``_STEPPER_MAX_SIZE`` rows only, past which the set-up and the
+    dense steps were measured slower than ``expm_multiply``.  Otherwise
+    ``expm_multiply`` touches ``op`` only through sparse products.
+    """
+    n_points, size = len(times), len(y0)
+    if n_points - 1 < size or size > _STEPPER_MAX_SIZE:
+        return expm_multiply(
+            csr_array(op), y0, start=0.0, stop=times[-1] - times[0],
+            num=n_points, endpoint=True,
+        )
+    step = expm(op * (times[1] - times[0]))
+    out = np.empty((n_points, size), dtype=complex)
+    out[0] = y0
+    for k in range(1, n_points):
+        np.dot(step, out[k - 1], out=out[k])
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,26 @@
-"""Integration diagnostics, breach policy, and the Gaussian positivity window."""
+"""Propagation, diagnostics, breach policy, and the Gaussian positivity window."""
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+import vactrap
 from vactrap.errors import (
     DimensionMismatch,
     GuardBandOverflow,
     PositivityBreach,
+    ToleranceFailure,
     UnboundedWindow,
 )
 from vactrap.evolve import (
+    _STEPPER_MAX_SIZE,
     GUARD_BAND_LIMIT,
     POSITIVITY_FLOOR_CP,
+    _propagate,
     gaussian_positivity_check,
     integrate,
     record_to_csv,
@@ -25,8 +33,9 @@ from vactrap.liouville import (
     build_fock_operators,
     build_lindblad_generator,
     build_redfield_generator,
+    vec,
 )
-from vactrap.observables import make_state
+from vactrap.observables import make_state, witness_sum
 from vactrap.params import ApproximationMode, load_config
 from vactrap.rates import RateSet, build_rate_set
 
@@ -38,13 +47,58 @@ def test_rwa_fock_decay_is_exponential():
     rates = RateSet.scaled(0.2, 5e-3, 8e-3, mode=ApproximationMode.WITH_RWA)
     gen = build_lindblad_generator(space, rates)
     rho0 = make_state("fock", space, n=1)
-    record = integrate(gen, rho0, (0.0, 10.0), n_points=41, tol=1e-12)
+    record = integrate(gen, rho0, (0.0, 10.0), n_points=41)
     pops = np.array([s.matrix[1, 1].real for s in record.states])
     expected = np.exp(-rates.gamma * record.times)
     assert np.max(np.abs(pops - expected)) < 1e-9
     assert record.trace_dev.max() < 1e-9
     assert record.herm_dev.max() < 1e-12
     assert record.min_eig.min() > -1e-12
+
+
+@pytest.mark.parametrize(
+    "dim, n_points",
+    [(8, 65), (12, 21)],  # 64 steps >= 64 entries: stepper; 20 < 144: expm_multiply
+)
+@pytest.mark.parametrize("build", [build_redfield_generator, build_lindblad_generator])
+def test_trajectory_is_the_exact_exponential(dim, n_points, build):
+    space = FockSpace(dim=dim)
+    gen = build(space, STABLE)
+    starts = [make_state("coherent", space, alpha=0.4), make_state("thermal", space, nbar=0.05)]
+    t_end = 40.0
+    records = [integrate(gen, rho0, (0.0, t_end), n_points=n_points) for rho0 in starts]
+    y0 = np.stack([vec(rho0.matrix) for rho0 in starts], axis=1)
+    for k, t in enumerate(records[0].times):
+        exact = expm(gen.matrix * t) @ y0
+        for j, record in enumerate(records):
+            assert np.max(np.abs(vec(record.rho[k]) - exact[:, j])) <= 1e-12
+    # a later start gives the same trajectory: only t - t0 enters
+    shifted = integrate(gen, starts[0], (10.0, 10.0 + t_end), n_points=n_points)
+    assert np.max(np.abs(shifted.rho - records[0].rho)) <= 1e-12
+    witness = witness_sum(records[1].rho)
+    if gen.mode is ApproximationMode.WITH_RWA:
+        # a diagonal start stays diagonal exactly: structural zeros survive
+        assert np.all(witness == 0.0)
+    else:
+        assert np.abs(witness).max() > 1e-6
+
+
+@pytest.mark.parametrize("size", [_STEPPER_MAX_SIZE, _STEPPER_MAX_SIZE + 1])
+def test_dense_stepper_is_kept_to_small_generators(monkeypatch, size):
+    # past the cap the stepper's dense N^2 steps lose to expm_multiply,
+    # however many snapshots there are to spread its set-up over
+    calls = []
+
+    def counting_expm(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr("vactrap.evolve.expm", counting_expm)
+    diagonal = -np.linspace(0.0, 0.1, size) + 1j * np.linspace(0.0, 1.0, size)
+    times = np.linspace(0.0, 2.0, size + 1)
+    traj = _propagate(np.diag(diagonal), np.ones(size, dtype=complex), times)
+    assert len(calls) == (1 if size <= _STEPPER_MAX_SIZE else 0)
+    assert np.abs(traj - np.exp(np.outer(times, diagonal))).max() <= 1e-12
 
 
 def test_beyond_rwa_negativity_is_recorded_not_raised():
@@ -162,6 +216,26 @@ def test_integrate_argument_validation():
         integrate(gen, rho0, (0.0, 1.0), n_points=1)
     with pytest.raises(DimensionMismatch):
         integrate(gen, make_state("fock", FockSpace(dim=8), n=0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("n_points", [5, 101])  # expm_multiply, then the stepper
+def test_overflowing_generator_raises_tolerance_failure(n_points):
+    space = FockSpace(dim=4)
+    gen = build_lindblad_generator(space, STABLE)
+    unstable = Superoperator(
+        matrix=gen.matrix + 1e3 * np.eye(16), dim=4, mode=gen.mode, rates=STABLE
+    )
+    with pytest.raises(ToleranceFailure, match="not finite"):
+        integrate(unstable, make_state("fock", space, n=0), (0.0, 1.0), n_points=n_points)
+
+
+def test_import_does_not_load_scipy_integrate():
+    src = str(Path(vactrap.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import vactrap; "
+        "sys.exit('scipy.integrate' in sys.modules)"
+    )
+    assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
 
 
 # ------------------------------------------------------------------ window
