@@ -68,7 +68,10 @@ class BathModel:
     ``mode_frequencies`` and ``couplings`` are parallel arrays (couplings
     real, in the same angular-frequency units as the frequencies --
     throughout this module ``hbar = 1`` and frequencies are measured in
-    units of the trap frequency unless stated otherwise).
+    units of the trap frequency unless stated otherwise).  The
+    excitation-conserving coupling (``counter_rotating=False``) is modelled
+    in its one-excitation sector, so it takes only ``particle_levels=2``
+    and ``photons_per_mode=1``.
     """
 
     mode_frequencies: np.ndarray
@@ -96,6 +99,14 @@ class BathModel:
         if self.photons_per_mode < 1:
             raise DimensionMismatch(
                 f"photons_per_mode must be >= 1, got {self.photons_per_mode}"
+            )
+        if not self.counter_rotating and (
+            self.particle_levels != 2 or self.photons_per_mode != 1
+        ):
+            raise DimensionMismatch(
+                "the excitation-conserving coupling evolves the one-excitation "
+                "sector; it needs particle_levels=2, photons_per_mode=1 "
+                f"(got {self.particle_levels}, {self.photons_per_mode})"
             )
         if self.dimension() > DIMENSION_GUARD:
             raise GuardExceeded(
@@ -318,14 +329,6 @@ def bath_brute_force(
     if bath.dimension() > DIMENSION_GUARD:
         raise GuardExceeded(
             f"dimension {bath.dimension()} exceeds {DIMENSION_GUARD}"
-        )
-    if not bath.counter_rotating and (
-        bath.particle_levels != 2 or bath.photons_per_mode != 1
-    ):
-        raise DimensionMismatch(
-            "the excitation-conserving path evolves the one-excitation "
-            "sector; it needs particle_levels=2, photons_per_mode=1 "
-            f"(got {bath.particle_levels}, {bath.photons_per_mode})"
         )
     times = np.linspace(0.0, duration, n_points)
     h0, h, level, lower = _hamiltonian(bath)

@@ -1,13 +1,15 @@
 """Exact propagation on a uniform time grid, with trace/Hermiticity/positivity monitors.
 
 Every snapshot time is on a uniform grid, so the trajectory is
-``expm(L t_k) vec(rho0)`` with no step-size control and no tolerance: when
+``expm(L t_k) vec(rho0)`` with no step-size control and no tolerance.  When
 the grid has at least as many steps as the vectorized state has entries
-and that state is small (dim 28 or less), one ``expm(L dt)`` is formed and
-applied step by step; otherwise
-``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33, 488 (2011)) evaluates the whole grid.  The choice follows only
-from the generator size and the snapshot count.
+and no invariant block of ``L`` is larger than 392 entries (beyond-RWA up
+to dim 28; the RWA generator's blocks are at most ``dim``), one
+``expm(L_b dt)`` per block is formed and applied step by step, in chunks
+of snapshots; otherwise ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33, 488 (2011)) evaluates the whole grid.
+The choice follows only from the generator's block sizes and the snapshot
+count.
 
 The propagated matrix is never projected, renormalized or symmetrized:
 whatever the propagator produces is stored, and its defects (trace drift,
@@ -52,7 +54,13 @@ from .errors import (
     ToleranceFailure,
     UnboundedWindow,
 )
-from .liouville import DensityMatrix, Superoperator, trace_product, vec
+from .liouville import (
+    DensityMatrix,
+    Superoperator,
+    _invariant_blocks,
+    trace_product,
+    vec,
+)
 from .params import ApproximationMode
 from .rates import RateSet
 
@@ -73,15 +81,19 @@ GUARD_BAND_LIMIT = 1e-6
 #: Snapshots per eigenvalue batch are sized to about this many bytes, so the
 #: diagnostics temporaries stay small whatever the trajectory length.
 _DIAGNOSTICS_BLOCK_BYTES = 2 * 1024 * 1024
-#: Largest vectorized state (``dim**2``, here dim 28) propagated by the
-#: cached ``expm(L dt)`` stepper.  Each of its steps is a dense product of
-#: about N^2 operations, while an ``expm_multiply`` step costs about 0.4-1 ms
-#: almost independently of N (per-term call overhead on a generator with
-#: about 8N nonzeros).  Measured on 2 cores, the dense step is the slower one
-#: from N = 1600 (dim 40) up, and past N = 1024 (dim 32) the set-up
-#: ``expm`` needs more than N steps to pay for itself (``BENCH_6.json``,
-#: ``crossover``).
-_STEPPER_MAX_SIZE = 784
+#: Largest invariant block (``_invariant_blocks``; beyond-RWA at dim 28 has
+#: two of 392 entries) propagated by the cached ``expm(L_b dt)`` stepper.
+#: Its set-up, one ``expm`` and ``log2(_CHUNK)`` squarings per block, grows
+#: like m^3, while an ``expm_multiply`` step costs about 0.4-1 ms almost
+#: independently of the size (per-term call overhead on a generator with
+#: about 8N nonzeros).  Measured on 2 cores with ``n_points - 1 = dim**2``,
+#: the rule's smallest grid, the stepper is the slower path from beyond-RWA
+#: dim 30 (two blocks of 450) at dt = 0.075 (``BENCH_7.json``,
+#: ``crossover``), so beyond-RWA generators take the stepper up to dim 28.
+_STEPPER_MAX_SIZE = 392
+#: Snapshots per matrix product in the stepper (a power of two: the chunk
+#: propagator ``S**_CHUNK`` is formed by ``log2(_CHUNK)`` squarings).
+_CHUNK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,9 +146,10 @@ def integrate(
 
     ``n_points`` evenly spaced snapshots (including both endpoints) are
     stored, each the exact exponential ``expm(L t_k)`` applied to the
-    vectorized initial state up to rounding: a cached ``expm(L dt)``
-    stepper when ``n_points - 1`` is at least the vector length ``dim**2``
-    and ``dim <= 28``, ``expm_multiply`` otherwise.
+    vectorized initial state up to rounding: a cached ``expm(L_b dt)``
+    stepper per invariant block ``b`` of the generator when ``n_points - 1``
+    is at least the vector length ``dim**2`` and no block has more than
+    ``_STEPPER_MAX_SIZE`` (392) entries, ``expm_multiply`` otherwise.
 
     Raises
     ------
@@ -230,23 +243,61 @@ def integrate(
 def _propagate(op: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """``expm(op (t_k - t_0)) y0`` for each ``t_k`` of a uniform grid, one row each.
 
-    With at least as many steps as ``op`` has rows, one dense ``expm(op dt)``
-    is applied step by step, which spreads its O(N^3) cost over the steps;
-    up to ``_STEPPER_MAX_SIZE`` rows only, past which the set-up and the
-    dense steps were measured slower than ``expm_multiply``.  Otherwise
-    ``expm_multiply`` touches ``op`` only through sparse products.
+    With at least as many steps as ``op`` has rows, and no invariant block
+    (:func:`_invariant_blocks`) larger than ``_STEPPER_MAX_SIZE``, each block
+    is stepped with its own ``expm(op_b dt)`` (:func:`_step_blocks`), which
+    spreads the O(m^3) set-up over the steps.  Otherwise ``expm_multiply``
+    touches the whole ``op`` only through sparse products.
     """
     n_points, size = len(times), len(y0)
-    if n_points - 1 < size or size > _STEPPER_MAX_SIZE:
-        return expm_multiply(
-            csr_array(op), y0, start=0.0, stop=times[-1] - times[0],
-            num=n_points, endpoint=True,
-        )
-    step = expm(op * (times[1] - times[0]))
-    out = np.empty((n_points, size), dtype=complex)
-    out[0] = y0
-    for k in range(1, n_points):
-        np.dot(step, out[k - 1], out=out[k])
+    sparse = csr_array(op)
+    if n_points - 1 >= size:
+        blocks = _invariant_blocks(sparse)
+        if max(len(idx) for idx in blocks) <= _STEPPER_MAX_SIZE:
+            return _step_blocks(op, y0, times, blocks)
+    return expm_multiply(
+        sparse, y0, start=0.0, stop=times[-1] - times[0], num=n_points, endpoint=True
+    )
+
+
+def _step_blocks(
+    op: np.ndarray, y0: np.ndarray, times: np.ndarray, blocks: list[np.ndarray]
+) -> np.ndarray:
+    """:func:`_propagate`'s stepper, one invariant block at a time.
+
+    Block ``b`` gets ``S_b = expm(op_b dt)``: the first ``_CHUNK`` rows are
+    stepped with ``np.dot``, and every later chunk of ``_CHUNK`` rows is the
+    chunk before it times ``S_b**_CHUNK``, one matrix product each.  The
+    power is squared up as ``X = S_b - I`` with ``X -> 2 X + X @ X``, so
+    rounding stays relative to ``S_b - I``; squaring ``S_b`` directly
+    repeats its rounding in every chunk and measured twice as far from
+    ``expm(L t)`` at dim 20, t = 300.  The blocks fill the output side by
+    side; its columns are put back in place one chunk of rows at a time, so
+    no second trajectory-sized array exists.
+    """
+    n_points, dt = len(times), times[1] - times[0]
+    out = np.empty((n_points, len(y0)), dtype=complex)
+    lo = 0
+    for idx in blocks:
+        hi = lo + len(idx)
+        cols = out[:, lo:hi]
+        step = expm(op[np.ix_(idx, idx)] * dt)
+        cols[0] = y0[idx]
+        for k in range(1, min(n_points, _CHUNK)):
+            np.dot(step, cols[k - 1], out=cols[k])
+        if n_points > _CHUNK:
+            eye = np.eye(len(idx))
+            excess = step - eye
+            for _ in range(_CHUNK.bit_length() - 1):
+                excess = 2.0 * excess + excess @ excess
+            jump = (eye + excess).T
+            for start in range(_CHUNK, n_points, _CHUNK):
+                stop = min(start + _CHUNK, n_points)
+                cols[start:stop] = cols[start - _CHUNK:stop - _CHUNK] @ jump
+        lo = hi
+    inverse = np.argsort(np.concatenate(blocks))
+    for start in range(0, n_points, _CHUNK):
+        out[start:start + _CHUNK] = out[start:start + _CHUNK, inverse]
     return out
 
 

@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionMismatch, DimensionTooSmall
 from .params import ApproximationMode
@@ -411,8 +413,32 @@ def spectral_abscissa(superop: Superoperator) -> float:
     (roughly ``dim * delta ~ omega_c``): growing modes appear, seeded by
     roundoff, and long integrations explode.  Probe this before trusting a
     long run at large dimension or large shifts.
+
+    The eigenvalues are taken block by block over the generator's invariant
+    subspaces (:func:`_invariant_blocks`), which is the same spectrum at a
+    fraction of the cost of one dense ``eigvals``.
     """
-    return float(np.linalg.eigvals(superop.matrix).real.max())
+    mat = superop.matrix
+    return max(
+        float(np.linalg.eigvals(mat[np.ix_(idx, idx)]).real.max())
+        for idx in _invariant_blocks(mat)
+    )
+
+
+def _invariant_blocks(matrix) -> list[np.ndarray]:
+    """Index sets of the subspaces a generator never couples to each other.
+
+    They are the connected components of the nonzero pattern, so the
+    generator is block diagonal over them and ``expm``, eigenvalues and
+    propagation can be taken block by block.  Exact zeros give an exact
+    structure, so no tolerance enters.  Beyond-RWA generators keep the
+    parity of ``i - j`` (two blocks, four on the planar space); the RWA
+    generator keeps ``i - j`` itself (``2 dim - 1`` blocks of sizes 1 to
+    ``dim``).  Each set is ascending.  ``matrix`` may be dense or sparse.
+    """
+    n_blocks, labels = connected_components(csr_array(matrix != 0), directed=False)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=n_blocks))[:-1])
 
 
 def superoperator_to_csv(superop: Superoperator) -> str:

@@ -246,8 +246,12 @@ class RateSet:
 
 def build_rate_set(config: ExperimentConfig) -> RateSet:
     """Evaluate every rate for a configuration (SI units)."""
+    return _rate_set_at(config, cutoff_frequency(config))
+
+
+def _rate_set_at(config: ExperimentConfig, W: float) -> RateSet:
+    """:func:`build_rate_set` with the cut-off ``W`` already resolved."""
     w = config.omega_c
-    W = cutoff_frequency(config)
     g = damping_rate(config.particle, w, config.constants)
     dp_raw, dm_raw = level_shifts_raw(g, w, W)
     dp_ren, dm_ren = level_shifts_renormalized(g, w, W)

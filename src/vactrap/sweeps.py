@@ -39,7 +39,7 @@ from .params import (
     parse_mode,
     spin_coupling_ratio,
 )
-from .rates import build_rate_set, relative_shift
+from .rates import _rate_set_at, relative_shift
 
 __all__ = [
     "SweepResult",
@@ -306,7 +306,7 @@ def validity_report(config: ExperimentConfig) -> ValidityReport:
         omega_max = cutoff_frequency(config)
     for c in caught:
         notes.append(str(c.message))
-    rates = build_rate_set(config)
+    rates = _rate_set_at(config, omega_max)
     if config.mode is ApproximationMode.WITH_RWA:
         t_max = math.inf
         notes.append(

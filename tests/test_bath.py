@@ -220,11 +220,10 @@ def test_resonant_single_mode_is_reported_as_rabi_not_decay():
 
 
 def test_conserving_path_requires_two_level_sector():
-    bath = BathModel(
-        mode_frequencies=[0.9, 1.1], couplings=[0.01] * 2, particle_levels=3
-    )
     with pytest.raises(DimensionMismatch, match="one-excitation"):
-        bath_brute_force(bath)
+        BathModel(
+            mode_frequencies=[0.9, 1.1], couplings=[0.01] * 2, particle_levels=3
+        )
 
 
 # ------------------------------------------------------------------ report

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 import vactrap
 from vactrap.errors import (
@@ -17,6 +18,7 @@ from vactrap.errors import (
     UnboundedWindow,
 )
 from vactrap.evolve import (
+    _CHUNK,
     _STEPPER_MAX_SIZE,
     GUARD_BAND_LIMIT,
     POSITIVITY_FLOOR_CP,
@@ -33,6 +35,7 @@ from vactrap.liouville import (
     build_fock_operators,
     build_lindblad_generator,
     build_redfield_generator,
+    build_xp_generator,
     vec,
 )
 from vactrap.observables import make_state, witness_sum
@@ -56,12 +59,19 @@ def test_rwa_fock_decay_is_exponential():
     assert record.min_eig.min() > -1e-12
 
 
+_LADDER_BUILDS = (build_redfield_generator, build_lindblad_generator)
+
+
 @pytest.mark.parametrize(
-    "dim, n_points",
-    [(8, 65), (12, 21)],  # 64 steps >= 64 entries: stepper; 20 < 144: expm_multiply
+    "build, dim, n_points",
+    # 64 steps >= 64 entries: the stepper
+    [(build, 8, 65) for build in _LADDER_BUILDS]
+    # 20 steps < 144 entries: expm_multiply
+    + [(build, 12, 21) for build in _LADDER_BUILDS]
+    # the stepper's grid crosses two chunk boundaries
+    + [(build, 8, 2 * _CHUNK + 2) for build in (*_LADDER_BUILDS, build_xp_generator)],
 )
-@pytest.mark.parametrize("build", [build_redfield_generator, build_lindblad_generator])
-def test_trajectory_is_the_exact_exponential(dim, n_points, build):
+def test_trajectory_is_the_exact_exponential(build, dim, n_points):
     space = FockSpace(dim=dim)
     gen = build(space, STABLE)
     starts = [make_state("coherent", space, alpha=0.4), make_state("thermal", space, nbar=0.05)]
@@ -83,21 +93,43 @@ def test_trajectory_is_the_exact_exponential(dim, n_points, build):
         assert np.abs(witness).max() > 1e-6
 
 
-@pytest.mark.parametrize("size", [_STEPPER_MAX_SIZE, _STEPPER_MAX_SIZE + 1])
-def test_dense_stepper_is_kept_to_small_generators(monkeypatch, size):
-    # past the cap the stepper's dense N^2 steps lose to expm_multiply,
-    # however many snapshots there are to spread its set-up over
+def _count_expm_multiply(monkeypatch) -> list:
     calls = []
 
-    def counting_expm(a):
+    def counting_expm_multiply(a, *args, **kwargs):
         calls.append(a.shape)
-        return expm(a)
+        return expm_multiply(a, *args, **kwargs)
 
-    monkeypatch.setattr("vactrap.evolve.expm", counting_expm)
+    monkeypatch.setattr("vactrap.evolve.expm_multiply", counting_expm_multiply)
+    return calls
+
+
+@pytest.mark.parametrize("size", [_STEPPER_MAX_SIZE, _STEPPER_MAX_SIZE + 1])
+def test_dense_stepper_is_kept_to_small_generators(monkeypatch, size):
+    # past the cap the stepper's dense steps lose to expm_multiply, however
+    # many snapshots there are to spread its set-up over; the cap is on the
+    # largest invariant block, and a tridiagonal generator is one block
+    calls = _count_expm_multiply(monkeypatch)
+    op = (
+        np.diag(-np.linspace(0.0, 0.1, size) + 1j * np.linspace(0.0, 1.0, size))
+        + 0.05j * (np.eye(size, k=1) + np.eye(size, k=-1))
+    )
+    y0 = np.ones(size, dtype=complex)
+    times = np.linspace(0.0, 2.0, size + 1)
+    traj = _propagate(op, y0, times)
+    assert len(calls) == (0 if size <= _STEPPER_MAX_SIZE else 1)
+    for k in (1, size // 2, size):
+        assert np.abs(traj[k] - expm(op * times[k]) @ y0).max() <= 1e-12
+
+
+def test_stepper_cap_applies_to_the_largest_block(monkeypatch):
+    # a diagonal generator past the cap is that many blocks of one entry
+    calls = _count_expm_multiply(monkeypatch)
+    size = _STEPPER_MAX_SIZE + 1
     diagonal = -np.linspace(0.0, 0.1, size) + 1j * np.linspace(0.0, 1.0, size)
     times = np.linspace(0.0, 2.0, size + 1)
     traj = _propagate(np.diag(diagonal), np.ones(size, dtype=complex), times)
-    assert len(calls) == (1 if size <= _STEPPER_MAX_SIZE else 0)
+    assert calls == []
     assert np.abs(traj - np.exp(np.outer(times, diagonal))).max() <= 1e-12
 
 

@@ -10,6 +10,7 @@ from vactrap.errors import DimensionMismatch, DimensionTooSmall
 from vactrap.liouville import (
     DensityMatrix,
     FockSpace,
+    _invariant_blocks,
     build_2d_generator,
     build_fock_operators,
     build_lindblad_generator,
@@ -356,6 +357,43 @@ def test_spectral_abscissa_flags_truncation_instability():
         FockSpace(dim=20), RateSet.scaled(1e-2, 2e-2, 3e-2)
     )
     assert spectral_abscissa(gen) > 0.1
+
+
+def _planar(space, rates):
+    return build_2d_generator(space, space, rates)
+
+
+@pytest.mark.parametrize(
+    "build", [build_redfield_generator, build_lindblad_generator, build_xp_generator, _planar]
+)
+@pytest.mark.parametrize("rates", [RATES, RateSet.scaled(1e-2, 2e-2, 3e-2)])
+def test_blocked_spectral_abscissa_is_the_dense_one(build, rates):
+    gen = build(FockSpace(dim=4 if build is _planar else 12), rates)
+    dense = np.linalg.eigvals(gen.matrix).real.max()
+    assert abs(spectral_abscissa(gen) - dense) <= 1e-12
+
+
+def test_invariant_blocks_follow_the_conserved_quantity():
+    dim = 8
+    space = FockSpace(dim=dim)
+    # vector position i + j*dim holds the entry (i, j)
+    i, j = np.divmod(np.arange(dim * dim), dim)[::-1]
+    beyond = _invariant_blocks(build_redfield_generator(space, RATES).matrix)
+    assert [len(idx) for idx in beyond] == [dim * dim // 2] * 2
+    for idx in beyond:
+        assert len(set((i - j)[idx] % 2)) == 1
+    rwa = _invariant_blocks(build_lindblad_generator(space, RATES).matrix)
+    assert len(rwa) == 2 * dim - 1
+    assert sorted(len(idx) for idx in rwa) == sorted([*range(1, dim + 1), *range(1, dim)])
+    for idx in rwa:
+        assert len(set((i - j)[idx])) == 1
+    xp = _invariant_blocks(build_xp_generator(space, RATES).matrix)
+    assert [len(idx) for idx in xp] == [dim * dim // 2] * 2
+    planar = _invariant_blocks(_planar(FockSpace(dim=6), RATES).matrix)
+    assert [len(idx) for idx in planar] == [324] * 4
+    for blocks in (beyond, rwa, xp, planar):
+        every = np.concatenate(blocks)
+        assert np.array_equal(np.sort(every), np.arange(len(every)))
 
 
 # --------------------------------------------------------------------- csv
