@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _svg
+from ._csv import csv_text
 from .bath import (
     bath_brute_force,
     discrete_golden_rule,
@@ -84,6 +85,23 @@ def _add_common(sub: argparse.ArgumentParser, config: bool = True) -> None:
     )
 
 
+def _add_scaled_run(sub: argparse.ArgumentParser, state_flag: str, state_help: str | None,
+                    dim: int, t_end: float, points: int) -> None:
+    """Scaled-unit rates, truncation, initial-state parameter and time grid."""
+    sub.add_argument("--gamma", type=float, default=1e-2)
+    sub.add_argument("--delta-plus", type=float, default=5e-3)
+    sub.add_argument("--delta-minus", type=float, default=8e-3)
+    sub.add_argument("--dim", type=int, default=dim)
+    sub.add_argument(state_flag, type=float, default=1.0, help=state_help)
+    sub.add_argument("--t-end", type=float, default=t_end)
+    sub.add_argument("--points", type=int, default=points)
+
+
+def _scaled_run(args) -> tuple[FockSpace, RateSet]:
+    """The Fock space and scaled-unit rate set of :func:`_add_scaled_run`'s flags."""
+    return FockSpace(dim=args.dim), RateSet.scaled(args.gamma, args.delta_plus, args.delta_minus)
+
+
 def _deliver(payload: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(payload)
@@ -104,20 +122,19 @@ def _cmd_rates(args) -> str:
     _csv_only(args.format, "rates")
     rs = build_rate_set(config)
     rel = rs.delta_omega / rs.omega_c
-    rows = [
+    return csv_text(("quantity", "value"), [
         ("mode", config.mode.value),
-        ("omega_c_rad_s", repr(rs.omega_c)),
-        ("omega_max_rad_s", repr(rs.omega_max)),
-        ("gamma_per_s", repr(rs.gamma)),
-        ("delta_plus_raw_per_s", repr(rs.delta_plus_raw)),
-        ("delta_minus_raw_per_s", repr(rs.delta_minus_raw)),
-        ("delta_plus_ren_per_s", repr(rs.delta_plus_ren)),
-        ("delta_minus_ren_per_s", repr(rs.delta_minus_ren)),
-        ("delta_omega_per_s", repr(rs.delta_omega)),
-        ("relative_shift", repr(rel)),
-        ("total_frequency_rad_s", repr(rs.omega_c * (1.0 + rel))),
-    ]
-    return "quantity,value\n" + "\n".join(f"{k},{v}" for k, v in rows) + "\n"
+        ("omega_c_rad_s", rs.omega_c),
+        ("omega_max_rad_s", rs.omega_max),
+        ("gamma_per_s", rs.gamma),
+        ("delta_plus_raw_per_s", rs.delta_plus_raw),
+        ("delta_minus_raw_per_s", rs.delta_minus_raw),
+        ("delta_plus_ren_per_s", rs.delta_plus_ren),
+        ("delta_minus_ren_per_s", rs.delta_minus_ren),
+        ("delta_omega_per_s", rs.delta_omega),
+        ("relative_shift", rel),
+        ("total_frequency_rad_s", rs.omega_c * (1.0 + rel)),
+    ])
 
 
 def _cmd_table1(args) -> str:
@@ -153,10 +170,7 @@ def _cmd_sweep_b(args) -> str:
 
 
 def _cmd_evolve(args) -> str:
-    space = FockSpace(dim=args.dim)
-    rates = RateSet.scaled(
-        gamma=args.gamma, delta_plus=args.delta_plus, delta_minus=args.delta_minus
-    )
+    space, rates = _scaled_run(args)
     if args.mode == ApproximationMode.WITH_RWA.value:
         gen = build_lindblad_generator(space, rates)
     else:
@@ -180,10 +194,7 @@ def _cmd_evolve(args) -> str:
 
 
 def _cmd_witness(args) -> str:
-    space = FockSpace(dim=args.dim)
-    rates = RateSet.scaled(
-        gamma=args.gamma, delta_plus=args.delta_plus, delta_minus=args.delta_minus
-    )
+    space, rates = _scaled_run(args)
     state = make_state("thermal", space, nbar=args.nbar)
     span = (0.0, args.t_end)
     rec_beyond = integrate(
@@ -203,10 +214,9 @@ def _cmd_witness(args) -> str:
             x_label="t (units of 1/omega_c)",
             y_label="<b^2 + b+^2>",
         )
-    lines = ["time,beyond_rwa,with_rwa"]
-    for t, vb, vr in zip(rec_beyond.times, beyond.values, rwa.values):
-        lines.append(f"{float(t)!r},{float(vb)!r},{float(vr)!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ("time", "beyond_rwa", "with_rwa"), zip(rec_beyond.times, beyond.values, rwa.values)
+    )
 
 
 def _cmd_validate(args) -> str:
@@ -223,15 +233,17 @@ def _cmd_pt_compare(args) -> str:
     _csv_only(args.format, "pt-compare")
     w = config.omega_c
     g = damping_rate(config.particle, w, config.constants)
-    lines = ["cutoff_ratio,omega_max_rad_s,pt_shift_per_s,me_shift_per_s,ratio"]
+    rows = []
     for r in args.ratios:
         omega_max = r * w
         pt = pt_frequency_shift_renormalized(
             config.particle, w, omega_max, config.constants
         )
         me = frequency_shift(g, w, omega_max, ApproximationMode.BEYOND_RWA)
-        lines.append(f"{r!r},{omega_max!r},{pt!r},{me!r},{pt / me!r}")
-    return "\n".join(lines) + "\n"
+        rows.append((r, omega_max, pt, me, pt / me))
+    return csv_text(
+        ("cutoff_ratio", "omega_max_rad_s", "pt_shift_per_s", "me_shift_per_s", "ratio"), rows
+    )
 
 
 def _cmd_bath_oracle(args) -> str:
@@ -275,24 +287,12 @@ def build_parser() -> _Parser:
     p = subs.add_parser("evolve", help="integrate the master equation (scaled units)")
     _add_common(p, config=False)
     p.add_argument("--mode", default="beyond-rwa", choices=("with-rwa", "beyond-rwa"))
-    p.add_argument("--gamma", type=float, default=1e-2)
-    p.add_argument("--delta-plus", type=float, default=5e-3)
-    p.add_argument("--delta-minus", type=float, default=8e-3)
-    p.add_argument("--dim", type=int, default=20)
-    p.add_argument("--alpha", type=float, default=1.0, help="coherent amplitude")
-    p.add_argument("--t-end", type=float, default=50.0)
-    p.add_argument("--points", type=int, default=501)
+    _add_scaled_run(p, "--alpha", "coherent amplitude", dim=20, t_end=50.0, points=501)
     p.set_defaults(func=_cmd_evolve)
 
     p = subs.add_parser("witness", help="coherence witness: both generators")
     _add_common(p, config=False)
-    p.add_argument("--gamma", type=float, default=1e-2)
-    p.add_argument("--delta-plus", type=float, default=5e-3)
-    p.add_argument("--delta-minus", type=float, default=8e-3)
-    p.add_argument("--dim", type=int, default=24)
-    p.add_argument("--nbar", type=float, default=1.0)
-    p.add_argument("--t-end", type=float, default=10.0)
-    p.add_argument("--points", type=int, default=201)
+    _add_scaled_run(p, "--nbar", None, dim=24, t_end=10.0, points=201)
     p.set_defaults(func=_cmd_witness)
 
     p = subs.add_parser("validate", help="positivity / long-wavelength / spin report")

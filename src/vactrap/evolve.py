@@ -47,6 +47,7 @@ from scipy.linalg import expm
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import expm_multiply
 
+from ._csv import csv_text
 from .errors import (
     DimensionMismatch,
     GuardBandOverflow,
@@ -356,6 +357,4 @@ def record_to_csv(
     columns = [record.times, record.trace_dev, record.herm_dev, record.min_eig,
                record.guard_pop]
     columns += [trace_product(record.rho, observables[name]).real for name in names]
-    lines = [",".join(header)]
-    lines.extend(",".join(repr(float(v)) for v in row) for row in zip(*columns))
-    return "\n".join(lines) + "\n"
+    return csv_text(header, zip(*columns))

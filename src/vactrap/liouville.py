@@ -31,6 +31,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
+from ._csv import csv_text
 from .errors import DimensionMismatch, DimensionTooSmall
 from .params import ApproximationMode
 from .rates import RateSet
@@ -443,10 +444,10 @@ def _invariant_blocks(matrix) -> list[np.ndarray]:
 
 def superoperator_to_csv(superop: Superoperator) -> str:
     """Nonzero entries as ``row,col,re,im`` lines (row-major order)."""
-    lines = ["row,col,re,im"]
     mat = superop.matrix
     rows, cols = np.nonzero(mat)
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        z = mat[r, c]
-        lines.append(f"{r},{c},{float(z.real)!r},{float(z.imag)!r}")
-    return "\n".join(lines) + "\n"
+    values = mat[rows, cols]
+    return csv_text(
+        ("row", "col", "re", "im"),
+        zip(map(str, rows.tolist()), map(str, cols.tolist()), values.real, values.imag),
+    )

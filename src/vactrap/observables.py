@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import csv_text
 from .errors import DimensionMismatch, TruncationRisk
 from .evolve import EvolutionRecord
 from .liouville import (
@@ -56,10 +57,7 @@ class ObservableSeries:
     label: str
 
     def to_csv(self) -> str:
-        lines = ["time,value"]
-        for t, v in zip(self.times, self.values):
-            lines.append(f"{float(t)!r},{float(v)!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text(("time", "value"), zip(self.times, self.values))
 
 
 def make_state(kind: str, space: FockSpace, **params) -> DensityMatrix:
@@ -330,18 +328,11 @@ def amplitude_peaks(
     """
     t = np.asarray(times, dtype=float)
     v = np.abs(np.asarray(values, dtype=float))
-    peak_t: list[float] = []
-    peak_v: list[float] = []
-    for k in range(1, len(v) - 1):
-        if v[k] >= v[k - 1] and v[k] > v[k + 1] and v[k] > 0.0:
-            # parabola through (t_{k-1}, v_{k-1}), (t_k, v_k), (t_{k+1}, v_{k+1})
-            denom = v[k - 1] - 2.0 * v[k] + v[k + 1]
-            if denom == 0.0:
-                peak_t.append(t[k])
-                peak_v.append(v[k])
-                continue
-            shift = 0.5 * (v[k - 1] - v[k + 1]) / denom
-            dt = t[k + 1] - t[k]
-            peak_t.append(t[k] + shift * dt)
-            peak_v.append(v[k] - 0.25 * (v[k - 1] - v[k + 1]) * shift)
-    return np.asarray(peak_t), np.asarray(peak_v)
+    # a peak rises from the left (ties allowed) and falls strictly to the right
+    k = 1 + np.flatnonzero((v[1:-1] >= v[:-2]) & (v[1:-1] > v[2:]) & (v[1:-1] > 0.0))
+    before, at, after = v[k - 1], v[k], v[k + 1]
+    # parabola through (t_{k-1}, v_{k-1}), (t_k, v_k), (t_{k+1}, v_{k+1}); its
+    # curvature is negative at every such k, rounding included: fl(before - 2 at)
+    # <= -at and after < at, so it is never zero (-inf or NaN on overflow)
+    shift = 0.5 * (before - after) / (before - 2.0 * at + after)
+    return t[k] + shift * (t[k + 1] - t[k]), at - 0.25 * (before - after) * shift

@@ -77,7 +77,8 @@ class PhysicalConstants:
     m_e : float
         Electron mass, kg.
     k_B : float
-        Boltzmann constant, J/K.
+        Boltzmann constant, J/K (carried for completeness; nothing here
+        reads it).
     alpha_fs : float
         Fine-structure constant (dimensionless).
     """
@@ -114,8 +115,8 @@ CODATA_2018 = PhysicalConstants(
 class ParticleSpec:
     """A charged particle: mass (kg), charge (C, sign kept), g-factor.
 
-    The g-factor only enters order-of-magnitude spin estimates; all the
-    radiative quantities depend on ``charge**2``.
+    The g-factor is parsed and stored only: the spin-coupling estimate
+    assumes g ~ 2, and all the radiative quantities depend on ``charge**2``.
     """
 
     mass: float

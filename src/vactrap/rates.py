@@ -136,7 +136,11 @@ def frequency_shift(
     (positive for ``W > 2 w``).  Under the RWA only the single-quantum
     channel survives: ``D-^R`` (negative for large cut-offs).
     """
-    d_plus, d_minus = level_shifts_renormalized(gamma, omega_c, omega_max)
+    return _trap_shift(*level_shifts_renormalized(gamma, omega_c, omega_max), mode)
+
+
+def _trap_shift(d_plus: float, d_minus: float, mode: ApproximationMode) -> float:
+    """The trap-frequency shift ``mode`` keeps of a renormalized pair."""
     if mode is ApproximationMode.BEYOND_RWA:
         return d_minus - d_plus
     return d_minus
@@ -150,10 +154,8 @@ def frequency_shift_asymptotic(gamma: float, omega_c: float, omega_max: float) -
 
 def relative_shift(config: ExperimentConfig) -> float:
     """Dimensionless relative trap-frequency shift ``dw / w`` (exact branch)."""
-    w = config.omega_c
-    W = cutoff_frequency(config)
-    g = damping_rate(config.particle, w, config.constants)
-    return frequency_shift(g, w, W, config.mode) / w
+    rates = build_rate_set(config)
+    return rates.delta_omega / rates.omega_c
 
 
 def total_frequency(config: ExperimentConfig) -> float:
@@ -202,7 +204,6 @@ class RateSet:
     delta_minus_raw: float
     delta_plus_ren: float
     delta_minus_ren: float
-    delta_omega: float
     omega_c: float
     omega_max: float
     mode: ApproximationMode
@@ -214,6 +215,10 @@ class RateSet:
     @property
     def delta_minus(self) -> float:
         return self.delta_minus_ren
+
+    @property
+    def delta_omega(self) -> float:
+        return _trap_shift(self.delta_plus_ren, self.delta_minus_ren, self.mode)
 
     @classmethod
     def scaled(
@@ -230,14 +235,12 @@ class RateSet:
         ``delta_minus`` are chosen directly (raw and renormalized values
         coincide; no cut-off is involved).
         """
-        dw = (delta_minus - delta_plus) if mode is ApproximationMode.BEYOND_RWA else delta_minus
         return cls(
             gamma=gamma,
             delta_plus_raw=delta_plus,
             delta_minus_raw=delta_minus,
             delta_plus_ren=delta_plus,
             delta_minus_ren=delta_minus,
-            delta_omega=dw,
             omega_c=omega_c,
             omega_max=math.nan,
             mode=mode,
@@ -255,17 +258,12 @@ def _rate_set_at(config: ExperimentConfig, W: float) -> RateSet:
     g = damping_rate(config.particle, w, config.constants)
     dp_raw, dm_raw = level_shifts_raw(g, w, W)
     dp_ren, dm_ren = level_shifts_renormalized(g, w, W)
-    if config.mode is ApproximationMode.BEYOND_RWA:
-        dw = dm_ren - dp_ren
-    else:
-        dw = dm_ren
     return RateSet(
         gamma=g,
         delta_plus_raw=dp_raw,
         delta_minus_raw=dm_raw,
         delta_plus_ren=dp_ren,
         delta_minus_ren=dm_ren,
-        delta_omega=dw,
         omega_c=w,
         omega_max=W,
         mode=config.mode,

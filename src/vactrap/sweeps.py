@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._csv import csv_text
 from .errors import DimensionMismatch, UnboundedWindow
 from .evolve import validity_window
 from .params import (
@@ -57,12 +58,35 @@ __all__ = [
 _GRID_KINDS = (CutoffKind.LARGEST_AMPLITUDE, CutoffKind.DE_BROGLIE, CutoffKind.ZERO_POINT)
 
 
-def _respec_cutoff(kind: CutoffKind, config: ExperimentConfig) -> CutoffSpec:
-    """Cutoff spec for an overridden kind, keeping the explicit value only
-    when it is still meaningful."""
-    if kind is CutoffKind.EXPLICIT:
-        return CutoffSpec(kind=kind, value=config.cutoff.value)
-    return CutoffSpec(kind=kind)
+def _at_field(
+    config: ExperimentConfig,
+    b_field: float,
+    cutoff: CutoffKind | str | None,
+    mode: ApproximationMode,
+) -> ExperimentConfig:
+    """``config`` at another field, with the sweep's cutoff kind and mode.
+
+    The trap frequency follows ``b_field`` while the geometry (d_a, d_c)
+    stays fixed.  ``cutoff`` is a kind, its name, or None for the config's
+    own; the explicit value is kept only for the explicit kind.
+    """
+    kind = parse_cutoff_kind(cutoff) if isinstance(cutoff, str) else (cutoff or config.cutoff.kind)
+    value = config.cutoff.value if kind is CutoffKind.EXPLICIT else None
+    w = cyclotron_frequency(config.particle, b_field, config.constants)
+    return replace(
+        config,
+        trap=TrapSpec(omega_c=w, d_a=config.trap.d_a, d_c=config.trap.d_c),
+        cutoff=CutoffSpec(kind=kind, value=value),
+        mode=mode,
+    )
+
+
+def _recording_warnings(call, *args) -> tuple[object, list[str]]:
+    """``call(*args)`` and the messages of every warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = call(*args)
+    return value, [str(c.message) for c in caught]
 
 
 @dataclass(frozen=True)
@@ -98,10 +122,10 @@ def table1(config: ExperimentConfig) -> Table1Report:
 
 def table1_csv(report: Table1Report) -> str:
     """Deterministic CSV of the grid (pure function of the config)."""
-    lines = ["cutoff,with_rwa,beyond_rwa"]
-    for label, rwa, bey in zip(report.cutoff_labels, report.with_rwa, report.beyond_rwa):
-        lines.append(f"{label},{rwa!r},{bey!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ("cutoff", "with_rwa", "beyond_rwa"),
+        zip(report.cutoff_labels, report.with_rwa, report.beyond_rwa),
+    )
 
 
 @dataclass(frozen=True)
@@ -145,30 +169,18 @@ def bfield_sweep(
     if n_points < 16:
         raise DimensionMismatch(f"need >= 16 points for stable slopes, got {n_points}")
     the_mode = parse_mode(mode) if isinstance(mode, str) else (mode or config.mode)
-    the_kind = (
-        parse_cutoff_kind(cutoff)
-        if isinstance(cutoff, str)
-        else (cutoff or config.cutoff.kind)
-    )
 
     b_values = np.geomspace(b_lo, b_hi, n_points)
     omegas = np.empty(n_points)
     shifts = np.empty(n_points)
     lwa_exceeded: list[float] = []
     for i, b in enumerate(b_values):
-        w = cyclotron_frequency(config.particle, b, config.constants)
-        variant = replace(
-            config,
-            trap=TrapSpec(omega_c=w, d_a=config.trap.d_a, d_c=config.trap.d_c),
-            cutoff=_respec_cutoff(the_kind, config),
-            mode=the_mode,
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shifts[i] = relative_shift(variant) * w
+        variant = _at_field(config, b, cutoff, the_mode)
+        omegas[i] = variant.omega_c
+        relative, caught = _recording_warnings(relative_shift, variant)
+        shifts[i] = relative * omegas[i]
         if caught:
             lwa_exceeded.append(b)
-        omegas[i] = w
 
     lnb = np.log(b_values)
     lny = np.log(np.abs(shifts))
@@ -187,18 +199,16 @@ def bfield_sweep(
         delta_omega=shifts,
         local_exponents=exponents,
         mode=the_mode,
-        cutoff_kind=the_kind,
+        cutoff_kind=variant.cutoff.kind,
         notes=notes,
     )
 
 
 def sweep_csv(result: SweepResult) -> str:
-    lines = ["b_tesla,omega_c_rad_s,delta_omega_rad_s,local_exponent"]
-    for b, w, dw, ex in zip(
-        result.b_values, result.omega_c_values, result.delta_omega, result.local_exponents
-    ):
-        lines.append(f"{float(b)!r},{float(w)!r},{float(dw)!r},{float(ex)!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ("b_tesla", "omega_c_rad_s", "delta_omega_rad_s", "local_exponent"),
+        zip(result.b_values, result.omega_c_values, result.delta_omega, result.local_exponents),
+    )
 
 
 def midpoint_exponent(result: SweepResult) -> float:
@@ -223,26 +233,14 @@ def rwa_exponent_analytic(
     field-independent cutoff, ``-r/(2(r-1))`` for a sqrt(B) cutoff, with
     ``r = Omega/omega_c``.
     """
-    the_kind = (
-        parse_cutoff_kind(cutoff)
-        if isinstance(cutoff, str)
-        else (cutoff or config.cutoff.kind)
-    )
-    w = cyclotron_frequency(config.particle, b_field, config.constants)
-    variant = replace(
-        config,
-        trap=TrapSpec(omega_c=w, d_a=config.trap.d_a, d_c=config.trap.d_c),
-        cutoff=_respec_cutoff(the_kind, config),
-        mode=ApproximationMode.WITH_RWA,
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        omega_max = cutoff_frequency(variant)
-    r = omega_max / w
+    variant = _at_field(config, b_field, cutoff, ApproximationMode.WITH_RWA)
+    omega_max, _ = _recording_warnings(cutoff_frequency, variant)
+    r = omega_max / variant.omega_c
     big_l = math.log(abs(r - 1.0))
-    if the_kind is CutoffKind.DE_BROGLIE:
+    kind = variant.cutoff.kind
+    if kind is CutoffKind.DE_BROGLIE:
         dl = 0.0
-    elif the_kind is CutoffKind.ZERO_POINT:
+    elif kind is CutoffKind.ZERO_POINT:
         dl = -r / (2.0 * (r - 1.0))
     else:  # cutoffs that do not ride the field
         dl = -r / (r - 1.0)
@@ -282,30 +280,24 @@ class ValidityReport:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        rows = [
-            ("omega_c_rad_s", repr(self.omega_c)),
-            ("gamma_per_s", repr(self.gamma)),
-            ("delta_minus_ren_per_s", repr(self.delta_minus_ren)),
-            ("t_max_s", repr(self.t_max)),
+        return csv_text(("quantity", "value"), [
+            ("omega_c_rad_s", self.omega_c),
+            ("gamma_per_s", self.gamma),
+            ("delta_minus_ren_per_s", self.delta_minus_ren),
+            ("t_max_s", self.t_max),
             ("cutoff_kind", self.cutoff_kind.value),
-            ("cutoff_rad_s", repr(self.cutoff_rad_s)),
-            ("lwa_bound_rad_s", repr(self.lwa_bound_rad_s)),
-            ("lwa_bound_hz", repr(self.lwa_bound_hz)),
+            ("cutoff_rad_s", self.cutoff_rad_s),
+            ("lwa_bound_rad_s", self.lwa_bound_rad_s),
+            ("lwa_bound_hz", self.lwa_bound_hz),
             ("cutoff_within_lwa", str(self.cutoff_within_lwa).lower()),
-            ("spin_ratio", repr(self.spin_ratio)),
+            ("spin_ratio", self.spin_ratio),
             ("spin_negligible", str(self.spin_negligible).lower()),
-        ]
-        return "quantity,value\n" + "\n".join(f"{k},{v}" for k, v in rows) + "\n"
+        ])
 
 
 def validity_report(config: ExperimentConfig) -> ValidityReport:
     """Positivity horizon, long-wavelength check, spin-coupling check."""
-    notes: list[str] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        omega_max = cutoff_frequency(config)
-    for c in caught:
-        notes.append(str(c.message))
+    omega_max, notes = _recording_warnings(cutoff_frequency, config)
     rates = _rate_set_at(config, omega_max)
     if config.mode is ApproximationMode.WITH_RWA:
         t_max = math.inf

@@ -246,3 +246,59 @@ def test_amplitude_peaks_on_damped_cosine():
     peak_t, peak_v = amplitude_peaks(times, values)
     envelope = np.exp(-gamma * peak_t / 2.0)
     assert np.max(np.abs(peak_v - envelope)) < 1e-4
+
+
+def _amplitude_peaks_loop(times, values):
+    """The scalar loop that ``amplitude_peaks`` replaced, kept as its reference."""
+    t = np.asarray(times, dtype=float)
+    v = np.abs(np.asarray(values, dtype=float))
+    peak_t, peak_v = [], []
+    for k in range(1, len(v) - 1):
+        if v[k] >= v[k - 1] and v[k] > v[k + 1] and v[k] > 0.0:
+            denom = v[k - 1] - 2.0 * v[k] + v[k + 1]
+            if denom == 0.0:
+                peak_t.append(t[k])
+                peak_v.append(v[k])
+                continue
+            shift = 0.5 * (v[k - 1] - v[k + 1]) / denom
+            dt = t[k + 1] - t[k]
+            peak_t.append(t[k] + shift * dt)
+            peak_v.append(v[k] - 0.25 * (v[k - 1] - v[k + 1]) * shift)
+    return np.asarray(peak_t), np.asarray(peak_v)
+
+
+# plateaus of two and three samples (only the last sample of a plateau may
+# peak), a rising plateau (no peak), an infinite sample, a curvature that
+# overflows to -inf, subnormal samples and signs folded by |values|
+_HAND_BUILT = [0.0, 1.0, 1.0, 0.5, 0.5, 2.0, 2.0, 2.0, 1.0, 0.0, 0.0, 3.0, 3.0, 4.0,
+               1e308, 1.5e308, 1e308, 0.0, np.inf, 1.0, 5e-324, 1e-310, 5e-324, 0.0,
+               -4.0, -4.0, 1.0, -0.0]
+
+
+@pytest.mark.parametrize("case", ["damped-cosine", "noise", "rounded-noise", "hand-built"])
+def test_amplitude_peaks_matches_the_scalar_loop(case):
+    rng = np.random.default_rng(11)
+    times = np.linspace(0.0, 300.0, 4001)
+    if case == "damped-cosine":
+        values = np.exp(-0.01 * times) * np.cos(1.003 * times)
+    elif case == "noise":
+        values = rng.standard_normal(times.size)
+    elif case == "rounded-noise":
+        values = np.round(rng.standard_normal(times.size), 1)
+    else:
+        values = np.array(_HAND_BUILT)
+        times = 0.5 * np.arange(values.size)
+    with np.errstate(over="ignore"):
+        got = amplitude_peaks(times, values)
+        want = _amplitude_peaks_loop(times, values)
+    assert len(want[0]) > 0
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def test_amplitude_peaks_tie_rule():
+    # a two-sample plateau peaks once, at its midpoint; a rising one never
+    peak_t, peak_v = amplitude_peaks(np.arange(6.0), [0.0, 1.0, 1.0, 0.5, 0.5, 0.7])
+    assert peak_t.tolist() == [1.5]
+    assert peak_v.tolist() == [1.0625]
