@@ -2,14 +2,18 @@
 
 Every snapshot time is on a uniform grid, so the trajectory is
 ``expm(L t_k) vec(rho0)`` with no step-size control and no tolerance.  When
-the grid has at least as many steps as the vectorized state has entries
-and no invariant block of ``L`` is larger than 392 entries (beyond-RWA up
-to dim 28; the RWA generator's blocks are at most ``dim``), one
-``expm(L_b dt)`` per block is formed and applied step by step, in chunks
-of snapshots; otherwise ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33, 488 (2011)) evaluates the whole grid.
-The choice follows only from the generator's block sizes and the snapshot
-count.
+no invariant block of ``L`` is larger than 392 entries (beyond-RWA up to
+dim 28; the RWA generator's blocks are at most ``dim``) and the grid has
+at least ``min(N, 2 m)`` steps, ``N`` the vector length and ``m`` the
+largest block's size, one ``expm(L_b dt)`` per block is formed and
+applied step by step, in chunks of snapshots; otherwise
+``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci.
+Comput. 33, 488 (2011)) evaluates the whole grid.  The choice follows only
+from the generator's block sizes and the snapshot count.  The stepper
+does all its products through SciPy's BLAS wrappers, on the OpenBLAS that
+``scipy.linalg.expm`` calls: numpy carries a second OpenBLAS with its own
+spinning worker thread, and switching between the two within a block made
+each wait for a core on a 2-core machine.
 
 The propagated matrix is never projected, renormalized or symmetrized:
 whatever the propagator produces is stored, and its defects (trace drift,
@@ -43,7 +47,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, get_blas_funcs
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import expm_multiply
 
@@ -88,9 +92,14 @@ _DIAGNOSTICS_BLOCK_BYTES = 2 * 1024 * 1024
 #: like m^3, while an ``expm_multiply`` step costs about 0.4-1 ms almost
 #: independently of the size (per-term call overhead on a generator with
 #: about 8N nonzeros).  Measured on 2 cores with ``n_points - 1 = dim**2``,
-#: the rule's smallest grid, the stepper is the slower path from beyond-RWA
-#: dim 30 (two blocks of 450) at dt = 0.075 (``BENCH_7.json``,
-#: ``crossover``), so beyond-RWA generators take the stepper up to dim 28.
+#: the smallest grid on which beyond-RWA takes the stepper, the stepper was
+#: the slower path from dim 30 (two blocks of 450) at dt = 0.075
+#: (``BENCH_7.json``, ``crossover``), so beyond-RWA generators take it up
+#: to dim 28.  That crossover was measured while the stepper's products
+#: ran on numpy's OpenBLAS and contended with ``expm``'s.  On one pool the
+#: stepper wins at the same grid through dim 36 (0.81 against 0.99 s) and
+#: loses from dim 40 (``BENCH_9.json``, ``crossover``); the cap is kept
+#: until its peak RSS at those sizes is measured as well.
 _STEPPER_MAX_SIZE = 392
 #: Snapshots per matrix product in the stepper (a power of two: the chunk
 #: propagator ``S**_CHUNK`` is formed by ``log2(_CHUNK)`` squarings).
@@ -148,9 +157,10 @@ def integrate(
     ``n_points`` evenly spaced snapshots (including both endpoints) are
     stored, each the exact exponential ``expm(L t_k)`` applied to the
     vectorized initial state up to rounding: a cached ``expm(L_b dt)``
-    stepper per invariant block ``b`` of the generator when ``n_points - 1``
-    is at least the vector length ``dim**2`` and no block has more than
-    ``_STEPPER_MAX_SIZE`` (392) entries, ``expm_multiply`` otherwise.
+    stepper per invariant block ``b`` of the generator when no block has
+    more than ``_STEPPER_MAX_SIZE`` (392) entries and ``n_points - 1`` is at
+    least ``min(dim**2, 2 m)``, ``m`` the largest block's size (``dim**2``
+    beyond RWA, ``2 dim`` with RWA), ``expm_multiply`` otherwise.
 
     Raises
     ------
@@ -244,18 +254,21 @@ def integrate(
 def _propagate(op: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """``expm(op (t_k - t_0)) y0`` for each ``t_k`` of a uniform grid, one row each.
 
-    With at least as many steps as ``op`` has rows, and no invariant block
-    (:func:`_invariant_blocks`) larger than ``_STEPPER_MAX_SIZE``, each block
-    is stepped with its own ``expm(op_b dt)`` (:func:`_step_blocks`), which
-    spreads the O(m^3) set-up over the steps.  Otherwise ``expm_multiply``
-    touches the whole ``op`` only through sparse products.
+    With no invariant block (:func:`_invariant_blocks`) larger than
+    ``_STEPPER_MAX_SIZE``, and at least ``min(N, 2 m)`` steps (``N`` rows,
+    ``m`` entries in the largest block), each block is stepped with its
+    own ``expm(op_b dt)`` (:func:`_step_blocks`), which spreads the O(m^3)
+    set-up over the steps.  Beyond-RWA's two equal blocks need ``N`` steps;
+    the RWA generator's ``2 dim - 1`` blocks of at most ``dim`` entries
+    need ``2 dim``.  Otherwise ``expm_multiply`` touches the whole ``op``
+    only through sparse products.
     """
     n_points, size = len(times), len(y0)
     sparse = csr_array(op)
-    if n_points - 1 >= size:
-        blocks = _invariant_blocks(sparse)
-        if max(len(idx) for idx in blocks) <= _STEPPER_MAX_SIZE:
-            return _step_blocks(op, y0, times, blocks)
+    blocks = _invariant_blocks(sparse)
+    largest = max(len(idx) for idx in blocks)
+    if largest <= _STEPPER_MAX_SIZE and n_points - 1 >= min(size, 2 * largest):
+        return _step_blocks(op, y0, times, blocks)
     return expm_multiply(
         sparse, y0, start=0.0, stop=times[-1] - times[0], num=n_points, endpoint=True
     )
@@ -267,34 +280,45 @@ def _step_blocks(
     """:func:`_propagate`'s stepper, one invariant block at a time.
 
     Block ``b`` gets ``S_b = expm(op_b dt)``: the first ``_CHUNK`` rows are
-    stepped with ``np.dot``, and every later chunk of ``_CHUNK`` rows is the
-    chunk before it times ``S_b**_CHUNK``, one matrix product each.  The
-    power is squared up as ``X = S_b - I`` with ``X -> 2 X + X @ X``, so
-    rounding stays relative to ``S_b - I``; squaring ``S_b`` directly
-    repeats its rounding in every chunk and measured twice as far from
-    ``expm(L t)`` at dim 20, t = 300.  The blocks fill the output side by
-    side; its columns are put back in place one chunk of rows at a time, so
-    no second trajectory-sized array exists.
+    stepped one matrix-vector product each, and every later chunk of
+    ``_CHUNK`` rows is the chunk before it times ``S_b**_CHUNK``, one matrix
+    product each.  The power is squared up as ``X = S_b - I`` with
+    ``X -> 2 X + X @ X``, so rounding stays relative to ``S_b - I``;
+    squaring ``S_b`` directly repeats its rounding in every chunk and
+    measured twice as far from ``expm(L t)`` at dim 20, t = 300.  The blocks
+    fill the output side by side; its columns are put back in place one
+    chunk of rows at a time, so no second trajectory-sized array exists.
+
+    Every product is a ``gemv`` or ``gemm`` from ``get_blas_funcs``, the
+    OpenBLAS that ``expm`` runs on, never a numpy product: numpy's own
+    OpenBLAS keeps a worker spinning after each call, and alternating the
+    two pools made the 2 x 63 steps of a dim-20 run take 54-59 ms against
+    2 ms on one pool (2 cores; ``BENCH_9.json``, ``stages``).  The matrices
+    are handed over transposed, which makes a C-ordered array
+    Fortran-ordered without a copy.
     """
     n_points, dt = len(times), times[1] - times[0]
     out = np.empty((n_points, len(y0)), dtype=complex)
+    gemm, gemv = get_blas_funcs(("gemm", "gemv"), (out,))
     lo = 0
     for idx in blocks:
         hi = lo + len(idx)
         cols = out[:, lo:hi]
-        step = expm(op[np.ix_(idx, idx)] * dt)
+        step_t = expm(op[np.ix_(idx, idx)] * dt).T
         cols[0] = y0[idx]
         for k in range(1, min(n_points, _CHUNK)):
-            np.dot(step, cols[k - 1], out=cols[k])
+            cols[k] = gemv(1.0, step_t, cols[k - 1], trans=1)
         if n_points > _CHUNK:
-            eye = np.eye(len(idx))
-            excess = step - eye
+            # squared as (S_b - I)^T, whose power is the transposed one
+            eye = np.eye(len(idx), order="F")
+            excess = step_t - eye
             for _ in range(_CHUNK.bit_length() - 1):
-                excess = 2.0 * excess + excess @ excess
-            jump = (eye + excess).T
+                excess = gemm(1.0, excess, excess, beta=2.0, c=excess)
+            jump = eye + excess
             for start in range(_CHUNK, n_points, _CHUNK):
                 stop = min(start + _CHUNK, n_points)
-                cols[start:stop] = cols[start - _CHUNK:stop - _CHUNK] @ jump
+                prev = cols[start - _CHUNK:stop - _CHUNK]
+                cols[start:stop] = gemm(1.0, jump, prev.T, trans_a=1).T
         lo = hi
     inverse = np.argsort(np.concatenate(blocks))
     for start in range(0, n_points, _CHUNK):

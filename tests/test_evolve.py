@@ -23,6 +23,7 @@ from vactrap.evolve import (
     GUARD_BAND_LIMIT,
     POSITIVITY_FLOOR_CP,
     _propagate,
+    _step_blocks,
     gaussian_positivity_check,
     integrate,
     record_to_csv,
@@ -131,6 +132,43 @@ def test_stepper_cap_applies_to_the_largest_block(monkeypatch):
     traj = _propagate(np.diag(diagonal), np.ones(size, dtype=complex), times)
     assert calls == []
     assert np.abs(traj - np.exp(np.outer(times, diagonal))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n_points", [24, 25, 41])
+def test_short_rwa_grids_take_the_stepper(monkeypatch, n_points):
+    # the RWA generator's largest block has dim entries, so 2 * dim steps
+    # spread the stepper's set-up; beyond-RWA's two blocks still need dim**2
+    calls = _count_expm_multiply(monkeypatch)
+    space = FockSpace(dim=12)
+    rwa = build_lindblad_generator(space, STABLE)
+    rho0 = make_state("coherent", space, alpha=0.4)
+    record = integrate(rwa, rho0, (0.0, 40.0), n_points=n_points)
+    assert len(calls) == (0 if n_points - 1 >= 2 * space.dim else 1)
+    y0 = vec(rho0.matrix)
+    for k, t in enumerate(record.times):
+        assert np.abs(vec(record.rho[k]) - expm(rwa.matrix * t) @ y0).max() <= 1e-12
+    calls.clear()
+    integrate(build_redfield_generator(space, STABLE), rho0, (0.0, 40.0), n_points=n_points)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n_points", [2, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+def test_step_blocks_on_unequal_scattered_blocks(n_points):
+    # blocks of 1, 2 and 5 entries whose columns interleave, so the output
+    # is put back in place; the grid ends before, at and past chunk borders
+    blocks = [np.array([3]), np.array([1, 2, 4, 5, 7]), np.array([0, 6])]
+    rng = np.random.default_rng(7)
+    op = np.zeros((8, 8), dtype=complex)
+    for idx in blocks:
+        a = rng.normal(size=(len(idx),) * 2) + 1j * rng.normal(size=(len(idx),) * 2)
+        op[np.ix_(idx, idx)] = 0.3 * (a - a.conj().T) - 0.05 * np.eye(len(idx)) + 0.02 * a
+    y0 = rng.normal(size=8) + 1j * rng.normal(size=8)
+    op_in, y0_in = op.copy(), y0.copy()
+    times = np.linspace(0.0, 0.05 * (n_points - 1), n_points)
+    traj = _step_blocks(op, y0, times, blocks)
+    assert np.array_equal(op, op_in) and np.array_equal(y0, y0_in)
+    for k, t in enumerate(times):
+        assert np.abs(traj[k] - expm(op * t) @ y0).max() <= 1e-12
 
 
 def test_beyond_rwa_negativity_is_recorded_not_raised():
