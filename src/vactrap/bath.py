@@ -247,21 +247,18 @@ def _hamiltonian(bath: BathModel) -> tuple[np.ndarray, ...]:
     dim = n_p * n_field
 
     b = build_fock_operators(FockSpace(dim=n_p)).b.real
-    a1 = build_fock_operators(FockSpace(dim=n_ph)).b.real
-    eye_ph = np.eye(n_ph)
-
-    def embed_mode(op, which):
-        full = np.eye(1)
-        for j in range(m):
-            full = np.kron(full, op if j == which else eye_ph)
-        return full
-
+    # photons[x, k]: mode k's photon count in field state x, the base-n_ph
+    # digits of x with mode 0 leading (kron order)
+    strides = n_ph ** np.arange(m - 1, -1, -1)
+    photons = np.arange(n_field)[:, None] // strides % n_ph
     h0 = bath.omega_c * np.repeat(np.diag(b.T @ b), n_field)
-    v = np.zeros((dim, dim), dtype=complex)
+    quadrature = np.zeros((n_field, n_field))  # sum_k kappa_k (a_k + a_k^+)
     for k in range(m):
-        a_k = embed_mode(a1, k)
-        h0 += bath.mode_frequencies[k] * np.tile(np.diag(a_k.T @ a_k), n_p)
-        v += 1j * bath.couplings[k] * np.kron(b - b.T, a_k + a_k.T)
+        h0 += bath.mode_frequencies[k] * np.tile(photons[:, k], n_p)
+        room = np.flatnonzero(photons[:, k] < bath.photons_per_mode)
+        amp = bath.couplings[k] * np.sqrt(photons[room, k] + 1.0)
+        quadrature[room, room + strides[k]] = quadrature[room + strides[k], room] = amp
+    v = 1j * np.kron(b - b.T, quadrature)
     level = np.repeat(np.arange(n_p), n_field)
     return h0, v, level, np.arange(dim) - n_field
 

@@ -236,14 +236,14 @@ def integrate(
         if min_eig[k] < floor:
             raise PositivityBreach(
                 f"state eigenvalue {min_eig[k]:.3e} below {floor} "
-                f"at t = {times[k]!r}",
+                f"at t = {float(times[k])!r}",
                 time=float(times[k]),
                 min_eigenvalue=float(min_eig[k]),
                 record=record,
             )
         raise GuardBandOverflow(
             f"guard-band population {guard_pop[k]:.3e} above {GUARD_BAND_LIMIT} "
-            f"at t = {times[k]!r}; enlarge the truncation",
+            f"at t = {float(times[k])!r}; enlarge the truncation",
             time=float(times[k]),
             population=float(guard_pop[k]),
             record=record,
@@ -279,46 +279,46 @@ def _step_blocks(
 ) -> np.ndarray:
     """:func:`_propagate`'s stepper, one invariant block at a time.
 
-    Block ``b`` gets ``S_b = expm(op_b dt)``: the first ``_CHUNK`` rows are
-    stepped one matrix-vector product each, and every later chunk of
-    ``_CHUNK`` rows is the chunk before it times ``S_b**_CHUNK``, one matrix
-    product each.  The power is squared up as ``X = S_b - I`` with
-    ``X -> 2 X + X @ X``, so rounding stays relative to ``S_b - I``;
-    squaring ``S_b`` directly repeats its rounding in every chunk and
-    measured twice as far from ``expm(L t)`` at dim 20, t = 300.  The blocks
+    Block ``b`` gets ``S_b = expm(op_b dt)``.  After the initial row, chunks
+    of width ``1, 2, 4, ..., _CHUNK, _CHUNK, ...`` each take the ``width``
+    rows before them times ``S_b**width``, one matrix product per chunk.
+    The powers are squared up as ``X = S_b - I`` with ``X -> 2 X + X @ X``,
+    so rounding stays relative to ``S_b - I``; squaring ``S_b`` directly
+    repeats its rounding in every chunk and measured twice as far from
+    ``expm(L t)`` at dim 20, t = 300.  The blocks
     fill the output side by side; its columns are put back in place one
     chunk of rows at a time, so no second trajectory-sized array exists.
 
-    Every product is a ``gemv`` or ``gemm`` from ``get_blas_funcs``, the
-    OpenBLAS that ``expm`` runs on, never a numpy product: numpy's own
-    OpenBLAS keeps a worker spinning after each call, and alternating the
-    two pools made the 2 x 63 steps of a dim-20 run take 54-59 ms against
+    Every product is a ``gemm`` from ``get_blas_funcs``, the OpenBLAS that
+    ``expm`` runs on, never a numpy product: numpy's own OpenBLAS keeps a
+    worker spinning after each call, and alternating the two pools made
+    the 2 x 63 single steps a dim-20 run once took cost 54-59 ms against
     2 ms on one pool (2 cores; ``BENCH_9.json``, ``stages``).  The matrices
     are handed over transposed, which makes a C-ordered array
     Fortran-ordered without a copy.
     """
     n_points, dt = len(times), times[1] - times[0]
     out = np.empty((n_points, len(y0)), dtype=complex)
-    gemm, gemv = get_blas_funcs(("gemm", "gemv"), (out,))
+    gemm = get_blas_funcs("gemm", (out,))
     lo = 0
     for idx in blocks:
         hi = lo + len(idx)
         cols = out[:, lo:hi]
-        step_t = expm(op[np.ix_(idx, idx)] * dt).T
         cols[0] = y0[idx]
-        for k in range(1, min(n_points, _CHUNK)):
-            cols[k] = gemv(1.0, step_t, cols[k - 1], trans=1)
-        if n_points > _CHUNK:
-            # squared as (S_b - I)^T, whose power is the transposed one
-            eye = np.eye(len(idx), order="F")
-            excess = step_t - eye
-            for _ in range(_CHUNK.bit_length() - 1):
-                excess = gemm(1.0, excess, excess, beta=2.0, c=excess)
-            jump = eye + excess
-            for start in range(_CHUNK, n_points, _CHUNK):
-                stop = min(start + _CHUNK, n_points)
-                prev = cols[start - _CHUNK:stop - _CHUNK]
-                cols[start:stop] = gemm(1.0, jump, prev.T, trans_a=1).T
+        # (S_b**width - I)^T, whose sum with I is the transposed power
+        eye = np.eye(len(idx), order="F")
+        excess = expm(op[np.ix_(idx, idx)] * dt).T - eye
+        start = 1
+        while start < n_points:
+            width = min(start, _CHUNK)
+            if width == start:
+                jump = eye + excess
+                if width < _CHUNK:
+                    excess = gemm(1.0, excess, excess, beta=2.0, c=excess)
+            stop = min(start + width, n_points)
+            prev = cols[start - width:stop - width]
+            cols[start:stop] = gemm(1.0, jump, prev.T, trans_a=1).T
+            start = stop
         lo = hi
     inverse = np.argsort(np.concatenate(blocks))
     for start in range(0, n_points, _CHUNK):

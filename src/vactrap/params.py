@@ -76,9 +76,6 @@ class PhysicalConstants:
         Elementary charge, C.
     m_e : float
         Electron mass, kg.
-    k_B : float
-        Boltzmann constant, J/K (carried for completeness; nothing here
-        reads it).
     alpha_fs : float
         Fine-structure constant (dimensionless).
     """
@@ -88,7 +85,6 @@ class PhysicalConstants:
     eps0: float
     e: float
     m_e: float
-    k_B: float
     alpha_fs: float
 
     def fine_structure(self, charge: float) -> float:
@@ -106,7 +102,6 @@ CODATA_2018 = PhysicalConstants(
     eps0=_codata.epsilon_0,
     e=_codata.e,
     m_e=_codata.m_e,
-    k_B=_codata.k,
     alpha_fs=_codata.alpha,
 )
 

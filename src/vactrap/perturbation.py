@@ -27,7 +27,7 @@ from .params import (
     PhysicalConstants,
     cutoff_frequency,
 )
-from .rates import kappa
+from .rates import _log_tail, kappa
 
 __all__ = [
     "PerturbationShifts",
@@ -38,8 +38,16 @@ __all__ = [
     "pt_frequency_shift_renormalized",
 ]
 
-# resonance order -> which constants blow up there (for error messages)
-_SINGULAR_ORDERS = {1: "delta0/delta2b/delta2c", 2: "delta1", 3: "delta2a"}
+#: ``(name, coefficient, power of kappa, n, order)`` per constant pair, in
+#: :class:`PerturbationShifts` order: ``coefficient a_q kappa**power / pi``
+#: times ``rates._log_tail`` at signs +-1, divergent at ``n`` trap quanta.
+_PT_TABLE = (
+    ("delta0", 2.0, 1, 1, 1),
+    ("delta1", 1.0, 2, 2, 3),
+    ("delta2a", 0.125, 3, 3, 5),
+    ("delta2b", 0.125, 3, 1, 5),
+    ("delta2c", 1.0, 2, 1, 3),
+)
 
 
 @dataclass(frozen=True)
@@ -61,9 +69,10 @@ class PerturbationShifts:
 def _check_resonances(omega_c: float, omega_max: float) -> None:
     for order in (1, 2, 3):
         if abs(order * omega_c - omega_max) <= 1e-12 * order * omega_c:
+            names = "/".join(row[0] for row in _PT_TABLE if row[3] == order)
             raise SingularDenominator(
                 f"cutoff {omega_max!r} rad/s sits on the {order}-quantum resonance "
-                f"({order} * {omega_c!r}); {_SINGULAR_ORDERS[order]} diverge there"
+                f"({order} * {omega_c!r}); {names} diverge there"
             )
 
 
@@ -75,9 +84,10 @@ def pt_constants(
 ) -> PerturbationShifts:
     """Evaluate the ten closed-form constants at the given cutoff.
 
-    Exact transcription of the log-plus-polynomial forms; the coupling
-    enters through the particle's own fine-structure-like ratio
-    ``q^2/(4 pi eps0 hbar c)`` so non-electron charges remain meaningful.
+    Each pair is one row of ``_PT_TABLE`` over the shared log-plus-polynomial
+    kernel ``rates._log_tail``; the coupling enters through the particle's
+    own fine-structure-like ratio ``q^2/(4 pi eps0 hbar c)`` so
+    non-electron charges remain meaningful.
     """
     if omega_c <= 0 or omega_max < 0:
         raise SingularDenominator(
@@ -86,57 +96,13 @@ def pt_constants(
     _check_resonances(omega_c, omega_max)
     a_q = constants.fine_structure(particle.charge)
     k = kappa(particle, omega_c, constants)
-    w, W = omega_c, omega_max
-
-    def d0(sign: float) -> float:
-        return (2.0 * a_q * k / math.pi) * (
-            -w * math.log(abs((w + sign * W) / w)) + sign * W
-        )
-
-    def d1(sign: float) -> float:
-        return (a_q * k**2 / math.pi) * (
-            -8.0 * w * math.log(abs((2.0 * w + sign * W) / (2.0 * w)))
-            + sign * 4.0 * W
-            - W**2 / w
-            + sign * W**3 / (3.0 * w**2)
-        )
-
-    def d2a(sign: float) -> float:
-        return (a_q * k**3 / (8.0 * math.pi)) * (
-            -243.0 * w * math.log(abs((3.0 * w + sign * W) / (3.0 * w)))
-            + sign * 81.0 * W
-            - 27.0 * W**2 / (2.0 * w)
-            + sign * 3.0 * W**3 / w**2
-            - 3.0 * W**4 / (4.0 * w**3)
-            + sign * W**5 / (5.0 * w**4)
-        )
-
-    def d2b(sign: float) -> float:
-        return (a_q * k**3 / (8.0 * math.pi)) * (
-            -w * math.log(abs((w + sign * W) / w))
-            + sign * W
-            - W**2 / (2.0 * w)
-            + sign * W**3 / (3.0 * w**2)
-            - W**4 / (4.0 * w**3)
-            + sign * W**5 / (5.0 * w**4)
-        )
-
-    def d2c(sign: float) -> float:
-        return (a_q * k**2 / math.pi) * (
-            -w * math.log(abs((w + sign * W) / w))
-            + sign * W
-            - W**2 / (2.0 * w)
-            + sign * W**3 / (3.0 * w**2)
-        )
-
-    return PerturbationShifts(
-        delta0_pm=(d0(+1.0), d0(-1.0)),
-        delta1_pm=(d1(+1.0), d1(-1.0)),
-        delta2a_pm=(d2a(+1.0), d2a(-1.0)),
-        delta2b_pm=(d2b(+1.0), d2b(-1.0)),
-        delta2c_pm=(d2c(+1.0), d2c(-1.0)),
-        kappa=k,
-    )
+    pairs = []
+    for _, coefficient, power, n, order in _PT_TABLE:
+        pref = coefficient * a_q * k**power / math.pi
+        pairs.append(tuple(
+            pref * _log_tail(omega_c, omega_max, sign, n, order) for sign in (1.0, -1.0)
+        ))
+    return PerturbationShifts(*pairs, kappa=k)
 
 
 def pt_constants_for(config: ExperimentConfig) -> PerturbationShifts:

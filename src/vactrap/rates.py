@@ -83,6 +83,25 @@ def _guard_cutoff(omega_c: float, omega_max: float) -> None:
         )
 
 
+def _log_ratio(w: float, W: float, sign: float, n: int) -> float:
+    """``ln|(n w + sign W) / (n w)|``, the logarithm of every shift integral."""
+    return math.log(abs((n * w + sign * W) / (n * w)))
+
+
+def _log_tail(w: float, W: float, sign: float, n: int, order: int) -> float:
+    """``-(n**order w) [ln|1 + y| - sum_{j <= order} (-1)**(j+1) y**j / j]``, ``y = sign W/(n w)``.
+
+    The one form of every closed-form shift integral, evaluated as the log
+    term plus ``(-1)**(j+1) n**(order-j) (sign W)**j / (j w**(j-1))`` for
+    ``j = 1 .. order`` in turn.  The raw level shifts are ``n = order = 1``;
+    :func:`vactrap.perturbation.pt_constants` tabulates the rest.
+    """
+    total = -(n**order * w) * _log_ratio(w, W, sign, n)
+    for j in range(1, order + 1):
+        total += (-1) ** (j + 1) * n ** (order - j) * (sign * W) ** j / (j * w ** (j - 1))
+    return total
+
+
 def level_shifts_raw(gamma: float, omega_c: float, omega_max: float) -> tuple[float, float]:
     """Unrenormalized shift pair ``(D+, D-)`` in 1/s.
 
@@ -91,10 +110,7 @@ def level_shifts_raw(gamma: float, omega_c: float, omega_max: float) -> tuple[fl
     """
     _guard_cutoff(omega_c, omega_max)
     pref = gamma / (2.0 * math.pi * omega_c)
-    w, W = omega_c, omega_max
-    d_plus = pref * (W - w * math.log(abs((w + W) / w)))
-    d_minus = pref * (-W - w * math.log(abs((w - W) / w)))
-    return d_plus, d_minus
+    return tuple(pref * _log_tail(omega_c, omega_max, s, 1, 1) for s in (1.0, -1.0))
 
 
 def level_shifts_renormalized(
@@ -107,8 +123,7 @@ def level_shifts_renormalized(
     """
     _guard_cutoff(omega_c, omega_max)
     pref = -gamma / (2.0 * math.pi)
-    w, W = omega_c, omega_max
-    return pref * math.log(abs((w + W) / w)), pref * math.log(abs((w - W) / w))
+    return tuple(pref * _log_ratio(omega_c, omega_max, s, 1) for s in (1.0, -1.0))
 
 
 def level_shifts_renormalized_asymptotic(

@@ -99,6 +99,13 @@ def test_evolve_command_with_rwa(capsys):
     assert abs(witness[0]) > 0.1
 
 
+def test_evolve_command_svg(capsys):
+    assert run_cli(
+        ["evolve", "--format", "svg", "--dim", "16", "--t-end", "5", "--points", "11"]
+    ) == 0
+    assert capsys.readouterr().out.startswith("<svg")
+
+
 def test_witness_command_headers_and_contrast(capsys):
     assert run_cli(
         ["witness", "--dim", "10", "--nbar", "0.2", "--t-end", "2", "--points", "21"]

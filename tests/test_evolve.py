@@ -152,7 +152,7 @@ def test_short_rwa_grids_take_the_stepper(monkeypatch, n_points):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("n_points", [2, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+@pytest.mark.parametrize("n_points", [2, 3, 5, 33, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
 def test_step_blocks_on_unequal_scattered_blocks(n_points):
     # blocks of 1, 2 and 5 entries whose columns interleave, so the output
     # is put back in place; the grid ends before, at and past chunk borders
@@ -210,7 +210,7 @@ def test_guard_band_overflow_on_constructed_state():
     mat = np.zeros((8, 8), dtype=complex)
     mat[0, 0] = 1.0 - 2e-6
     mat[7, 7] = 2e-6
-    with pytest.raises(GuardBandOverflow) as exc_info:
+    with pytest.raises(GuardBandOverflow, match=r"at t = 0\.0;") as exc_info:
         integrate(gen, mat, (0.0, 1.0), n_points=11)
     assert exc_info.value.time == 0.0
     assert exc_info.value.population > GUARD_BAND_LIMIT

@@ -21,6 +21,8 @@ from vactrap.perturbation import (
 from vactrap.rates import (
     damping_rate,
     free_particle_shift,
+    kappa,
+    level_shifts_raw,
     level_shifts_renormalized,
 )
 
@@ -138,3 +140,81 @@ def test_renormalized_spacing_requires_cutoff_above_trap():
         pt_frequency_shift_renormalized(ELECTRON, W_REF, W_REF)
     with pytest.raises(SingularDenominator):
         pt_frequency_shift_renormalized(ELECTRON, W_REF, 0.5 * W_REF)
+
+
+def _reference_constants(omega_c, omega_max):
+    """The five constant pairs, each written out as its own closed form."""
+    a_q = CODATA_2018.fine_structure(ELECTRON.charge)
+    k = kappa(ELECTRON, omega_c)
+    w, W = omega_c, omega_max
+
+    def d0(sign):
+        return (2.0 * a_q * k / math.pi) * (
+            -w * math.log(abs((w + sign * W) / w)) + sign * W
+        )
+
+    def d1(sign):
+        return (a_q * k**2 / math.pi) * (
+            -8.0 * w * math.log(abs((2.0 * w + sign * W) / (2.0 * w)))
+            + sign * 4.0 * W
+            - W**2 / w
+            + sign * W**3 / (3.0 * w**2)
+        )
+
+    def d2a(sign):
+        return (a_q * k**3 / (8.0 * math.pi)) * (
+            -243.0 * w * math.log(abs((3.0 * w + sign * W) / (3.0 * w)))
+            + sign * 81.0 * W
+            - 27.0 * W**2 / (2.0 * w)
+            + sign * 3.0 * W**3 / w**2
+            - 3.0 * W**4 / (4.0 * w**3)
+            + sign * W**5 / (5.0 * w**4)
+        )
+
+    def d2b(sign):
+        return (a_q * k**3 / (8.0 * math.pi)) * (
+            -w * math.log(abs((w + sign * W) / w))
+            + sign * W
+            - W**2 / (2.0 * w)
+            + sign * W**3 / (3.0 * w**2)
+            - W**4 / (4.0 * w**3)
+            + sign * W**5 / (5.0 * w**4)
+        )
+
+    def d2c(sign):
+        return (a_q * k**2 / math.pi) * (
+            -w * math.log(abs((w + sign * W) / w))
+            + sign * W
+            - W**2 / (2.0 * w)
+            + sign * W**3 / (3.0 * w**2)
+        )
+
+    return {
+        name: (form(1.0), form(-1.0))
+        for name, form in zip(FROZEN, (d0, d1, d2a, d2b, d2c))
+    }
+
+
+# below, between and above the 1, 2 and 3 trap-quantum resonances, far past
+# them, and just either side of each
+RATIO_GRID = [0.5, 1.5, 2.5, 3.5, 400.0, 1e6] + [
+    n * (1.0 + side * 1e-9) for n in (1, 2, 3) for side in (-1.0, 1.0)
+]
+
+
+@pytest.mark.parametrize("ratio", RATIO_GRID)
+def test_constants_match_straight_line_forms(ratio):
+    shifts = pt_constants(ELECTRON, W_REF, ratio * W_REF)
+    reference = _reference_constants(W_REF, ratio * W_REF)
+    assert shifts.delta0_pm == reference["delta0_pm"]
+    for name in FROZEN:
+        assert getattr(shifts, name) == pytest.approx(reference[name], rel=1e-12)
+
+
+@pytest.mark.parametrize("ratio", RATIO_GRID)
+def test_zeroth_constants_are_three_raw_level_shifts(ratio):
+    # criterion 8 in structural form: the same kernel, prefactors 3 apart
+    omega_max = ratio * W_REF
+    raw = level_shifts_raw(damping_rate(ELECTRON, W_REF), W_REF, omega_max)
+    delta0 = pt_constants(ELECTRON, W_REF, omega_max).delta0_pm
+    assert delta0 == pytest.approx(tuple(3.0 * d for d in raw), rel=1e-12)
