@@ -56,13 +56,10 @@ from .rates import (
     damping_rate,
     free_particle_shift,
     frequency_shift,
-    frequency_shift_asymptotic,
     kappa,
     level_shifts_raw,
     level_shifts_renormalized,
-    level_shifts_renormalized_asymptotic,
     relative_shift,
-    total_frequency,
 )
 from .liouville import (
     DensityMatrix,
@@ -74,13 +71,11 @@ from .liouville import (
     build_lindblad_generator,
     build_redfield_generator,
     build_xp_generator,
-    reduce_to_1d,
     sandwich,
     sigma02_rhs,
     spectral_abscissa,
     spost,
     spre,
-    superoperator_to_csv,
     unvec,
     vec,
 )
@@ -96,7 +91,6 @@ from .observables import (
     DampedOscillatorSolution,
     ObservableSeries,
     amplitude_peaks,
-    analytic_x_trajectory,
     damped_oscillator_solution,
     expect,
     first_moment_rhs_check,
@@ -108,8 +102,6 @@ from .observables import (
 from .perturbation import (
     PerturbationShifts,
     pt_constants,
-    pt_constants_for,
-    pt_energy_shift,
     pt_frequency_shift_renormalized,
     pt_renormalization_term,
 )
@@ -120,7 +112,6 @@ from .bath import (
     discrete_golden_rule,
     discrete_second_order_shift,
     make_flat_bath,
-    make_scaling_bath,
     oracle_report_csv,
 )
 from .sweeps import (

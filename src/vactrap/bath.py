@@ -45,11 +45,9 @@ from .errors import (
 from .liouville import FockSpace, build_fock_operators
 
 __all__ = [
-    "DIMENSION_GUARD",
     "BathModel",
     "BathFitResult",
     "make_flat_bath",
-    "make_scaling_bath",
     "discrete_golden_rule",
     "discrete_second_order_shift",
     "bath_brute_force",
@@ -146,6 +144,14 @@ def make_flat_bath(
     """
     if n_modes < 2:
         raise DimensionMismatch("flat bath needs >= 2 modes to define a spacing")
+    if not omega_min < omega_max:
+        raise DimensionMismatch(
+            f"flat bath needs omega_min < omega_max, got {omega_min} and {omega_max}"
+        )
+    if not (gamma_target > 0.0 and math.isfinite(gamma_target)):
+        raise DimensionMismatch(
+            f"gamma_target must be a positive finite rate, got {gamma_target}"
+        )
     freqs = np.linspace(omega_min, omega_max, n_modes)
     dw = freqs[1] - freqs[0]
     kappa = math.sqrt(gamma_target * dw / (2.0 * math.pi))
@@ -154,26 +160,6 @@ def make_flat_bath(
         couplings=np.full(n_modes, kappa),
         omega_c=omega_c,
         **kwargs,
-    )
-
-
-def make_scaling_bath(
-    n_modes: int,
-    omega_min: float,
-    omega_max: float,
-    scale: float,
-    omega_c: float = 1.0,
-    **kwargs,
-) -> BathModel:
-    """Evenly spaced modes with the physical coupling scaling.
-
-    Squared couplings fall off as ``omega_c / Omega_k`` (the vector-potential
-    amplitude of each mode), times a caller-set global scale.
-    """
-    freqs = np.linspace(omega_min, omega_max, max(n_modes, 1))
-    coups = scale * np.sqrt(omega_c / freqs)
-    return BathModel(
-        mode_frequencies=freqs, couplings=coups, omega_c=omega_c, **kwargs
     )
 
 
@@ -251,7 +237,9 @@ def _hamiltonian(bath: BathModel) -> tuple[np.ndarray, ...]:
     # digits of x with mode 0 leading (kron order)
     strides = n_ph ** np.arange(m - 1, -1, -1)
     photons = np.arange(n_field)[:, None] // strides % n_ph
-    h0 = bath.omega_c * np.repeat(np.diag(b.T @ b), n_field)
+    level = np.repeat(np.arange(n_p), n_field)
+    # integer levels keep the trap energies exact; diag(b+ b) squares sqrt(n)
+    h0 = float(bath.omega_c) * level
     quadrature = np.zeros((n_field, n_field))  # sum_k kappa_k (a_k + a_k^+)
     for k in range(m):
         h0 += bath.mode_frequencies[k] * np.tile(photons[:, k], n_p)
@@ -259,7 +247,6 @@ def _hamiltonian(bath: BathModel) -> tuple[np.ndarray, ...]:
         amp = bath.couplings[k] * np.sqrt(photons[room, k] + 1.0)
         quadrature[room, room + strides[k]] = quadrature[room + strides[k], room] = amp
     v = 1j * np.kron(b - b.T, quadrature)
-    level = np.repeat(np.arange(n_p), n_field)
     return h0, v, level, np.arange(dim) - n_field
 
 

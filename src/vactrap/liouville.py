@@ -24,14 +24,13 @@ For scaled-unit studies build the rate set with ``RateSet.scaled``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
-from ._csv import csv_text
 from .errors import DimensionMismatch, DimensionTooSmall
 from .params import ApproximationMode
 from .rates import RateSet
@@ -44,7 +43,6 @@ __all__ = [
     "build_fock_operators",
     "vec",
     "unvec",
-    "trace_product",
     "spre",
     "spost",
     "sandwich",
@@ -52,10 +50,8 @@ __all__ = [
     "build_lindblad_generator",
     "build_xp_generator",
     "build_2d_generator",
-    "reduce_to_1d",
     "sigma02_rhs",
     "spectral_abscissa",
-    "superoperator_to_csv",
 ]
 
 
@@ -191,16 +187,14 @@ def sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 class Superoperator:
     """A dense generator on vectorized density matrices.
 
-    ``matrix`` is ``(dim**2, dim**2)`` for a single ladder, or
-    ``(prod(dims)**2, prod(dims)**2)`` with ``dims`` recording the per-axis
-    level counts for tensor-product spaces.
+    ``matrix`` is ``(dim**2, dim**2)``; on a tensor-product space ``dim`` is
+    the product of the per-axis level counts.
     """
 
     matrix: np.ndarray
     dim: int
     mode: ApproximationMode
     rates: RateSet
-    dims: tuple[int, ...] = field(default=())
 
     def apply(self, sigma: np.ndarray | DensityMatrix) -> np.ndarray:
         """Time derivative of ``sigma`` under this generator."""
@@ -343,31 +337,6 @@ def build_2d_generator(
         dim=space_x.dim * space_y.dim,
         mode=ApproximationMode.BEYOND_RWA,
         rates=rates,
-        dims=(space_x.dim, space_y.dim),
-    )
-
-
-def reduce_to_1d(gen2d: Superoperator) -> Superoperator:
-    """Recover the single-axis generator from a planar one.
-
-    Reads the planar generator's action on ``sigma_x (x) |0><0|_y`` inputs
-    and partial-traces the second axis away, as one contraction of the
-    generator tensor.  Because the two axes do not couple and each axis
-    generator annihilates the trace, the result does not depend on the
-    reference state of the traced axis.
-    """
-    if len(gen2d.dims) != 2:
-        raise DimensionMismatch("reduce_to_1d needs a generator with dims=(nx, ny)")
-    nx, ny = gen2d.dims
-    d = nx * ny
-    # t[ix, iy, jx, jy, kx, ky, lx, ly]: coefficient of out[i, j] from in[k, l]
-    t = gen2d.matrix.reshape((d,) * 4, order="F").reshape((nx, ny) * 4)
-    reduced = np.einsum("akbkij->abij", t[:, :, :, :, :, 0, :, 0])
-    return Superoperator(
-        matrix=reduced.reshape((nx * nx, nx * nx), order="F"),
-        dim=nx,
-        mode=gen2d.mode,
-        rates=gen2d.rates,
     )
 
 
@@ -441,13 +410,3 @@ def _invariant_blocks(matrix) -> list[np.ndarray]:
     order = np.argsort(labels, kind="stable")
     return np.split(order, np.cumsum(np.bincount(labels, minlength=n_blocks))[:-1])
 
-
-def superoperator_to_csv(superop: Superoperator) -> str:
-    """Nonzero entries as ``row,col,re,im`` lines (row-major order)."""
-    mat = superop.matrix
-    rows, cols = np.nonzero(mat)
-    values = mat[rows, cols]
-    return csv_text(
-        ("row", "col", "re", "im"),
-        zip(map(str, rows.tolist()), map(str, cols.tolist()), values.real, values.imag),
-    )

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import csv_text
 from .errors import DimensionMismatch, TruncationRisk
 from .evolve import EvolutionRecord
 from .liouville import (
@@ -41,7 +40,6 @@ __all__ = [
     "witness_sum",
     "series_from_record",
     "damped_oscillator_solution",
-    "analytic_x_trajectory",
     "first_moment_rhs_check",
     "fit_phase_slope",
     "amplitude_peaks",
@@ -55,9 +53,6 @@ class ObservableSeries:
     times: np.ndarray
     values: np.ndarray
     label: str
-
-    def to_csv(self) -> str:
-        return csv_text(("time", "value"), zip(self.times, self.values))
 
 
 def make_state(kind: str, space: FockSpace, **params) -> DensityMatrix:
@@ -93,11 +88,14 @@ def make_state(kind: str, space: FockSpace, **params) -> DensityMatrix:
     if kind == "coherent":
         alpha = complex(params.pop("alpha"))
         _reject_unknown(params)
-        mean = abs(alpha) ** 2
-        if mean > dim / 4.0:
+        magnitude = abs(alpha)
+        # compared before squaring: magnitude ** 2 overflows past about 1e154
+        if magnitude > math.sqrt(dim / 4.0):
             raise TruncationRisk(
-                f"|alpha|^2 = {mean:.3f} exceeds dim/4 = {dim / 4.0}; enlarge the space"
+                f"|alpha|^2 = {magnitude * magnitude:.3f} exceeds dim/4 = {dim / 4.0}; "
+                "enlarge the space"
             )
+        mean = magnitude**2
         if alpha == 0:
             vecc = np.zeros(dim, dtype=complex)
             vecc[0] = 1.0
@@ -235,32 +233,6 @@ def damped_oscillator_solution(
         lambda_plus=(-gamma + root) / 2.0,
         lambda_minus=(-gamma - root) / 2.0,
     )
-
-
-def analytic_x_trajectory(
-    sol: DampedOscillatorSolution, times: np.ndarray, branch: str = "cosine"
-) -> ObservableSeries:
-    """Evaluate the analytic ``<x>(t)``.
-
-    ``branch="cosine"`` gives ``x0 exp(-G t/2) cos(omega_eff t)``;
-    ``branch="exact"`` gives the two-exponential solution
-    ``x0 (exp(l+ t) + exp(l- t)) / 2``.  NOTE the exact branch is
-    normalized by 1/2 so both branches start at ``x0``: the raw
-    two-exponential form takes the value ``2 x0`` at ``t = 0``, and one
-    convention had to be chosen to make the two comparable.
-    """
-    times = np.asarray(times, dtype=float)
-    if branch == "cosine":
-        vals = sol.x0 * np.exp(-sol.gamma * times / 2.0) * np.cos(sol.omega_eff * times)
-    elif branch == "exact":
-        vals = (
-            sol.x0
-            * (np.exp(sol.lambda_plus * times) + np.exp(sol.lambda_minus * times)).real
-            / 2.0
-        )
-    else:
-        raise ValueError(f"branch must be 'cosine' or 'exact', got {branch!r}")
-    return ObservableSeries(times=times, values=vals, label=f"x:{branch}")
 
 
 def first_moment_rhs_check(rates: RateSet, dim: int = 16) -> float:

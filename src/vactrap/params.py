@@ -50,12 +50,15 @@ __all__ = [
     "ApproximationMode",
     "ExperimentConfig",
     "cyclotron_frequency",
+    "compton_frequency",
     "cutoff_frequency",
     "lwa_bound",
     "spin_coupling_ratio",
     "reference_config",
     "parse_config_text",
     "load_config",
+    "parse_cutoff_kind",
+    "parse_mode",
     "REFERENCE_CONFIG_NAME",
 ]
 

@@ -20,20 +20,12 @@ import math
 from dataclasses import dataclass
 
 from .errors import SingularDenominator
-from .params import (
-    CODATA_2018,
-    ExperimentConfig,
-    ParticleSpec,
-    PhysicalConstants,
-    cutoff_frequency,
-)
+from .params import CODATA_2018, ParticleSpec, PhysicalConstants
 from .rates import _log_tail, kappa
 
 __all__ = [
     "PerturbationShifts",
     "pt_constants",
-    "pt_constants_for",
-    "pt_energy_shift",
     "pt_renormalization_term",
     "pt_frequency_shift_renormalized",
 ]
@@ -103,44 +95,6 @@ def pt_constants(
             pref * _log_tail(omega_c, omega_max, sign, n, order) for sign in (1.0, -1.0)
         ))
     return PerturbationShifts(*pairs, kappa=k)
-
-
-def pt_constants_for(config: ExperimentConfig) -> PerturbationShifts:
-    """Constants at a configuration's own frequency and cutoff."""
-    return pt_constants(
-        config.particle, config.omega_c, cutoff_frequency(config), config.constants
-    )
-
-
-def pt_energy_shift(n: int, shifts: PerturbationShifts) -> float:
-    """Level-``n`` energy shift over hbar (1/s): the polynomial combination.
-
-    ``n Dm0 - (n+1) Dp0 + n(n-1) Dm1 - (n+1)(n+2) Dp1
-      + n(n-1)(n-2) Dm2a - (n+1)(n+2)(n+3) Dp2a
-      + n^3 Dm2b - (n^3 + 3n^2 + 3n - 1) Dp2b
-      + n^2 Dm2c - (n+1)^2 Dp2c``
-
-    Note the ground level picks up ``+Dp2b`` (coefficient -(0+0+0-1)).
-    """
-    if n < 0:
-        raise ValueError(f"level must be nonnegative, got {n}")
-    d0p, d0m = shifts.delta0_pm
-    d1p, d1m = shifts.delta1_pm
-    d2ap, d2am = shifts.delta2a_pm
-    d2bp, d2bm = shifts.delta2b_pm
-    d2cp, d2cm = shifts.delta2c_pm
-    return (
-        n * d0m
-        - (n + 1) * d0p
-        + n * (n - 1) * d1m
-        - (n + 1) * (n + 2) * d1p
-        + n * (n - 1) * (n - 2) * d2am
-        - (n + 1) * (n + 2) * (n + 3) * d2ap
-        + n**3 * d2bm
-        - (n**3 + 3 * n**2 + 3 * n - 1) * d2bp
-        + n**2 * d2cm
-        - (n + 1) ** 2 * d2cp
-    )
 
 
 def pt_renormalization_term(

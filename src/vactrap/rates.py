@@ -37,11 +37,8 @@ __all__ = [
     "damping_rate",
     "level_shifts_raw",
     "level_shifts_renormalized",
-    "level_shifts_renormalized_asymptotic",
     "frequency_shift",
-    "frequency_shift_asymptotic",
     "relative_shift",
-    "total_frequency",
     "free_particle_shift",
     "build_rate_set",
 ]
@@ -126,21 +123,6 @@ def level_shifts_renormalized(
     return tuple(pref * _log_ratio(omega_c, omega_max, s, 1) for s in (1.0, -1.0))
 
 
-def level_shifts_renormalized_asymptotic(
-    gamma: float, omega_c: float, omega_max: float
-) -> tuple[float, float]:
-    """Large-cut-off approximation of the renormalized pair.
-
-    ``D+-^R ~ (G / 2 pi)(ln(w / W) -+ w / W)`` for ``W >> w``; used only for
-    cross-checking the exact forms.
-    """
-    _guard_cutoff(omega_c, omega_max)
-    pref = gamma / (2.0 * math.pi)
-    ratio = omega_c / omega_max
-    log_term = math.log(ratio)
-    return pref * (log_term - ratio), pref * (log_term + ratio)
-
-
 def frequency_shift(
     gamma: float, omega_c: float, omega_max: float, mode: ApproximationMode
 ) -> float:
@@ -161,21 +143,10 @@ def _trap_shift(d_plus: float, d_minus: float, mode: ApproximationMode) -> float
     return d_minus
 
 
-def frequency_shift_asymptotic(gamma: float, omega_c: float, omega_max: float) -> float:
-    """Large-cut-off beyond-RWA shift ``G w / (pi W)``."""
-    _guard_cutoff(omega_c, omega_max)
-    return gamma * omega_c / (math.pi * omega_max)
-
-
 def relative_shift(config: ExperimentConfig) -> float:
     """Dimensionless relative trap-frequency shift ``dw / w`` (exact branch)."""
     rates = build_rate_set(config)
     return rates.delta_omega / rates.omega_c
-
-
-def total_frequency(config: ExperimentConfig) -> float:
-    """Observable trap frequency ``w + dw`` in rad/s for the configuration."""
-    return config.omega_c * (1.0 + relative_shift(config))
 
 
 @dataclass(frozen=True)
@@ -250,6 +221,11 @@ class RateSet:
         ``delta_minus`` are chosen directly (raw and renormalized values
         coincide; no cut-off is involved).
         """
+        if not all(map(math.isfinite, (gamma, delta_plus, delta_minus))):
+            raise ConfigurationError(
+                f"scaled rates must be finite, got gamma={gamma}, "
+                f"delta_plus={delta_plus}, delta_minus={delta_minus}"
+            )
         return cls(
             gamma=gamma,
             delta_plus_raw=delta_plus,

@@ -8,11 +8,11 @@ from scipy.linalg import expm
 from vactrap.bath import (
     DIMENSION_GUARD,
     BathModel,
+    _hamiltonian,
     bath_brute_force,
     discrete_golden_rule,
     discrete_second_order_shift,
     make_flat_bath,
-    make_scaling_bath,
     oracle_report_csv,
 )
 from vactrap.errors import DimensionMismatch, FitFailure, GuardExceeded
@@ -34,10 +34,15 @@ def test_flat_bath_needs_a_spacing():
         make_flat_bath(1, 0.5, 1.5, gamma_target=1e-3)
 
 
-def test_scaling_bath_couplings():
-    bath = make_scaling_bath(5, 0.5, 2.5, scale=0.01)
-    expected = 0.01 * np.sqrt(1.0 / bath.mode_frequencies)
-    assert np.allclose(bath.couplings, expected, rtol=1e-14)
+@pytest.mark.parametrize(
+    "omega_min, omega_max, gamma_target",
+    [(5.0, 0.2, 5e-3), (1.0, 1.0, 5e-3), (0.2, 5.0, 0.0), (0.2, 5.0, math.inf)],
+)
+def test_flat_bath_needs_an_ordered_band_and_a_positive_rate(
+    omega_min, omega_max, gamma_target
+):
+    with pytest.raises(DimensionMismatch):
+        make_flat_bath(8, omega_min, omega_max, gamma_target=gamma_target)
 
 
 def test_bath_model_validation():
@@ -194,6 +199,20 @@ def test_three_level_two_photon_observables_match_hand_built_evolution():
             abs(sup.conj() @ lowering @ sup - result.mean_lowering[k]),
         )
     assert worst < 1e-10
+
+
+def test_trap_energies_are_exact_multiples_of_omega_c():
+    # H0's trap part is level * omega_c, so |2> x |vac> sits at exactly
+    # 2 omega_c (squaring the sqrt(2) ladder entry would miss by an ulp)
+    bath = BathModel(
+        mode_frequencies=[2.0, 3.0],
+        couplings=[0.01, 0.01],
+        particle_levels=3,
+        counter_rotating=True,
+        omega_c=1.3,
+    )
+    h0 = _hamiltonian(bath)[0]
+    assert h0[2 * 4] == 2.0 * 1.3  # |2> x |vac>; two modes give 4 field states
 
 
 @pytest.mark.parametrize("counter_rotating", [False, True])

@@ -22,6 +22,10 @@ def test_rates_emits_the_closed_form_table(capsys):
     assert "gamma_per_s,11.121199473377965" in lines
     assert any(line.startswith("relative_shift,") for line in lines)
     assert any(line.startswith("mode,beyond-rwa") for line in lines)
+    value = dict(line.split(",") for line in lines[1:])
+    assert float(value["total_frequency_rad_s"]) == pytest.approx(
+        float(value["omega_c_rad_s"]) + float(value["delta_omega_per_s"]), rel=1e-14
+    )
 
 
 def test_rates_warns_once_past_the_long_wavelength_bound(capsys, tmp_path):
@@ -193,6 +197,20 @@ def test_unwritable_output_path(capsys, tmp_path):
     target = tmp_path / "no" / "such" / "dir" / "out.csv"
     assert run_cli(["rates", "--out", str(target)]) == 1
     assert "cannot write output" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bath-oracle", "--omega-min", "5", "--omega-max", "0.2"],
+        ["bath-oracle", "--gamma-target", "0"],
+        ["evolve", "--dim", "6", "--alpha", "1e200"],
+        ["evolve", "--dim", "6", "--gamma", "nan"],
+    ],
+)
+def test_out_of_domain_values_are_input_errors(argv, capsys):
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.startswith("vactrap: input error")
 
 
 def test_bad_flag_value(capsys):

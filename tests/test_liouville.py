@@ -16,13 +16,11 @@ from vactrap.liouville import (
     build_lindblad_generator,
     build_redfield_generator,
     build_xp_generator,
-    reduce_to_1d,
     sandwich,
     sigma02_rhs,
     spectral_abscissa,
     spost,
     spre,
-    superoperator_to_csv,
     unvec,
     vec,
 )
@@ -300,35 +298,22 @@ def test_xp_generator_equality_with_si_scalings():
 
 
 def test_planar_generator_reduces_to_single_axis():
-    g2 = build_2d_generator(FockSpace(dim=6), FockSpace(dim=5), RATES)
-    assert g2.dims == (6, 5)
-    g1 = reduce_to_1d(g2)
-    ref = build_redfield_generator(FockSpace(dim=6), RATES)
-    assert np.max(np.abs(g1.matrix - ref.matrix)) < 1e-12
-
-
-def test_reduce_to_1d_matches_basis_input_loop():
-    # reference: apply the planar generator to sigma_x (x) |0><0|_y for each
-    # basis sigma_x and partial-trace the y axis; the contraction sums the
-    # same ny entries, so only the summation order may differ
-    for nx, ny in ((4, 5), (5, 3)):
+    # apply the planar generator to sigma_x (x) |0><0|_y for each basis
+    # sigma_x and partial-trace the y axis: the axes do not couple and each
+    # axis generator annihilates the trace, so this is the x-axis generator
+    for nx, ny in ((6, 5), (4, 5), (5, 3)):
         g2 = build_2d_generator(FockSpace(dim=nx), FockSpace(dim=ny), RATES)
         tau = np.zeros((ny, ny), dtype=complex)
         tau[0, 0] = 1.0
-        want = np.zeros((nx * nx, nx * nx), dtype=complex)
+        reduced = np.zeros((nx * nx, nx * nx), dtype=complex)
         for j in range(nx):
             for i in range(nx):
                 basis = np.zeros((nx, nx), dtype=complex)
                 basis[i, j] = 1.0
                 image = g2.apply(np.kron(basis, tau)).reshape(nx, ny, nx, ny)
-                want[:, i + j * nx] = vec(np.einsum("ikjk->ij", image))
-        gate = ny * np.finfo(float).eps * np.max(np.abs(g2.matrix))
-        assert np.max(np.abs(reduce_to_1d(g2).matrix - want)) <= gate
-
-
-def test_reduce_to_1d_needs_planar_input():
-    with pytest.raises(DimensionMismatch):
-        reduce_to_1d(build_redfield_generator(FockSpace(dim=4), RATES))
+                reduced[:, i + j * nx] = vec(np.einsum("ikjk->ij", image))
+        ref = build_redfield_generator(FockSpace(dim=nx), RATES)
+        assert np.max(np.abs(reduced - ref.matrix)) < 1e-12
 
 
 def test_apply_checks_state_shape():
@@ -394,16 +379,3 @@ def test_invariant_blocks_follow_the_conserved_quantity():
     for blocks in (beyond, rwa, xp, planar):
         every = np.concatenate(blocks)
         assert np.array_equal(np.sort(every), np.arange(len(every)))
-
-
-# --------------------------------------------------------------------- csv
-
-
-def test_superoperator_csv_header_and_shape():
-    gen = build_lindblad_generator(FockSpace(dim=3), RATES)
-    text = superoperator_to_csv(gen)
-    lines = text.strip().splitlines()
-    assert lines[0] == "row,col,re,im"
-    assert len(lines) == 1 + np.count_nonzero(gen.matrix)
-    row, col, re, im = lines[1].split(",")
-    assert gen.matrix[int(row), int(col)] == complex(float(re), float(im))

@@ -14,7 +14,6 @@ from vactrap.liouville import (
 )
 from vactrap.observables import (
     amplitude_peaks,
-    analytic_x_trajectory,
     damped_oscillator_solution,
     expect,
     first_moment_rhs_check,
@@ -162,9 +161,6 @@ def test_series_from_record():
     assert series.label == "n"
     assert series.values[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(series.values) < 0.0)  # pure decay
-    csv = series.to_csv()
-    assert csv.splitlines()[0] == "time,value"
-    assert len(csv.strip().splitlines()) == 6
 
 
 def test_series_match_per_snapshot_traces():
@@ -189,22 +185,6 @@ def test_oscillator_roots_satisfy_characteristic_polynomial():
         residual = lam * lam + sol.gamma * lam + (1.0 + 2.0 * 0.02)
         assert abs(residual) < 1e-12
     assert sol.omega_eff == pytest.approx(1.02)
-
-
-def test_analytic_trajectory_branches():
-    sol = damped_oscillator_solution(x0=2.0, gamma=0.01, omega_c=1.0, delta_omega=0.003)
-    times = np.linspace(0.0, 30.0, 301)
-    cosine = analytic_x_trajectory(sol, times, branch="cosine")
-    exact = analytic_x_trajectory(sol, times, branch="exact")
-    assert cosine.values[0] == pytest.approx(2.0)
-    assert exact.values[0] == pytest.approx(2.0)  # 1/2-normalized two-exponential
-    # weak damping: the branches coincide to O(G^2 / w^2)
-    assert np.max(np.abs(cosine.values - exact.values)) < 1e-2 * sol.x0
-    sample = sol.x0 * math.exp(-sol.gamma * 10.0 / 2.0) * math.cos(sol.omega_eff * 10.0)
-    k = np.searchsorted(times, 10.0)
-    assert cosine.values[k] == pytest.approx(sample, rel=1e-12)
-    with pytest.raises(ValueError):
-        analytic_x_trajectory(sol, times, branch="spline")
 
 
 def test_first_moment_identities_are_exact():

@@ -4,17 +4,9 @@ import math
 import pytest
 
 from vactrap.errors import SingularDenominator
-from vactrap.params import (
-    CODATA_2018,
-    ELECTRON,
-    ParticleSpec,
-    cutoff_frequency,
-    load_config,
-)
+from vactrap.params import CODATA_2018, ELECTRON, ParticleSpec
 from vactrap.perturbation import (
     pt_constants,
-    pt_constants_for,
-    pt_energy_shift,
     pt_frequency_shift_renormalized,
     pt_renormalization_term,
 )
@@ -63,25 +55,6 @@ def test_constants_hierarchy_in_recoil_parameter():
     assert abs(shifts.delta2a_pm[0]) < abs(shifts.delta1_pm[0])
 
 
-def test_ground_level_combination():
-    shifts = pt_constants(ELECTRON, W_REF, OMEGA_MAX_1)
-    d0p = shifts.delta0_pm[0]
-    d1p = shifts.delta1_pm[0]
-    d2ap = shifts.delta2a_pm[0]
-    d2bp = shifts.delta2b_pm[0]
-    d2cp = shifts.delta2c_pm[0]
-    expected = -d0p - 2.0 * d1p - 6.0 * d2ap + d2bp - d2cp
-    got = pt_energy_shift(0, shifts)
-    assert got == pytest.approx(expected, rel=1e-14)
-    assert got == pytest.approx(-2091.977770730065, rel=1e-12)
-
-
-def test_energy_shift_rejects_negative_level():
-    shifts = pt_constants(ELECTRON, W_REF, OMEGA_MAX_1)
-    with pytest.raises(ValueError):
-        pt_energy_shift(-1, shifts)
-
-
 def test_zero_cutoff_gives_zero_constants():
     shifts = pt_constants(ELECTRON, W_REF, 0.0)
     for name in FROZEN:
@@ -101,15 +74,6 @@ def test_invalid_frequencies_are_rejected():
         pt_constants(ELECTRON, 0.0, OMEGA_MAX_1)
     with pytest.raises(SingularDenominator):
         pt_constants(ELECTRON, W_REF, -1.0)
-
-
-def test_constants_for_reference_config():
-    # the reference device resolves its own zero-point cutoff, so the
-    # convenience wrapper must agree with the explicit two-argument route
-    config = load_config("sec-reference")
-    assert pt_constants_for(config) == pt_constants(
-        ELECTRON, config.omega_c, cutoff_frequency(config)
-    )
 
 
 def test_renormalization_term_matches_free_particle_route():

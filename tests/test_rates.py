@@ -23,13 +23,10 @@ from vactrap.rates import (
     damping_rate,
     free_particle_shift,
     frequency_shift,
-    frequency_shift_asymptotic,
     kappa,
     level_shifts_raw,
     level_shifts_renormalized,
-    level_shifts_renormalized_asymptotic,
     relative_shift,
-    total_frequency,
 )
 
 W_REF = 9.42e11
@@ -91,11 +88,13 @@ def test_renormalization_removes_the_linear_piece():
 
 
 def test_renormalized_asymptotic_matches_exact_at_large_cutoff():
+    # D+-^R ~ (G/2 pi)(ln(w/W) -+ w/W) for W >> w; W/w ~ 4e4 here, so the
+    # neglected terms are O((w/W)^2) ~ 6e-10
     exact = level_shifts_renormalized(GAMMA_REF, W_REF, W_MAX)
-    approx = level_shifts_renormalized_asymptotic(GAMMA_REF, W_REF, W_MAX)
-    # W/w ~ 4e4 here, so the neglected terms are O((w/W)^2) ~ 6e-10
-    assert approx[0] == pytest.approx(exact[0], rel=1e-8)
-    assert approx[1] == pytest.approx(exact[1], rel=1e-8)
+    pref = GAMMA_REF / (2.0 * math.pi)
+    ratio = W_REF / W_MAX
+    assert pref * (math.log(ratio) - ratio) == pytest.approx(exact[0], rel=1e-8)
+    assert pref * (math.log(ratio) + ratio) == pytest.approx(exact[1], rel=1e-8)
 
 
 def test_frequency_shift_beyond_rwa_reference_value():
@@ -112,8 +111,8 @@ def test_frequency_shift_with_rwa_is_single_quantum_only():
 
 def test_frequency_shift_asymptotic_form():
     # G w / (pi W) approximates the exact difference to O((w/W)^2)
-    asym = frequency_shift_asymptotic(GAMMA_REF, W_REF, W_MAX)
-    assert asym == pytest.approx(DW_BEYOND, rel=1e-8)
+    dw = frequency_shift(GAMMA_REF, W_REF, W_MAX, ApproximationMode.BEYOND_RWA)
+    assert GAMMA_REF * W_REF / (math.pi * W_MAX) == pytest.approx(dw, rel=1e-8)
 
 
 def test_singular_cutoff_rejected():
@@ -131,13 +130,6 @@ def test_relative_shift_reference_table_entry():
 def test_relative_shift_rwa_reference_table_entry():
     config = reference_config(mode=ApproximationMode.WITH_RWA)
     assert relative_shift(config) == pytest.approx(REN_REF[1] / W_REF, rel=1e-12)
-
-
-def test_total_frequency_composition():
-    config = reference_config()
-    assert total_frequency(config) == pytest.approx(
-        W_REF + DW_BEYOND, rel=1e-14
-    )
 
 
 def test_free_particle_shift_values_and_factor_two():
@@ -191,6 +183,8 @@ def test_scaled_rate_set():
 
     rs_rwa = RateSet.scaled(1e-2, 5e-3, 8e-3, mode=ApproximationMode.WITH_RWA)
     assert rs_rwa.delta_omega == 8e-3
+    with pytest.raises(ConfigurationError):
+        RateSet.scaled(math.nan, 5e-3, 8e-3)
 
 
 def test_table_values_consistent_across_cutoffs():
