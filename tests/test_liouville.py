@@ -297,21 +297,33 @@ def test_xp_generator_equality_with_si_scalings():
     assert np.max(np.abs(g_xp - g_b)) < 1e-10 * np.max(np.abs(g_b))
 
 
-def test_planar_generator_reduces_to_single_axis():
+def _reduce_to_1d_by_basis_inputs(nx, ny):
     # apply the planar generator to sigma_x (x) |0><0|_y for each basis
     # sigma_x and partial-trace the y axis: the axes do not couple and each
     # axis generator annihilates the trace, so this is the x-axis generator
-    for nx, ny in ((6, 5), (4, 5), (5, 3)):
-        g2 = build_2d_generator(FockSpace(dim=nx), FockSpace(dim=ny), RATES)
-        tau = np.zeros((ny, ny), dtype=complex)
-        tau[0, 0] = 1.0
-        reduced = np.zeros((nx * nx, nx * nx), dtype=complex)
-        for j in range(nx):
-            for i in range(nx):
-                basis = np.zeros((nx, nx), dtype=complex)
-                basis[i, j] = 1.0
-                image = g2.apply(np.kron(basis, tau)).reshape(nx, ny, nx, ny)
-                reduced[:, i + j * nx] = vec(np.einsum("ikjk->ij", image))
+    g2 = build_2d_generator(FockSpace(dim=nx), FockSpace(dim=ny), RATES)
+    tau = np.zeros((ny, ny), dtype=complex)
+    tau[0, 0] = 1.0
+    reduced = np.zeros((nx * nx, nx * nx), dtype=complex)
+    for j in range(nx):
+        for i in range(nx):
+            basis = np.zeros((nx, nx), dtype=complex)
+            basis[i, j] = 1.0
+            image = g2.apply(np.kron(basis, tau)).reshape(nx, ny, nx, ny)
+            reduced[:, i + j * nx] = vec(np.einsum("ikjk->ij", image))
+    return reduced
+
+
+def test_planar_generator_reduces_to_single_axis():
+    reduced = _reduce_to_1d_by_basis_inputs(6, 5)
+    ref = build_redfield_generator(FockSpace(dim=6), RATES)
+    assert np.max(np.abs(reduced - ref.matrix)) < 1e-12
+
+
+def test_reduce_to_1d_matches_basis_input_loop():
+    # unequal axis sizes, either axis the larger one
+    for nx, ny in ((4, 5), (5, 3)):
+        reduced = _reduce_to_1d_by_basis_inputs(nx, ny)
         ref = build_redfield_generator(FockSpace(dim=nx), RATES)
         assert np.max(np.abs(reduced - ref.matrix)) < 1e-12
 

@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from vactrap.cli import run_cli
 from vactrap.errors import ConfigurationError, SingularCutoff
 from vactrap.params import (
     CODATA_2018,
@@ -130,6 +131,16 @@ def test_relative_shift_reference_table_entry():
 def test_relative_shift_rwa_reference_table_entry():
     config = reference_config(mode=ApproximationMode.WITH_RWA)
     assert relative_shift(config) == pytest.approx(REN_REF[1] / W_REF, rel=1e-12)
+
+
+def test_total_frequency_composition(capsys):
+    # the rates report's total frequency is w + dw of the reference table
+    assert run_cli(["rates"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    value = dict(line.split(",") for line in lines[1:])
+    assert float(value["total_frequency_rad_s"]) == pytest.approx(
+        W_REF + DW_BEYOND, rel=1e-14
+    )
 
 
 def test_free_particle_shift_values_and_factor_two():
