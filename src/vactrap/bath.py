@@ -38,6 +38,7 @@ import numpy as np
 
 from ._csv import csv_text
 from .errors import (
+    ConfigurationError,
     DimensionMismatch,
     FitFailure,
     GuardExceeded,
@@ -58,6 +59,10 @@ DIMENSION_GUARD = 2**16
 
 # share of the run skipped before fitting: the initial bandwidth transient
 _FIT_START_FRACTION = 0.05
+
+# relative errors up to which oracle_report_csv marks a fit "pass"
+_GAMMA_TOL = 0.10
+_SHIFT_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -144,9 +149,9 @@ def make_flat_bath(
     """
     if n_modes < 2:
         raise DimensionMismatch("flat bath needs >= 2 modes to define a spacing")
-    if not omega_min < omega_max:
+    if not 0.0 < omega_min < omega_max < math.inf:
         raise DimensionMismatch(
-            f"flat bath needs omega_min < omega_max, got {omega_min} and {omega_max}"
+            f"flat bath needs 0 < omega_min < omega_max < inf, got {omega_min} and {omega_max}"
         )
     if not (gamma_target > 0.0 and math.isfinite(gamma_target)):
         raise DimensionMismatch(
@@ -309,8 +314,13 @@ def bath_brute_force(
     drift of ``<b> = sum_j sqrt(level_j) conj(c[lower_j]) c[j]``
     (frequency-shift fit on the unwrapped phase).  ``rates_expected`` is an
     optional ``(gamma, shift)`` pair recorded in the result for reporting;
-    pass the discrete-sum references.
+    pass the discrete-sum references.  ``duration`` must be positive and
+    finite, and ``n_points`` at least 2.
     """
+    if not 0.0 < duration < math.inf:
+        raise ConfigurationError(f"duration must be positive and finite, got {duration}")
+    if n_points < 2:
+        raise ConfigurationError(f"n_points must be at least 2, got {n_points}")
     times = np.linspace(0.0, duration, n_points)
     h0, h, level, lower = _hamiltonian(bath)
     h[np.diag_indices_from(h)] += h0
@@ -357,14 +367,15 @@ def bath_brute_force(
     )
 
 
-def oracle_report_csv(
-    result: BathFitResult, gamma_tol: float = 0.10, shift_tol: float = 0.05
-) -> str:
-    """The comparison table: expected, fitted, relative error, pass/fail."""
+def oracle_report_csv(result: BathFitResult) -> str:
+    """The comparison table: expected, fitted, relative error, pass/fail.
+
+    A fit passes within 10 % (gamma) or 5 % (shift) of its expected value.
+    """
     rows = []
     for name, expected, fitted, tol in (
-        ("gamma", result.gamma_expected, result.gamma_fit, gamma_tol),
-        ("shift", result.shift_expected, result.shift_fit, shift_tol),
+        ("gamma", result.gamma_expected, result.gamma_fit, _GAMMA_TOL),
+        ("shift", result.shift_expected, result.shift_fit, _SHIFT_TOL),
     ):
         if expected is None:
             rows.append((name, "", fitted, "", ""))

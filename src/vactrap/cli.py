@@ -232,13 +232,11 @@ def _cmd_pt_compare(args) -> str:
     config = load_config(args.config)
     _csv_only(args.format, "pt-compare")
     w = config.omega_c
-    g = damping_rate(config.particle, w, config.constants)
+    g = damping_rate(config.particle, w)
     rows = []
     for r in args.ratios:
         omega_max = r * w
-        pt = pt_frequency_shift_renormalized(
-            config.particle, w, omega_max, config.constants
-        )
+        pt = pt_frequency_shift_renormalized(config.particle, w, omega_max)
         me = frequency_shift(g, w, omega_max, ApproximationMode.BEYOND_RWA)
         rows.append((r, omega_max, pt, me, pt / me))
     return csv_text(

@@ -55,10 +55,10 @@ class ToleranceFailure(NumericalGuard):
 
 class PositivityBreach(NumericalGuard):
     """A propagated density matrix developed a negative eigenvalue below
-    the accepted floor.  Carries the first offending time and eigenvalue."""
+    the accepted floor.  Carries the first offending time and eigenvalue,
+    and the full record of the run as ``record``."""
 
-    def __init__(self, message: str, time: float, min_eigenvalue: float,
-                 record=None):
+    def __init__(self, message: str, time: float, min_eigenvalue: float, record):
         super().__init__(message)
         self.time = time
         self.min_eigenvalue = min_eigenvalue
@@ -67,10 +67,10 @@ class PositivityBreach(NumericalGuard):
 
 class GuardBandOverflow(NumericalGuard):
     """Population leaked into the top two truncated levels beyond the
-    accepted threshold.  Carries the first offending time."""
+    accepted threshold.  Carries the first offending time, and the full
+    record of the run as ``record``."""
 
-    def __init__(self, message: str, time: float, population: float,
-                 record=None):
+    def __init__(self, message: str, time: float, population: float, record):
         super().__init__(message)
         self.time = time
         self.population = population

@@ -18,9 +18,9 @@ each wait for a core on a 2-core machine.
 The propagated matrix is never projected, renormalized or symmetrized:
 whatever the propagator produces is stored, and its defects (trace drift,
 Hermiticity drift, most negative eigenvalue, guard-band population) are
-recorded per time point.  Breaches raise by default, carrying the partial
-record, so studies *of* a breach can pass ``raise_on_breach=False`` and
-look at the diagnostics instead.  What counts as a positivity breach
+recorded per time point.  A breach raises, and the exception carries the
+full record as ``.record``, so studies *of* a breach catch it and look at
+the diagnostics there.  What counts as a positivity breach
 depends on the generator: the RWA equation is completely positive, so any
 visible negativity there is an integration defect and raises, while the
 beyond-RWA equation is *supposed* to leak negativity (a small immediate
@@ -53,6 +53,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from ._csv import csv_text
 from .errors import (
+    ConfigurationError,
     DimensionMismatch,
     GuardBandOverflow,
     PositivityBreach,
@@ -150,7 +151,6 @@ def integrate(
     rho0: DensityMatrix | np.ndarray,
     t_span: tuple[float, float],
     n_points: int = 201,
-    raise_on_breach: bool = True,
 ) -> EvolutionRecord:
     """Propagate ``rho0`` under ``generator`` over ``t_span``.
 
@@ -164,6 +164,8 @@ def integrate(
 
     Raises
     ------
+    ConfigurationError
+        If ``t_span`` is not finite and increasing, or ``n_points < 2``.
     ToleranceFailure
         If the propagated trajectory has a non-finite entry (an unstable
         generator overflowing).
@@ -174,6 +176,8 @@ def integrate(
     GuardBandOverflow
         First stored time where the top two levels hold more than 1e-6
         population.
+
+    Both breach exceptions carry the full record as ``.record``.
     """
     if not isinstance(rho0, DensityMatrix):
         rho0 = DensityMatrix(np.asarray(rho0, dtype=complex))
@@ -182,10 +186,10 @@ def integrate(
             f"initial state dim {rho0.dim} does not match generator dim {generator.dim}"
         )
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 > t0:
-        raise ValueError(f"t_span must increase, got {t_span}")
+    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
+        raise ConfigurationError(f"t_span must be finite and increasing, got {t_span}")
     if n_points < 2:
-        raise ValueError("n_points must be at least 2")
+        raise ConfigurationError(f"n_points must be at least 2, got {n_points}")
 
     times = np.linspace(t0, t1, n_points)
     # an overflow is reported below as ToleranceFailure, not as a warning
@@ -231,7 +235,7 @@ def integrate(
         else -math.inf
     )
     breach = (min_eig < floor) | (guard_pop > GUARD_BAND_LIMIT)
-    if raise_on_breach and breach.any():
+    if breach.any():
         k = int(np.argmax(breach))
         if min_eig[k] < floor:
             raise PositivityBreach(

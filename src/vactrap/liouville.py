@@ -194,7 +194,6 @@ class Superoperator:
     matrix: np.ndarray
     dim: int
     mode: ApproximationMode
-    rates: RateSet
 
     def apply(self, sigma: np.ndarray | DensityMatrix) -> np.ndarray:
         """Time derivative of ``sigma`` under this generator."""
@@ -255,9 +254,7 @@ def build_redfield_generator(space: FockSpace, rates: RateSet) -> Superoperator:
     """
     b = build_fock_operators(space).b
     gen = _assemble(*_ladder_terms(b, rates, space.omega_c, counter_rotating=True))
-    return Superoperator(
-        matrix=gen, dim=space.dim, mode=ApproximationMode.BEYOND_RWA, rates=rates
-    )
+    return Superoperator(matrix=gen, dim=space.dim, mode=ApproximationMode.BEYOND_RWA)
 
 
 def build_lindblad_generator(space: FockSpace, rates: RateSet) -> Superoperator:
@@ -268,9 +265,7 @@ def build_lindblad_generator(space: FockSpace, rates: RateSet) -> Superoperator:
     """
     b = build_fock_operators(space).b
     gen = _assemble(*_ladder_terms(b, rates, space.omega_c, counter_rotating=False))
-    return Superoperator(
-        matrix=gen, dim=space.dim, mode=ApproximationMode.WITH_RWA, rates=rates
-    )
+    return Superoperator(matrix=gen, dim=space.dim, mode=ApproximationMode.WITH_RWA)
 
 
 def build_xp_generator(space: FockSpace, rates: RateSet) -> Superoperator:
@@ -310,10 +305,7 @@ def build_xp_generator(space: FockSpace, rates: RateSet) -> Superoperator:
     right = -kinetic - potential - anti - counter_xp * xp + counter_px * px
     jumps = [(diffusion, p, p), (mixed_px, p, x), (mixed_xp, x, p)]
     return Superoperator(
-        matrix=_assemble(left, right, jumps),
-        dim=space.dim,
-        mode=ApproximationMode.BEYOND_RWA,
-        rates=rates,
+        matrix=_assemble(left, right, jumps), dim=space.dim, mode=ApproximationMode.BEYOND_RWA
     )
 
 
@@ -333,10 +325,7 @@ def build_2d_generator(
     left_y, right_y, jumps_y = _ladder_terms(by_full, rates, space_y.omega_c, True)
     gen = _assemble(left_x + left_y, right_x + right_y, jumps_x + jumps_y)
     return Superoperator(
-        matrix=gen,
-        dim=space_x.dim * space_y.dim,
-        mode=ApproximationMode.BEYOND_RWA,
-        rates=rates,
+        matrix=gen, dim=space_x.dim * space_y.dim, mode=ApproximationMode.BEYOND_RWA
     )
 
 

@@ -14,6 +14,7 @@ integration times.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -63,9 +64,10 @@ def make_state(kind: str, space: FockSpace, **params) -> DensityMatrix:
     * ``"fock"``   -- ``n=<int>``; pure number state.
     * ``"coherent"`` -- ``alpha=<complex>``; truncated amplitudes
       ``exp(-|a|^2/2) a^n / sqrt(n!)``, renormalized after truncation.
-    * ``"thermal"`` -- ``nbar=<float>`` or ``beta=<float>`` (1/J); geometric
-      weights ``q^n`` with ``q = nbar/(1+nbar)`` or ``q = exp(-beta hbar w)``,
-      renormalized after truncation.
+    * ``"thermal"`` -- ``nbar=<float>``; geometric weights ``q^n`` with
+      ``q = nbar/(1+nbar)``, renormalized after truncation.
+
+    A non-finite ``alpha`` or ``nbar`` raises ``DimensionMismatch``.
 
     A ``TruncationRisk`` is raised when the requested state carries its
     weight too close to the truncation edge (mean excitation above
@@ -88,6 +90,8 @@ def make_state(kind: str, space: FockSpace, **params) -> DensityMatrix:
     if kind == "coherent":
         alpha = complex(params.pop("alpha"))
         _reject_unknown(params)
+        if not cmath.isfinite(alpha):
+            raise DimensionMismatch(f"alpha must be finite, got {alpha}")
         magnitude = abs(alpha)
         # compared before squaring: magnitude ** 2 overflows past about 1e154
         if magnitude > math.sqrt(dim / 4.0):
@@ -107,21 +111,13 @@ def make_state(kind: str, space: FockSpace, **params) -> DensityMatrix:
         vecc = vecc / np.linalg.norm(vecc)
         return DensityMatrix(np.outer(vecc, vecc.conj()))
     if kind == "thermal":
-        if "nbar" in params:
-            nbar = float(params.pop("nbar"))
-            _reject_unknown(params)
-            if nbar < 0:
-                raise DimensionMismatch(f"nbar must be nonnegative, got {nbar}")
-            q = nbar / (1.0 + nbar)
-        elif "beta" in params:
-            beta = float(params.pop("beta"))
-            _reject_unknown(params)
-            if beta <= 0:
-                raise DimensionMismatch(f"beta must be positive, got {beta}")
-            q = math.exp(-beta * space.hbar * space.omega_c)
-            nbar = q / (1.0 - q)
-        else:
-            raise DimensionMismatch("thermal state needs nbar= or beta=")
+        if "nbar" not in params:
+            raise DimensionMismatch("thermal state needs nbar=")
+        nbar = float(params.pop("nbar"))
+        _reject_unknown(params)
+        if not (0.0 <= nbar < math.inf):
+            raise DimensionMismatch(f"nbar must be finite and nonnegative, got {nbar}")
+        q = nbar / (1.0 + nbar)
         if nbar > dim / 4.0:
             raise TruncationRisk(
                 f"nbar = {nbar:.3f} exceeds dim/4 = {dim / 4.0}; enlarge the space"

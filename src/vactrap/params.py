@@ -3,7 +3,8 @@
 All quantities are strict SI: masses in kg, charges in C, lengths in m, and
 every frequency is an *angular* frequency in rad/s unless a name says
 otherwise.  The trap frequency for a particle of charge q in a field B is
-``|q| B / m`` (SI convention).
+``|q| B / m`` (SI convention).  Every formula reads the CODATA 2018 values
+in ``CODATA_2018``.
 
 Three physically motivated ultraviolet cut-off rules are supported, plus the
 Compton frequency and an explicit user value:
@@ -27,7 +28,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from scipy import constants as _codata
@@ -234,9 +235,7 @@ def parse_mode(text: str) -> ApproximationMode:
         ) from None
 
 
-def cyclotron_frequency(
-    particle: ParticleSpec, b_field: float, constants: PhysicalConstants = CODATA_2018
-) -> float:
+def cyclotron_frequency(particle: ParticleSpec, b_field: float) -> float:
     """Trap (cyclotron) angular frequency ``|q| B / m`` in rad/s.
 
     Parameters
@@ -263,11 +262,10 @@ class ExperimentConfig:
     trap: TrapSpec
     cutoff: CutoffSpec
     mode: ApproximationMode
-    constants: PhysicalConstants = field(default=CODATA_2018)
 
     def __post_init__(self):
         if self.trap.omega_c is not None and self.trap.b_field is not None:
-            derived = cyclotron_frequency(self.particle, self.trap.b_field, self.constants)
+            derived = cyclotron_frequency(self.particle, self.trap.b_field)
             if abs(derived - self.trap.omega_c) > 1e-9 * self.trap.omega_c:
                 raise ConfigurationError(
                     "trap.omega_c and trap.b_field disagree: "
@@ -278,7 +276,7 @@ class ExperimentConfig:
     def omega_c(self) -> float:
         if self.trap.omega_c is not None:
             return self.trap.omega_c
-        return cyclotron_frequency(self.particle, self.trap.b_field, self.constants)
+        return cyclotron_frequency(self.particle, self.trap.b_field)
 
     @property
     def b_field(self) -> float:
@@ -288,9 +286,7 @@ class ExperimentConfig:
         return self.trap.omega_c * self.particle.mass / abs(self.particle.charge)
 
 
-def lwa_bound(
-    particle: ParticleSpec, omega_c: float, constants: PhysicalConstants = CODATA_2018
-) -> float:
+def lwa_bound(particle: ParticleSpec, omega_c: float) -> float:
     """Long-wavelength bound ``sqrt(2 m c^2 omega_c / hbar)`` in rad/s.
 
     Field modes above this frequency vary appreciably across the particle's
@@ -299,14 +295,13 @@ def lwa_bound(
     """
     if not (omega_c > 0.0 and math.isfinite(omega_c)):
         raise ConfigurationError(f"omega_c must be positive, got {omega_c}")
-    return math.sqrt(2.0 * particle.mass * constants.c**2 * omega_c / constants.hbar)
+    k = CODATA_2018
+    return math.sqrt(2.0 * particle.mass * k.c**2 * omega_c / k.hbar)
 
 
-def compton_frequency(
-    particle: ParticleSpec, constants: PhysicalConstants = CODATA_2018
-) -> float:
+def compton_frequency(particle: ParticleSpec) -> float:
     """Relativistic ceiling ``m c^2 / hbar`` in rad/s."""
-    return particle.mass * constants.c**2 / constants.hbar
+    return particle.mass * CODATA_2018.c**2 / CODATA_2018.hbar
 
 
 def cutoff_frequency(config: ExperimentConfig) -> float:
@@ -322,7 +317,7 @@ def cutoff_frequency(config: ExperimentConfig) -> float:
     LongWavelengthWarning
         If the resolved value exceeds ``lwa_bound`` (strictly).
     """
-    k = config.constants
+    k = CODATA_2018
     kind = config.cutoff.kind
     w = config.omega_c
     if kind is CutoffKind.LARGEST_AMPLITUDE:
@@ -334,17 +329,17 @@ def cutoff_frequency(config: ExperimentConfig) -> float:
             raise MissingParameter("de-broglie cutoff needs trap.d_c")
         value = k.c * config.particle.mass * config.trap.d_c * w / k.hbar
     elif kind is CutoffKind.ZERO_POINT:
-        value = lwa_bound(config.particle, w, k)
+        value = lwa_bound(config.particle, w)
     elif kind is CutoffKind.COMPTON:
-        value = compton_frequency(config.particle, k)
+        value = compton_frequency(config.particle)
     else:  # EXPLICIT
         value = float(config.cutoff.value)
 
     if kind in _LWA_KINDS:
-        ceiling = compton_frequency(config.particle, k)
+        ceiling = compton_frequency(config.particle)
         if value > ceiling:
             value = ceiling
-        bound = lwa_bound(config.particle, w, k)
+        bound = lwa_bound(config.particle, w)
         if value > bound:
             warnings.warn(
                 f"cutoff {value:.3e} rad/s exceeds the long-wavelength bound "
@@ -356,10 +351,7 @@ def cutoff_frequency(config: ExperimentConfig) -> float:
 
 
 def spin_coupling_ratio(
-    particle: ParticleSpec,
-    omega_c: float,
-    mode_frequency: float,
-    constants: PhysicalConstants = CODATA_2018,
+    particle: ParticleSpec, omega_c: float, mode_frequency: float
 ) -> float:
     """Order-of-magnitude ratio of charge coupling to spin coupling.
 
@@ -371,7 +363,8 @@ def spin_coupling_ratio(
     """
     if not (mode_frequency > 0.0 and math.isfinite(mode_frequency)):
         raise ConfigurationError(f"mode_frequency must be positive, got {mode_frequency}")
-    num = constants.c**2 * math.sqrt(particle.mass * omega_c / constants.hbar)
+    k = CODATA_2018
+    num = k.c**2 * math.sqrt(particle.mass * omega_c / k.hbar)
     return num / mode_frequency
 
 

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import SingularDenominator
-from .params import CODATA_2018, ParticleSpec, PhysicalConstants
+from .params import CODATA_2018, ParticleSpec
 from .rates import _log_tail, kappa
 
 __all__ = [
@@ -69,10 +69,7 @@ def _check_resonances(omega_c: float, omega_max: float) -> None:
 
 
 def pt_constants(
-    particle: ParticleSpec,
-    omega_c: float,
-    omega_max: float,
-    constants: PhysicalConstants = CODATA_2018,
+    particle: ParticleSpec, omega_c: float, omega_max: float
 ) -> PerturbationShifts:
     """Evaluate the ten closed-form constants at the given cutoff.
 
@@ -86,8 +83,8 @@ def pt_constants(
             f"need omega_c > 0 and omega_max >= 0, got {omega_c!r}, {omega_max!r}"
         )
     _check_resonances(omega_c, omega_max)
-    a_q = constants.fine_structure(particle.charge)
-    k = kappa(particle, omega_c, constants)
+    a_q = CODATA_2018.fine_structure(particle.charge)
+    k = kappa(particle, omega_c)
     pairs = []
     for _, coefficient, power, n, order in _PT_TABLE:
         pref = coefficient * a_q * k**power / math.pi
@@ -98,10 +95,7 @@ def pt_constants(
 
 
 def pt_renormalization_term(
-    particle: ParticleSpec,
-    omega_c: float,
-    omega_max: float,
-    constants: PhysicalConstants = CODATA_2018,
+    particle: ParticleSpec, omega_c: float, omega_max: float
 ) -> float:
     """The linear-in-cutoff piece stripped from the zeroth constants (1/s).
 
@@ -111,16 +105,13 @@ def pt_renormalization_term(
     bookkeeping as the frequency shift, halved by the two-vs-one-transition
     counting.
     """
-    a_q = constants.fine_structure(particle.charge)
-    k = kappa(particle, omega_c, constants)
+    a_q = CODATA_2018.fine_structure(particle.charge)
+    k = kappa(particle, omega_c)
     return 2.0 * a_q * k * omega_max / math.pi
 
 
 def pt_frequency_shift_renormalized(
-    particle: ParticleSpec,
-    omega_c: float,
-    omega_max: float,
-    constants: PhysicalConstants = CODATA_2018,
+    particle: ParticleSpec, omega_c: float, omega_max: float
 ) -> float:
     """Level-spacing shift (1/s) from the long-wavelength constants alone,
     with the linear-in-cutoff free-particle piece subtracted.
@@ -135,8 +126,8 @@ def pt_frequency_shift_renormalized(
             f"renormalized spacing needs omega_max > omega_c "
             f"(got {omega_max!r} <= {omega_c!r})"
         )
-    shifts = pt_constants(particle, omega_c, omega_max, constants)
-    term = pt_renormalization_term(particle, omega_c, omega_max, constants)
+    shifts = pt_constants(particle, omega_c, omega_max)
+    term = pt_renormalization_term(particle, omega_c, omega_max)
     d0p, d0m = shifts.delta0_pm
     d0p_ren = d0p - term
     d0m_ren = d0m + term

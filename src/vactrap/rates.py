@@ -26,7 +26,6 @@ from .params import (
     ApproximationMode,
     ExperimentConfig,
     ParticleSpec,
-    PhysicalConstants,
     cutoff_frequency,
 )
 
@@ -44,24 +43,20 @@ __all__ = [
 ]
 
 
-def kappa(
-    particle: ParticleSpec, omega_c: float, constants: PhysicalConstants = CODATA_2018
-) -> float:
+def kappa(particle: ParticleSpec, omega_c: float) -> float:
     """Trap-quantum to rest-energy ratio ``hbar w / (m c^2)`` (dimensionless)."""
     _require_positive_frequency(omega_c)
-    return constants.hbar * omega_c / (particle.mass * constants.c**2)
+    return CODATA_2018.hbar * omega_c / (particle.mass * CODATA_2018.c**2)
 
 
-def damping_rate(
-    particle: ParticleSpec, omega_c: float, constants: PhysicalConstants = CODATA_2018
-) -> float:
+def damping_rate(particle: ParticleSpec, omega_c: float) -> float:
     """Radiative energy damping rate ``q^2 w^2 / (3 pi eps0 m c^3)`` in 1/s.
 
     Equals ``(4/3) alpha_q kappa w`` with ``alpha_q`` the charge-generalized
     fine-structure constant; the identity is exercised in the tests.
     """
     _require_positive_frequency(omega_c)
-    k = constants
+    k = CODATA_2018
     return particle.charge**2 * omega_c**2 / (3.0 * math.pi * k.eps0 * particle.mass * k.c**3)
 
 
@@ -163,14 +158,10 @@ class FreeParticleShift:
     delta_e_lin: float
 
 
-def free_particle_shift(
-    particle: ParticleSpec,
-    omega_max: float,
-    constants: PhysicalConstants = CODATA_2018,
-) -> FreeParticleShift:
+def free_particle_shift(particle: ParticleSpec, omega_max: float) -> FreeParticleShift:
     """Free-particle relative energy shift pair for a cut-off ``W``."""
     _require_positive_frequency(omega_max, "omega_max")
-    k = constants
+    k = CODATA_2018
     lin = particle.charge**2 * omega_max / (3.0 * math.pi**2 * k.eps0 * particle.mass * k.c**3)
     return FreeParticleShift(delta_e_fp=2.0 * lin, delta_e_lin=lin)
 
@@ -246,7 +237,7 @@ def build_rate_set(config: ExperimentConfig) -> RateSet:
 def _rate_set_at(config: ExperimentConfig, W: float) -> RateSet:
     """:func:`build_rate_set` with the cut-off ``W`` already resolved."""
     w = config.omega_c
-    g = damping_rate(config.particle, w, config.constants)
+    g = damping_rate(config.particle, w)
     dp_raw, dm_raw = level_shifts_raw(g, w, W)
     dp_ren, dm_ren = level_shifts_renormalized(g, w, W)
     return RateSet(

@@ -72,7 +72,7 @@ def _at_field(
     """
     kind = parse_cutoff_kind(cutoff) if isinstance(cutoff, str) else (cutoff or config.cutoff.kind)
     value = config.cutoff.value if kind is CutoffKind.EXPLICIT else None
-    w = cyclotron_frequency(config.particle, b_field, config.constants)
+    w = cyclotron_frequency(config.particle, b_field)
     return replace(
         config,
         trap=TrapSpec(omega_c=w, d_a=config.trap.d_a, d_c=config.trap.d_c),
@@ -310,10 +310,8 @@ def validity_report(config: ExperimentConfig) -> ValidityReport:
         except UnboundedWindow:
             t_max = math.inf
             notes.append("zero renormalized shift; positivity never breaks")
-    bound = lwa_bound(config.particle, config.omega_c, config.constants)
-    ratio = spin_coupling_ratio(
-        config.particle, config.omega_c, omega_max, config.constants
-    )
+    bound = lwa_bound(config.particle, config.omega_c)
+    ratio = spin_coupling_ratio(config.particle, config.omega_c, omega_max)
     two_pi = 2.0 * math.pi
     return ValidityReport(
         omega_c=config.omega_c,

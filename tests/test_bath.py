@@ -1,5 +1,6 @@
 """Brute-force discretized-bath oracle: exact evolution vs discrete-sum rates."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +37,8 @@ def test_flat_bath_needs_a_spacing():
 
 @pytest.mark.parametrize(
     "omega_min, omega_max, gamma_target",
-    [(5.0, 0.2, 5e-3), (1.0, 1.0, 5e-3), (0.2, 5.0, 0.0), (0.2, 5.0, math.inf)],
+    [(5.0, 0.2, 5e-3), (1.0, 1.0, 5e-3), (0.2, 5.0, 0.0), (0.2, 5.0, math.inf),
+     (-1.0, 0.5, 5e-3), (0.0, 0.5, 5e-3), (0.2, math.inf, 5e-3)],
 )
 def test_flat_bath_needs_an_ordered_band_and_a_positive_rate(
     omega_min, omega_max, gamma_target
@@ -263,9 +265,20 @@ def test_oracle_report_csv_layout():
     shift_fields = lines[2].split(",")
     assert shift_fields[0] == "shift"
     assert shift_fields[4] == "pass"
-    # tight tolerances flip the verdict; nothing else changes
-    strict = oracle_report_csv(result, gamma_tol=1e-6, shift_tol=1e-6)
-    assert strict.strip().splitlines()[1].endswith(",fail")
+    # an expected value far from the fit flips the verdict
+    far = replace(result, gamma_expected=2.0 * result.gamma_fit,
+                  shift_expected=2.0 * result.shift_fit)
+    for line in oracle_report_csv(far).strip().splitlines()[1:]:
+        fields = line.split(",")
+        assert float(fields[3]) == 0.5
+        assert fields[4] == "fail"
+    # the verdict turns between 9 and 11 % (gamma) and 4 and 6 % (shift)
+    for rel, verdicts in ((0.09, ("pass", "fail")), (0.04, ("pass", "pass")),
+                          (0.11, ("fail", "fail")), (0.06, ("pass", "fail"))):
+        near = replace(result, gamma_expected=result.gamma_fit / (1.0 + rel),
+                       shift_expected=result.shift_fit / (1.0 + rel))
+        rows = oracle_report_csv(near).strip().splitlines()[1:]
+        assert tuple(row.split(",")[4] for row in rows) == verdicts
 
 
 def test_oracle_report_csv_without_references():

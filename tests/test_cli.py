@@ -206,6 +206,16 @@ def test_unwritable_output_path(capsys, tmp_path):
         ["bath-oracle", "--gamma-target", "0"],
         ["evolve", "--dim", "6", "--alpha", "1e200"],
         ["evolve", "--dim", "6", "--gamma", "nan"],
+        ["evolve", "--dim", "6", "--alpha", "nan"],
+        ["witness", "--dim", "6", "--nbar", "nan"],
+        ["bath-oracle", "--omega-min", "-1", "--omega-max", "0.5", "--modes", "8"],
+        ["evolve", "--t-end", "inf"],
+        ["evolve", "--t-end", "-1"],
+        ["evolve", "--points", "1"],
+        ["bath-oracle", "--modes", "8", "--duration", "-5"],
+        ["bath-oracle", "--modes", "8", "--duration", "nan"],
+        ["bath-oracle", "--modes", "8", "--duration", "0"],
+        ["bath-oracle", "--modes", "8", "--duration", "inf"],
     ],
 )
 def test_out_of_domain_values_are_input_errors(argv, capsys):

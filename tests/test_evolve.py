@@ -11,6 +11,7 @@ from scipy.sparse.linalg import expm_multiply
 
 import vactrap
 from vactrap.errors import (
+    ConfigurationError,
     DimensionMismatch,
     GuardBandOverflow,
     PositivityBreach,
@@ -189,12 +190,7 @@ def test_same_trajectory_raises_when_labelled_completely_positive():
     space = FockSpace(dim=16)
     rates = RateSet.scaled(1e-2, 2e-2, 3e-2)
     gen = build_redfield_generator(space, rates)
-    relabelled = Superoperator(
-        matrix=gen.matrix,
-        dim=gen.dim,
-        mode=ApproximationMode.WITH_RWA,
-        rates=rates,
-    )
+    relabelled = Superoperator(matrix=gen.matrix, dim=gen.dim, mode=ApproximationMode.WITH_RWA)
     rho0 = make_state("coherent", space, alpha=1.0)
     with pytest.raises(PositivityBreach) as exc_info:
         integrate(relabelled, rho0, (0.0, 1.0), n_points=101)
@@ -236,11 +232,16 @@ def test_guard_band_overflow_on_underdimensioned_thermal_state():
 
 
 def test_raise_on_breach_false_returns_full_record():
+    # a breach at t = 0 still hands over every snapshot through the exception
     space = FockSpace(dim=16)
     gen = build_redfield_generator(space, STABLE)
     rho0 = make_state("thermal", space, nbar=1.0)
-    record = integrate(gen, rho0, (0.0, 1.0), n_points=11, raise_on_breach=False)
+    with pytest.raises(GuardBandOverflow) as exc_info:
+        integrate(gen, rho0, (0.0, 1.0), n_points=11)
+    record = exc_info.value.record
+    assert exc_info.value.time == 0.0
     assert len(record.states) == 11
+    assert record.times[-1] == 1.0
     assert record.guard_pop[0] > GUARD_BAND_LIMIT
 
 
@@ -280,9 +281,10 @@ def test_integrate_argument_validation():
     space = FockSpace(dim=6)
     gen = build_lindblad_generator(space, STABLE)
     rho0 = make_state("fock", space, n=0)
-    with pytest.raises(ValueError, match="t_span"):
-        integrate(gen, rho0, (1.0, 1.0))
-    with pytest.raises(ValueError, match="n_points"):
+    for t_span in ((1.0, 1.0), (0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ConfigurationError, match="t_span"):
+            integrate(gen, rho0, t_span)
+    with pytest.raises(ConfigurationError, match="n_points"):
         integrate(gen, rho0, (0.0, 1.0), n_points=1)
     with pytest.raises(DimensionMismatch):
         integrate(gen, make_state("fock", FockSpace(dim=8), n=0), (0.0, 1.0))
@@ -292,9 +294,7 @@ def test_integrate_argument_validation():
 def test_overflowing_generator_raises_tolerance_failure(n_points):
     space = FockSpace(dim=4)
     gen = build_lindblad_generator(space, STABLE)
-    unstable = Superoperator(
-        matrix=gen.matrix + 1e3 * np.eye(16), dim=4, mode=gen.mode, rates=STABLE
-    )
+    unstable = Superoperator(matrix=gen.matrix + 1e3 * np.eye(16), dim=4, mode=gen.mode)
     with pytest.raises(ToleranceFailure, match="not finite"):
         integrate(unstable, make_state("fock", space, n=0), (0.0, 1.0), n_points=n_points)
 

@@ -73,16 +73,6 @@ def test_thermal_state_geometric_weights():
     )
 
 
-def test_thermal_beta_route_equals_nbar_route():
-    space = FockSpace(dim=12, omega_c=2.0, hbar=1.0)
-    beta = 0.9
-    q = math.exp(-beta * space.hbar * space.omega_c)
-    nbar = q / (1.0 - q)
-    via_beta = make_state("thermal", space, beta=beta)
-    via_nbar = make_state("thermal", space, nbar=nbar)
-    assert np.array_equal(via_beta.matrix, via_nbar.matrix)
-
-
 def test_make_state_truncation_guards():
     space = FockSpace(dim=8)
     with pytest.raises(TruncationRisk):
@@ -105,6 +95,10 @@ def test_make_state_rejects_bad_parameters():
         make_state("thermal", space)
     with pytest.raises(DimensionMismatch):
         make_state("thermal", space, nbar=-0.1)
+    with pytest.raises(DimensionMismatch, match="finite"):
+        make_state("thermal", space, nbar=math.nan)
+    with pytest.raises(DimensionMismatch, match="finite"):
+        make_state("coherent", space, alpha=complex(0.5, math.nan))
     with pytest.raises(DimensionMismatch):
         make_state("thermal", space, beta=0.0)
     with pytest.raises(DimensionMismatch):
