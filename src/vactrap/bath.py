@@ -72,7 +72,7 @@ class BathModel:
     ``mode_frequencies`` and ``couplings`` are parallel arrays (couplings
     real, in the same angular-frequency units as the frequencies --
     throughout this module ``hbar = 1`` and frequencies are measured in
-    units of the trap frequency unless stated otherwise).  The
+    units of the trap frequency, so the trap sits at 1).  The
     excitation-conserving coupling (``counter_rotating=False``) is modelled
     in its one-excitation sector, so it takes only ``particle_levels=2``
     and ``photons_per_mode=1``.
@@ -83,7 +83,6 @@ class BathModel:
     particle_levels: int = 2
     photons_per_mode: int = 1
     counter_rotating: bool = False
-    omega_c: float = 1.0
 
     def __post_init__(self):
         freqs = np.atleast_1d(np.asarray(self.mode_frequencies, dtype=float))
@@ -139,7 +138,6 @@ def make_flat_bath(
     omega_min: float,
     omega_max: float,
     gamma_target: float,
-    omega_c: float = 1.0,
     **kwargs,
 ) -> BathModel:
     """Evenly spaced modes with equal couplings sized for a target rate.
@@ -163,7 +161,6 @@ def make_flat_bath(
     return BathModel(
         mode_frequencies=freqs,
         couplings=np.full(n_modes, kappa),
-        omega_c=omega_c,
         **kwargs,
     )
 
@@ -177,7 +174,7 @@ def discrete_golden_rule(bath: BathModel) -> float:
     freqs = bath.mode_frequencies
     if len(freqs) < 2:
         raise FitFailure("golden rule needs a mode density: >= 2 modes")
-    k = int(np.argmin(np.abs(freqs - bath.omega_c)))
+    k = int(np.argmin(np.abs(freqs - 1.0)))
     lo = max(k - 1, 0)
     hi = min(k + 1, len(freqs) - 1)
     spacing = (freqs[hi] - freqs[lo]) / (hi - lo)
@@ -193,7 +190,7 @@ def discrete_second_order_shift(bath: BathModel) -> float:
     evolves in: the drift of ``|1> x |vac>`` minus that of ``|0> x |vac>``,
     each ``sum_j |V_j,target|^2 / (E_target - E_j)``.  For the
     excitation-conserving coupling this is
-    ``sum_k kappa_k^2 / (omega_c - Omega_k)`` (level 0 does not move); with
+    ``sum_k kappa_k^2 / (1 - Omega_k)`` (level 0 does not move); with
     the full coupling it is the spacing drift between the dressed levels
     adiabatically connected to one and zero trap quanta.  A coupled state
     exactly on resonance makes the sum meaningless and raises.
@@ -204,7 +201,7 @@ def discrete_second_order_shift(bath: BathModel) -> float:
         amp2 = np.abs(v[:, target]) ** 2
         keep = amp2 > 0
         denom = h0[target] - h0[keep]
-        if np.any(np.abs(denom) <= 1e-12 * bath.omega_c):
+        if np.any(np.abs(denom) <= 1e-12):
             raise FitFailure(
                 "a mode sits exactly on resonance; the second-order sum diverges"
             )
@@ -224,7 +221,7 @@ def _hamiltonian(bath: BathModel) -> tuple[np.ndarray, ...]:
     """
     m = bath.n_modes
     if not bath.counter_rotating:
-        h0 = np.concatenate(([0.0, bath.omega_c], bath.mode_frequencies))
+        h0 = np.concatenate(([0.0, 1.0], bath.mode_frequencies))
         v = np.zeros((m + 2, m + 2), dtype=complex)
         v[2:, 1] = 1j * bath.couplings
         v[1, 2:] = -1j * bath.couplings
@@ -244,7 +241,7 @@ def _hamiltonian(bath: BathModel) -> tuple[np.ndarray, ...]:
     photons = np.arange(n_field)[:, None] // strides % n_ph
     level = np.repeat(np.arange(n_p), n_field)
     # integer levels keep the trap energies exact; diag(b+ b) squares sqrt(n)
-    h0 = float(bath.omega_c) * level
+    h0 = level.astype(float)
     quadrature = np.zeros((n_field, n_field))  # sum_k kappa_k (a_k + a_k^+)
     for k in range(m):
         h0 += bath.mode_frequencies[k] * np.tile(photons[:, k], n_p)
@@ -289,14 +286,14 @@ def _fit_decay(times: np.ndarray, pop: np.ndarray) -> float:
     return -float(slope)
 
 
-def _fit_phase_drift(times: np.ndarray, mean_b: np.ndarray, omega_c: float) -> float:
+def _fit_phase_drift(times: np.ndarray, mean_b: np.ndarray) -> float:
     mag = np.abs(mean_b)
     usable = mag > 1e-12 * (mag.max() if mag.max() > 0 else 1.0)
     if np.count_nonzero(usable) < 8:
         raise FitFailure("<b> vanished; no phase to fit")
     phase = np.unwrap(np.angle(mean_b[usable]))
     slope = np.polyfit(times[usable], phase, 1)[0]
-    return -float(slope) - omega_c
+    return -float(slope) - 1.0
 
 
 def bath_brute_force(
@@ -350,7 +347,7 @@ def bath_brute_force(
 
     fit_mask = times >= _FIT_START_FRACTION * duration
     gamma_fit = _fit_decay(times[fit_mask], pop[fit_mask])
-    shift_fit = _fit_phase_drift(times[fit_mask], mean_b[fit_mask], bath.omega_c)
+    shift_fit = _fit_phase_drift(times[fit_mask], mean_b[fit_mask])
 
     gamma_expected = shift_expected = None
     if rates_expected is not None:

@@ -29,9 +29,10 @@ is diagnostic data only and positivity never aborts a run.  Truncation
 overflow into the guard band aborts either way.
 
 Time scales: real single-electron parameters put ``w/G`` near 1e11, so
-direct integration over laboratory times is hopeless; dynamical studies are
-meant to run in scaled units (``w = 1``, rates as dimensionless ratios, see
-``RateSet.scaled``), while everything analytic stays in SI.
+direct integration over laboratory times is hopeless.  The dynamics run in
+trap units (``omega_c = hbar = m = 1``, rates as multiples of ``omega_c``
+from ``RateSet.scaled``, times in ``1/omega_c``); the generator builders
+refuse an SI rate set, and everything analytic stays in SI.
 
 The analytic positivity horizon for Gaussian states is
 
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, get_blas_funcs
 from scipy.sparse import csr_array
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse.linalg import expm_multiply, norm as sparse_norm
 
 from ._csv import csv_text
 from .errors import (
@@ -168,7 +169,8 @@ def integrate(
         If ``t_span`` is not finite and increasing, or ``n_points < 2``.
     ToleranceFailure
         If the propagated trajectory has a non-finite entry (an unstable
-        generator overflowing).
+        generator overflowing), or, before ``expm_multiply`` is called, if
+        ``||L||_1 (t1 - t0)`` reaches ``1/eps``.
     PositivityBreach
         First stored time where the lowest eigenvalue drops below
         ``POSITIVITY_FLOOR_CP`` (-1e-8); raised for ``WITH_RWA`` generators
@@ -265,7 +267,10 @@ def _propagate(op: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
     set-up over the steps.  Beyond-RWA's two equal blocks need ``N`` steps;
     the RWA generator's ``2 dim - 1`` blocks of at most ``dim`` entries
     need ``2 dim``.  Otherwise ``expm_multiply`` touches the whole ``op``
-    only through sparse products.
+    only through sparse products, in about ``||op||_1 (t_1 - t_0) / 10``
+    steps that each round at ``eps``: a span with ``||op||_1 (t_1 - t_0) >=
+    1/eps`` raises ``ToleranceFailure`` first (SciPy's own step count would
+    overflow into a ``ValueError``).
     """
     n_points, size = len(times), len(y0)
     sparse = csr_array(op)
@@ -273,9 +278,13 @@ def _propagate(op: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
     largest = max(len(idx) for idx in blocks)
     if largest <= _STEPPER_MAX_SIZE and n_points - 1 >= min(size, 2 * largest):
         return _step_blocks(op, y0, times, blocks)
-    return expm_multiply(
-        sparse, y0, start=0.0, stop=times[-1] - times[0], num=n_points, endpoint=True
-    )
+    span = times[-1] - times[0]
+    norm_span = sparse_norm(sparse, 1) * span
+    if not norm_span * np.finfo(float).eps < 1.0:
+        raise ToleranceFailure(
+            f"||L||_1 (t1 - t0) = {norm_span:.3e} reaches 1/eps; too long a span for expm_multiply"
+        )
+    return expm_multiply(sparse, y0, start=0.0, stop=span, num=n_points, endpoint=True)
 
 
 def _step_blocks(

@@ -18,9 +18,9 @@ part of the ladder triple (a damped oscillator at ``omega_c + delta_minus``);
 the beyond-RWA generator adds the counter-rotating part (the ``-delta_plus``
 frequency pull and the two-quantum ``b^2``, ``(b+)^2`` channels).
 
-Generators consume the renormalized shift pair of a
-:class:`~vactrap.rates.RateSet` (``rates.delta_plus`` / ``rates.delta_minus``).
-For scaled-unit studies build the rate set with ``RateSet.scaled``.
+Everything here is in trap units, ``omega_c = hbar = m = 1``: generators
+read ``gamma`` and the renormalized pair ``delta_plus`` / ``delta_minus`` of
+a ``RateSet.scaled`` rate set, and refuse an SI one.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
-from .errors import DimensionMismatch, DimensionTooSmall
+from .errors import ConfigurationError, DimensionMismatch, DimensionTooSmall
 from .params import ApproximationMode
 from .rates import RateSet
 
@@ -57,24 +57,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FockSpace:
-    """A truncated ``dim``-level oscillator ladder.
-
-    ``omega_c`` (rad/s), ``mass`` (kg) and ``hbar`` fix the position and
-    momentum scalings; set all three to 1.0 for scaled-unit work.
-    """
+    """A truncated ``dim``-level oscillator ladder in trap units
+    (``omega_c = hbar = m = 1``)."""
 
     dim: int
-    omega_c: float = 1.0
-    mass: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self):
         if self.dim < 2:
             raise DimensionTooSmall(f"need at least 2 levels, got dim={self.dim}")
-        if not (self.omega_c > 0 and self.mass > 0 and self.hbar > 0):
-            raise DimensionMismatch(
-                "omega_c, mass and hbar must be positive scalings"
-            )
 
 
 class FockOperators(NamedTuple):
@@ -95,19 +85,19 @@ class FockOperators(NamedTuple):
 def build_fock_operators(space: FockSpace) -> FockOperators:
     """Lowering/raising/position/momentum/number matrices (complex dense).
 
-    ``b[n-1, n] = sqrt(n)``;  ``x = sqrt(hbar/(2 m w)) (b + b+)``;
-    ``p = -i sqrt(m w hbar / 2) (b - b+)``;  ``n = b+ b`` (exact ladder on
-    the first ``dim-1`` levels, corner-truncated at the top).
+    ``b[n-1, n] = sqrt(n)``;  ``x = sqrt(1/2) (b + b+)``;
+    ``p = -i sqrt(1/2) (b - b+)`` (trap units, so ``[x, p] = i`` away from
+    the corner);  ``n = b+ b`` (exact ladder on the first ``dim-1`` levels,
+    corner-truncated at the top).
     """
     dim = space.dim
     b = np.zeros((dim, dim), dtype=complex)
     ns = np.arange(1, dim)
     b[ns - 1, ns] = np.sqrt(ns)
     bdag = b.conj().T
-    x_scale = np.sqrt(space.hbar / (2.0 * space.mass * space.omega_c))
-    p_scale = np.sqrt(space.mass * space.omega_c * space.hbar / 2.0)
-    x = x_scale * (b + bdag)
-    p = -1j * p_scale * (b - bdag)
+    scale = np.sqrt(0.5)
+    x = scale * (b + bdag)
+    p = -1j * scale * (b - bdag)
     n = bdag @ b
     return FockOperators(b=b, bdag=bdag, x=x, p=p, n=n)
 
@@ -217,18 +207,28 @@ def _assemble(left: np.ndarray, right: np.ndarray, jumps: list[_Jump]) -> np.nda
     return gen
 
 
+def _trap_rates(rates: RateSet) -> tuple[float, float, float]:
+    """``(gamma, delta_plus, delta_minus)``, refusing a rate set at any
+    ``omega_c`` but 1 (an SI one), which would be read against the wrong
+    trap frequency."""
+    if rates.omega_c != 1.0:
+        raise ConfigurationError(
+            f"generators run in trap units (omega_c = 1), got a rate set at "
+            f"omega_c = {rates.omega_c!r}; use RateSet.scaled"
+        )
+    return rates.gamma, rates.delta_plus, rates.delta_minus
+
+
 def _ladder_terms(
-    b: np.ndarray, rates: RateSet, omega_c: float, counter_rotating: bool
+    b: np.ndarray, rates: RateSet, counter_rotating: bool
 ) -> tuple[np.ndarray, np.ndarray, list[_Jump]]:
     """Generator triple for one ladder matrix ``b`` (may be embedded): the
     rotating part, plus the counter-rotating part when asked for, whose
     ``b sigma b`` and ``b+ sigma b+`` jumps keep ``gamma/2`` at zero shifts."""
-    g = rates.gamma
-    dp_ = rates.delta_plus
-    dm_ = rates.delta_minus
+    g, dp_, dm_ = _trap_rates(rates)
     bdag = b.conj().T
     n = bdag @ b
-    omega = omega_c + dm_ - (dp_ if counter_rotating else 0.0)
+    omega = 1.0 + dm_ - (dp_ if counter_rotating else 0.0)
     left = (-1j * omega - 0.5 * g) * n
     right = (1j * omega - 0.5 * g) * n
     jumps = [(g, b, bdag)]
@@ -253,7 +253,7 @@ def build_redfield_generator(space: FockSpace, rates: RateSet) -> Superoperator:
     ``gamma/2`` weights of those terms remain.
     """
     b = build_fock_operators(space).b
-    gen = _assemble(*_ladder_terms(b, rates, space.omega_c, counter_rotating=True))
+    gen = _assemble(*_ladder_terms(b, rates, counter_rotating=True))
     return Superoperator(matrix=gen, dim=space.dim, mode=ApproximationMode.BEYOND_RWA)
 
 
@@ -264,7 +264,7 @@ def build_lindblad_generator(space: FockSpace, rates: RateSet) -> Superoperator:
     stationary and diagonal states stay diagonal.
     """
     b = build_fock_operators(space).b
-    gen = _assemble(*_ladder_terms(b, rates, space.omega_c, counter_rotating=False))
+    gen = _assemble(*_ladder_terms(b, rates, counter_rotating=False))
     return Superoperator(matrix=gen, dim=space.dim, mode=ApproximationMode.WITH_RWA)
 
 
@@ -278,27 +278,22 @@ def build_xp_generator(space: FockSpace, rates: RateSet) -> Superoperator:
     truncated matrix agrees with the ladder form to rounding error -- the
     equality is exercised as a test invariant.
     """
+    g, dp_, dm_ = _trap_rates(rates)
     ops = build_fock_operators(space)
     x, p = ops.x, ops.p
-    hb = space.hbar
-    m = space.mass
-    w = space.omega_c
-    g = rates.gamma
-    dp_ = rates.delta_plus
-    dm_ = rates.delta_minus
 
     p2 = p @ p
     x2 = x @ x
     xp = x @ p
     px = p @ x
 
-    kinetic = (-1j / hb) * (1.0 + 2.0 * (dm_ - dp_) / w) * (p2 / (2.0 * m))
-    potential = (-1j * m * w**2 / (2.0 * hb)) * x2
-    diffusion = g / (hb * m * w)
-    mixed_px = (dm_ + dp_ + 0.5j * g) / hb
-    mixed_xp = (dm_ + dp_ - 0.5j * g) / hb
-    counter_px = (dm_ - dp_ + w - 0.5j * g) / (2.0 * hb)
-    counter_xp = (dm_ - dp_ + w + 0.5j * g) / (2.0 * hb)
+    kinetic = -1j * (1.0 + 2.0 * (dm_ - dp_)) * (p2 / 2.0)
+    potential = -0.5j * x2
+    diffusion = g
+    mixed_px = dm_ + dp_ + 0.5j * g
+    mixed_xp = dm_ + dp_ - 0.5j * g
+    counter_px = (dm_ - dp_ + 1.0 - 0.5j * g) / 2.0
+    counter_xp = (dm_ - dp_ + 1.0 + 0.5j * g) / 2.0
     # each channel c (L sigma R - {R L, sigma}/2) loses c R L / 2 on both sides
     anti = 0.5 * (diffusion * p2 + mixed_px * xp + mixed_xp * px)
     left = kinetic + potential - anti + counter_xp * xp - counter_px * px
@@ -321,8 +316,8 @@ def build_2d_generator(
     """
     bx_full = np.kron(build_fock_operators(space_x).b, np.eye(space_y.dim))
     by_full = np.kron(np.eye(space_x.dim), build_fock_operators(space_y).b)
-    left_x, right_x, jumps_x = _ladder_terms(bx_full, rates, space_x.omega_c, True)
-    left_y, right_y, jumps_y = _ladder_terms(by_full, rates, space_y.omega_c, True)
+    left_x, right_x, jumps_x = _ladder_terms(bx_full, rates, True)
+    left_y, right_y, jumps_y = _ladder_terms(by_full, rates, True)
     gen = _assemble(left_x + left_y, right_x + right_y, jumps_x + jumps_y)
     return Superoperator(
         matrix=gen, dim=space_x.dim * space_y.dim, mode=ApproximationMode.BEYOND_RWA
@@ -347,14 +342,11 @@ def sigma02_rhs(sigma: np.ndarray | DensityMatrix, rates: RateSet) -> complex:
         raise DimensionTooSmall(
             f"sigma02_rhs couples entries up to sigma[0, 4]; need dim >= 5, got {mat.shape[0]}"
         )
-    g = rates.gamma
-    dp_ = rates.delta_plus
-    dm_ = rates.delta_minus
-    w = rates.omega_c
+    g, dp_, dm_ = _trap_rates(rates)
     rt2 = np.sqrt(2.0)
     rt3 = np.sqrt(3.0)
     return (
-        (2j * (w + dm_ - dp_) - g) * mat[0, 2]
+        (2j * (1.0 + dm_ - dp_) - g) * mat[0, 2]
         + (rt3 * g - 2j * rt3 * dm_) * mat[0, 4]
         + rt3 * g * mat[1, 3]
         - (1j * rt2 * (dp_ + dm_) + g / rt2) * mat[1, 1]

@@ -1,11 +1,12 @@
 """States, expectation values, the damped-oscillator solution, the witness.
 
-The coherence witness is the ladder observable ``b^2 + (b+)^2`` (equal to
-``(m w / hbar) x^2 - (1/(hbar m w)) p^2`` up to the quadrature scalings).
-Its expectation is identically zero on any diagonal (populations-only)
-state, so growth of ``<W>`` from a thermal start is an unambiguous sign of
-two-quantum coherence generation: the RWA generator can never produce it,
-the beyond-RWA generator does.
+States and operators are in trap units (``omega_c = hbar = m = 1``), as
+in the generators.  The coherence witness is the ladder observable
+``b^2 + (b+)^2`` (equal to ``x^2 - p^2`` in those units).  Its expectation
+is identically zero on any diagonal (populations-only) state, so growth
+of ``<W>`` from a thermal start is an unambiguous sign of two-quantum
+coherence generation: the RWA generator can never produce it, the
+beyond-RWA generator does.
 
 Frequency extraction from trajectories uses phase unwrapping of the
 analytic signal ``z = <x> + i <p> / (m w)`` -- a line fit to the unwrapped
@@ -140,9 +141,9 @@ def expect(op_name: str, state: DensityMatrix | np.ndarray,
            space: FockSpace | None = None) -> float:
     """Expectation value ``Tr[sigma O]`` for a named operator (real part).
 
-    ``x`` and ``p`` carry the quadrature scalings of ``space`` (a scaled
-    unit space of matching dimension is used when none is given); ``n`` is
-    the number operator and ``X`` the two-quantum witness ``b^2 + (b+)^2``.
+    ``x`` and ``p`` are the trap-unit quadratures on ``space`` (a space of
+    the state's dimension when none is given); ``n`` is the number operator
+    and ``X`` the two-quantum witness ``b^2 + (b+)^2``.
     For the witness the trace is additionally cross-checked against the
     independent ladder-sum expression (:func:`witness_sum`).
     """
@@ -236,26 +237,25 @@ def first_moment_rhs_check(rates: RateSet, dim: int = 16) -> float:
 
     The generator's adjoint action should satisfy, exactly,
 
-        d<x>/dt = -G <x> + ((w + 2 dw) / (m w)) <p>
-        d<p>/dt = -m w^2 <x>
+        d<x>/dt = -G <x> + (1 + 2 dw) <p>
+        d<p>/dt = -<x>
 
-    with ``dw = delta_minus - delta_plus``.  Both identities are checked at
-    the operator level (adjoint applied to x and p) away from the guard
-    band; the returned value is the largest relative deviation over the two
-    channels.  Values at rounding level confirm the identities are exact
+    in trap units, with ``dw = delta_minus - delta_plus``.  Both identities
+    are checked at the operator level (adjoint applied to x and p) away
+    from the guard band; the returned value is the largest relative
+    deviation over the two channels.  Values at rounding level confirm the identities are exact
     consequences of the generator, not weak-damping approximations.
     """
-    space = FockSpace(dim=dim, omega_c=rates.omega_c, mass=1.0, hbar=1.0)
+    space = FockSpace(dim=dim)
     ops = build_fock_operators(space)
     gen = build_redfield_generator(space, rates)
     adj = gen.matrix.conj().T
     dw = rates.delta_minus - rates.delta_plus
-    m, w = space.mass, space.omega_c
 
     x_dot = unvec(adj @ vec(ops.x), dim)
     p_dot = unvec(adj @ vec(ops.p), dim)
-    x_expected = -rates.gamma * ops.x + ((w + 2.0 * dw) / (m * w)) * ops.p
-    p_expected = -m * w**2 * ops.x
+    x_expected = -rates.gamma * ops.x + (1.0 + 2.0 * dw) * ops.p
+    p_expected = -ops.x
 
     keep = slice(0, dim - 3)
     res = 0.0

@@ -31,6 +31,7 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 from scipy import constants as _codata
 
 from .errors import (
@@ -242,11 +243,13 @@ def cyclotron_frequency(particle: ParticleSpec, b_field: float) -> float:
     ----------
     particle : ParticleSpec
     b_field : float
-        Magnetic field in tesla, must be positive.
+        Magnetic field in tesla, must be positive with a finite frequency.
     """
-    if not (b_field > 0.0 and math.isfinite(b_field)):
-        raise ConfigurationError(f"b_field must be positive, got {b_field}")
-    return abs(particle.charge) * b_field / particle.mass
+    with np.errstate(over="ignore"):  # a sweep's np.float64 field may overflow
+        omega = abs(particle.charge) * b_field / particle.mass
+    if not (b_field > 0.0 and math.isfinite(omega)):
+        raise ConfigurationError(f"b_field must give a positive, finite frequency, got {b_field}")
+    return omega
 
 
 @dataclass(frozen=True)

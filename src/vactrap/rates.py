@@ -172,8 +172,10 @@ class RateSet:
 
     ``delta_plus``/``delta_minus`` (the values the master-equation builders
     consume) are the renormalized pair.  ``delta_omega`` is the trap-
-    frequency shift implied by ``mode``.  ``omega_max`` is NaN for
-    synthetic (scaled-unit) rate sets that were not derived from a cut-off.
+    frequency shift implied by ``mode``.  ``omega_c`` is the trap frequency
+    the rates are measured against: rad/s for an SI set, exactly 1 for a
+    trap-unit set from :meth:`scaled`.  ``omega_max`` is NaN for those
+    synthetic sets, which were not derived from a cut-off.
     """
 
     gamma: float
@@ -198,19 +200,13 @@ class RateSet:
         return _trap_shift(self.delta_plus_ren, self.delta_minus_ren, self.mode)
 
     @classmethod
-    def scaled(
-        cls,
-        gamma: float,
-        delta_plus: float,
-        delta_minus: float,
-        mode: ApproximationMode = ApproximationMode.BEYOND_RWA,
-        omega_c: float = 1.0,
-    ) -> "RateSet":
-        """Build a synthetic rate set in scaled units (``w = 1`` natural).
+    def scaled(cls, gamma: float, delta_plus: float, delta_minus: float) -> "RateSet":
+        """Build a synthetic beyond-RWA rate set in trap units (``omega_c = 1``).
 
         Intended for dynamics studies where ``gamma``, ``delta_plus`` and
         ``delta_minus`` are chosen directly (raw and renormalized values
-        coincide; no cut-off is involved).
+        coincide; no cut-off is involved).  These are the only rate sets the
+        generators accept.
         """
         if not all(map(math.isfinite, (gamma, delta_plus, delta_minus))):
             raise ConfigurationError(
@@ -223,9 +219,9 @@ class RateSet:
             delta_minus_raw=delta_minus,
             delta_plus_ren=delta_plus,
             delta_minus_ren=delta_minus,
-            omega_c=omega_c,
+            omega_c=1.0,
             omega_max=math.nan,
-            mode=mode,
+            mode=ApproximationMode.BEYOND_RWA,
         )
 
 

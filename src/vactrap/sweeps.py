@@ -164,8 +164,8 @@ def bfield_sweep(
     ``d ln|shift| / d ln B`` are central differences, NaN at the ends.
     """
     b_lo, b_hi = b_range
-    if not (0 < b_lo < b_hi):
-        raise DimensionMismatch(f"need 0 < b_min < b_max, got {b_range!r}")
+    if not (0 < b_lo < b_hi < math.inf):
+        raise DimensionMismatch(f"need 0 < b_min < b_max < inf, got {b_range!r}")
     if n_points < 16:
         raise DimensionMismatch(f"need >= 16 points for stable slopes, got {n_points}")
     the_mode = parse_mode(mode) if isinstance(mode, str) else (mode or config.mode)

@@ -94,7 +94,7 @@ def test_sector_second_order_shift_is_the_plain_mode_sum():
     # be the textbook sum over the modes itself, to the last bit
     bath = make_flat_bath(64, 0.2, 5.0, gamma_target=5e-3)
     kappa2 = bath.couplings**2
-    expected = np.sum(kappa2 / (bath.omega_c - bath.mode_frequencies))
+    expected = np.sum(kappa2 / (1.0 - bath.mode_frequencies))
     assert discrete_second_order_shift(bath) == expected
 
 
@@ -204,17 +204,16 @@ def test_three_level_two_photon_observables_match_hand_built_evolution():
 
 
 def test_trap_energies_are_exact_multiples_of_omega_c():
-    # H0's trap part is level * omega_c, so |2> x |vac> sits at exactly
-    # 2 omega_c (squaring the sqrt(2) ladder entry would miss by an ulp)
+    # H0's trap part is the integer level (omega_c = 1), so |2> x |vac> sits
+    # at exactly 2 (diag(b+ b) squares the sqrt(2) ladder entry: 2.0000000000000004)
     bath = BathModel(
         mode_frequencies=[2.0, 3.0],
         couplings=[0.01, 0.01],
         particle_levels=3,
         counter_rotating=True,
-        omega_c=1.3,
     )
     h0 = _hamiltonian(bath)[0]
-    assert h0[2 * 4] == 2.0 * 1.3  # |2> x |vac>; two modes give 4 field states
+    assert h0[2 * 4] == 2.0  # |2> x |vac>; two modes give 4 field states
 
 
 @pytest.mark.parametrize("counter_rotating", [False, True])

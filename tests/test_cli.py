@@ -216,11 +216,30 @@ def test_unwritable_output_path(capsys, tmp_path):
         ["bath-oracle", "--modes", "8", "--duration", "nan"],
         ["bath-oracle", "--modes", "8", "--duration", "0"],
         ["bath-oracle", "--modes", "8", "--duration", "inf"],
+        ["sweep-b", "--points", "16", "--b-max", "inf"],
+        ["sweep-b", "--points", "16", "--b-max", "1e300"],
     ],
 )
 def test_out_of_domain_values_are_input_errors(argv, capsys):
     assert run_cli(argv) == 1
     assert capsys.readouterr().err.startswith("vactrap: input error")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--dim", "6", "--points", "3", "--t-end", "1e300"],
+        ["evolve", "--dim", "6", "--gamma", "1e300", "--points", "11"],
+        ["witness", "--dim", "6", "--t-end", "1e300", "--points", "3"],
+    ],
+)
+def test_overflowing_expm_multiply_span_is_a_numerical_guard(argv, capsys):
+    # grids too short for the stepper take expm_multiply, whose step count
+    # overflows on these spans; they end like the stepper's overflow, exit 2
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("vactrap: numerical guard")
+    assert "Traceback" not in err
 
 
 def test_bad_flag_value(capsys):

@@ -49,7 +49,7 @@ STABLE = RateSet.scaled(1e-2, 5e-3, 8e-3)
 
 def test_rwa_fock_decay_is_exponential():
     space = FockSpace(dim=8)
-    rates = RateSet.scaled(0.2, 5e-3, 8e-3, mode=ApproximationMode.WITH_RWA)
+    rates = RateSet.scaled(0.2, 5e-3, 8e-3)
     gen = build_lindblad_generator(space, rates)
     rho0 = make_state("fock", space, n=1)
     record = integrate(gen, rho0, (0.0, 10.0), n_points=41)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vactrap.errors import DimensionMismatch, DimensionTooSmall
+from vactrap.errors import ConfigurationError, DimensionMismatch, DimensionTooSmall
 from vactrap.liouville import (
     DensityMatrix,
     FockSpace,
@@ -24,7 +24,8 @@ from vactrap.liouville import (
     unvec,
     vec,
 )
-from vactrap.rates import RateSet
+from vactrap.params import reference_config
+from vactrap.rates import RateSet, build_rate_set
 
 RATES = RateSet.scaled(1e-2, 5e-3, 8e-3)
 
@@ -35,8 +36,6 @@ RATES = RateSet.scaled(1e-2, 5e-3, 8e-3)
 def test_fock_space_validation():
     with pytest.raises(DimensionTooSmall):
         FockSpace(dim=1)
-    with pytest.raises(DimensionMismatch):
-        FockSpace(dim=4, omega_c=-1.0)
 
 
 def test_ladder_matrix_elements():
@@ -58,15 +57,16 @@ def test_truncated_commutator_corner():
 
 
 def test_quadrature_scalings():
-    space = FockSpace(dim=5, omega_c=3.0, mass=2.0, hbar=1.5)
-    ops = build_fock_operators(space)
-    xs = math.sqrt(space.hbar / (2.0 * space.mass * space.omega_c))
-    ps = math.sqrt(space.mass * space.omega_c * space.hbar / 2.0)
-    assert np.allclose(ops.x, xs * (ops.b + ops.bdag))
-    assert np.allclose(ops.p, -1j * ps * (ops.b - ops.bdag))
-    # canonical pair up to the truncation corner
+    # trap units: x = sqrt(1/2) (b + b+), p = -i sqrt(1/2) (b - b+)
+    ops = build_fock_operators(FockSpace(dim=5))
+    scale = math.sqrt(0.5)
+    assert np.array_equal(ops.x, scale * (ops.b + ops.bdag))
+    assert np.array_equal(ops.p, -1j * scale * (ops.b - ops.bdag))
+    # canonical pair [x, p] = i up to the truncation corner
     comm = ops.x @ ops.p - ops.p @ ops.x
-    assert np.allclose(np.diag(comm)[:-1], 1j * space.hbar)
+    expected = 1j * np.eye(5)
+    expected[-1, -1] = 1j * (1 - 5)
+    assert np.allclose(comm, expected, atol=1e-14)
 
 
 # ---------------------------------------------------------- vectorization
@@ -289,12 +289,21 @@ def test_xp_generator_equals_ladder_generator():
         assert np.max(np.abs(g_xp - g_b)) < 1e-10 * scale
 
 
-def test_xp_generator_equality_with_si_scalings():
-    space = FockSpace(dim=6, omega_c=2.5, mass=3.0, hbar=0.7)
-    rates = RateSet.scaled(0.02, 0.004, 0.009, omega_c=2.5)
-    g_xp = build_xp_generator(space, rates).matrix
-    g_b = build_redfield_generator(space, rates).matrix
-    assert np.max(np.abs(g_xp - g_b)) < 1e-10 * np.max(np.abs(g_b))
+@pytest.mark.parametrize(
+    "build",
+    [
+        build_redfield_generator,
+        build_lindblad_generator,
+        build_xp_generator,
+        lambda space, rates: build_2d_generator(space, space, rates),
+        lambda space, rates: sigma02_rhs(np.eye(space.dim) / space.dim, rates),
+    ],
+    ids=["redfield", "lindblad", "xp", "2d", "sigma02_rhs"],
+)
+def test_si_rate_set_is_refused(build):
+    # an SI set would be read against a trap frequency of 1 rad/s
+    with pytest.raises(ConfigurationError, match="trap units"):
+        build(FockSpace(dim=6), build_rate_set(reference_config()))
 
 
 def _reduce_to_1d_by_basis_inputs(nx, ny):

@@ -191,9 +191,6 @@ def test_scaled_rate_set():
     assert rs.delta_omega == pytest.approx(3e-3)
     assert rs.omega_c == 1.0
     assert math.isnan(rs.omega_max)
-
-    rs_rwa = RateSet.scaled(1e-2, 5e-3, 8e-3, mode=ApproximationMode.WITH_RWA)
-    assert rs_rwa.delta_omega == 8e-3
     with pytest.raises(ConfigurationError):
         RateSet.scaled(math.nan, 5e-3, 8e-3)
 
