@@ -24,7 +24,6 @@ from .errors import (
     SingularDenominator,
     ToleranceFailure,
     TruncationRisk,
-    UnboundedWindow,
     VactrapError,
 )
 from .params import (

@@ -312,13 +312,17 @@ def bath_brute_force(
     (frequency-shift fit on the unwrapped phase).  ``rates_expected`` is an
     optional ``(gamma, shift)`` pair recorded in the result for reporting;
     pass the discrete-sum references.  ``duration`` must be positive and
-    finite, and ``n_points`` at least 2.
+    finite, with a grid sum of ``t**2`` that neither overflows nor
+    vanishes, and ``n_points`` at least 2.
     """
     if not 0.0 < duration < math.inf:
         raise ConfigurationError(f"duration must be positive and finite, got {duration}")
     if n_points < 2:
         raise ConfigurationError(f"n_points must be at least 2, got {n_points}")
     times = np.linspace(0.0, duration, n_points)
+    with np.errstate(over="ignore", under="ignore"):  # both fits scale t by sqrt(sum t**2)
+        if not 0.0 < np.sum(times * times) < math.inf:
+            raise ConfigurationError(f"duration {duration} over/underflows the fits' sum of t**2")
     h0, h, level, lower = _hamiltonian(bath)
     h[np.diag_indices_from(h)] += h0
     energies, u = np.linalg.eigh(h)

@@ -77,11 +77,6 @@ class GuardBandOverflow(NumericalGuard):
         self.record = record
 
 
-class UnboundedWindow(VactrapError):
-    """The positivity window is unbounded (zero renormalized shift), so no
-    finite horizon exists."""
-
-
 class SingularDenominator(ConfigurationError):
     """A perturbation-theory constant was requested at a cut-off where one
     of its logarithms diverges (cut-off equal to 1x, 2x or 3x the trap

@@ -59,7 +59,6 @@ from .errors import (
     GuardBandOverflow,
     PositivityBreach,
     ToleranceFailure,
-    UnboundedWindow,
 )
 from .liouville import (
     DensityMatrix,
@@ -341,31 +340,23 @@ def _step_blocks(
 
 @dataclass(frozen=True)
 class ValidityWindow:
-    """Analytic Gaussian-positivity horizon and its inputs."""
+    """Analytic Gaussian-positivity horizon ``t_max`` in the rate set's time
+    unit; ``math.inf`` when positivity never breaks."""
 
     t_max: float
-    gamma: float
-    delta_minus_ren: float
 
 
 def validity_window(rates: RateSet) -> ValidityWindow:
     """Horizon ``T_max`` for the rate set (uses the renormalized shift).
 
-    Raises
-    ------
-    UnboundedWindow
-        If the renormalized single-quantum shift vanishes (the horizon
-        recedes to infinity; at ``G = 0`` the formula's limit
-        ``1/(2 |D|)`` is returned normally).
+    A vanishing renormalized single-quantum shift gives ``t_max = inf``,
+    the formula's limit as ``D -> 0``; at ``G = 0`` the limit
+    ``1/(2 |D|)`` is returned.
     """
-    d = rates.delta_minus_ren
-    g = rates.gamma
+    d, g = rates.delta_minus_ren, rates.gamma
     if d == 0.0:
-        raise UnboundedWindow(
-            "delta_minus_ren = 0: the Gaussian positivity window is unbounded"
-        )
-    t_max = (g + math.sqrt(g * g + 4.0 * d * d)) / (4.0 * d * d)
-    return ValidityWindow(t_max=t_max, gamma=g, delta_minus_ren=d)
+        return ValidityWindow(t_max=math.inf)
+    return ValidityWindow(t_max=(g + math.sqrt(g * g + 4.0 * d * d)) / (4.0 * d * d))
 
 
 def gaussian_positivity_check(rates: RateSet, t: float) -> bool:

@@ -24,6 +24,7 @@ a ``RateSet.scaled`` rate set, and refuse an SI one.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -177,13 +178,21 @@ def sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 class Superoperator:
     """A dense generator on vectorized density matrices.
 
-    ``matrix`` is ``(dim**2, dim**2)``; on a tensor-product space ``dim`` is
-    the product of the per-axis level counts.
+    ``matrix`` is ``(dim**2, dim**2)``, which sets ``dim``; on a
+    tensor-product space that is the product of the per-axis level counts.
     """
 
     matrix: np.ndarray
-    dim: int
     mode: ApproximationMode
+
+    def __post_init__(self):
+        n = len(self.matrix)
+        if np.shape(self.matrix) != (n, n) or math.isqrt(n) ** 2 != n:
+            raise DimensionMismatch(f"generator needs a (dim**2, dim**2) matrix, got {n} rows")
+
+    @property
+    def dim(self) -> int:
+        return math.isqrt(len(self.matrix))
 
     def apply(self, sigma: np.ndarray | DensityMatrix) -> np.ndarray:
         """Time derivative of ``sigma`` under this generator."""
@@ -254,7 +263,7 @@ def build_redfield_generator(space: FockSpace, rates: RateSet) -> Superoperator:
     """
     b = build_fock_operators(space).b
     gen = _assemble(*_ladder_terms(b, rates, counter_rotating=True))
-    return Superoperator(matrix=gen, dim=space.dim, mode=ApproximationMode.BEYOND_RWA)
+    return Superoperator(matrix=gen, mode=ApproximationMode.BEYOND_RWA)
 
 
 def build_lindblad_generator(space: FockSpace, rates: RateSet) -> Superoperator:
@@ -265,7 +274,7 @@ def build_lindblad_generator(space: FockSpace, rates: RateSet) -> Superoperator:
     """
     b = build_fock_operators(space).b
     gen = _assemble(*_ladder_terms(b, rates, counter_rotating=False))
-    return Superoperator(matrix=gen, dim=space.dim, mode=ApproximationMode.WITH_RWA)
+    return Superoperator(matrix=gen, mode=ApproximationMode.WITH_RWA)
 
 
 def build_xp_generator(space: FockSpace, rates: RateSet) -> Superoperator:
@@ -299,9 +308,7 @@ def build_xp_generator(space: FockSpace, rates: RateSet) -> Superoperator:
     left = kinetic + potential - anti + counter_xp * xp - counter_px * px
     right = -kinetic - potential - anti - counter_xp * xp + counter_px * px
     jumps = [(diffusion, p, p), (mixed_px, p, x), (mixed_xp, x, p)]
-    return Superoperator(
-        matrix=_assemble(left, right, jumps), dim=space.dim, mode=ApproximationMode.BEYOND_RWA
-    )
+    return Superoperator(matrix=_assemble(left, right, jumps), mode=ApproximationMode.BEYOND_RWA)
 
 
 def build_2d_generator(
@@ -319,9 +326,7 @@ def build_2d_generator(
     left_x, right_x, jumps_x = _ladder_terms(bx_full, rates, True)
     left_y, right_y, jumps_y = _ladder_terms(by_full, rates, True)
     gen = _assemble(left_x + left_y, right_x + right_y, jumps_x + jumps_y)
-    return Superoperator(
-        matrix=gen, dim=space_x.dim * space_y.dim, mode=ApproximationMode.BEYOND_RWA
-    )
+    return Superoperator(matrix=gen, mode=ApproximationMode.BEYOND_RWA)
 
 
 def sigma02_rhs(sigma: np.ndarray | DensityMatrix, rates: RateSet) -> complex:

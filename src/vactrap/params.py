@@ -318,8 +318,17 @@ def cutoff_frequency(config: ExperimentConfig) -> float:
     Warns
     -----
     LongWavelengthWarning
-        If the resolved value exceeds ``lwa_bound`` (strictly).
+        If the resolved value exceeds ``lwa_bound`` (strictly); the library
+        reads the same verdict as a value from ``_resolve_cutoff``.
     """
+    value, note = _resolve_cutoff(config)
+    if note is not None:
+        warnings.warn(note, LongWavelengthWarning, stacklevel=2)
+    return value
+
+
+def _resolve_cutoff(config: ExperimentConfig) -> tuple[float, str | None]:
+    """:func:`cutoff_frequency`'s value and the note it warns with (or None)."""
     k = CODATA_2018
     kind = config.cutoff.kind
     w = config.omega_c
@@ -338,19 +347,18 @@ def cutoff_frequency(config: ExperimentConfig) -> float:
     else:  # EXPLICIT
         value = float(config.cutoff.value)
 
+    note = None
     if kind in _LWA_KINDS:
         ceiling = compton_frequency(config.particle)
         if value > ceiling:
             value = ceiling
         bound = lwa_bound(config.particle, w)
         if value > bound:
-            warnings.warn(
+            note = (
                 f"cutoff {value:.3e} rad/s exceeds the long-wavelength bound "
-                f"{bound:.3e} rad/s; dipole coupling is strained",
-                LongWavelengthWarning,
-                stacklevel=2,
+                f"{bound:.3e} rad/s; dipole coupling is strained"
             )
-    return value
+    return value, note
 
 
 def spin_coupling_ratio(

@@ -46,8 +46,8 @@ _PT_TABLE = (
 class PerturbationShifts:
     """The five (plus, minus) constant pairs of the second-order expansion.
 
-    Each pair is ``(plus, minus)`` in 1/s; ``kappa`` is the dimensionless
-    recoil ratio ``hbar omega_c / (m c^2)`` the expansion is organized in.
+    Each pair is ``(plus, minus)`` in 1/s.  The expansion is organized in
+    the recoil ratio ``rates.kappa(particle, omega_c)``.
     """
 
     delta0_pm: tuple[float, float]
@@ -55,7 +55,6 @@ class PerturbationShifts:
     delta2a_pm: tuple[float, float]
     delta2b_pm: tuple[float, float]
     delta2c_pm: tuple[float, float]
-    kappa: float
 
 
 def _check_resonances(omega_c: float, omega_max: float) -> None:
@@ -91,7 +90,7 @@ def pt_constants(
         pairs.append(tuple(
             pref * _log_tail(omega_c, omega_max, sign, n, order) for sign in (1.0, -1.0)
         ))
-    return PerturbationShifts(*pairs, kappa=k)
+    return PerturbationShifts(*pairs)
 
 
 def pt_renormalization_term(

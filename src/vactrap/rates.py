@@ -53,11 +53,19 @@ def damping_rate(particle: ParticleSpec, omega_c: float) -> float:
     """Radiative energy damping rate ``q^2 w^2 / (3 pi eps0 m c^3)`` in 1/s.
 
     Equals ``(4/3) alpha_q kappa w`` with ``alpha_q`` the charge-generalized
-    fine-structure constant; the identity is exercised in the tests.
+    fine-structure constant; the identity is exercised in the tests.  A
+    rate that is not finite is a ``ConfigurationError``.
     """
     _require_positive_frequency(omega_c)
     k = CODATA_2018
-    return particle.charge**2 * omega_c**2 / (3.0 * math.pi * k.eps0 * particle.mass * k.c**3)
+    denominator = 3.0 * math.pi * k.eps0 * particle.mass * k.c**3
+    try:  # as a Python float, an overflow raises or gives inf instead of warning
+        rate = particle.charge**2 * float(omega_c) ** 2 / denominator
+    except OverflowError:
+        rate = math.inf
+    if not math.isfinite(rate):
+        raise ConfigurationError(f"damping rate at omega_c = {omega_c} is not finite")
+    return rate
 
 
 def _require_positive_frequency(value: float, name: str = "omega_c") -> None:

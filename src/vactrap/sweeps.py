@@ -19,13 +19,13 @@ closed-form derivative of the shift itself, which is exact.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
 from ._csv import csv_text
-from .errors import DimensionMismatch, UnboundedWindow
+from .errors import DimensionMismatch
 from .evolve import validity_window
 from .params import (
     ApproximationMode,
@@ -33,7 +33,7 @@ from .params import (
     CutoffSpec,
     ExperimentConfig,
     TrapSpec,
-    cutoff_frequency,
+    _resolve_cutoff,
     cyclotron_frequency,
     lwa_bound,
     parse_cutoff_kind,
@@ -81,23 +81,14 @@ def _at_field(
     )
 
 
-def _recording_warnings(call, *args) -> tuple[object, list[str]]:
-    """``call(*args)`` and the messages of every warning it raised."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = call(*args)
-    return value, [str(c.message) for c in caught]
-
-
 @dataclass(frozen=True)
 class Table1Report:
-    """Relative frequency shifts on the 3 x 2 (cutoff x mode) grid."""
+    """Relative frequency shifts on the 3 x 2 (cutoff x mode) grid, one per
+    fixed ``cutoff_labels`` entry in each mode's row."""
 
-    cutoff_labels: tuple[str, str, str]
+    cutoff_labels: ClassVar[tuple[str, str, str]] = ("omega1", "omega2", "omega3")
     with_rwa: tuple[float, float, float]
     beyond_rwa: tuple[float, float, float]
-    omega_c: float
-    b_field: float
 
 
 def table1(config: ExperimentConfig) -> Table1Report:
@@ -112,11 +103,8 @@ def table1(config: ExperimentConfig) -> Table1Report:
             variant = replace(config, cutoff=CutoffSpec(kind=kind), mode=mode)
             rows[(kind, mode)] = relative_shift(variant)
     return Table1Report(
-        cutoff_labels=("omega1", "omega2", "omega3"),
         with_rwa=tuple(rows[(k, ApproximationMode.WITH_RWA)] for k in _GRID_KINDS),
         beyond_rwa=tuple(rows[(k, ApproximationMode.BEYOND_RWA)] for k in _GRID_KINDS),
-        omega_c=config.omega_c,
-        b_field=config.b_field,
     )
 
 
@@ -177,9 +165,10 @@ def bfield_sweep(
     for i, b in enumerate(b_values):
         variant = _at_field(config, b, cutoff, the_mode)
         omegas[i] = variant.omega_c
-        relative, caught = _recording_warnings(relative_shift, variant)
-        shifts[i] = relative * omegas[i]
-        if caught:
+        omega_max, note = _resolve_cutoff(variant)
+        rates = _rate_set_at(variant, omega_max)
+        shifts[i] = rates.delta_omega / rates.omega_c * omegas[i]
+        if note is not None:
             lwa_exceeded.append(b)
 
     lnb = np.log(b_values)
@@ -234,7 +223,7 @@ def rwa_exponent_analytic(
     ``r = Omega/omega_c``.
     """
     variant = _at_field(config, b_field, cutoff, ApproximationMode.WITH_RWA)
-    omega_max, _ = _recording_warnings(cutoff_frequency, variant)
+    omega_max, _ = _resolve_cutoff(variant)
     r = omega_max / variant.omega_c
     big_l = math.log(abs(r - 1.0))
     kind = variant.cutoff.kind
@@ -297,7 +286,8 @@ class ValidityReport:
 
 def validity_report(config: ExperimentConfig) -> ValidityReport:
     """Positivity horizon, long-wavelength check, spin-coupling check."""
-    omega_max, notes = _recording_warnings(cutoff_frequency, config)
+    omega_max, note = _resolve_cutoff(config)
+    notes = [] if note is None else [note]
     rates = _rate_set_at(config, omega_max)
     if config.mode is ApproximationMode.WITH_RWA:
         t_max = math.inf
@@ -305,10 +295,8 @@ def validity_report(config: ExperimentConfig) -> ValidityReport:
             "completely positive dynamics (RWA); no positivity horizon"
         )
     else:
-        try:
-            t_max = validity_window(rates).t_max
-        except UnboundedWindow:
-            t_max = math.inf
+        t_max = validity_window(rates).t_max
+        if t_max == math.inf:
             notes.append("zero renormalized shift; positivity never breaks")
     bound = lwa_bound(config.particle, config.omega_c)
     ratio = spin_coupling_ratio(config.particle, config.omega_c, omega_max)

@@ -218,6 +218,9 @@ def test_unwritable_output_path(capsys, tmp_path):
         ["bath-oracle", "--modes", "8", "--duration", "inf"],
         ["sweep-b", "--points", "16", "--b-max", "inf"],
         ["sweep-b", "--points", "16", "--b-max", "1e300"],
+        ["sweep-b", "--points", "16", "--b-max", "1e200"],
+        ["bath-oracle", "--modes", "4", "--gamma-target", "1", "--duration", "1e-300"],
+        ["bath-oracle", "--modes", "2", "--duration", "1e300"],
     ],
 )
 def test_out_of_domain_values_are_input_errors(argv, capsys):

@@ -10,6 +10,7 @@ from vactrap.errors import ConfigurationError, DimensionMismatch, DimensionTooSm
 from vactrap.liouville import (
     DensityMatrix,
     FockSpace,
+    Superoperator,
     _invariant_blocks,
     build_2d_generator,
     build_fock_operators,
@@ -113,6 +114,15 @@ def test_density_matrix_must_be_square():
 
 
 # -------------------------------------------------------------- generators
+
+
+def test_superoperator_dim_comes_from_its_matrix():
+    gen = build_lindblad_generator(FockSpace(dim=4), RATES)
+    assert Superoperator(matrix=gen.matrix, mode=gen.mode).dim == 4
+    assert build_2d_generator(FockSpace(dim=2), FockSpace(dim=3), RATES).dim == 6
+    for shape in [(16, 9), (15, 15), (16,)]:
+        with pytest.raises(DimensionMismatch):
+            Superoperator(matrix=np.zeros(shape), mode=gen.mode)
 
 
 def test_generator_annihilates_trace_and_preserves_hermiticity(herm_factory):

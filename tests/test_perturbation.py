@@ -38,9 +38,6 @@ def test_constants_frozen_values():
         got_plus, got_minus = getattr(shifts, name)
         assert got_plus == pytest.approx(plus, rel=1e-12), name
         assert got_minus == pytest.approx(minus, rel=1e-12), name
-    assert shifts.kappa == pytest.approx(
-        CODATA_2018.hbar * W_REF / (ELECTRON.mass * CODATA_2018.c**2), rel=1e-15
-    )
 
 
 def test_constants_hierarchy_in_recoil_parameter():

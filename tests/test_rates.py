@@ -7,6 +7,7 @@ arithmetic script.
 """
 import math
 
+import numpy as np
 import pytest
 
 from vactrap.cli import run_cli
@@ -58,6 +59,17 @@ def test_damping_rate_scales_with_frequency_squared():
     assert damping_rate(ELECTRON, 2.0 * W_REF) == pytest.approx(
         4.0 * damping_rate(ELECTRON, W_REF), rel=1e-14
     )
+
+
+@pytest.mark.parametrize(
+    "omega_c",
+    [1e160, np.float64(1e160), 1.5e154, np.float64(1.5e154)],
+    ids=["float-1e160", "float64-1e160", "float-1.5e154", "float64-1.5e154"],
+)
+def test_overflowing_damping_rate_is_a_configuration_error(omega_c):
+    # with no OverflowError (Python float) or RuntimeWarning (numpy float) first
+    with pytest.raises(ConfigurationError, match="not finite"):
+        damping_rate(ELECTRON, omega_c)
 
 
 @pytest.mark.parametrize("bad", [0.0, -W_REF, math.inf])
