@@ -83,7 +83,6 @@ from .evolve import (
     ValidityWindow,
     gaussian_positivity_check,
     integrate,
-    record_to_csv,
     validity_window,
 )
 from .observables import (
@@ -111,7 +110,6 @@ from .bath import (
     discrete_golden_rule,
     discrete_second_order_shift,
     make_flat_bath,
-    oracle_report_csv,
 )
 from .sweeps import (
     SweepResult,
@@ -120,9 +118,7 @@ from .sweeps import (
     bfield_sweep,
     midpoint_exponent,
     rwa_exponent_analytic,
-    sweep_csv,
     table1,
-    table1_csv,
     validity_report,
 )
 from .cli import run_cli

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._csv import csv_text
 from .errors import (
     ConfigurationError,
     DimensionMismatch,
@@ -52,17 +51,12 @@ __all__ = [
     "discrete_golden_rule",
     "discrete_second_order_shift",
     "bath_brute_force",
-    "oracle_report_csv",
 ]
 
 DIMENSION_GUARD = 2**16
 
 # share of the run skipped before fitting: the initial bandwidth transient
 _FIT_START_FRACTION = 0.05
-
-# relative errors up to which oracle_report_csv marks a fit "pass"
-_GAMMA_TOL = 0.10
-_SHIFT_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -366,21 +360,3 @@ def bath_brute_force(
         excited_population=pop,
         mean_lowering=mean_b,
     )
-
-
-def oracle_report_csv(result: BathFitResult) -> str:
-    """The comparison table: expected, fitted, relative error, pass/fail.
-
-    A fit passes within 10 % (gamma) or 5 % (shift) of its expected value.
-    """
-    rows = []
-    for name, expected, fitted, tol in (
-        ("gamma", result.gamma_expected, result.gamma_fit, _GAMMA_TOL),
-        ("shift", result.shift_expected, result.shift_fit, _SHIFT_TOL),
-    ):
-        if expected is None:
-            rows.append((name, "", fitted, "", ""))
-            continue
-        rel = abs(fitted - expected) / abs(expected) if expected != 0 else math.inf
-        rows.append((name, expected, fitted, rel, "pass" if rel <= tol else "fail"))
-    return csv_text(("quantity", "expected", "fitted", "relative_error", "pass"), rows)

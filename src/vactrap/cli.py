@@ -11,34 +11,32 @@ Subcommands::
     pt-compare   perturbation-theory shift against the master-equation shift
     bath-oracle  brute-force discretized-bath decay check
 
+The library returns data; each handler here lays out the report it
+prints, as CSV (``_csv_text``), text or an SVG plot.
+
 Exit codes: 0 success, 1 input/configuration error (including usage), 2
 numerical-guard failure (tolerance, positivity, truncation, fit).
 """
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import _svg
-from ._csv import csv_text
 from .bath import (
+    BathFitResult,
     bath_brute_force,
     discrete_golden_rule,
     discrete_second_order_shift,
     make_flat_bath,
-    oracle_report_csv,
 )
 from .errors import ConfigurationError, NumericalGuard, VactrapError
-from .evolve import integrate, record_to_csv
-from .liouville import (
-    FockSpace,
-    build_fock_operators,
-    build_lindblad_generator,
-    build_redfield_generator,
-)
+from .evolve import integrate
+from .liouville import FockSpace, build_lindblad_generator, build_redfield_generator
 from .observables import make_state, series_from_record
 from .params import ApproximationMode, load_config
 from .perturbation import pt_frequency_shift_renormalized
@@ -48,14 +46,7 @@ from .rates import (
     damping_rate,
     frequency_shift,
 )
-from .sweeps import (
-    bfield_sweep,
-    midpoint_exponent,
-    sweep_csv,
-    table1,
-    table1_csv,
-    validity_report,
-)
+from .sweeps import bfield_sweep, midpoint_exponent, table1, validity_report
 
 __all__ = ["main", "run_cli"]
 
@@ -109,9 +100,44 @@ def _deliver(payload: str, out: str | None) -> None:
         Path(out).write_text(payload)
 
 
-def _csv_only(fmt: str | None, name: str) -> None:
+def _plotless(fmt: str | None, name: str, form: str = "csv") -> None:
     if fmt == "svg":
-        sys.stderr.write(f"note: {name} has no plot form; emitting csv\n")
+        sys.stderr.write(f"note: {name} has no plot form; emitting {form}\n")
+
+
+def _csv_text(header, rows) -> str:
+    """``header`` and ``rows`` as comma-separated, newline-terminated lines.
+
+    A ``str`` cell is written unchanged; any other cell is written as
+    ``repr(float(v))``, the shortest text that reads back to the same double
+    whether a Python float, an int or a numpy scalar carried it.  Handlers
+    spell out ints, booleans and missing values as strings themselves.
+    """
+    lines = [",".join(header)]
+    lines.extend(
+        ",".join(v if isinstance(v, str) else repr(float(v)) for v in row) for row in rows
+    )
+    return "\n".join(lines) + "\n"
+
+
+# relative errors up to which the oracle report marks a fit "pass"
+_GAMMA_TOL = 0.10
+_SHIFT_TOL = 0.05
+
+
+def _oracle_report_csv(result: BathFitResult) -> str:
+    """The bath-oracle table: expected, fitted, relative error, pass/fail.
+
+    A fit passes within 10 % (gamma) or 5 % (shift) of its expected value.
+    """
+    rows = []
+    for name, expected, fitted, tol in (
+        ("gamma", result.gamma_expected, result.gamma_fit, _GAMMA_TOL),
+        ("shift", result.shift_expected, result.shift_fit, _SHIFT_TOL),
+    ):
+        rel = abs(fitted - expected) / abs(expected) if expected != 0 else math.inf
+        rows.append((name, expected, fitted, rel, "pass" if rel <= tol else "fail"))
+    return _csv_text(("quantity", "expected", "fitted", "relative_error", "pass"), rows)
 
 
 # ---------------------------------------------------------------- handlers
@@ -119,10 +145,10 @@ def _csv_only(fmt: str | None, name: str) -> None:
 
 def _cmd_rates(args) -> str:
     config = load_config(args.config)
-    _csv_only(args.format, "rates")
+    _plotless(args.format, "rates")
     rs = build_rate_set(config)
     rel = rs.delta_omega / rs.omega_c
-    return csv_text(("quantity", "value"), [
+    return _csv_text(("quantity", "value"), [
         ("mode", config.mode.value),
         ("omega_c_rad_s", rs.omega_c),
         ("omega_max_rad_s", rs.omega_max),
@@ -139,8 +165,12 @@ def _cmd_rates(args) -> str:
 
 def _cmd_table1(args) -> str:
     config = load_config(args.config)
-    _csv_only(args.format, "table1")
-    return table1_csv(table1(config))
+    _plotless(args.format, "table1")
+    report = table1(config)
+    return _csv_text(
+        ("cutoff", "with_rwa", "beyond_rwa"),
+        zip(report.cutoff_labels, report.with_rwa, report.beyond_rwa),
+    )
 
 
 def _cmd_sweep_b(args) -> str:
@@ -166,7 +196,10 @@ def _cmd_sweep_b(args) -> str:
             log_x=True,
             log_y=True,
         )
-    return sweep_csv(result)
+    return _csv_text(
+        ("b_tesla", "omega_c_rad_s", "delta_omega_rad_s", "local_exponent"),
+        zip(result.b_values, result.omega_c_values, result.delta_omega, result.local_exponents),
+    )
 
 
 def _cmd_evolve(args) -> str:
@@ -177,19 +210,19 @@ def _cmd_evolve(args) -> str:
         gen = build_redfield_generator(space, rates)
     state = make_state("coherent", space, alpha=args.alpha)
     record = integrate(gen, state, (0.0, args.t_end), n_points=args.points)
-    ops = build_fock_operators(space)
     if args.format == "svg":
-        xs = series_from_record(record, "x", space)
-        ns = series_from_record(record, "n", space)
         return _svg.line_plot(
             record.times,
-            [xs.values, ns.values],
+            [series_from_record(record, name, space).values for name in ("x", "n")],
             ["<x>", "<n>"],
             title=f"scaled-regime evolution ({args.mode})",
             x_label="t (units of 1/omega_c)",
         )
-    return record_to_csv(
-        record, {"x": ops.x, "p": ops.p, "n": ops.n, "witness": ops.witness}
+    moments = [series_from_record(record, name, space).values for name in ("x", "p", "n", "X")]
+    return _csv_text(
+        ("time", "trace_dev", "herm_dev", "min_eig", "guard_pop", "x", "p", "n", "witness"),
+        zip(record.times, record.trace_dev, record.herm_dev, record.min_eig, record.guard_pop,
+            *moments),
     )
 
 
@@ -214,7 +247,7 @@ def _cmd_witness(args) -> str:
             x_label="t (units of 1/omega_c)",
             y_label="<b^2 + b+^2>",
         )
-    return csv_text(
+    return _csv_text(
         ("time", "beyond_rwa", "with_rwa"), zip(rec_beyond.times, beyond.values, rwa.values)
     )
 
@@ -223,14 +256,38 @@ def _cmd_validate(args) -> str:
     config = load_config(args.config)
     report = validity_report(config)
     if args.format == "csv":
-        return report.to_csv()
-    _csv_only(args.format, "validate")
-    return report.as_text()
+        return _csv_text(("quantity", "value"), [
+            ("omega_c_rad_s", report.omega_c),
+            ("gamma_per_s", report.gamma),
+            ("delta_minus_ren_per_s", report.delta_minus_ren),
+            ("t_max_s", report.t_max),
+            ("cutoff_kind", report.cutoff_kind.value),
+            ("cutoff_rad_s", report.cutoff_rad_s),
+            ("lwa_bound_rad_s", report.lwa_bound_rad_s),
+            ("lwa_bound_hz", report.lwa_bound_hz),
+            ("cutoff_within_lwa", str(report.cutoff_within_lwa).lower()),
+            ("spin_ratio", report.spin_ratio),
+            ("spin_negligible", str(report.spin_negligible).lower()),
+        ])
+    _plotless(args.format, "validate", "text")
+    lines = [
+        f"trap frequency          {report.omega_c!r} rad/s",
+        f"damping rate            {report.gamma!r} 1/s",
+        f"positivity horizon      {report.t_max!r} s",
+        f"{f'cutoff ({report.cutoff_kind.value})':<24}{report.cutoff_rad_s!r} rad/s",
+        f"long-wavelength bound   {report.lwa_bound_rad_s!r} rad/s"
+        f" ({report.lwa_bound_hz:.3e} Hz)",
+        f"cutoff within bound     {report.cutoff_within_lwa}",
+        f"spin-coupling ratio     {report.spin_ratio:.3e}",
+        f"spin coupling negligible: {str(report.spin_negligible).lower()}",
+    ]
+    lines.extend(f"note: {n}" for n in report.notes)
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_pt_compare(args) -> str:
     config = load_config(args.config)
-    _csv_only(args.format, "pt-compare")
+    _plotless(args.format, "pt-compare")
     w = config.omega_c
     g = damping_rate(config.particle, w)
     rows = []
@@ -239,13 +296,13 @@ def _cmd_pt_compare(args) -> str:
         pt = pt_frequency_shift_renormalized(config.particle, w, omega_max)
         me = frequency_shift(g, w, omega_max, ApproximationMode.BEYOND_RWA)
         rows.append((r, omega_max, pt, me, pt / me))
-    return csv_text(
+    return _csv_text(
         ("cutoff_ratio", "omega_max_rad_s", "pt_shift_per_s", "me_shift_per_s", "ratio"), rows
     )
 
 
 def _cmd_bath_oracle(args) -> str:
-    _csv_only(args.format, "bath-oracle")
+    _plotless(args.format, "bath-oracle")
     bath = make_flat_bath(
         n_modes=args.modes,
         omega_min=args.omega_min,
@@ -255,7 +312,7 @@ def _cmd_bath_oracle(args) -> str:
     expected = (discrete_golden_rule(bath), discrete_second_order_shift(bath))
     result = bath_brute_force(bath, rates_expected=expected, duration=args.duration)
     sys.stderr.write(f"norm drift: {result.norm_drift:.3e}\n")
-    return oracle_report_csv(result)
+    return _oracle_report_csv(result)
 
 
 # ---------------------------------------------------------------- wiring

@@ -52,7 +52,6 @@ from scipy.linalg import expm, get_blas_funcs
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import expm_multiply, norm as sparse_norm
 
-from ._csv import csv_text
 from .errors import (
     ConfigurationError,
     DimensionMismatch,
@@ -64,7 +63,6 @@ from .liouville import (
     DensityMatrix,
     Superoperator,
     _invariant_blocks,
-    trace_product,
     vec,
 )
 from .params import ApproximationMode
@@ -76,7 +74,6 @@ __all__ = [
     "integrate",
     "validity_window",
     "gaussian_positivity_check",
-    "record_to_csv",
 ]
 
 #: Positivity floor for completely positive (RWA) dynamics, where any
@@ -351,12 +348,17 @@ def validity_window(rates: RateSet) -> ValidityWindow:
 
     A vanishing renormalized single-quantum shift gives ``t_max = inf``,
     the formula's limit as ``D -> 0``; at ``G = 0`` the limit
-    ``1/(2 |D|)`` is returned.
+    ``1/(2 |D|)`` is returned.  When ``4 D^2`` underflows the same root is
+    evaluated as ``(r + hypot(r, 2)) / (4 |D|)`` with ``r = G/|D|``.
     """
     d, g = rates.delta_minus_ren, rates.gamma
     if d == 0.0:
         return ValidityWindow(t_max=math.inf)
-    return ValidityWindow(t_max=(g + math.sqrt(g * g + 4.0 * d * d)) / (4.0 * d * d))
+    four_d2 = 4.0 * d * d
+    if four_d2 == 0.0:
+        r = g / abs(d)
+        return ValidityWindow(t_max=(r + math.hypot(r, 2.0)) / (4.0 * abs(d)))
+    return ValidityWindow(t_max=(g + math.sqrt(g * g + four_d2)) / four_d2)
 
 
 def gaussian_positivity_check(rates: RateSet, t: float) -> bool:
@@ -369,20 +371,3 @@ def gaussian_positivity_check(rates: RateSet, t: float) -> bool:
         raise ValueError(f"t must be positive, got {t}")
     d = rates.delta_minus_ren
     return rates.gamma - 2.0 * d * d * t > -1.0 / (2.0 * t)
-
-
-def record_to_csv(
-    record: EvolutionRecord,
-    observables: dict[str, np.ndarray] | None = None,
-) -> str:
-    """Render a record as CSV: diagnostics plus optional observable columns.
-
-    ``observables`` maps a column name to the operator whose expectation is
-    evaluated against each stored state (real part).
-    """
-    names = list(observables) if observables else []
-    header = ["time", "trace_dev", "herm_dev", "min_eig", "guard_pop", *names]
-    columns = [record.times, record.trace_dev, record.herm_dev, record.min_eig,
-               record.guard_pop]
-    columns += [trace_product(record.rho, observables[name]).real for name in names]
-    return csv_text(header, zip(*columns))

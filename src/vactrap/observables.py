@@ -68,7 +68,8 @@ def make_state(kind: str, space: FockSpace, **params) -> DensityMatrix:
     * ``"thermal"`` -- ``nbar=<float>``; geometric weights ``q^n`` with
       ``q = nbar/(1+nbar)``, renormalized after truncation.
 
-    A non-finite ``alpha`` or ``nbar`` raises ``DimensionMismatch``.
+    A missing parameter, a non-integer ``n`` and a non-finite ``alpha`` or
+    ``nbar`` raise ``DimensionMismatch``.
 
     A ``TruncationRisk`` is raised when the requested state carries its
     weight too close to the truncation edge (mean excitation above
@@ -77,8 +78,11 @@ def make_state(kind: str, space: FockSpace, **params) -> DensityMatrix:
     """
     dim = space.dim
     if kind == "fock":
-        n = int(params.pop("n"))
+        n = _required(params, "n", kind)
         _reject_unknown(params)
+        if not float(n).is_integer():
+            raise DimensionMismatch(f"fock level must be an integer, got {n!r}")
+        n = int(n)
         if not 0 <= n < dim:
             raise DimensionMismatch(f"fock level {n} outside 0..{dim - 1}")
         if n >= dim - 2:
@@ -89,7 +93,7 @@ def make_state(kind: str, space: FockSpace, **params) -> DensityMatrix:
         mat[n, n] = 1.0
         return DensityMatrix(mat)
     if kind == "coherent":
-        alpha = complex(params.pop("alpha"))
+        alpha = complex(_required(params, "alpha", kind))
         _reject_unknown(params)
         if not cmath.isfinite(alpha):
             raise DimensionMismatch(f"alpha must be finite, got {alpha}")
@@ -112,9 +116,7 @@ def make_state(kind: str, space: FockSpace, **params) -> DensityMatrix:
         vecc = vecc / np.linalg.norm(vecc)
         return DensityMatrix(np.outer(vecc, vecc.conj()))
     if kind == "thermal":
-        if "nbar" not in params:
-            raise DimensionMismatch("thermal state needs nbar=")
-        nbar = float(params.pop("nbar"))
+        nbar = float(_required(params, "nbar", kind))
         _reject_unknown(params)
         if not (0.0 <= nbar < math.inf):
             raise DimensionMismatch(f"nbar must be finite and nonnegative, got {nbar}")
@@ -127,6 +129,12 @@ def make_state(kind: str, space: FockSpace, **params) -> DensityMatrix:
         weights = weights / weights.sum()
         return DensityMatrix(np.diag(weights.astype(complex)))
     raise DimensionMismatch(f"unknown state kind {kind!r}")
+
+
+def _required(params: dict, key: str, kind: str):
+    if key not in params:
+        raise DimensionMismatch(f"{kind} state needs {key}=")
+    return params.pop(key)
 
 
 def _reject_unknown(params: dict) -> None:

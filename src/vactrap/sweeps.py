@@ -24,7 +24,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._csv import csv_text
 from .errors import DimensionMismatch
 from .evolve import validity_window
 from .params import (
@@ -47,9 +46,7 @@ __all__ = [
     "Table1Report",
     "ValidityReport",
     "table1",
-    "table1_csv",
     "bfield_sweep",
-    "sweep_csv",
     "midpoint_exponent",
     "rwa_exponent_analytic",
     "validity_report",
@@ -105,14 +102,6 @@ def table1(config: ExperimentConfig) -> Table1Report:
     return Table1Report(
         with_rwa=tuple(rows[(k, ApproximationMode.WITH_RWA)] for k in _GRID_KINDS),
         beyond_rwa=tuple(rows[(k, ApproximationMode.BEYOND_RWA)] for k in _GRID_KINDS),
-    )
-
-
-def table1_csv(report: Table1Report) -> str:
-    """Deterministic CSV of the grid (pure function of the config)."""
-    return csv_text(
-        ("cutoff", "with_rwa", "beyond_rwa"),
-        zip(report.cutoff_labels, report.with_rwa, report.beyond_rwa),
     )
 
 
@@ -193,13 +182,6 @@ def bfield_sweep(
     )
 
 
-def sweep_csv(result: SweepResult) -> str:
-    return csv_text(
-        ("b_tesla", "omega_c_rad_s", "delta_omega_rad_s", "local_exponent"),
-        zip(result.b_values, result.omega_c_values, result.delta_omega, result.local_exponents),
-    )
-
-
 def midpoint_exponent(result: SweepResult) -> float:
     """The local exponent at the grid point nearest the geometric midpoint."""
     return float(result.local_exponents[len(result.b_values) // 2])
@@ -252,36 +234,6 @@ class ValidityReport:
     spin_ratio: float
     spin_negligible: bool
     notes: tuple[str, ...]
-
-    def as_text(self) -> str:
-        lines = [
-            f"trap frequency          {self.omega_c!r} rad/s",
-            f"damping rate            {self.gamma!r} 1/s",
-            f"positivity horizon      {self.t_max!r} s",
-            f"{f'cutoff ({self.cutoff_kind.value})':<24}{self.cutoff_rad_s!r} rad/s",
-            f"long-wavelength bound   {self.lwa_bound_rad_s!r} rad/s"
-            f" ({self.lwa_bound_hz:.3e} Hz)",
-            f"cutoff within bound     {self.cutoff_within_lwa}",
-            f"spin-coupling ratio     {self.spin_ratio:.3e}",
-            f"spin coupling negligible: {str(self.spin_negligible).lower()}",
-        ]
-        lines.extend(f"note: {n}" for n in self.notes)
-        return "\n".join(lines) + "\n"
-
-    def to_csv(self) -> str:
-        return csv_text(("quantity", "value"), [
-            ("omega_c_rad_s", self.omega_c),
-            ("gamma_per_s", self.gamma),
-            ("delta_minus_ren_per_s", self.delta_minus_ren),
-            ("t_max_s", self.t_max),
-            ("cutoff_kind", self.cutoff_kind.value),
-            ("cutoff_rad_s", self.cutoff_rad_s),
-            ("lwa_bound_rad_s", self.lwa_bound_rad_s),
-            ("lwa_bound_hz", self.lwa_bound_hz),
-            ("cutoff_within_lwa", str(self.cutoff_within_lwa).lower()),
-            ("spin_ratio", self.spin_ratio),
-            ("spin_negligible", str(self.spin_negligible).lower()),
-        ])
 
 
 def validity_report(config: ExperimentConfig) -> ValidityReport:

@@ -14,8 +14,8 @@ from vactrap.bath import (
     discrete_golden_rule,
     discrete_second_order_shift,
     make_flat_bath,
-    oracle_report_csv,
 )
+from vactrap.cli import _oracle_report_csv
 from vactrap.errors import DimensionMismatch, FitFailure, GuardExceeded
 
 
@@ -254,7 +254,7 @@ def test_oracle_report_csv_layout():
     golden = discrete_golden_rule(bath)
     shift_sum = discrete_second_order_shift(bath)
     result = bath_brute_force(bath, rates_expected=(golden, shift_sum))
-    lines = oracle_report_csv(result).strip().splitlines()
+    lines = _oracle_report_csv(result).strip().splitlines()
     assert lines[0] == "quantity,expected,fitted,relative_error,pass"
     gamma_fields = lines[1].split(",")
     assert gamma_fields[0] == "gamma"
@@ -267,7 +267,7 @@ def test_oracle_report_csv_layout():
     # an expected value far from the fit flips the verdict
     far = replace(result, gamma_expected=2.0 * result.gamma_fit,
                   shift_expected=2.0 * result.shift_fit)
-    for line in oracle_report_csv(far).strip().splitlines()[1:]:
+    for line in _oracle_report_csv(far).strip().splitlines()[1:]:
         fields = line.split(",")
         assert float(fields[3]) == 0.5
         assert fields[4] == "fail"
@@ -276,17 +276,5 @@ def test_oracle_report_csv_layout():
                           (0.11, ("fail", "fail")), (0.06, ("pass", "fail"))):
         near = replace(result, gamma_expected=result.gamma_fit / (1.0 + rel),
                        shift_expected=result.shift_fit / (1.0 + rel))
-        rows = oracle_report_csv(near).strip().splitlines()[1:]
+        rows = _oracle_report_csv(near).strip().splitlines()[1:]
         assert tuple(row.split(",")[4] for row in rows) == verdicts
-
-
-def test_oracle_report_csv_without_references():
-    bath = make_flat_bath(16, 0.5, 1.5, gamma_target=2e-3)
-    result = bath_brute_force(bath, duration=40.0, n_points=801)
-    lines = oracle_report_csv(result).strip().splitlines()
-    for line in lines[1:]:
-        fields = line.split(",")
-        assert fields[1] == ""  # no expectation recorded
-        assert fields[3] == ""
-        assert fields[4] == ""
-        float(fields[2])  # fitted value still present and parseable

@@ -6,7 +6,7 @@ import pytest
 from vactrap.cli import run_cli
 from vactrap.errors import LongWavelengthWarning
 from vactrap.params import load_config
-from vactrap.sweeps import table1, table1_csv
+from vactrap.sweeps import table1
 
 
 def test_no_command_is_a_usage_error(capsys):
@@ -49,7 +49,11 @@ def test_rates_warns_once_past_the_long_wavelength_bound(capsys, tmp_path):
 def test_table_command_matches_library_route(capsys, tmp_path):
     assert run_cli(["table1"]) == 0
     out = capsys.readouterr().out
-    assert out == table1_csv(table1(load_config("sec-reference")))
+    report = table1(load_config("sec-reference"))
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(label, float(rwa), float(beyond)) for label, rwa, beyond in rows] == list(
+        zip(report.cutoff_labels, report.with_rwa, report.beyond_rwa)
+    )
     target = tmp_path / "grid.csv"
     assert run_cli(["table1", "--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
@@ -160,6 +164,27 @@ def test_bath_oracle_command(capsys):
     assert lines[1].endswith(",pass")
     assert lines[2].endswith(",pass")
     assert "norm drift:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, form",
+    [
+        (["rates"], "csv"),
+        (["table1"], "csv"),
+        (["validate"], "text"),
+        (["pt-compare"], "csv"),
+        (["bath-oracle"], "csv"),
+    ],
+)
+def test_plotless_commands_note_what_they_emit(argv, form, capsys):
+    # --format svg on a command without a plot writes the same report as
+    # without it and says which form that report takes
+    assert run_cli(argv) == 0
+    plain = capsys.readouterr()
+    assert run_cli([*argv, "--format", "svg"]) == 0
+    fallback = capsys.readouterr()
+    assert fallback.out == plain.out
+    assert fallback.err == f"note: {argv[0]} has no plot form; emitting {form}\n" + plain.err
 
 
 @pytest.mark.parametrize("command", ["evolve", "witness", "bath-oracle"])

@@ -1,16 +1,17 @@
-"""The shared CSV cell format: numeric cells read back to the exact double."""
+"""The CLI's CSV cell format: numeric cells read back to the exact double."""
 import math
 
 import numpy as np
 import pytest
 
-from vactrap.bath import BathFitResult, oracle_report_csv
-from vactrap.evolve import integrate, record_to_csv
+from vactrap.bath import BathFitResult
+from vactrap.cli import _oracle_report_csv, run_cli
+from vactrap.evolve import integrate
 from vactrap.liouville import FockSpace, build_fock_operators, build_redfield_generator
-from vactrap.observables import make_state
-from vactrap.params import ApproximationMode, CutoffKind
+from vactrap.observables import make_state, series_from_record
+from vactrap.params import load_config
 from vactrap.rates import RateSet
-from vactrap.sweeps import SweepResult, sweep_csv
+from vactrap.sweeps import bfield_sweep
 
 
 def _cells(text: str) -> tuple[list[str], list[list[str]]]:
@@ -22,6 +23,11 @@ def _cells(text: str) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
+def _run(argv: list[str], capsys) -> tuple[list[str], list[list[str]]]:
+    assert run_cli(argv) == 0
+    return _cells(capsys.readouterr().out)
+
+
 def _same_double(cell: str, value) -> bool:
     back = float(cell)
     if math.isnan(value):
@@ -29,27 +35,21 @@ def _same_double(cell: str, value) -> bool:
     return np.float64(back).tobytes() == np.float64(value).tobytes()
 
 
-def test_sweep_csv_cells_round_trip():
-    b = np.geomspace(1.0, 10.0, 16)
-    exponents = np.full(16, np.nan)
-    exponents[1:-1] = np.float64(2.0) + np.sin(b[1:-1]) / 3.0
-    result = SweepResult(
-        b_values=b,
-        omega_c_values=1.7588e11 * b,
-        delta_omega=-np.float64(1e-5) * b**2,
-        local_exponents=exponents,
-        mode=ApproximationMode.WITH_RWA,
-        cutoff_kind=CutoffKind.DE_BROGLIE,
-    )
-    header, rows = _cells(sweep_csv(result))
-    columns = (result.b_values, result.omega_c_values, result.delta_omega, exponents)
+def test_sweep_csv_cells_round_trip(capsys):
+    header, rows = _run(["sweep-b", "--points", "16"], capsys)
+    result = bfield_sweep(load_config("sec-reference"), (1.0, 10.0), 16)
+    columns = (result.b_values, result.omega_c_values, result.delta_omega,
+               result.local_exponents)
     assert len(rows) == 16
     for i, row in enumerate(rows):
         assert all(_same_double(cell, col[i]) for cell, col in zip(row, columns))
     assert rows[0][3] == rows[-1][3] == "nan"
 
 
-def test_record_csv_cells_round_trip():
+def test_record_csv_cells_round_trip(capsys):
+    header, rows = _run(
+        ["evolve", "--dim", "10", "--alpha", "0.5", "--t-end", "3", "--points", "13"], capsys
+    )
     space = FockSpace(dim=10)
     record = integrate(
         build_redfield_generator(space, RateSet.scaled(1e-2, 5e-3, 8e-3)),
@@ -57,20 +57,24 @@ def test_record_csv_cells_round_trip():
         (0.0, 3.0),
         n_points=13,
     )
-    x = build_fock_operators(space).x
-    header, rows = _cells(record_to_csv(record, {"x": x}))
-    assert header == ["time", "trace_dev", "herm_dev", "min_eig", "guard_pop", "x"]
+    assert header == ["time", "trace_dev", "herm_dev", "min_eig", "guard_pop",
+                      "x", "p", "n", "witness"]
     columns = (record.times, record.trace_dev, record.herm_dev, record.min_eig,
-               record.guard_pop, np.einsum("kij,ji->k", record.rho, x).real)
+               record.guard_pop,
+               *(series_from_record(record, name, space).values for name in ("x", "p", "n", "X")))
+    assert len(rows) == 13
     for i, row in enumerate(rows):
-        assert all(_same_double(cell, col[i]) for cell, col in zip(row[:5], columns))
-    assert [float(row[5]) for row in rows] == pytest.approx(columns[5], abs=1e-14)
+        assert all(_same_double(cell, col[i]) for cell, col in zip(row, columns))
+    # the x column against an independent trace of the stored states
+    x = build_fock_operators(space).x
+    assert [float(row[5]) for row in rows] == pytest.approx(
+        np.einsum("kij,ji->k", record.rho, x).real, abs=1e-14
+    )
 
 
-@pytest.mark.parametrize("with_reference", [True, False])
-def test_oracle_report_cells_round_trip(with_reference):
+def test_oracle_report_cells_round_trip():
     times = np.linspace(0.0, 1.0, 4)
-    expected = (np.float64(5e-3), np.float64(-2.5e-4)) if with_reference else (None, None)
+    expected = (np.float64(5e-3), np.float64(-2.5e-4))
     result = BathFitResult(
         gamma_fit=np.float64(0.0049871),
         shift_fit=np.float64(-2.61e-4),
@@ -81,13 +85,10 @@ def test_oracle_report_cells_round_trip(with_reference):
         excited_population=np.exp(-times),
         mean_lowering=np.exp(-1j * times),
     )
-    header, rows = _cells(oracle_report_csv(result))
+    header, rows = _cells(_oracle_report_csv(result))
     assert header == ["quantity", "expected", "fitted", "relative_error", "pass"]
     for row, fitted, want in zip(rows, (result.gamma_fit, result.shift_fit), expected):
         assert _same_double(row[2], fitted)
-        if want is None:
-            assert row[1] == row[3] == row[4] == ""
-        else:
-            assert _same_double(row[1], want)
-            assert _same_double(row[3], abs(fitted - want) / abs(want))
-            assert row[4] == "pass"
+        assert _same_double(row[1], want)
+        assert _same_double(row[3], abs(fitted - want) / abs(want))
+        assert row[4] == "pass"

@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 import vactrap
+from vactrap.cli import run_cli
 from vactrap.errors import (
     ConfigurationError,
     DimensionMismatch,
@@ -26,20 +27,18 @@ from vactrap.evolve import (
     _step_blocks,
     gaussian_positivity_check,
     integrate,
-    record_to_csv,
     validity_window,
 )
 from vactrap.liouville import (
     DensityMatrix,
     FockSpace,
     Superoperator,
-    build_fock_operators,
     build_lindblad_generator,
     build_redfield_generator,
     build_xp_generator,
     vec,
 )
-from vactrap.observables import make_state, witness_sum
+from vactrap.observables import expect, make_state, witness_sum
 from vactrap.params import ApproximationMode, load_config
 from vactrap.rates import RateSet, build_rate_set
 
@@ -329,6 +328,13 @@ def test_validity_window_zero_damping_limit():
     assert window.t_max == pytest.approx(1.0, rel=1e-14)  # 1 / (2 |D|)
 
 
+def test_validity_window_when_the_shift_squared_underflows():
+    # 4 D^2 is 0.0 at D = 1e-170; the root keeps the formula's limits
+    assert validity_window(RateSet.scaled(1e-2, 0.0, 1e-170)).t_max == math.inf
+    window = validity_window(RateSet.scaled(0.0, 0.0, 1e-170))
+    assert window.t_max == pytest.approx(5e169, rel=1e-14)  # 1 / (2 |D|)
+
+
 def test_gaussian_check_flips_exactly_at_the_horizon():
     rates = build_rate_set(load_config("sec-reference"))
     t_max = validity_window(rates).t_max
@@ -348,17 +354,16 @@ def test_gaussian_check_edge_cases():
 # --------------------------------------------------------------------- csv
 
 
-def test_record_to_csv_layout():
-    space = FockSpace(dim=8)
-    gen = build_lindblad_generator(space, STABLE)
-    record = integrate(gen, make_state("fock", space, n=1), (0.0, 1.0), n_points=3)
-    ops = build_fock_operators(space)
-    text = record_to_csv(record, observables={"n": ops.n})
-    lines = text.strip().splitlines()
-    assert lines[0] == "time,trace_dev,herm_dev,min_eig,guard_pop,n"
+def test_record_to_csv_layout(capsys):
+    argv = ["evolve", "--mode", "with-rwa", "--dim", "16", "--t-end", "1", "--points", "3"]
+    assert run_cli(argv) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "time,trace_dev,herm_dev,min_eig,guard_pop,x,p,n,witness"
     assert len(lines) == 4
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
-    assert float(first[5]) == pytest.approx(1.0, abs=1e-12)  # <n> of |1><1|
-    bare = record_to_csv(record)
-    assert bare.splitlines()[0] == "time,trace_dev,herm_dev,min_eig,guard_pop"
+    first = [float(cell) for cell in lines[1].split(",")]
+    assert first[0] == 0.0
+    # the moments of the initial coherent state (alpha = 1), column by column
+    space = FockSpace(dim=16)
+    start = make_state("coherent", space, alpha=1.0)
+    for value, name in zip(first[5:], ("x", "p", "n", "X")):
+        assert value == pytest.approx(expect(name, start, space), abs=1e-12)

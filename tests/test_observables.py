@@ -103,6 +103,16 @@ def test_make_state_rejects_bad_parameters():
         make_state("thermal", space, beta=0.0)
     with pytest.raises(DimensionMismatch):
         make_state("fock", space, n=1, alpha=2.0)
+    with pytest.raises(DimensionMismatch, match="fock state needs n="):
+        make_state("fock", space)
+    with pytest.raises(DimensionMismatch, match="coherent state needs alpha="):
+        make_state("coherent", space)
+    for n in (1.7, math.nan, math.inf):
+        with pytest.raises(DimensionMismatch, match="integer"):
+            make_state("fock", space, n=n)
+    whole = make_state("fock", space, n=2.0).matrix
+    assert np.array_equal(whole, make_state("fock", space, n=np.int64(2)).matrix)
+    assert whole[2, 2] == 1.0
 
 
 # ------------------------------------------------------------ expectations

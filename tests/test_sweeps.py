@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from vactrap.cli import run_cli
 from vactrap.errors import DimensionMismatch, LongWavelengthWarning
 from vactrap.params import (
     ApproximationMode,
@@ -21,9 +22,7 @@ from vactrap.sweeps import (
     bfield_sweep,
     midpoint_exponent,
     rwa_exponent_analytic,
-    sweep_csv,
     table1,
-    table1_csv,
     validity_report,
 )
 
@@ -64,10 +63,11 @@ def test_table_cells_equal_single_point_evaluations():
             assert column[i] == relative_shift(variant)
 
 
-def test_table_csv_is_deterministic():
-    a = table1_csv(table1(REFERENCE))
-    b = table1_csv(table1(REFERENCE))
-    assert a == b
+def test_table_csv_is_deterministic(capsys):
+    assert run_cli(["table1"]) == 0
+    a = capsys.readouterr().out
+    assert run_cli(["table1"]) == 0
+    assert capsys.readouterr().out == a
     lines = a.strip().splitlines()
     assert lines[0] == "cutoff,with_rwa,beyond_rwa"
     assert len(lines) == 4
@@ -188,9 +188,9 @@ def test_sweep_result_validation():
         )
 
 
-def test_sweep_csv_layout():
-    result = bfield_sweep(REFERENCE, (1.0, 10.0), 17, cutoff="omega1")
-    lines = sweep_csv(result).strip().splitlines()
+def test_sweep_csv_layout(capsys):
+    assert run_cli(["sweep-b", "--points", "17", "--cutoff", "omega1"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "b_tesla,omega_c_rad_s,delta_omega_rad_s,local_exponent"
     assert len(lines) == 18
     first = lines[1].split(",")
@@ -254,12 +254,14 @@ def test_validity_report_flags_long_wavelength_violation():
     assert not [w for w in caught if issubclass(w.category, LongWavelengthWarning)]
 
 
-def test_validity_report_text_and_csv():
+def test_validity_report_text_and_csv(capsys):
     report = validity_report(REFERENCE)
-    text = report.as_text()
+    assert run_cli(["validate"]) == 0
+    text = capsys.readouterr().out
     assert "positivity horizon" in text
     assert "spin coupling negligible: true" in text
-    csv = report.to_csv()
+    assert run_cli(["validate", "--format", "csv"]) == 0
+    csv = capsys.readouterr().out
     lines = csv.strip().splitlines()
     assert lines[0] == "quantity,value"
     table = dict(line.split(",", 1) for line in lines[1:])
