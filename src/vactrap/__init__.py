@@ -27,7 +27,7 @@ from .errors import (
     VactrapError,
 )
 from .params import (
-    CODATA_2018,
+    CODATA_2022,
     ELECTRON,
     REFERENCE_CONFIG_NAME,
     ApproximationMode,

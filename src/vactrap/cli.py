@@ -295,6 +295,10 @@ def _cmd_pt_compare(args) -> str:
         omega_max = r * w
         pt = pt_frequency_shift_renormalized(config.particle, w, omega_max)
         me = frequency_shift(g, w, omega_max, ApproximationMode.BEYOND_RWA)
+        if me == 0.0:
+            raise ConfigurationError(
+                f"cutoff ratio {r!r}: the master-equation shift rounds to zero"
+            )
         rows.append((r, omega_max, pt, me, pt / me))
     return _csv_text(
         ("cutoff_ratio", "omega_max_rad_s", "pt_shift_per_s", "me_shift_per_s", "ratio"), rows

@@ -13,7 +13,9 @@ from the generator's block sizes and the snapshot count.  The stepper
 does all its products through SciPy's BLAS wrappers, on the OpenBLAS that
 ``scipy.linalg.expm`` calls: numpy carries a second OpenBLAS with its own
 spinning worker thread, and switching between the two within a block made
-each wait for a core on a 2-core machine.
+each wait for a core on a 2-core machine.  SciPy is imported inside the
+functions that call it, on the first propagation, so that importing the
+package leaves it unloaded.
 
 The propagated matrix is never projected, renormalized or symmetrized:
 whatever the propagator produces is stored, and its defects (trace drift,
@@ -48,9 +50,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, get_blas_funcs
-from scipy.sparse import csr_array
-from scipy.sparse.linalg import expm_multiply, norm as sparse_norm
 
 from .errors import (
     ConfigurationError,
@@ -268,12 +267,16 @@ def _propagate(op: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
     1/eps`` raises ``ToleranceFailure`` first (SciPy's own step count would
     overflow into a ``ValueError``).
     """
+    from scipy.sparse import csr_array
+
     n_points, size = len(times), len(y0)
     sparse = csr_array(op)
     blocks = _invariant_blocks(sparse)
     largest = max(len(idx) for idx in blocks)
     if largest <= _STEPPER_MAX_SIZE and n_points - 1 >= min(size, 2 * largest):
         return _step_blocks(op, y0, times, blocks)
+    from scipy.sparse.linalg import expm_multiply, norm as sparse_norm
+
     span = times[-1] - times[0]
     norm_span = sparse_norm(sparse, 1) * span
     if not norm_span * np.finfo(float).eps < 1.0:
@@ -306,6 +309,8 @@ def _step_blocks(
     are handed over transposed, which makes a C-ordered array
     Fortran-ordered without a copy.
     """
+    from scipy.linalg import expm, get_blas_funcs
+
     n_points, dt = len(times), times[1] - times[0]
     out = np.empty((n_points, len(y0)), dtype=complex)
     gemm = get_blas_funcs("gemm", (out,))

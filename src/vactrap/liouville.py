@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigurationError, DimensionMismatch, DimensionTooSmall
 from .params import ApproximationMode
@@ -391,7 +389,12 @@ def _invariant_blocks(matrix) -> list[np.ndarray]:
     parity of ``i - j`` (two blocks, four on the planar space); the RWA
     generator keeps ``i - j`` itself (``2 dim - 1`` blocks of sizes 1 to
     ``dim``).  Each set is ascending.  ``matrix`` may be dense or sparse.
+    SciPy is imported here, on first use, so that importing the package
+    leaves it unloaded.
     """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
     n_blocks, labels = connected_components(csr_array(matrix != 0), directed=False)
     order = np.argsort(labels, kind="stable")
     return np.split(order, np.cumsum(np.bincount(labels, minlength=n_blocks))[:-1])

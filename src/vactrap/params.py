@@ -3,8 +3,9 @@
 All quantities are strict SI: masses in kg, charges in C, lengths in m, and
 every frequency is an *angular* frequency in rad/s unless a name says
 otherwise.  The trap frequency for a particle of charge q in a field B is
-``|q| B / m`` (SI convention).  Every formula reads the CODATA 2018 values
-in ``CODATA_2018``.
+``|q| B / m`` (SI convention).  Every formula reads the CODATA 2022 values
+in ``CODATA_2022``, written here as literals so that no result depends on
+the installed SciPy release.
 
 Three physically motivated ultraviolet cut-off rules are supported, plus the
 Compton frequency and an explicit user value:
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import constants as _codata
 
 from .errors import (
     ConfigParseError,
@@ -43,7 +43,7 @@ from .errors import (
 
 __all__ = [
     "PhysicalConstants",
-    "CODATA_2018",
+    "CODATA_2022",
     "ParticleSpec",
     "ELECTRON",
     "TrapSpec",
@@ -100,14 +100,15 @@ class PhysicalConstants:
         return charge**2 / (4.0 * math.pi * self.eps0 * self.hbar * self.c)
 
 
-#: CODATA 2018 values (as shipped by scipy.constants).
-CODATA_2018 = PhysicalConstants(
-    hbar=_codata.hbar,
-    c=_codata.c,
-    eps0=_codata.epsilon_0,
-    e=_codata.e,
-    m_e=_codata.m_e,
-    alpha_fs=_codata.alpha,
+#: CODATA 2022 recommended values; h, c and e are exact in the SI, and
+#: hbar is h / (2 pi) from the exact h.
+CODATA_2022 = PhysicalConstants(
+    hbar=6.62607015e-34 / (2.0 * math.pi),
+    c=299792458.0,
+    eps0=8.8541878188e-12,
+    e=1.602176634e-19,
+    m_e=9.1093837139e-31,
+    alpha_fs=0.0072973525643,
 )
 
 
@@ -131,7 +132,7 @@ class ParticleSpec:
 
 
 #: The electron (negative charge kept explicit).
-ELECTRON = ParticleSpec(mass=CODATA_2018.m_e, charge=-CODATA_2018.e)
+ELECTRON = ParticleSpec(mass=CODATA_2022.m_e, charge=-CODATA_2022.e)
 
 
 @dataclass(frozen=True)
@@ -298,13 +299,13 @@ def lwa_bound(particle: ParticleSpec, omega_c: float) -> float:
     """
     if not (omega_c > 0.0 and math.isfinite(omega_c)):
         raise ConfigurationError(f"omega_c must be positive, got {omega_c}")
-    k = CODATA_2018
+    k = CODATA_2022
     return math.sqrt(2.0 * particle.mass * k.c**2 * omega_c / k.hbar)
 
 
 def compton_frequency(particle: ParticleSpec) -> float:
     """Relativistic ceiling ``m c^2 / hbar`` in rad/s."""
-    return particle.mass * CODATA_2018.c**2 / CODATA_2018.hbar
+    return particle.mass * CODATA_2022.c**2 / CODATA_2022.hbar
 
 
 def cutoff_frequency(config: ExperimentConfig) -> float:
@@ -329,7 +330,7 @@ def cutoff_frequency(config: ExperimentConfig) -> float:
 
 def _resolve_cutoff(config: ExperimentConfig) -> tuple[float, str | None]:
     """:func:`cutoff_frequency`'s value and the note it warns with (or None)."""
-    k = CODATA_2018
+    k = CODATA_2022
     kind = config.cutoff.kind
     w = config.omega_c
     if kind is CutoffKind.LARGEST_AMPLITUDE:
@@ -374,7 +375,7 @@ def spin_coupling_ratio(
     """
     if not (mode_frequency > 0.0 and math.isfinite(mode_frequency)):
         raise ConfigurationError(f"mode_frequency must be positive, got {mode_frequency}")
-    k = CODATA_2018
+    k = CODATA_2022
     num = k.c**2 * math.sqrt(particle.mass * omega_c / k.hbar)
     return num / mode_frequency
 

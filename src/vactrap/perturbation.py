@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import SingularDenominator
-from .params import CODATA_2018, ParticleSpec
+from .params import CODATA_2022, ParticleSpec
 from .rates import _log_tail, kappa
 
 __all__ = [
@@ -82,7 +82,7 @@ def pt_constants(
             f"need omega_c > 0 and omega_max >= 0, got {omega_c!r}, {omega_max!r}"
         )
     _check_resonances(omega_c, omega_max)
-    a_q = CODATA_2018.fine_structure(particle.charge)
+    a_q = CODATA_2022.fine_structure(particle.charge)
     k = kappa(particle, omega_c)
     pairs = []
     for _, coefficient, power, n, order in _PT_TABLE:
@@ -104,7 +104,7 @@ def pt_renormalization_term(
     bookkeeping as the frequency shift, halved by the two-vs-one-transition
     counting.
     """
-    a_q = CODATA_2018.fine_structure(particle.charge)
+    a_q = CODATA_2022.fine_structure(particle.charge)
     k = kappa(particle, omega_c)
     return 2.0 * a_q * k * omega_max / math.pi
 

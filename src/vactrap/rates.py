@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError, SingularCutoff
 from .params import (
-    CODATA_2018,
+    CODATA_2022,
     ApproximationMode,
     ExperimentConfig,
     ParticleSpec,
@@ -46,7 +46,7 @@ __all__ = [
 def kappa(particle: ParticleSpec, omega_c: float) -> float:
     """Trap-quantum to rest-energy ratio ``hbar w / (m c^2)`` (dimensionless)."""
     _require_positive_frequency(omega_c)
-    return CODATA_2018.hbar * omega_c / (particle.mass * CODATA_2018.c**2)
+    return CODATA_2022.hbar * omega_c / (particle.mass * CODATA_2022.c**2)
 
 
 def damping_rate(particle: ParticleSpec, omega_c: float) -> float:
@@ -57,7 +57,7 @@ def damping_rate(particle: ParticleSpec, omega_c: float) -> float:
     rate that is not finite is a ``ConfigurationError``.
     """
     _require_positive_frequency(omega_c)
-    k = CODATA_2018
+    k = CODATA_2022
     denominator = 3.0 * math.pi * k.eps0 * particle.mass * k.c**3
     try:  # as a Python float, an overflow raises or gives inf instead of warning
         rate = particle.charge**2 * float(omega_c) ** 2 / denominator
@@ -94,11 +94,17 @@ def _log_tail(w: float, W: float, sign: float, n: int, order: int) -> float:
     The one form of every closed-form shift integral, evaluated as the log
     term plus ``(-1)**(j+1) n**(order-j) (sign W)**j / (j w**(j-1))`` for
     ``j = 1 .. order`` in turn.  The raw level shifts are ``n = order = 1``;
-    :func:`vactrap.perturbation.pt_constants` tabulates the rest.
+    :func:`vactrap.perturbation.pt_constants` tabulates the rest.  A power
+    ``W**j`` past the float range is a ``ConfigurationError``.
     """
     total = -(n**order * w) * _log_ratio(w, W, sign, n)
-    for j in range(1, order + 1):
-        total += (-1) ** (j + 1) * n ** (order - j) * (sign * W) ** j / (j * w ** (j - 1))
+    try:  # as a Python float, a power past the float range raises
+        for j in range(1, order + 1):
+            total += (-1) ** (j + 1) * n ** (order - j) * (sign * W) ** j / (j * w ** (j - 1))
+    except OverflowError:
+        raise ConfigurationError(
+            f"cutoff {W!r} rad/s overflows the order-{order} shift integral"
+        ) from None
     return total
 
 
@@ -169,7 +175,7 @@ class FreeParticleShift:
 def free_particle_shift(particle: ParticleSpec, omega_max: float) -> FreeParticleShift:
     """Free-particle relative energy shift pair for a cut-off ``W``."""
     _require_positive_frequency(omega_max, "omega_max")
-    k = CODATA_2018
+    k = CODATA_2022
     lin = particle.charge**2 * omega_max / (3.0 * math.pi**2 * k.eps0 * particle.mass * k.c**3)
     return FreeParticleShift(delta_e_fp=2.0 * lin, delta_e_lin=lin)
 

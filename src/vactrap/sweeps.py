@@ -24,7 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import ConfigurationError, DimensionMismatch
 from .evolve import validity_window
 from .params import (
     ApproximationMode,
@@ -138,7 +138,9 @@ def bfield_sweep(
 
     Geometry (d_a, d_c) is taken from ``config`` and held fixed; the trap
     frequency at each point follows from the field.  Local exponents
-    ``d ln|shift| / d ln B`` are central differences, NaN at the ends.
+    ``d ln|shift| / d ln B`` are central differences, NaN at the ends.  A
+    shift that rounds to zero at some field has no logarithm and is a
+    ``ConfigurationError``.
     """
     b_lo, b_hi = b_range
     if not (0 < b_lo < b_hi < math.inf):
@@ -157,6 +159,8 @@ def bfield_sweep(
         omega_max, note = _resolve_cutoff(variant)
         rates = _rate_set_at(variant, omega_max)
         shifts[i] = rates.delta_omega / rates.omega_c * omegas[i]
+        if shifts[i] == 0.0:
+            raise ConfigurationError(f"the frequency shift at B = {b:.6g} T rounds to zero")
         if note is not None:
             lwa_exceeded.append(b)
 

@@ -34,7 +34,7 @@ from vactrap.observables import (
     make_state,
     series_from_record,
 )
-from vactrap.params import CODATA_2018, ELECTRON, load_config
+from vactrap.params import CODATA_2022, ELECTRON, load_config
 from vactrap.perturbation import pt_frequency_shift_renormalized
 from vactrap.rates import (
     RateSet,
@@ -334,12 +334,12 @@ def test_criterion_08_perturbation_cross_check():
     w_max = 3.824437515578783e16
     fp = free_particle_shift(ELECTRON, w_max)
     assert fp.delta_e_fp == 2.0 * fp.delta_e_lin, "factor-two identity broken"
-    alpha = CODATA_2018.fine_structure(ELECTRON.charge)
+    alpha = CODATA_2022.fine_structure(ELECTRON.charge)
     via_alpha = (
         (4.0 * alpha / (3.0 * math.pi))
-        * CODATA_2018.hbar
+        * CODATA_2022.hbar
         * w_max
-        / (ELECTRON.mass * CODATA_2018.c**2)
+        / (ELECTRON.mass * CODATA_2022.c**2)
     )
     assert fp.delta_e_lin == pytest.approx(via_alpha, rel=1e-11), (
         f"linear shift {fp.delta_e_lin!r} vs coupling-constant route "

@@ -256,6 +256,23 @@ def test_out_of_domain_values_are_input_errors(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["pt-compare", "--ratios", "1e70"],  # the order-5 PT term overflows
+        ["pt-compare", "--ratios", "1e40"],  # the master-equation shift rounds to 0
+        ["sweep-b", "--b-max", "1e70"],  # ln|1 +- W/w| rounds to 0 past Compton
+        ["sweep-b", "--b-min", "1e-300"],  # the damping rate underflows to 0
+    ],
+)
+def test_closed_form_range_ends_are_one_line_input_errors(argv, capsys):
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("vactrap: input error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["evolve", "--dim", "6", "--points", "3", "--t-end", "1e300"],
         ["evolve", "--dim", "6", "--gamma", "1e300", "--points", "11"],
         ["witness", "--dim", "6", "--t-end", "1e300", "--points", "3"],

@@ -1,10 +1,16 @@
-"""The package surface: what ``vactrap`` exports is what its modules declare."""
+"""The package surface: what ``vactrap`` exports is what its modules declare,
+and what importing it and running its report commands loads."""
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import vactrap
 from vactrap import errors
+
+_SRC = str(Path(vactrap.__file__).resolve().parents[1])
 
 
 def test_package_exports_every_declared_name_and_nothing_else():
@@ -27,3 +33,42 @@ def test_package_exports_every_declared_name_and_nothing_else():
         if not name.startswith("_") and not inspect.ismodule(obj)
     }
     assert exported == declared
+
+
+def _scipy_modules_after(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter after ``import vactrap``; it exits
+    non-zero, naming them, if any ``scipy`` module is loaded at the end."""
+    script = (
+        f"import sys; sys.path.insert(0, {_SRC!r}); import vactrap\n{code}\n"
+        "sys.exit(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+
+
+def test_import_loads_no_scipy():
+    proc = _scipy_modules_after("")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_report_commands_load_no_scipy():
+    # SciPy is imported where a propagation, block search or abscissa probe
+    # runs; none of these reports does one
+    reports = [
+        ["rates"],
+        ["table1"],
+        ["validate"],
+        ["pt-compare"],
+        ["sweep-b", "--points", "65"],
+        ["bath-oracle", "--modes", "64"],
+    ]
+    code = (
+        "import contextlib, io\n"
+        "from vactrap.cli import run_cli\n"
+        f"for argv in {reports!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert run_cli(argv) == 0, argv"
+    )
+    proc = _scipy_modules_after(code)
+    assert proc.returncode == 0, proc.stderr

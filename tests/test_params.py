@@ -10,7 +10,7 @@ from vactrap.errors import (
     MissingParameter,
 )
 from vactrap.params import (
-    CODATA_2018,
+    CODATA_2022,
     ELECTRON,
     ApproximationMode,
     CutoffKind,
@@ -35,14 +35,25 @@ W_REF = 9.42e11
 B_REF = 5.355863564849493  # T, = omega_c m_e / e
 
 
+def test_constants_are_the_published_codata_2022_values():
+    # the recommended values as published (Mohr et al., CODATA 2022), typed
+    # in rather than read from any library; h, c and e are exact in the SI
+    assert CODATA_2022.hbar == 6.62607015e-34 / (2.0 * math.pi)
+    assert CODATA_2022.c == 299792458.0
+    assert CODATA_2022.eps0 == 8.8541878188e-12
+    assert CODATA_2022.e == 1.602176634e-19
+    assert CODATA_2022.m_e == 9.1093837139e-31
+    assert CODATA_2022.alpha_fs == 7.2973525643e-3
+
+
 def test_fine_structure_matches_codata_alpha():
-    computed = CODATA_2018.fine_structure(-CODATA_2018.e)
-    assert computed == pytest.approx(CODATA_2018.alpha_fs, rel=1e-11)
+    computed = CODATA_2022.fine_structure(-CODATA_2022.e)
+    assert computed == pytest.approx(CODATA_2022.alpha_fs, rel=1e-11)
 
 
 def test_fine_structure_scales_with_charge_squared():
-    assert CODATA_2018.fine_structure(2.0 * CODATA_2018.e) == pytest.approx(
-        4.0 * CODATA_2018.alpha_fs, rel=1e-11
+    assert CODATA_2022.fine_structure(2.0 * CODATA_2022.e) == pytest.approx(
+        4.0 * CODATA_2022.alpha_fs, rel=1e-11
     )
 
 
@@ -58,9 +69,9 @@ def test_cyclotron_frequency_rejects_nonpositive_field(bad):
 
 def test_particle_spec_validation():
     with pytest.raises(ConfigurationError):
-        ParticleSpec(mass=-1e-30, charge=-CODATA_2018.e)
+        ParticleSpec(mass=-1e-30, charge=-CODATA_2022.e)
     with pytest.raises(ConfigurationError):
-        ParticleSpec(mass=CODATA_2018.m_e, charge=0.0)
+        ParticleSpec(mass=CODATA_2022.m_e, charge=0.0)
 
 
 def test_trap_spec_needs_a_frequency_or_field():

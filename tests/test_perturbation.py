@@ -4,7 +4,7 @@ import math
 import pytest
 
 from vactrap.errors import SingularDenominator
-from vactrap.params import CODATA_2018, ELECTRON, ParticleSpec
+from vactrap.params import CODATA_2022, ELECTRON, ParticleSpec
 from vactrap.perturbation import (
     pt_constants,
     pt_frequency_shift_renormalized,
@@ -77,7 +77,7 @@ def test_renormalization_term_matches_free_particle_route():
     # 2 a_q kappa W / pi == 1.5 * delta_e_lin * omega_c, for any charge/mass
     for particle in (
         ELECTRON,
-        ParticleSpec(mass=3.0 * CODATA_2018.m_e, charge=2.0 * CODATA_2018.e),
+        ParticleSpec(mass=3.0 * CODATA_2022.m_e, charge=2.0 * CODATA_2022.e),
     ):
         term = pt_renormalization_term(particle, W_REF, OMEGA_MAX_1)
         lin = free_particle_shift(particle, OMEGA_MAX_1).delta_e_lin
@@ -105,7 +105,7 @@ def test_renormalized_spacing_requires_cutoff_above_trap():
 
 def _reference_constants(omega_c, omega_max):
     """The five constant pairs, each written out as its own closed form."""
-    a_q = CODATA_2018.fine_structure(ELECTRON.charge)
+    a_q = CODATA_2022.fine_structure(ELECTRON.charge)
     k = kappa(ELECTRON, omega_c)
     w, W = omega_c, omega_max
 

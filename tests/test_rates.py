@@ -13,7 +13,7 @@ import pytest
 from vactrap.cli import run_cli
 from vactrap.errors import ConfigurationError, SingularCutoff
 from vactrap.params import (
-    CODATA_2018,
+    CODATA_2022,
     ELECTRON,
     ApproximationMode,
     CutoffKind,
@@ -51,7 +51,7 @@ def test_damping_rate_reference_value():
 
 def test_damping_rate_alpha_kappa_identity():
     # G = (4/3) alpha kappa w, to the CODATA alpha self-consistency level
-    via_alpha = (4.0 / 3.0) * CODATA_2018.alpha_fs * KAPPA_REF * W_REF
+    via_alpha = (4.0 / 3.0) * CODATA_2022.alpha_fs * KAPPA_REF * W_REF
     assert damping_rate(ELECTRON, W_REF) == pytest.approx(via_alpha, rel=1e-11)
 
 
@@ -161,8 +161,8 @@ def test_free_particle_shift_values_and_factor_two():
     assert fp.delta_e_fp == 2.0 * fp.delta_e_lin
     # independent route through the fine-structure constant:
     # dE_FP = (8 alpha / 3 pi) (hbar W / m c^2)
-    k_cut = CODATA_2018.hbar * W_MAX / (ELECTRON.mass * CODATA_2018.c**2)
-    via_alpha = (8.0 * CODATA_2018.alpha_fs / (3.0 * math.pi)) * k_cut
+    k_cut = CODATA_2022.hbar * W_MAX / (ELECTRON.mass * CODATA_2022.c**2)
+    via_alpha = (8.0 * CODATA_2022.alpha_fs / (3.0 * math.pi)) * k_cut
     assert fp.delta_e_fp == pytest.approx(via_alpha, rel=1e-11)
 
 
