@@ -20,7 +20,12 @@ Two interaction forms are supported:
 
 Both share one representation, built by ``_hamiltonian`` (the only place
 they differ); the second-order sum, the evolution with one
-diagonalization per run, and the observables are one path.
+diagonalization per run, and the observables are one path.  The product
+space is written in the gauge ``psi_j -> i**level_j psi_j``, in which the
+coupling reads ``-kappa (b + b+)(a + a+)``: a real symmetric float64
+matrix, half the bytes of the complex one and cheaper to diagonalize.  The
+sector basis keeps the complex coupling; the gauge would be just as exact
+there, but it would move the sector reports in their last digits.
 
 Decay is fitted from ``ln P_1(t)`` (survival of one trap quantum) and the
 frequency from the unwrapped phase of ``<b>(t)`` along a superposition
@@ -189,7 +194,7 @@ def discrete_second_order_shift(bath: BathModel) -> float:
     adiabatically connected to one and zero trap quanta.  A coupled state
     exactly on resonance makes the sum meaningless and raises.
     """
-    h0, v, _, lower = _hamiltonian(bath)
+    h0, v, _, lower, _ = _hamiltonian(bath)
     shifts = []
     for target in (int(np.flatnonzero(lower == 0)[0]), 0):
         amp2 = np.abs(v[:, target]) ** 2
@@ -204,14 +209,19 @@ def discrete_second_order_shift(bath: BathModel) -> float:
 
 
 def _hamiltonian(bath: BathModel) -> tuple[np.ndarray, ...]:
-    """The bath Hamiltonian as ``(diag(H0), V, level, lower)``.
+    """The bath Hamiltonian as ``(diag(H0), V, level, lower, phase)``.
 
     ``level[j]`` is the trap level of basis state ``j`` and ``lower[j]`` the
     state one trap quantum down with the same field (negative at level 0).
-    State 0 is ``|0> x |vac>``.  The conserving coupling uses the sector
-    basis e0 = |0> x |vac>, e1 = |1> x |vac>, e_{k+2} = |0> x |1_k>; the
-    full coupling ``i kappa (b - b+)(a + a+)`` the kron-ordered truncated
-    product space.
+    State 0 is ``|0> x |vac>``.  ``V`` acts on gauged amplitudes: the
+    physical state is ``phase * c`` for the vector ``c`` it evolves.
+
+    The conserving coupling uses the sector basis e0 = |0> x |vac>,
+    e1 = |1> x |vac>, e_{k+2} = |0> x |1_k>, with ``V`` complex and the
+    phases all one.  The full coupling ``i kappa (b - b+)(a + a+)`` uses the
+    kron-ordered truncated product space with ``phase = i**level``, which
+    turns ``V`` into the float64 ``-kappa (b + b+)(a + a+)``; the phases
+    come from an exact table, not a complex power.
     """
     m = bath.n_modes
     if not bath.counter_rotating:
@@ -221,7 +231,7 @@ def _hamiltonian(bath: BathModel) -> tuple[np.ndarray, ...]:
         v[1, 2:] = -1j * bath.couplings
         level = np.zeros(m + 2, dtype=int)
         level[1] = 1
-        return h0, v, level, level - 1
+        return h0, v, level, level - 1, np.ones(m + 2)
 
     n_p = bath.particle_levels
     n_ph = bath.photons_per_mode + 1
@@ -242,8 +252,9 @@ def _hamiltonian(bath: BathModel) -> tuple[np.ndarray, ...]:
         room = np.flatnonzero(photons[:, k] < bath.photons_per_mode)
         amp = bath.couplings[k] * np.sqrt(photons[room, k] + 1.0)
         quadrature[room, room + strides[k]] = quadrature[room + strides[k], room] = amp
-    v = 1j * np.kron(b - b.T, quadrature)
-    return h0, v, level, np.arange(dim) - n_field
+    v = -np.kron(b + b.T, quadrature)
+    phase = np.array([1, 1j, -1, -1j])[level % 4]
+    return h0, v, level, np.arange(dim) - n_field, phase
 
 
 @dataclass(frozen=True)
@@ -303,11 +314,19 @@ def bath_brute_force(
     probability ``P_1`` (decay fit on its logarithm, skipping the initial
     bandwidth transient) and ``(|0> + |1>)/sqrt 2 x |vac>`` for the phase
     drift of ``<b> = sum_j sqrt(level_j) conj(c[lower_j]) c[j]``
-    (frequency-shift fit on the unwrapped phase).  ``rates_expected`` is an
-    optional ``(gamma, shift)`` pair recorded in the result for reporting;
-    pass the discrete-sum references.  ``duration`` must be positive and
-    finite, with a grid sum of ``t**2`` that neither overflows nor
-    vanishes, and ``n_points`` at least 2.
+    (frequency-shift fit on the unwrapped phase).
+
+    The one ``eigh`` takes a float64 matrix on the product space (the
+    ``i**level`` gauge of :func:`_hamiltonian`) and a complex128 one in the
+    sector, which stays ungauged so its reports keep their bytes.  Each run
+    starts from the gauged ``conj(phase) * psi0`` and multiplies ``phase``
+    back onto its trajectory; the phases are +-1 and +-i, so both steps are
+    exact and ``P_1``, ``<b>`` and the norms are the physical ones.
+
+    ``rates_expected`` is an optional ``(gamma, shift)`` pair recorded in
+    the result for reporting; pass the discrete-sum references.
+    ``duration`` must be positive and finite, with a grid sum of ``t**2``
+    that neither overflows nor vanishes, and ``n_points`` at least 2.
     """
     if not 0.0 < duration < math.inf:
         raise ConfigurationError(f"duration must be positive and finite, got {duration}")
@@ -317,7 +336,7 @@ def bath_brute_force(
     with np.errstate(over="ignore", under="ignore"):  # both fits scale t by sqrt(sum t**2)
         if not 0.0 < np.sum(times * times) < math.inf:
             raise ConfigurationError(f"duration {duration} over/underflows the fits' sum of t**2")
-    h0, h, level, lower = _hamiltonian(bath)
+    h0, h, level, lower, phase = _hamiltonian(bath)
     h[np.diag_indices_from(h)] += h0
     energies, u = np.linalg.eigh(h)
     del h
@@ -326,22 +345,24 @@ def bath_brute_force(
 
     def evolve(occupied: list[int]) -> np.ndarray:
         psi = np.zeros(len(level), dtype=complex)
-        psi[occupied] = 1.0 / math.sqrt(len(occupied))
-        return u @ (phases * (u.conj().T @ psi)[:, None])
+        psi[occupied] = phase[occupied].conj() / math.sqrt(len(occupied))
+        traj = u @ (phases * (u.conj().T @ psi)[:, None])
+        traj *= phase[:, None]
+        return traj
 
-    traj_decay = evolve([i1])
-    traj_super = evolve([0, i1])
-    pop = np.sum(np.abs(traj_decay[level == 1]) ** 2, axis=0)
+    traj = evolve([i1])
+    pop = np.sum(np.abs(traj[level == 1]) ** 2, axis=0)
+    norms = np.sum(np.abs(traj) ** 2, axis=0)
+    norm_drift = float(np.max(np.abs(norms - 1.0)))
+    del traj
+    traj = evolve([0, i1])
     up = lower >= 0
     mean_b = np.einsum(
         "jt,j,jt->t",
-        traj_super[lower[up]].conj(),
+        traj[lower[up]].conj(),
         np.sqrt(level[up]),
-        traj_super[up],
+        traj[up],
     )
-
-    norms = np.sum(np.abs(traj_decay) ** 2, axis=0)
-    norm_drift = float(np.max(np.abs(norms - 1.0)))
 
     fit_mask = times >= _FIT_START_FRACTION * duration
     gamma_fit = _fit_decay(times[fit_mask], pop[fit_mask])

@@ -137,6 +137,9 @@ def test_sector_and_product_space_paths_agree():
     assert full.norm_drift < 1e-10
     assert abs(sector.gamma_fit - full.gamma_fit) / sector.gamma_fit < 0.02
     assert sector.gamma_fit == pytest.approx(2e-3, rel=0.05)
+    # regression freeze of the product-space fit itself
+    assert full.gamma_fit == pytest.approx(0.0020078926272005552, rel=1e-6)
+    assert full.shift_fit == pytest.approx(0.00018845402370337716, rel=1e-6)
 
 
 def test_detuned_mode_gives_pure_shift_and_honest_zero_decay():
@@ -218,11 +221,14 @@ def test_trap_energies_are_exact_multiples_of_omega_c():
 
 @pytest.mark.parametrize("counter_rotating", [False, True])
 def test_one_diagonalization_per_run(monkeypatch, counter_rotating):
+    # the product space is diagonalized in its real i**level gauge; the
+    # sector keeps its complex coupling
+    dtype = np.float64 if counter_rotating else np.complex128
     calls = []
     eigh = np.linalg.eigh
 
     def counting_eigh(matrix, *args, **kwargs):
-        calls.append(matrix.shape)
+        calls.append((matrix.shape, matrix.dtype))
         return eigh(matrix, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
@@ -230,7 +236,7 @@ def test_one_diagonalization_per_run(monkeypatch, counter_rotating):
         8, 0.5, 1.5, gamma_target=2e-3, counter_rotating=counter_rotating
     )
     bath_brute_force(bath, duration=40.0, n_points=801)
-    assert calls == [(bath.dimension(), bath.dimension())]
+    assert calls == [((bath.dimension(), bath.dimension()), np.dtype(dtype))]
 
 
 def test_resonant_single_mode_is_reported_as_rabi_not_decay():
