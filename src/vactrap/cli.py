@@ -219,10 +219,12 @@ def _cmd_evolve(args) -> str:
             x_label="t (units of 1/omega_c)",
         )
     moments = [series_from_record(record, name, space).values for name in ("x", "p", "n", "X")]
+    columns = (record.times, record.trace_dev, record.herm_dev, record.min_eig, record.guard_pop,
+               *moments)
+    # as Python floats the cells read the same as numpy scalars
     return _csv_text(
         ("time", "trace_dev", "herm_dev", "min_eig", "guard_pop", "x", "p", "n", "witness"),
-        zip(record.times, record.trace_dev, record.herm_dev, record.min_eig, record.guard_pop,
-            *moments),
+        zip(*(column.tolist() for column in columns)),
     )
 
 

@@ -1,12 +1,20 @@
 """Exact propagation on a uniform time grid, with trace/Hermiticity/positivity monitors.
 
 Every snapshot time is on a uniform grid, so the trajectory is
-``expm(L t_k) vec(rho0)`` with no step-size control and no tolerance.  When
-no invariant block of ``L`` is larger than 392 entries (beyond-RWA up to
-dim 28; the RWA generator's blocks are at most ``dim``) and the grid has
-at least ``min(N, 2 m)`` steps, ``N`` the vector length and ``m`` the
-largest block's size, one ``expm(L_b dt)`` per block is formed and
-applied step by step, in chunks of snapshots; otherwise
+``expm(L t_k) vec(rho0)`` with no step-size control and no tolerance.
+It is propagated in Hermitian coordinates: a Hermitian ``rho`` is carried
+by the real vector ``w = Re vec(rho) + Im vec(rho)``, which obeys
+``dw/dt = G w`` with the real ``G = Re L + (Im L)[:, swap]``, ``swap[j]``
+the vec index of the entry transposed to ``j``.  Each snapshot is unpacked
+as ``rho_j = ((w_j + w_swap[j]) + i (w_j - w_swap[j])) / 2``, so it is
+Hermitian to the last bit and ``herm_dev`` reads 0, and every product is
+real.  A generator that does not preserve Hermiticity is refused, since
+these coordinates would drop its anti-Hermitian part.  When no invariant
+block of ``G`` is larger than 392 entries (beyond-RWA up to dim 28; the
+RWA generator's blocks are at most ``2 (dim - 1)``) and the grid has at
+least ``min(N, 2 N / B)`` steps, ``N`` the vector length and ``B`` the
+number of blocks, one ``expm(G_b dt)`` per block is formed and applied
+step by step, in chunks of snapshots; otherwise
 ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci.
 Comput. 33, 488 (2011)) evaluates the whole grid.  The choice follows only
 from the generator's block sizes and the snapshot count.  The stepper
@@ -17,7 +25,7 @@ each wait for a core on a 2-core machine.  SciPy is imported inside the
 functions that call it, on the first propagation, so that importing the
 package leaves it unloaded.
 
-The propagated matrix is never projected, renormalized or symmetrized:
+The propagated state is never projected, renormalized or symmetrized:
 whatever the propagator produces is stored, and its defects (trace drift,
 Hermiticity drift, most negative eigenvalue, guard-band population) are
 recorded per time point.  A breach raises, and the exception carries the
@@ -84,7 +92,7 @@ GUARD_BAND_LIMIT = 1e-6
 #: diagnostics temporaries stay small whatever the trajectory length.
 _DIAGNOSTICS_BLOCK_BYTES = 2 * 1024 * 1024
 #: Largest invariant block (``_invariant_blocks``; beyond-RWA at dim 28 has
-#: two of 392 entries) propagated by the cached ``expm(L_b dt)`` stepper.
+#: two of 392 entries) propagated by the cached ``expm(G_b dt)`` stepper.
 #: Its set-up, one ``expm`` and ``log2(_CHUNK)`` squarings per block, grows
 #: like m^3, while an ``expm_multiply`` step costs about 0.4-1 ms almost
 #: independently of the size (per-term call overhead on a generator with
@@ -95,8 +103,11 @@ _DIAGNOSTICS_BLOCK_BYTES = 2 * 1024 * 1024
 #: to dim 28.  That crossover was measured while the stepper's products
 #: ran on numpy's OpenBLAS and contended with ``expm``'s.  On one pool the
 #: stepper wins at the same grid through dim 36 (0.81 against 0.99 s) and
-#: loses from dim 40 (``BENCH_9.json``, ``crossover``); the cap is kept
-#: until its peak RSS at those sizes is measured as well.
+#: loses from dim 40 (``BENCH_9.json``, ``crossover``).  In real Hermitian
+#: coordinates it wins through dim 36 by more (dim 36: 0.29-0.40 against
+#: 0.61-0.76 s), but its peak RSS is 13-26 MB above ``expm_multiply``'s
+#: at dims 30-36 (dim 36: 157 against 131 MB; ``BENCH_18.json``,
+#: ``crossover``), so the cap is kept.
 _STEPPER_MAX_SIZE = 392
 #: Snapshots per matrix product in the stepper (a power of two: the chunk
 #: propagator ``S**_CHUNK`` is formed by ``log2(_CHUNK)`` squarings).
@@ -108,10 +119,11 @@ class EvolutionRecord:
     """Stored trajectory plus per-point diagnostics.
 
     ``rho[k]`` is the unvalidated snapshot at ``times[k]`` (the first entry
-    is the supplied initial state), stacked as one ``(n_points, dim, dim)``
-    array.  Diagnostics arrays align with ``times``: absolute trace
-    deviation, max Hermiticity deviation, lowest eigenvalue of the
-    Hermitized snapshot, and guard-band population.
+    is the Hermitian part of the supplied initial state), stacked as one
+    ``(n_points, dim, dim)`` array.  Diagnostics arrays align with
+    ``times``: absolute trace deviation, max Hermiticity deviation (0, as
+    the snapshots are unpacked from Hermitian coordinates), lowest
+    eigenvalue, and guard-band population.
     """
 
     times: np.ndarray
@@ -152,20 +164,29 @@ def integrate(
 
     ``n_points`` evenly spaced snapshots (including both endpoints) are
     stored, each the exact exponential ``expm(L t_k)`` applied to the
-    vectorized initial state up to rounding: a cached ``expm(L_b dt)``
-    stepper per invariant block ``b`` of the generator when no block has
-    more than ``_STEPPER_MAX_SIZE`` (392) entries and ``n_points - 1`` is at
-    least ``min(dim**2, 2 m)``, ``m`` the largest block's size (``dim**2``
-    beyond RWA, ``2 dim`` with RWA), ``expm_multiply`` otherwise.
+    vectorized initial state up to rounding.  The state is propagated in
+    the Hermitian coordinates of :func:`_hermitian_coordinates`, and each
+    snapshot is unpacked from them, exactly Hermitian, so ``herm_dev`` is
+    0 and ``rho[0]`` is the Hermitian part of ``rho0`` (at most 1e-12 from
+    it for a validated :class:`DensityMatrix`).  The real rows are written
+    into the memory of the complex record and unpacked over it one chunk
+    at a time, so no second trajectory-sized array exists.  :func:`_propagate`
+    takes a cached ``expm(G_b dt)`` stepper per invariant block ``b`` of
+    the real generator when no block has more than ``_STEPPER_MAX_SIZE``
+    (392) entries and ``n_points - 1`` is at least ``min(N, 2 N / B)``,
+    ``N = dim**2`` and ``B`` the number of blocks (``dim**2`` beyond RWA,
+    ``2 dim`` with RWA), ``expm_multiply`` otherwise.
 
     Raises
     ------
     ConfigurationError
-        If ``t_span`` is not finite and increasing, or ``n_points < 2``.
+        If ``t_span`` is not finite and increasing, or ``n_points < 2``, or
+        if the generator does not preserve Hermiticity
+        (``max|conj(L) - L[swap][:, swap]|`` above ``1e-12 max|L|``).
     ToleranceFailure
         If the propagated trajectory has a non-finite entry (an unstable
         generator overflowing), or, before ``expm_multiply`` is called, if
-        ``||L||_1 (t1 - t0)`` reaches ``1/eps``.
+        ``||G||_1 (t1 - t0)`` reaches ``1/eps``, ``G`` the real generator.
     PositivityBreach
         First stored time where the lowest eigenvalue drops below
         ``POSITIVITY_FLOOR_CP`` (-1e-8); raised for ``WITH_RWA`` generators
@@ -189,18 +210,31 @@ def integrate(
         raise ConfigurationError(f"n_points must be at least 2, got {n_points}")
 
     times = np.linspace(t0, t1, n_points)
+    dim = generator.dim
+    size = dim * dim
+    real_gen, swap = _hermitian_coordinates(generator.matrix)
+    herm = vec((rho0.matrix + rho0.matrix.conj().T) / 2.0)
+    # the stepper writes the real rows w_k into the first half of each row's
+    # bytes of the complex record, which they are unpacked over below
+    traj = np.empty((n_points, size), dtype=complex)
+    real = traj.view(float)[:, :size]
     # an overflow is reported below as ToleranceFailure, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        traj = _propagate(generator.matrix, vec(rho0.matrix), times)
-    finite = np.isfinite(traj).all(axis=1)
+        _propagate(real_gen, herm.real + herm.imag, times, out=real)
+    finite = np.isfinite(real).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))
         raise ToleranceFailure(
             f"propagated state is not finite at t = {float(times[k])!r}; "
             "the generator is unstable (check spectral_abscissa)"
         )
+    for lo in range(0, n_points, _CHUNK):
+        w = real[lo:lo + _CHUNK].copy()
+        w_swap = w[:, swap]
+        chunk = traj[lo:lo + _CHUNK]
+        chunk.real = (w + w_swap) / 2.0
+        chunk.imag = (w - w_swap) / 2.0
 
-    dim = generator.dim
     # (n, dim*dim) trajectory -> (n, dim, dim) view, column-major per snapshot
     rho = traj.reshape(n_points, dim, dim).transpose(0, 2, 1)
     trace_dev = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
@@ -210,9 +244,8 @@ def integrate(
     step = max(1, _DIAGNOSTICS_BLOCK_BYTES // rho[0].nbytes)
     for lo in range(0, n_points, step):
         block = rho[lo:lo + step]
-        block_h = block.conj().transpose(0, 2, 1)
-        herm_dev[lo:lo + step] = np.abs(block - block_h).max(axis=(1, 2))
-        min_eig[lo:lo + step] = np.linalg.eigvalsh((block + block_h) / 2.0).min(axis=1)
+        herm_dev[lo:lo + step] = np.abs(block - block.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        min_eig[lo:lo + step] = np.linalg.eigvalsh(block).min(axis=1)
 
     record = EvolutionRecord(
         times=times,
@@ -252,29 +285,66 @@ def integrate(
     return record
 
 
-def _propagate(op: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _hermitian_coordinates(matrix: np.ndarray):
+    """The real generator ``G`` of Hermitian coordinates, and ``swap``.
+
+    ``swap[j]`` is the vec index of the entry transposed to ``j``.  A
+    Hermitian ``sigma`` is carried by the real vector ``w = Re vec(sigma) +
+    Im vec(sigma)``, and ``w_j + w_swap[j]``, ``w_j - w_swap[j]`` give back
+    twice its real and imaginary parts.  ``L`` maps ``w`` to ``X w`` with
+    ``X = ((1 + i) L + (1 - i) L[:, swap]) / 2``, so ``dw/dt = G w`` with
+    ``G = Re X + Im X = Re L + (Im L)[:, swap]``, a CSR array with the
+    nonzeros of ``L`` and no dense temporary.
+
+    Raises ``ConfigurationError`` unless ``L`` preserves Hermiticity
+    (``conj(L) = L[swap][:, swap]`` to ``1e-12 max|L|``, the gate of
+    :class:`DensityMatrix`): its anti-Hermitian part would be dropped.
+    """
+    from scipy.sparse import csr_array
+
+    dim = math.isqrt(len(matrix))
+    swap = np.arange(dim * dim).reshape(dim, dim).T.ravel()
+    sparse = csr_array(matrix)
+    scale = abs(sparse).max()
+    leak = abs(sparse.conj() - sparse[swap][:, swap]).max()
+    if leak > 1e-12 * scale:
+        raise ConfigurationError(
+            f"the generator does not preserve Hermiticity: max|conj(L) - L[swap][:, swap]| "
+            f"= {leak:.3e} against max|L| = {scale:.3e}"
+        )
+    return sparse.real + sparse.imag[:, swap], swap
+
+
+def _propagate(op, y0: np.ndarray, times: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``expm(op (t_k - t_0)) y0`` for each ``t_k`` of a uniform grid, one row each.
 
+    ``op`` is a dense or sparse square matrix.  The rows go into ``out``,
+    of shape ``(len(times), len(y0))``, which may be a strided view; it is
+    allocated with dtype ``np.result_type(op.dtype, y0.dtype)`` when
+    omitted, so a real ``op`` and ``y0`` are propagated in real arithmetic.
     With no invariant block (:func:`_invariant_blocks`) larger than
-    ``_STEPPER_MAX_SIZE``, and at least ``min(N, 2 m)`` steps (``N`` rows,
-    ``m`` entries in the largest block), each block is stepped with its
-    own ``expm(op_b dt)`` (:func:`_step_blocks`), which spreads the O(m^3)
-    set-up over the steps.  Beyond-RWA's two equal blocks need ``N`` steps;
-    the RWA generator's ``2 dim - 1`` blocks of at most ``dim`` entries
-    need ``2 dim``.  Otherwise ``expm_multiply`` touches the whole ``op``
-    only through sparse products, in about ``||op||_1 (t_1 - t_0) / 10``
-    steps that each round at ``eps``: a span with ``||op||_1 (t_1 - t_0) >=
-    1/eps`` raises ``ToleranceFailure`` first (SciPy's own step count would
-    overflow into a ``ValueError``).
+    ``_STEPPER_MAX_SIZE``, and at least ``min(N, 2 N / B)`` steps (``N``
+    rows, ``B`` blocks: twice the mean block size), each block is stepped
+    with its own ``expm(op_b dt)`` (:func:`_step_blocks`), which spreads
+    the O(m^3) set-up over the steps.  Beyond-RWA's two equal blocks need
+    ``N`` steps, a single block ``N``; the ``dim`` blocks of the RWA
+    generator in Hermitian coordinates need ``2 dim``.  Otherwise
+    ``expm_multiply`` touches the whole ``op`` only through sparse
+    products, in about ``||op||_1 (t_1 - t_0) / 10`` steps that each round
+    at ``eps``: a span with ``||op||_1 (t_1 - t_0) >= 1/eps`` raises
+    ``ToleranceFailure`` first (SciPy's own step count would overflow into
+    a ``ValueError``).
     """
     from scipy.sparse import csr_array
 
     n_points, size = len(times), len(y0)
     sparse = csr_array(op)
+    if out is None:
+        out = np.empty((n_points, size), dtype=np.result_type(sparse.dtype, y0.dtype))
     blocks = _invariant_blocks(sparse)
     largest = max(len(idx) for idx in blocks)
-    if largest <= _STEPPER_MAX_SIZE and n_points - 1 >= min(size, 2 * largest):
-        return _step_blocks(op, y0, times, blocks)
+    if largest <= _STEPPER_MAX_SIZE and n_points - 1 >= min(size, 2 * size / len(blocks)):
+        return _step_blocks(sparse, y0, times, blocks, out)
     from scipy.sparse.linalg import expm_multiply, norm as sparse_norm
 
     span = times[-1] - times[0]
@@ -283,15 +353,23 @@ def _propagate(op: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
         raise ToleranceFailure(
             f"||L||_1 (t1 - t0) = {norm_span:.3e} reaches 1/eps; too long a span for expm_multiply"
         )
-    return expm_multiply(sparse, y0, start=0.0, stop=span, num=n_points, endpoint=True)
+    out[...] = expm_multiply(sparse, y0, start=0.0, stop=span, num=n_points, endpoint=True)
+    return out
 
 
 def _step_blocks(
-    op: np.ndarray, y0: np.ndarray, times: np.ndarray, blocks: list[np.ndarray]
+    op,
+    y0: np.ndarray,
+    times: np.ndarray,
+    blocks: list[np.ndarray],
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """:func:`_propagate`'s stepper, one invariant block at a time.
 
-    Block ``b`` gets ``S_b = expm(op_b dt)``.  After the initial row, chunks
+    ``op`` is dense or sparse; each block is cut out of it as a dense
+    matrix, so no dense copy of the whole ``op`` is made.  ``out`` is as
+    for :func:`_propagate`.  Block ``b`` gets ``S_b = expm(op_b dt)``.
+    After the initial row, chunks
     of width ``1, 2, 4, ..., _CHUNK, _CHUNK, ...`` each take the ``width``
     rows before them times ``S_b**width``, one matrix product per chunk.
     The powers are squared up as ``X = S_b - I`` with ``X -> 2 X + X @ X``,
@@ -301,7 +379,8 @@ def _step_blocks(
     fill the output side by side; its columns are put back in place one
     chunk of rows at a time, so no second trajectory-sized array exists.
 
-    Every product is a ``gemm`` from ``get_blas_funcs``, the OpenBLAS that
+    Every product is a ``gemm`` from ``get_blas_funcs`` (``dgemm`` for a
+    real ``out``), the OpenBLAS that
     ``expm`` runs on, never a numpy product: numpy's own OpenBLAS keeps a
     worker spinning after each call, and alternating the two pools made
     the 2 x 63 single steps a dim-20 run once took cost 54-59 ms against
@@ -310,9 +389,12 @@ def _step_blocks(
     Fortran-ordered without a copy.
     """
     from scipy.linalg import expm, get_blas_funcs
+    from scipy.sparse import csr_array
 
     n_points, dt = len(times), times[1] - times[0]
-    out = np.empty((n_points, len(y0)), dtype=complex)
+    sparse = csr_array(op)
+    if out is None:
+        out = np.empty((n_points, len(y0)), dtype=np.result_type(sparse.dtype, y0.dtype))
     gemm = get_blas_funcs("gemm", (out,))
     lo = 0
     for idx in blocks:
@@ -321,7 +403,7 @@ def _step_blocks(
         cols[0] = y0[idx]
         # (S_b**width - I)^T, whose sum with I is the transposed power
         eye = np.eye(len(idx), order="F")
-        excess = expm(op[np.ix_(idx, idx)] * dt).T - eye
+        excess = expm(sparse[np.ix_(idx, idx)].toarray() * dt).T - eye
         start = 1
         while start < n_points:
             width = min(start, _CHUNK)

@@ -19,6 +19,7 @@ from vactrap.evolve import (
     _STEPPER_MAX_SIZE,
     GUARD_BAND_LIMIT,
     POSITIVITY_FLOOR_CP,
+    _hermitian_coordinates,
     _propagate,
     _step_blocks,
     gaussian_positivity_check,
@@ -29,6 +30,7 @@ from vactrap.liouville import (
     DensityMatrix,
     FockSpace,
     Superoperator,
+    build_2d_generator,
     build_lindblad_generator,
     build_redfield_generator,
     build_xp_generator,
@@ -166,6 +168,63 @@ def test_step_blocks_on_unequal_scattered_blocks(n_points):
     assert np.array_equal(op, op_in) and np.array_equal(y0, y0_in)
     for k, t in enumerate(times):
         assert np.abs(traj[k] - expm(op * t) @ y0).max() <= 1e-12
+
+
+_SMALL_GENERATORS = {
+    "redfield": lambda: build_redfield_generator(FockSpace(dim=6), STABLE),
+    "lindblad": lambda: build_lindblad_generator(FockSpace(dim=6), STABLE),
+    "xp": lambda: build_xp_generator(FockSpace(dim=6), STABLE),
+    "planar": lambda: build_2d_generator(FockSpace(dim=3), FockSpace(dim=3), STABLE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_GENERATORS))
+def test_hermitian_coordinates_carry_the_generator(herm_factory, name):
+    # G w(sigma) = w(L vec sigma), w = Re vec + Im vec, on Hermitian sigma
+    gen = _SMALL_GENERATORS[name]()
+    real_gen, swap = _hermitian_coordinates(gen.matrix)
+    assert real_gen.dtype == np.float64
+    scale = np.abs(gen.matrix).max()
+    for _ in range(3):
+        v = vec(herm_factory(gen.dim))
+        assert np.array_equal(v[swap], v.conj())
+        image = gen.matrix @ v
+        gap = np.abs(real_gen @ (v.real + v.imag) - (image.real + image.imag)).max()
+        assert gap <= 1e-14 * scale
+
+
+def test_generator_that_breaks_hermiticity_is_refused():
+    space = FockSpace(dim=4)
+    gen = build_lindblad_generator(space, STABLE)
+    rho0 = make_state("fock", space, n=0)
+    broken = gen.matrix.copy()
+    broken[1, 0] += 1e-9
+    with pytest.raises(ConfigurationError, match="Hermiticity"):
+        integrate(Superoperator(matrix=broken, mode=gen.mode), rho0, (0.0, 1.0), n_points=11)
+    # a real shift of the spectrum keeps Hermiticity: propagated, not refused
+    shifted = Superoperator(matrix=gen.matrix + 1e3 * np.eye(16), mode=gen.mode)
+    record = integrate(shifted, rho0, (0.0, 0.1), n_points=5)
+    assert record.rho[-1, 0, 0].real == pytest.approx(math.exp(100.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("n_points, expm_multiply_calls", [(65, 0), (21, 1)])
+def test_snapshots_are_exactly_hermitian(monkeypatch, n_points, expm_multiply_calls):
+    # 64 steps take the stepper at N = 64, 20 steps expm_multiply
+    calls = _count_expm_multiply(monkeypatch)
+    space = FockSpace(dim=8)
+    gen = build_redfield_generator(space, STABLE)
+    rho0 = make_state("coherent", space, alpha=0.4)
+    record = integrate(gen, rho0, (0.0, 40.0), n_points=n_points)
+    assert len(calls) == expm_multiply_calls
+    assert np.all(record.herm_dev == 0.0)
+    assert np.array_equal(record.rho, record.rho.conj().transpose(0, 2, 1))
+    assert np.abs(record.rho[0] - rho0.matrix).max() <= 1e-15
+    # an unvalidated non-Hermitian start is replaced by its Hermitian part
+    skew = np.zeros((8, 8), dtype=complex)
+    skew[0, 1] = 1e-3j
+    record = integrate(gen, DensityMatrix(rho0.matrix + skew, validate=False),
+                       (0.0, 40.0), n_points=n_points)
+    assert np.abs(record.rho[0] - rho0.matrix - (skew + skew.conj().T) / 2.0).max() <= 1e-15
 
 
 def test_beyond_rwa_negativity_is_recorded_not_raised():
