@@ -2,11 +2,12 @@
 
 The master-equation results are second order in the coupling.  To check
 them without trusting any second-order derivation, this module evolves the
-particle plus a finite set of field modes exactly (dense diagonalization)
-and fits the decay rate and frequency drift from the wavefunction.  The
-references it is compared against are the *discrete-sum* golden rule and
-second-order sums over the same mode set -- never the continuum formulas --
-so discretization error cannot masquerade as physics error.
+particle plus a finite set of field modes exactly (dense diagonalization
+of each invariant block) and fits the decay rate and frequency drift from
+the wavefunction.  The references it is compared against are the
+*discrete-sum* golden rule and second-order sums over the same mode set --
+never the continuum formulas -- so discretization error cannot masquerade
+as physics error.
 
 Two interaction forms are supported:
 
@@ -16,16 +17,19 @@ Two interaction forms are supported:
   modes and huge mode counts are exact and cheap;
 * full coupling ``i kappa (b - b+)(a + a+)`` (``counter_rotating=True``):
   dense product-space evolution with per-mode photon truncation, guarded
-  by a hard dimension cap.
+  by a hard dimension cap.  The coupling changes the trap level plus the
+  total photon count by 0 or +-2, so the product space splits into two
+  parity sectors, each diagonalized and propagated on its own.
 
 Both share one representation, built by ``_hamiltonian`` (the only place
-they differ); the second-order sum, the evolution with one
-diagonalization per run, and the observables are one path.  The product
-space is written in the gauge ``psi_j -> i**level_j psi_j``, in which the
-coupling reads ``-kappa (b + b+)(a + a+)``: a real symmetric float64
-matrix, half the bytes of the complex one and cheaper to diagonalize.  The
-sector basis keeps the complex coupling; the gauge would be just as exact
-there, but it would move the sector reports in their last digits.
+they differ); the second-order sum, the evolution with one diagonalization
+per invariant block shared by both runs, and the observables are one path.
+The product space is written in the gauge ``psi_j -> i**level_j psi_j``,
+in which the coupling reads ``-kappa (b + b+)(a + a+)``: a real symmetric
+float64 matrix, half the bytes of the complex one and cheaper to
+diagonalize.  The sector basis keeps the complex coupling; the gauge would
+be just as exact there, but it would move the sector reports in their
+last digits.
 
 Decay is fitted from ``ln P_1(t)`` (survival of one trap quantum) and the
 frequency from the unwrapped phase of ``<b>(t)`` along a superposition
@@ -194,7 +198,7 @@ def discrete_second_order_shift(bath: BathModel) -> float:
     adiabatically connected to one and zero trap quanta.  A coupled state
     exactly on resonance makes the sum meaningless and raises.
     """
-    h0, v, _, lower, _ = _hamiltonian(bath)
+    h0, v, _, lower, _, _ = _hamiltonian(bath)
     shifts = []
     for target in (int(np.flatnonzero(lower == 0)[0]), 0):
         amp2 = np.abs(v[:, target]) ** 2
@@ -208,13 +212,17 @@ def discrete_second_order_shift(bath: BathModel) -> float:
     return shifts[0] - shifts[1]
 
 
-def _hamiltonian(bath: BathModel) -> tuple[np.ndarray, ...]:
-    """The bath Hamiltonian as ``(diag(H0), V, level, lower, phase)``.
+def _hamiltonian(bath: BathModel) -> tuple:
+    """The bath Hamiltonian as ``(diag(H0), V, level, lower, phase, blocks)``.
 
     ``level[j]`` is the trap level of basis state ``j`` and ``lower[j]`` the
     state one trap quantum down with the same field (negative at level 0).
     State 0 is ``|0> x |vac>``.  ``V`` acts on gauged amplitudes: the
     physical state is ``phase * c`` for the vector ``c`` it evolves.
+    ``blocks`` lists index arrays of basis states that ``H0 + V`` never
+    connects across: the sector is one block of all its states, the
+    product space splits by ``(level + total photons) mod 2``, which the
+    coupling changes by 0 or +-2.
 
     The conserving coupling uses the sector basis e0 = |0> x |vac>,
     e1 = |1> x |vac>, e_{k+2} = |0> x |1_k>, with ``V`` complex and the
@@ -231,7 +239,7 @@ def _hamiltonian(bath: BathModel) -> tuple[np.ndarray, ...]:
         v[1, 2:] = -1j * bath.couplings
         level = np.zeros(m + 2, dtype=int)
         level[1] = 1
-        return h0, v, level, level - 1, np.ones(m + 2)
+        return h0, v, level, level - 1, np.ones(m + 2), [np.arange(m + 2)]
 
     n_p = bath.particle_levels
     n_ph = bath.photons_per_mode + 1
@@ -254,7 +262,9 @@ def _hamiltonian(bath: BathModel) -> tuple[np.ndarray, ...]:
         quadrature[room, room + strides[k]] = quadrature[room + strides[k], room] = amp
     v = -np.kron(b + b.T, quadrature)
     phase = np.array([1, 1j, -1, -1j])[level % 4]
-    return h0, v, level, np.arange(dim) - n_field, phase
+    parity = (level + np.tile(photons.sum(axis=1), n_p)) % 2
+    blocks = [np.flatnonzero(parity == p) for p in (0, 1)]
+    return h0, v, level, np.arange(dim) - n_field, phase, blocks
 
 
 @dataclass(frozen=True)
@@ -310,18 +320,25 @@ def bath_brute_force(
     """Exact evolution against the discrete bath; fit decay and drift.
 
     Both couplings take one path through the :func:`_hamiltonian` basis.
-    Two runs share one diagonalization: ``|1> x |vac>`` for the survival
-    probability ``P_1`` (decay fit on its logarithm, skipping the initial
-    bandwidth transient) and ``(|0> + |1>)/sqrt 2 x |vac>`` for the phase
-    drift of ``<b> = sum_j sqrt(level_j) conj(c[lower_j]) c[j]``
+    Two runs share one diagonalization per block: ``|1> x |vac>`` for the
+    survival probability ``P_1`` (decay fit on its logarithm, skipping the
+    initial bandwidth transient) and ``(|0> + |1>)/sqrt 2 x |vac>`` for
+    the phase drift of ``<b> = sum_j sqrt(level_j) conj(c[lower_j]) c[j]``
     (frequency-shift fit on the unwrapped phase).
 
-    The one ``eigh`` takes a float64 matrix on the product space (the
-    ``i**level`` gauge of :func:`_hamiltonian`) and a complex128 one in the
-    sector, which stays ungauged so its reports keep their bytes.  Each run
-    starts from the gauged ``conj(phase) * psi0`` and multiplies ``phase``
-    back onto its trajectory; the phases are +-1 and +-i, so both steps are
-    exact and ``P_1``, ``<b>`` and the norms are the physical ones.
+    Each block gets one ``eigh`` and one phase table ``exp(-i E t)``,
+    shared by both runs; a run whose initial state has no amplitude in a
+    block leaves it at zero (``|1> x |vac>`` lies wholly in the odd parity
+    sector).  The product space is diagonalized as two float64 blocks (the
+    ``i**level`` gauge of :func:`_hamiltonian`), so each of its
+    eigenvector products is one real ``gemm`` on the complex columns'
+    real and imaginary parts.  The sector is one complex128 block, which
+    stays ungauged so its reports keep their bytes.  Each run starts from
+    the gauged ``conj(phase) * psi0``; the superposition run multiplies
+    ``phase`` back onto its trajectory, and the decay run reads only
+    ``|c|**2``, which the gauge leaves alone.  The phases are +-1 and +-i,
+    so these steps are exact and ``P_1``, ``<b>`` and the norms are the
+    physical ones.
 
     ``rates_expected`` is an optional ``(gamma, shift)`` pair recorded in
     the result for reporting; pass the discrete-sum references.
@@ -336,32 +353,42 @@ def bath_brute_force(
     with np.errstate(over="ignore", under="ignore"):  # both fits scale t by sqrt(sum t**2)
         if not 0.0 < np.sum(times * times) < math.inf:
             raise ConfigurationError(f"duration {duration} over/underflows the fits' sum of t**2")
-    h0, h, level, lower, phase = _hamiltonian(bath)
+    h0, h, level, lower, phase, blocks = _hamiltonian(bath)
     h[np.diag_indices_from(h)] += h0
-    energies, u = np.linalg.eigh(h)
-    del h
-    phases = np.exp(-1j * np.outer(energies, times))
     i1 = int(np.flatnonzero(lower == 0)[0])
+    decay0 = np.zeros(len(level), dtype=complex)
+    decay0[i1] = phase[i1].conj()
+    sup0 = np.zeros(len(level), dtype=complex)
+    sup0[[0, i1]] = phase[[0, i1]].conj() / math.sqrt(2.0)
 
-    def evolve(occupied: list[int]) -> np.ndarray:
-        psi = np.zeros(len(level), dtype=complex)
-        psi[occupied] = phase[occupied].conj() / math.sqrt(len(occupied))
-        traj = u @ (phases * (u.conj().T @ psi)[:, None])
-        traj *= phase[:, None]
-        return traj
+    def evolve(u: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        spread = phases * (u.conj().T @ psi)[:, None]
+        if np.isrealobj(u):  # one real product over Re and Im side by side
+            return (u @ spread.view(float)).view(complex)
+        return u @ spread
 
-    traj = evolve([i1])
-    pop = np.sum(np.abs(traj[level == 1]) ** 2, axis=0)
-    norms = np.sum(np.abs(traj) ** 2, axis=0)
+    pop = np.zeros(n_points)
+    norms = np.zeros(n_points)
+    sup = np.zeros((len(level), n_points), dtype=complex)
+    for idx in blocks:
+        energies, u = np.linalg.eigh(h[np.ix_(idx, idx)])
+        phases = np.exp(-1j * np.outer(energies, times))
+        if decay0[idx].any():
+            # |phase| = 1: the gauge leaves populations as they are
+            weight = np.abs(evolve(u, phases, decay0[idx])) ** 2
+            pop += np.sum(weight[level[idx] == 1], axis=0)
+            norms += np.sum(weight, axis=0)
+        if sup0[idx].any():
+            sup[idx] = evolve(u, phases, sup0[idx])
+    del h
+    sup *= phase[:, None]
     norm_drift = float(np.max(np.abs(norms - 1.0)))
-    del traj
-    traj = evolve([0, i1])
     up = lower >= 0
     mean_b = np.einsum(
         "jt,j,jt->t",
-        traj[lower[up]].conj(),
+        sup[lower[up]].conj(),
         np.sqrt(level[up]),
-        traj[up],
+        sup[up],
     )
 
     fit_mask = times >= _FIT_START_FRACTION * duration

@@ -27,10 +27,11 @@ package leaves it unloaded.
 
 The propagated state is never projected, renormalized or symmetrized:
 whatever the propagator produces is stored, and its defects (trace drift,
-Hermiticity drift, most negative eigenvalue, guard-band population) are
-recorded per time point.  A breach raises, and the exception carries the
-full record as ``.record``, so studies *of* a breach catch it and look at
-the diagnostics there.  What counts as a positivity breach
+most negative eigenvalue, guard-band population) are recorded per time
+point, next to a Hermiticity drift of 0 that the unpacking guarantees.
+A breach raises, and the exception carries the full record as
+``.record``, so studies *of* a breach catch it and look at the
+diagnostics there.  What counts as a positivity breach
 depends on the generator: the RWA equation is completely positive, so any
 visible negativity there is an integration defect and raises, while the
 beyond-RWA equation is *supposed* to leak negativity (a small immediate
@@ -121,9 +122,10 @@ class EvolutionRecord:
     ``rho[k]`` is the unvalidated snapshot at ``times[k]`` (the first entry
     is the Hermitian part of the supplied initial state), stacked as one
     ``(n_points, dim, dim)`` array.  Diagnostics arrays align with
-    ``times``: absolute trace deviation, max Hermiticity deviation (0, as
-    the snapshots are unpacked from Hermitian coordinates), lowest
-    eigenvalue, and guard-band population.
+    ``times``: absolute trace deviation, max Hermiticity deviation (0 by
+    construction, as the snapshots are unpacked from Hermitian coordinates,
+    so it is recorded, not measured), lowest eigenvalue, and guard-band
+    population.
     """
 
     times: np.ndarray
@@ -166,9 +168,11 @@ def integrate(
     stored, each the exact exponential ``expm(L t_k)`` applied to the
     vectorized initial state up to rounding.  The state is propagated in
     the Hermitian coordinates of :func:`_hermitian_coordinates`, and each
-    snapshot is unpacked from them, exactly Hermitian, so ``herm_dev`` is
-    0 and ``rho[0]`` is the Hermitian part of ``rho0`` (at most 1e-12 from
-    it for a validated :class:`DensityMatrix`).  The real rows are written
+    snapshot is unpacked from them, exactly Hermitian (the sums and
+    differences of ``w_j`` and ``w_swap[j]`` commute and negate exactly),
+    so ``herm_dev`` is recorded as 0 without measuring it, and ``rho[0]``
+    is the Hermitian part of ``rho0`` (at most 1e-12 from it for a
+    validated :class:`DensityMatrix`).  The real rows are written
     into the memory of the complex record and unpacked over it one chunk
     at a time, so no second trajectory-sized array exists.  :func:`_propagate`
     takes a cached ``expm(G_b dt)`` stepper per invariant block ``b`` of
@@ -239,19 +243,16 @@ def integrate(
     rho = traj.reshape(n_points, dim, dim).transpose(0, 2, 1)
     trace_dev = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
     guard_pop = rho[:, -1, -1].real + rho[:, -2, -2].real
-    herm_dev = np.empty(n_points)
     min_eig = np.empty(n_points)
     step = max(1, _DIAGNOSTICS_BLOCK_BYTES // rho[0].nbytes)
     for lo in range(0, n_points, step):
-        block = rho[lo:lo + step]
-        herm_dev[lo:lo + step] = np.abs(block - block.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-        min_eig[lo:lo + step] = np.linalg.eigvalsh(block).min(axis=1)
+        min_eig[lo:lo + step] = np.linalg.eigvalsh(rho[lo:lo + step]).min(axis=1)
 
     record = EvolutionRecord(
         times=times,
         rho=rho,
         trace_dev=trace_dev,
-        herm_dev=herm_dev,
+        herm_dev=np.zeros(n_points),
         min_eig=min_eig,
         guard_pop=guard_pop,
     )

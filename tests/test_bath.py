@@ -221,9 +221,9 @@ def test_trap_energies_are_exact_multiples_of_omega_c():
 
 @pytest.mark.parametrize("counter_rotating", [False, True])
 def test_one_diagonalization_per_run(monkeypatch, counter_rotating):
-    # the product space is diagonalized in its real i**level gauge; the
-    # sector keeps its complex coupling
-    dtype = np.float64 if counter_rotating else np.complex128
+    # one eigh per invariant block, shared by both initial states: the
+    # product space is diagonalized per parity sector in its real i**level
+    # gauge, the sector as one complex block
     calls = []
     eigh = np.linalg.eigh
 
@@ -236,7 +236,77 @@ def test_one_diagonalization_per_run(monkeypatch, counter_rotating):
         8, 0.5, 1.5, gamma_target=2e-3, counter_rotating=counter_rotating
     )
     bath_brute_force(bath, duration=40.0, n_points=801)
-    assert calls == [((bath.dimension(), bath.dimension()), np.dtype(dtype))]
+    dim = bath.dimension()
+    if counter_rotating:
+        half = (dim // 2, dim // 2)
+        assert calls == [(half, np.dtype(np.float64))] * 2
+    else:
+        assert calls == [((dim, dim), np.dtype(np.complex128))]
+
+
+# (bath, bath_brute_force arguments): modes far from resonance, or enough
+# of them for a clean decay within the recurrence time, so that both fits
+# succeed; the spans stay short because two diagonalizations agree in
+# the phases E t only to about eps |E| t
+_SPLIT_BATHS = {
+    "8 modes x 1 photon": (
+        make_flat_bath(8, 0.5, 1.5, gamma_target=2e-3, counter_rotating=True),
+        dict(duration=40.0, n_points=801),
+    ),
+    "1 mode x 2 photons x 3 levels": (
+        BathModel(mode_frequencies=[2.0], couplings=[0.01], particle_levels=3,
+                  photons_per_mode=2, counter_rotating=True),
+        dict(duration=200.0, n_points=401),
+    ),
+    "2 modes x 3 levels": (
+        BathModel(mode_frequencies=[2.0, 3.0], couplings=[0.01, 0.02],
+                  particle_levels=3, counter_rotating=True),
+        dict(duration=200.0, n_points=401),
+    ),
+}
+
+
+@pytest.mark.parametrize("bath", [bath for bath, _ in _SPLIT_BATHS.values()], ids=_SPLIT_BATHS)
+def test_product_space_splits_into_parity_sectors(bath):
+    h0, v, level, _, _, blocks = _hamiltonian(bath)
+    # the parity classes of level + total photons, counted by hand
+    n_ph = bath.photons_per_mode + 1
+    n_field = n_ph**bath.n_modes
+    photons = [sum(int(d) for d in np.base_repr(x, n_ph)) for x in range(n_field)]
+    parity = np.array([(lvl + photons[j % n_field]) % 2 for j, lvl in enumerate(level)])
+    assert [b.tolist() for b in blocks] == [
+        np.flatnonzero(parity == 0).tolist(), np.flatnonzero(parity == 1).tolist()
+    ]
+    h = v + np.diag(h0)
+    assert np.count_nonzero(h[np.ix_(blocks[0], blocks[1])]) == 0
+    assert np.count_nonzero(h[np.ix_(blocks[1], blocks[0])]) == 0
+
+
+@pytest.mark.parametrize("bath, kwargs", _SPLIT_BATHS.values(), ids=_SPLIT_BATHS)
+def test_blocked_evolution_matches_one_dense_diagonalization(bath, kwargs):
+    # the reference diagonalizes the whole gauged H at once and evolves
+    # both initial states through it
+    result = bath_brute_force(bath, **kwargs)
+    h0, v, level, lower, phase, _ = _hamiltonian(bath)
+    energies, u = np.linalg.eigh(v + np.diag(h0))
+    times = np.linspace(0.0, kwargs["duration"], kwargs["n_points"])
+    i1 = int(np.flatnonzero(lower == 0)[0])
+
+    def evolve(occupied):
+        psi = np.zeros(len(level), dtype=complex)
+        psi[occupied] = phase[occupied].conj() / math.sqrt(len(occupied))
+        coeffs = u.conj().T @ psi
+        return phase[:, None] * (u @ (np.exp(-1j * np.outer(energies, times)) * coeffs[:, None]))
+
+    decay, sup = evolve([i1]), evolve([0, i1])
+    pop = np.sum(np.abs(decay[level == 1]) ** 2, axis=0)
+    norm_drift = np.max(np.abs(np.sum(np.abs(decay) ** 2, axis=0) - 1.0))
+    up = lower >= 0
+    mean_b = np.sum(sup[lower[up]].conj() * np.sqrt(level[up])[:, None] * sup[up], axis=0)
+    assert np.abs(result.excited_population - pop).max() <= 1e-12
+    assert np.abs(result.mean_lowering - mean_b).max() <= 1e-12
+    assert result.norm_drift < 1e-10
+    assert norm_drift < 1e-10
 
 
 def test_resonant_single_mode_is_reported_as_rabi_not_decay():

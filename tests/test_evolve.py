@@ -216,7 +216,10 @@ def test_snapshots_are_exactly_hermitian(monkeypatch, n_points, expm_multiply_ca
     rho0 = make_state("coherent", space, alpha=0.4)
     record = integrate(gen, rho0, (0.0, 40.0), n_points=n_points)
     assert len(calls) == expm_multiply_calls
+    # herm_dev is recorded as 0, not measured: the stored snapshots must
+    # bear that out to the last bit
     assert np.all(record.herm_dev == 0.0)
+    assert np.abs(record.rho - record.rho.conj().transpose(0, 2, 1)).max() == 0.0
     assert np.array_equal(record.rho, record.rho.conj().transpose(0, 2, 1))
     assert np.abs(record.rho[0] - rho0.matrix).max() <= 1e-15
     # an unvalidated non-Hermitian start is replaced by its Hermitian part

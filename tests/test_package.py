@@ -72,3 +72,15 @@ def test_report_commands_load_no_scipy():
     )
     proc = _scipy_modules_after(code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_product_space_oracle_loads_no_scipy():
+    # the parity sectors come from the basis labels, not from a block
+    # search, which would import scipy.sparse.csgraph
+    code = (
+        "from vactrap.bath import bath_brute_force, make_flat_bath\n"
+        "bath_brute_force(make_flat_bath(8, 0.5, 1.5, 2e-3, counter_rotating=True),\n"
+        "                 duration=40.0, n_points=801)"
+    )
+    proc = _scipy_modules_after(code)
+    assert proc.returncode == 0, proc.stderr
