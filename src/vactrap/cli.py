@@ -221,10 +221,11 @@ def _cmd_evolve(args) -> str:
     moments = [series_from_record(record, name, space).values for name in ("x", "p", "n", "X")]
     columns = (record.times, record.trace_dev, record.herm_dev, record.min_eig, record.guard_pop,
                *moments)
-    # as Python floats the cells read the same as numpy scalars
+    # each column is formatted in one pass, as the repr of its Python
+    # floats: the text _csv_text writes for a float cell
     return _csv_text(
         ("time", "trace_dev", "herm_dev", "min_eig", "guard_pop", "x", "p", "n", "witness"),
-        zip(*(column.tolist() for column in columns)),
+        zip(*(map(repr, column.tolist()) for column in columns)),
     )
 
 

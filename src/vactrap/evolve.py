@@ -11,19 +11,17 @@ Hermitian to the last bit and ``herm_dev`` reads 0, and every product is
 real.  A generator that does not preserve Hermiticity is refused, since
 these coordinates would drop its anti-Hermitian part.  When no invariant
 block of ``G`` is larger than 392 entries (beyond-RWA up to dim 28; the
-RWA generator's blocks are at most ``2 (dim - 1)``) and the grid has at
-least ``min(N, 2 N / B)`` steps, ``N`` the vector length and ``B`` the
-number of blocks, one ``expm(G_b dt)`` per block is formed and applied
-step by step, in chunks of snapshots; otherwise
-``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33, 488 (2011)) evaluates the whole grid.  The choice follows only
-from the generator's block sizes and the snapshot count.  The stepper
-does all its products through SciPy's BLAS wrappers, on the OpenBLAS that
-``scipy.linalg.expm`` calls: numpy carries a second OpenBLAS with its own
-spinning worker thread, and switching between the two within a block made
-each wait for a core on a 2-core machine.  SciPy is imported inside the
-functions that call it, on the first propagation, so that importing the
-package leaves it unloaded.
+RWA generator's blocks are at most ``2 (dim - 1)``), one ``expm(G_b dt)``
+per block is formed and applied step by step, in chunks of snapshots,
+whatever the grid; otherwise ``scipy.sparse.linalg.expm_multiply``
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)) evaluates the
+whole grid.  The choice follows from the generator's block sizes alone.
+The stepper does all its products through SciPy's BLAS wrappers, on the
+OpenBLAS that ``scipy.linalg.expm`` calls: numpy carries a second
+OpenBLAS with its own spinning worker thread, and switching between the
+two within a block made each wait for a core on a 2-core machine.  SciPy
+is imported inside the functions that call it, on the first propagation,
+so that importing the package leaves it unloaded.
 
 The propagated state is never projected, renormalized or symmetrized:
 whatever the propagator produces is stored, and its defects (trace drift,
@@ -94,21 +92,10 @@ GUARD_BAND_LIMIT = 1e-6
 _DIAGNOSTICS_BLOCK_BYTES = 2 * 1024 * 1024
 #: Largest invariant block (``_invariant_blocks``; beyond-RWA at dim 28 has
 #: two of 392 entries) propagated by the cached ``expm(G_b dt)`` stepper.
-#: Its set-up, one ``expm`` and ``log2(_CHUNK)`` squarings per block, grows
-#: like m^3, while an ``expm_multiply`` step costs about 0.4-1 ms almost
-#: independently of the size (per-term call overhead on a generator with
-#: about 8N nonzeros).  Measured on 2 cores with ``n_points - 1 = dim**2``,
-#: the smallest grid on which beyond-RWA takes the stepper, the stepper was
-#: the slower path from dim 30 (two blocks of 450) at dt = 0.075
-#: (``BENCH_7.json``, ``crossover``), so beyond-RWA generators take it up
-#: to dim 28.  That crossover was measured while the stepper's products
-#: ran on numpy's OpenBLAS and contended with ``expm``'s.  On one pool the
-#: stepper wins at the same grid through dim 36 (0.81 against 0.99 s) and
-#: loses from dim 40 (``BENCH_9.json``, ``crossover``).  In real Hermitian
-#: coordinates it wins through dim 36 by more (dim 36: 0.29-0.40 against
-#: 0.61-0.76 s), but its peak RSS is 13-26 MB above ``expm_multiply``'s
-#: at dims 30-36 (dim 36: 157 against 131 MB; ``BENCH_18.json``,
-#: ``crossover``), so the cap is kept.
+#: Past it the O(m^3) ``expm`` set-up per block loses to ``expm_multiply``
+#: over short spans: beyond-RWA at 101 points over t in [0, 10] took
+#: 0.44-0.48 against 0.07-0.10 s at dim 40 and 1.35-1.44 against
+#: 0.11-0.15 s at dim 48 (2 cores).
 _STEPPER_MAX_SIZE = 392
 #: Snapshots per matrix product in the stepper (a power of two: the chunk
 #: propagator ``S**_CHUNK`` is formed by ``log2(_CHUNK)`` squarings).
@@ -177,9 +164,7 @@ def integrate(
     at a time, so no second trajectory-sized array exists.  :func:`_propagate`
     takes a cached ``expm(G_b dt)`` stepper per invariant block ``b`` of
     the real generator when no block has more than ``_STEPPER_MAX_SIZE``
-    (392) entries and ``n_points - 1`` is at least ``min(N, 2 N / B)``,
-    ``N = dim**2`` and ``B`` the number of blocks (``dim**2`` beyond RWA,
-    ``2 dim`` with RWA), ``expm_multiply`` otherwise.
+    (392) entries, whatever the grid, and ``expm_multiply`` otherwise.
 
     Raises
     ------
@@ -324,17 +309,13 @@ def _propagate(op, y0: np.ndarray, times: np.ndarray, out: np.ndarray | None = N
     allocated with dtype ``np.result_type(op.dtype, y0.dtype)`` when
     omitted, so a real ``op`` and ``y0`` are propagated in real arithmetic.
     With no invariant block (:func:`_invariant_blocks`) larger than
-    ``_STEPPER_MAX_SIZE``, and at least ``min(N, 2 N / B)`` steps (``N``
-    rows, ``B`` blocks: twice the mean block size), each block is stepped
-    with its own ``expm(op_b dt)`` (:func:`_step_blocks`), which spreads
-    the O(m^3) set-up over the steps.  Beyond-RWA's two equal blocks need
-    ``N`` steps, a single block ``N``; the ``dim`` blocks of the RWA
-    generator in Hermitian coordinates need ``2 dim``.  Otherwise
-    ``expm_multiply`` touches the whole ``op`` only through sparse
-    products, in about ``||op||_1 (t_1 - t_0) / 10`` steps that each round
-    at ``eps``: a span with ``||op||_1 (t_1 - t_0) >= 1/eps`` raises
-    ``ToleranceFailure`` first (SciPy's own step count would overflow into
-    a ``ValueError``).
+    ``_STEPPER_MAX_SIZE``, each block is stepped with its own
+    ``expm(op_b dt)`` (:func:`_step_blocks`), whose cost does not grow with
+    the span.  Otherwise ``expm_multiply`` touches the whole ``op`` only
+    through sparse products, in about ``||op||_1 (t_1 - t_0) / 10`` steps
+    that each round at ``eps``: a span with ``||op||_1 (t_1 - t_0) >=
+    1/eps`` raises ``ToleranceFailure`` first (SciPy's own step count would
+    overflow into a ``ValueError``).
     """
     from scipy.sparse import csr_array
 
@@ -343,8 +324,7 @@ def _propagate(op, y0: np.ndarray, times: np.ndarray, out: np.ndarray | None = N
     if out is None:
         out = np.empty((n_points, size), dtype=np.result_type(sparse.dtype, y0.dtype))
     blocks = _invariant_blocks(sparse)
-    largest = max(len(idx) for idx in blocks)
-    if largest <= _STEPPER_MAX_SIZE and n_points - 1 >= min(size, 2 * size / len(blocks)):
+    if max(len(idx) for idx in blocks) <= _STEPPER_MAX_SIZE:
         return _step_blocks(sparse, y0, times, blocks, out)
     from scipy.sparse.linalg import expm_multiply, norm as sparse_norm
 

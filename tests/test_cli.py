@@ -279,8 +279,8 @@ def test_closed_form_range_ends_are_one_line_input_errors(argv, capsys):
     ],
 )
 def test_overflowing_expm_multiply_span_is_a_numerical_guard(argv, capsys):
-    # grids too short for the stepper take expm_multiply, whose step count
-    # overflows on these spans; they end like the stepper's overflow, exit 2
+    # these generators take the stepper, whose exp(G dt) overflows on these
+    # spans; the finiteness check ends them as a numerical guard, exit 2
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("vactrap: numerical guard")

@@ -60,16 +60,27 @@ def test_rwa_fock_decay_is_exponential():
 _LADDER_BUILDS = (build_redfield_generator, build_lindblad_generator)
 
 
-@pytest.mark.parametrize(
-    "build, dim, n_points",
-    # 64 steps >= 64 entries: the stepper
-    [(build, 8, 65) for build in _LADDER_BUILDS]
-    # 20 steps < 144 entries: expm_multiply
-    + [(build, 12, 21) for build in _LADDER_BUILDS]
+_EXACT_CASES = (
+    # the stepper
+    [(build, 8, 65, _STEPPER_MAX_SIZE) for build in _LADDER_BUILDS]
+    # expm_multiply, forced by a cap that no block fits under
+    + [(build, 12, 21, 0) for build in _LADDER_BUILDS]
     # the stepper's grid crosses two chunk boundaries
-    + [(build, 8, 2 * _CHUNK + 2) for build in (*_LADDER_BUILDS, build_xp_generator)],
+    + [
+        (build, 8, 2 * _CHUNK + 2, _STEPPER_MAX_SIZE)
+        for build in (*_LADDER_BUILDS, build_xp_generator)
+    ]
 )
-def test_trajectory_is_the_exact_exponential(build, dim, n_points):
+
+
+@pytest.mark.parametrize(
+    "build, dim, n_points, cap",
+    _EXACT_CASES,
+    ids=[f"{build.__name__}-{dim}-{n_points}" for build, dim, n_points, _ in _EXACT_CASES],
+)
+def test_trajectory_is_the_exact_exponential(monkeypatch, build, dim, n_points, cap):
+    monkeypatch.setattr("vactrap.evolve._STEPPER_MAX_SIZE", cap)
+    calls = _count_expm_multiply(monkeypatch)
     space = FockSpace(dim=dim)
     gen = build(space, STABLE)
     starts = [make_state("coherent", space, alpha=0.4), make_state("thermal", space, nbar=0.05)]
@@ -83,6 +94,7 @@ def test_trajectory_is_the_exact_exponential(build, dim, n_points):
     # a later start gives the same trajectory: only t - t0 enters
     shifted = integrate(gen, starts[0], (10.0, 10.0 + t_end), n_points=n_points)
     assert np.max(np.abs(shifted.rho - records[0].rho)) <= 1e-12
+    assert len(calls) == (0 if cap else 3)
     witness = witness_sum(records[1].rho)
     if gen.mode is ApproximationMode.WITH_RWA:
         # a diagonal start stays diagonal exactly: structural zeros survive
@@ -104,16 +116,21 @@ def _count_expm_multiply(monkeypatch) -> list:
     return calls
 
 
+def _one_block(size: int) -> np.ndarray:
+    """A damped tridiagonal generator: one invariant block of ``size`` entries."""
+    return (
+        np.diag(-np.linspace(0.0, 0.1, size) + 1j * np.linspace(0.0, 1.0, size))
+        + 0.05j * (np.eye(size, k=1) + np.eye(size, k=-1))
+    )
+
+
 @pytest.mark.parametrize("size", [_STEPPER_MAX_SIZE, _STEPPER_MAX_SIZE + 1])
 def test_dense_stepper_is_kept_to_small_generators(monkeypatch, size):
     # past the cap the stepper's dense steps lose to expm_multiply, however
     # many snapshots there are to spread its set-up over; the cap is on the
     # largest invariant block, and a tridiagonal generator is one block
     calls = _count_expm_multiply(monkeypatch)
-    op = (
-        np.diag(-np.linspace(0.0, 0.1, size) + 1j * np.linspace(0.0, 1.0, size))
-        + 0.05j * (np.eye(size, k=1) + np.eye(size, k=-1))
-    )
+    op = _one_block(size)
     y0 = np.ones(size, dtype=complex)
     times = np.linspace(0.0, 2.0, size + 1)
     traj = _propagate(op, y0, times)
@@ -133,22 +150,41 @@ def test_stepper_cap_applies_to_the_largest_block(monkeypatch):
     assert np.abs(traj - np.exp(np.outer(times, diagonal))).max() <= 1e-12
 
 
-@pytest.mark.parametrize("n_points", [24, 25, 41])
+@pytest.mark.parametrize("n_points", [2, 3, 24, 41])
 def test_short_rwa_grids_take_the_stepper(monkeypatch, n_points):
-    # the RWA generator's largest block has dim entries, so 2 * dim steps
-    # spread the stepper's set-up; beyond-RWA's two blocks still need dim**2
+    # every grid below the cap takes the stepper, with or without the RWA
     calls = _count_expm_multiply(monkeypatch)
     space = FockSpace(dim=12)
-    rwa = build_lindblad_generator(space, STABLE)
     rho0 = make_state("coherent", space, alpha=0.4)
-    record = integrate(rwa, rho0, (0.0, 40.0), n_points=n_points)
-    assert len(calls) == (0 if n_points - 1 >= 2 * space.dim else 1)
+    y0 = vec(rho0.matrix)
+    for build in _LADDER_BUILDS:
+        gen = build(space, STABLE)
+        record = integrate(gen, rho0, (0.0, 40.0), n_points=n_points)
+        for k, t in enumerate(record.times):
+            assert np.abs(vec(record.rho[k]) - expm(gen.matrix * t) @ y0).max() <= 1e-12
+    assert calls == []
+
+
+def test_long_span_below_the_cap_takes_the_stepper(monkeypatch):
+    # expm_multiply's cost grows with ||G||_1 (t1 - t0), the stepper's does
+    # not; three snapshots over [0, 1e3] stay within 1e-12 of expm(L t)
+    calls = _count_expm_multiply(monkeypatch)
+    space = FockSpace(dim=12)
+    gen = build_redfield_generator(space, STABLE)
+    rho0 = make_state("coherent", space, alpha=0.4)
+    record = integrate(gen, rho0, (0.0, 1e3), n_points=3)
+    assert calls == []
     y0 = vec(rho0.matrix)
     for k, t in enumerate(record.times):
-        assert np.abs(vec(record.rho[k]) - expm(rwa.matrix * t) @ y0).max() <= 1e-12
-    calls.clear()
-    integrate(build_redfield_generator(space, STABLE), rho0, (0.0, 40.0), n_points=n_points)
-    assert len(calls) == 1
+        assert np.abs(vec(record.rho[k]) - expm(gen.matrix * t) @ y0).max() <= 1e-12
+
+
+def test_expm_multiply_span_guard():
+    # past the cap, a span whose ||op||_1 (t1 - t0) reaches 1/eps is refused
+    # before expm_multiply's step count overflows
+    size = _STEPPER_MAX_SIZE + 1
+    with pytest.raises(ToleranceFailure, match="reaches 1/eps"):
+        _propagate(_one_block(size), np.ones(size, dtype=complex), np.linspace(0.0, 1e300, 3))
 
 
 @pytest.mark.parametrize("n_points", [2, 3, 5, 33, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
@@ -209,7 +245,10 @@ def test_generator_that_breaks_hermiticity_is_refused():
 
 @pytest.mark.parametrize("n_points, expm_multiply_calls", [(65, 0), (21, 1)])
 def test_snapshots_are_exactly_hermitian(monkeypatch, n_points, expm_multiply_calls):
-    # 64 steps take the stepper at N = 64, 20 steps expm_multiply
+    # 65 points take the stepper; 21 are forced onto expm_multiply by a cap
+    # that no block fits under
+    if expm_multiply_calls:
+        monkeypatch.setattr("vactrap.evolve._STEPPER_MAX_SIZE", 0)
     calls = _count_expm_multiply(monkeypatch)
     space = FockSpace(dim=8)
     gen = build_redfield_generator(space, STABLE)
@@ -348,8 +387,10 @@ def test_integrate_argument_validation():
         integrate(gen, make_state("fock", FockSpace(dim=8), n=0), (0.0, 1.0))
 
 
-@pytest.mark.parametrize("n_points", [5, 101])  # expm_multiply, then the stepper
-def test_overflowing_generator_raises_tolerance_failure(n_points):
+# expm_multiply, forced by a cap that no block fits under, then the stepper
+@pytest.mark.parametrize("n_points, cap", [(5, 0), (101, _STEPPER_MAX_SIZE)], ids=["5", "101"])
+def test_overflowing_generator_raises_tolerance_failure(monkeypatch, n_points, cap):
+    monkeypatch.setattr("vactrap.evolve._STEPPER_MAX_SIZE", cap)
     space = FockSpace(dim=4)
     gen = build_lindblad_generator(space, STABLE)
     unstable = Superoperator(matrix=gen.matrix + 1e3 * np.eye(16), mode=gen.mode)
