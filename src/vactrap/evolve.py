@@ -1,4 +1,4 @@
-"""Exact propagation on a uniform time grid, with trace/Hermiticity/positivity monitors.
+"""Exact propagation on a uniform time grid, with trace, positivity and guard-band monitors.
 
 Every snapshot time is on a uniform grid, so the trajectory is
 ``expm(L t_k) vec(rho0)`` with no step-size control and no tolerance.
@@ -7,27 +7,17 @@ by the real vector ``w = Re vec(rho) + Im vec(rho)``, which obeys
 ``dw/dt = G w`` with the real ``G = Re L + (Im L)[:, swap]``, ``swap[j]``
 the vec index of the entry transposed to ``j``.  Each snapshot is unpacked
 as ``rho_j = ((w_j + w_swap[j]) + i (w_j - w_swap[j])) / 2``, so it is
-Hermitian to the last bit and ``herm_dev`` reads 0, and every product is
-real.  A generator that does not preserve Hermiticity is refused, since
-these coordinates would drop its anti-Hermitian part.  When no invariant
-block of ``G`` is larger than 392 entries (beyond-RWA up to dim 28; the
-RWA generator's blocks are at most ``2 (dim - 1)``), one ``expm(G_b dt)``
-per block is formed and applied step by step, in chunks of snapshots,
-whatever the grid; otherwise ``scipy.sparse.linalg.expm_multiply``
-(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)) evaluates the
-whole grid.  The choice follows from the generator's block sizes alone.
-The stepper does all its products through SciPy's BLAS wrappers, on the
-OpenBLAS that ``scipy.linalg.expm`` calls: numpy carries a second
-OpenBLAS with its own spinning worker thread, and switching between the
-two within a block made each wait for a core on a 2-core machine.  SciPy
-is imported inside the functions that call it, on the first propagation,
-so that importing the package leaves it unloaded.
+Hermitian to the last bit, and every product is real.  A generator that
+does not preserve Hermiticity is refused, since these coordinates would
+drop its anti-Hermitian part.  How ``G`` is propagated, block by block or
+by ``expm_multiply``, is set out once, in :func:`_propagate`.  SciPy is
+imported inside the functions that call it, on the first propagation, so
+that importing the package leaves it unloaded.
 
 The propagated state is never projected, renormalized or symmetrized:
 whatever the propagator produces is stored, and its defects (trace drift,
 most negative eigenvalue, guard-band population) are recorded per time
-point, next to a Hermiticity drift of 0 that the unpacking guarantees.
-A breach raises, and the exception carries the full record as
+point.  A breach raises, and the exception carries the full record as
 ``.record``, so studies *of* a breach catch it and look at the
 diagnostics there.  What counts as a positivity breach
 depends on the generator: the RWA equation is completely positive, so any
@@ -35,7 +25,9 @@ visible negativity there is an integration defect and raises, while the
 beyond-RWA equation is *supposed* to leak negativity (a small immediate
 dip, growing without bound past the Gaussian horizon) -- for it min_eig
 is diagnostic data only and positivity never aborts a run.  Truncation
-overflow into the guard band aborts either way.
+overflow into the guard band aborts either way, and so does a guard-band
+population below minus the same limit, the mark of a growing mode of the
+truncated generator.
 
 Time scales: real single-electron parameters put ``w/G`` near 1e11, so
 direct integration over laboratory times is hopeless.  The dynamics run in
@@ -108,17 +100,14 @@ class EvolutionRecord:
 
     ``rho[k]`` is the unvalidated snapshot at ``times[k]`` (the first entry
     is the Hermitian part of the supplied initial state), stacked as one
-    ``(n_points, dim, dim)`` array.  Diagnostics arrays align with
-    ``times``: absolute trace deviation, max Hermiticity deviation (0 by
-    construction, as the snapshots are unpacked from Hermitian coordinates,
-    so it is recorded, not measured), lowest eigenvalue, and guard-band
-    population.
+    ``(n_points, dim, dim)`` array, each snapshot exactly Hermitian.
+    Diagnostics arrays align with ``times``: absolute trace deviation,
+    lowest eigenvalue, and guard-band population.
     """
 
     times: np.ndarray
     rho: np.ndarray
     trace_dev: np.ndarray
-    herm_dev: np.ndarray
     min_eig: np.ndarray
     guard_pop: np.ndarray
 
@@ -157,14 +146,11 @@ def integrate(
     the Hermitian coordinates of :func:`_hermitian_coordinates`, and each
     snapshot is unpacked from them, exactly Hermitian (the sums and
     differences of ``w_j`` and ``w_swap[j]`` commute and negate exactly),
-    so ``herm_dev`` is recorded as 0 without measuring it, and ``rho[0]``
-    is the Hermitian part of ``rho0`` (at most 1e-12 from it for a
-    validated :class:`DensityMatrix`).  The real rows are written
-    into the memory of the complex record and unpacked over it one chunk
-    at a time, so no second trajectory-sized array exists.  :func:`_propagate`
-    takes a cached ``expm(G_b dt)`` stepper per invariant block ``b`` of
-    the real generator when no block has more than ``_STEPPER_MAX_SIZE``
-    (392) entries, whatever the grid, and ``expm_multiply`` otherwise.
+    and ``rho[0]`` is the Hermitian part of ``rho0`` (at most 1e-12 from
+    it for a validated :class:`DensityMatrix`).  The real rows are
+    propagated by :func:`_propagate`, written into the memory of the
+    complex record and unpacked over it one chunk at a time, so no second
+    trajectory-sized array exists.
 
     Raises
     ------
@@ -174,15 +160,17 @@ def integrate(
         (``max|conj(L) - L[swap][:, swap]|`` above ``1e-12 max|L|``).
     ToleranceFailure
         If the propagated trajectory has a non-finite entry (an unstable
-        generator overflowing), or, before ``expm_multiply`` is called, if
-        ``||G||_1 (t1 - t0)`` reaches ``1/eps``, ``G`` the real generator.
+        generator overflowing), or if :func:`_propagate` refuses the span
+        for ``expm_multiply``.
     PositivityBreach
         First stored time where the lowest eigenvalue drops below
         ``POSITIVITY_FLOOR_CP`` (-1e-8); raised for ``WITH_RWA`` generators
         only.
     GuardBandOverflow
-        First stored time where the top two levels hold more than 1e-6
-        population.
+        First stored time where the population of the top two levels
+        exceeds 1e-6 in magnitude.  A positive one asks for a larger
+        truncation; a negative one names a growing mode of the truncated
+        generator, which a larger truncation need not cure.
 
     Both breach exceptions carry the full record as ``.record``.
     """
@@ -209,7 +197,7 @@ def integrate(
     real = traj.view(float)[:, :size]
     # an overflow is reported below as ToleranceFailure, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        _propagate(real_gen, herm.real + herm.imag, times, out=real)
+        _propagate(real_gen, herm.real + herm.imag, times, real)
     finite = np.isfinite(real).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))
@@ -237,7 +225,6 @@ def integrate(
         times=times,
         rho=rho,
         trace_dev=trace_dev,
-        herm_dev=np.zeros(n_points),
         min_eig=min_eig,
         guard_pop=guard_pop,
     )
@@ -250,7 +237,7 @@ def integrate(
         if generator.mode is ApproximationMode.WITH_RWA
         else -math.inf
     )
-    breach = (min_eig < floor) | (guard_pop > GUARD_BAND_LIMIT)
+    breach = (min_eig < floor) | (np.abs(guard_pop) > GUARD_BAND_LIMIT)
     if breach.any():
         k = int(np.argmax(breach))
         if min_eig[k] < floor:
@@ -261,9 +248,15 @@ def integrate(
                 min_eigenvalue=float(min_eig[k]),
                 record=record,
             )
+        if guard_pop[k] > 0.0:
+            cause = f"above {GUARD_BAND_LIMIT} at t = {float(times[k])!r}; enlarge the truncation"
+        else:
+            cause = (
+                f"below -{GUARD_BAND_LIMIT} at t = {float(times[k])!r}; the truncated "
+                "generator has a growing mode (check spectral_abscissa)"
+            )
         raise GuardBandOverflow(
-            f"guard-band population {guard_pop[k]:.3e} above {GUARD_BAND_LIMIT} "
-            f"at t = {float(times[k])!r}; enlarge the truncation",
+            f"guard-band population {guard_pop[k]:.3e} {cause}",
             time=float(times[k]),
             population=float(guard_pop[k]),
             record=record,
@@ -301,90 +294,65 @@ def _hermitian_coordinates(matrix: np.ndarray):
     return sparse.real + sparse.imag[:, swap], swap
 
 
-def _propagate(op, y0: np.ndarray, times: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``expm(op (t_k - t_0)) y0`` for each ``t_k`` of a uniform grid, one row each.
+def _propagate(gen, w0: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
+    """Write ``expm(gen (t_k - t_0)) w0`` into ``out[k]`` for each ``t_k`` of a uniform grid.
 
-    ``op`` is a dense or sparse square matrix.  The rows go into ``out``,
-    of shape ``(len(times), len(y0))``, which may be a strided view; it is
-    allocated with dtype ``np.result_type(op.dtype, y0.dtype)`` when
-    omitted, so a real ``op`` and ``y0`` are propagated in real arithmetic.
-    With no invariant block (:func:`_invariant_blocks`) larger than
-    ``_STEPPER_MAX_SIZE``, each block is stepped with its own
-    ``expm(op_b dt)`` (:func:`_step_blocks`), whose cost does not grow with
-    the span.  Otherwise ``expm_multiply`` touches the whole ``op`` only
-    through sparse products, in about ``||op||_1 (t_1 - t_0) / 10`` steps
-    that each round at ``eps``: a span with ``||op||_1 (t_1 - t_0) >=
-    1/eps`` raises ``ToleranceFailure`` first (SciPy's own step count would
-    overflow into a ``ValueError``).
+    ``gen`` is the sparse real generator of :func:`_hermitian_coordinates`,
+    and ``out`` a real ``(len(times), len(w0))`` array, possibly a strided
+    view.  The invariant blocks of ``gen`` (:func:`_invariant_blocks`)
+    choose the method, whatever the grid:
+
+    - With no block above ``_STEPPER_MAX_SIZE`` entries (its comment gives
+      the measurement that sets it), block ``b`` gets
+      ``S_b = expm(gen_b dt)``, and the cost does not grow with the span.
+      After the initial row, chunks of width ``1, 2, 4, ..., _CHUNK,
+      _CHUNK, ...`` each take the ``width`` rows before them times
+      ``S_b**width``, one matrix product per chunk.  The powers are squared
+      up as ``X = S_b - I`` with ``X -> 2 X + X @ X``, so rounding stays
+      relative to ``S_b - I``; squaring ``S_b`` directly repeats its
+      rounding in every chunk and measured twice as far from ``expm(L t)``
+      at dim 20, t = 300.  The blocks fill ``out`` side by side, and its
+      columns are put back in place one chunk of rows at a time, so no
+      second trajectory-sized array exists.  Every product is a ``gemm``
+      from ``get_blas_funcs``, the OpenBLAS that ``expm`` runs on, never a
+      numpy product: numpy's own OpenBLAS keeps a worker spinning after
+      each call, and alternating the two pools made the 2 x 63 single
+      steps a dim-20 run once took cost 54-59 ms against 2 ms on one pool
+      (2 cores; ``BENCH_9.json``, ``stages``).  The matrices are handed
+      over transposed, which makes a C-ordered array Fortran-ordered
+      without a copy.
+    - Otherwise ``expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci. Comput.
+      33, 488 (2011)) touches the whole ``gen`` only through sparse
+      products, in about ``||gen||_1 (t_1 - t_0) / 10`` steps that each
+      round at ``eps``: a span with ``||gen||_1 (t_1 - t_0) >= 1/eps``
+      raises ``ToleranceFailure`` first (SciPy's own step count would
+      overflow into a ``ValueError``).
     """
-    from scipy.sparse import csr_array
+    n_points = len(times)
+    blocks = _invariant_blocks(gen)
+    if max(len(idx) for idx in blocks) > _STEPPER_MAX_SIZE:
+        from scipy.sparse.linalg import expm_multiply, norm as sparse_norm
 
-    n_points, size = len(times), len(y0)
-    sparse = csr_array(op)
-    if out is None:
-        out = np.empty((n_points, size), dtype=np.result_type(sparse.dtype, y0.dtype))
-    blocks = _invariant_blocks(sparse)
-    if max(len(idx) for idx in blocks) <= _STEPPER_MAX_SIZE:
-        return _step_blocks(sparse, y0, times, blocks, out)
-    from scipy.sparse.linalg import expm_multiply, norm as sparse_norm
-
-    span = times[-1] - times[0]
-    norm_span = sparse_norm(sparse, 1) * span
-    if not norm_span * np.finfo(float).eps < 1.0:
-        raise ToleranceFailure(
-            f"||L||_1 (t1 - t0) = {norm_span:.3e} reaches 1/eps; too long a span for expm_multiply"
-        )
-    out[...] = expm_multiply(sparse, y0, start=0.0, stop=span, num=n_points, endpoint=True)
-    return out
-
-
-def _step_blocks(
-    op,
-    y0: np.ndarray,
-    times: np.ndarray,
-    blocks: list[np.ndarray],
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """:func:`_propagate`'s stepper, one invariant block at a time.
-
-    ``op`` is dense or sparse; each block is cut out of it as a dense
-    matrix, so no dense copy of the whole ``op`` is made.  ``out`` is as
-    for :func:`_propagate`.  Block ``b`` gets ``S_b = expm(op_b dt)``.
-    After the initial row, chunks
-    of width ``1, 2, 4, ..., _CHUNK, _CHUNK, ...`` each take the ``width``
-    rows before them times ``S_b**width``, one matrix product per chunk.
-    The powers are squared up as ``X = S_b - I`` with ``X -> 2 X + X @ X``,
-    so rounding stays relative to ``S_b - I``; squaring ``S_b`` directly
-    repeats its rounding in every chunk and measured twice as far from
-    ``expm(L t)`` at dim 20, t = 300.  The blocks
-    fill the output side by side; its columns are put back in place one
-    chunk of rows at a time, so no second trajectory-sized array exists.
-
-    Every product is a ``gemm`` from ``get_blas_funcs`` (``dgemm`` for a
-    real ``out``), the OpenBLAS that
-    ``expm`` runs on, never a numpy product: numpy's own OpenBLAS keeps a
-    worker spinning after each call, and alternating the two pools made
-    the 2 x 63 single steps a dim-20 run once took cost 54-59 ms against
-    2 ms on one pool (2 cores; ``BENCH_9.json``, ``stages``).  The matrices
-    are handed over transposed, which makes a C-ordered array
-    Fortran-ordered without a copy.
-    """
+        span = times[-1] - times[0]
+        norm_span = sparse_norm(gen, 1) * span
+        if not norm_span * np.finfo(float).eps < 1.0:
+            raise ToleranceFailure(
+                f"||L||_1 (t1 - t0) = {norm_span:.3e} reaches 1/eps; too long a span for expm_multiply"
+            )
+        out[...] = expm_multiply(gen, w0, start=0.0, stop=span, num=n_points, endpoint=True)
+        return
     from scipy.linalg import expm, get_blas_funcs
-    from scipy.sparse import csr_array
 
-    n_points, dt = len(times), times[1] - times[0]
-    sparse = csr_array(op)
-    if out is None:
-        out = np.empty((n_points, len(y0)), dtype=np.result_type(sparse.dtype, y0.dtype))
+    dt = times[1] - times[0]
     gemm = get_blas_funcs("gemm", (out,))
     lo = 0
     for idx in blocks:
         hi = lo + len(idx)
         cols = out[:, lo:hi]
-        cols[0] = y0[idx]
+        cols[0] = w0[idx]
         # (S_b**width - I)^T, whose sum with I is the transposed power
         eye = np.eye(len(idx), order="F")
-        excess = expm(sparse[np.ix_(idx, idx)].toarray() * dt).T - eye
+        excess = expm(gen[np.ix_(idx, idx)].toarray() * dt).T - eye
         start = 1
         while start < n_points:
             width = min(start, _CHUNK)
@@ -400,7 +368,6 @@ def _step_blocks(
     inverse = np.argsort(np.concatenate(blocks))
     for start in range(0, n_points, _CHUNK):
         out[start:start + _CHUNK] = out[start:start + _CHUNK, inverse]
-    return out
 
 
 @dataclass(frozen=True)

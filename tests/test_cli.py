@@ -287,6 +287,21 @@ def test_overflowing_expm_multiply_span_is_a_numerical_guard(argv, capsys):
     assert "Traceback" not in err
 
 
+def test_negative_guard_band_population_names_a_growing_mode(capsys):
+    # at these negative shifts the dim-40 beyond-RWA generator has a growing
+    # mode (spectral abscissa +0.75), which drives the guard-band population
+    # negative; its magnitude passes the limit first at t = 130
+    argv = ["evolve", "--gamma", "0.01", "--delta-plus", "-0.02", "--delta-minus", "-0.015",
+            "--dim", "40", "--t-end", "150", "--points", "16"]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("vactrap: numerical guard: guard-band population -")
+    assert "at t = 130.0;" in err
+    assert "growing mode" in err and "spectral_abscissa" in err
+    assert "enlarge the truncation" not in err
+    assert "Traceback" not in err
+
+
 def test_bad_flag_value(capsys):
     assert run_cli(["evolve", "--dim", "not-a-number"]) == 1
     assert "error" in capsys.readouterr().err

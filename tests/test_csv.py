@@ -59,7 +59,8 @@ def test_record_csv_cells_round_trip(capsys):
     )
     assert header == ["time", "trace_dev", "herm_dev", "min_eig", "guard_pop",
                       "x", "p", "n", "witness"]
-    columns = (record.times, record.trace_dev, record.herm_dev, record.min_eig,
+    assert np.array_equal(record.rho, record.rho.conj().transpose(0, 2, 1))
+    columns = (record.times, record.trace_dev, np.zeros(13), record.min_eig,
                record.guard_pop,
                *(series_from_record(record, name, space).values for name in ("x", "p", "n", "X")))
     assert len(rows) == 13
