@@ -50,7 +50,10 @@ class NumericalGuard(VactrapError):
 
 
 class ToleranceFailure(NumericalGuard):
-    """A propagated trajectory is not finite (an unstable generator overflowed)."""
+    """A propagated trajectory is not finite, or its trace drifted past the
+    accepted limit, or its span is too long for ``expm_multiply``: either
+    the generator is unstable or the span is longer than the propagator's
+    rounding can resolve."""
 
 
 class PositivityBreach(NumericalGuard):

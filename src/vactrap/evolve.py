@@ -79,6 +79,10 @@ __all__ = [
 POSITIVITY_FLOOR_CP = -1e-8
 #: Maximum tolerated population in the top two (guard-band) levels.
 GUARD_BAND_LIMIT = 1e-6
+#: Largest tolerated trace drift |tr(rho) - 1|.  Ordinary runs read at most
+#: about 1e-14, and the propagator's rounding over a span of 1e12 already
+#: reads 3e-8 at dim 12.
+TRACE_DEV_LIMIT = 1e-10
 #: Snapshots per eigenvalue batch are sized to about this many bytes, so the
 #: diagnostics temporaries stay small whatever the trajectory length.
 _DIAGNOSTICS_BLOCK_BYTES = 2 * 1024 * 1024
@@ -87,7 +91,8 @@ _DIAGNOSTICS_BLOCK_BYTES = 2 * 1024 * 1024
 #: Past it the O(m^3) ``expm`` set-up per block loses to ``expm_multiply``
 #: over short spans: beyond-RWA at 101 points over t in [0, 10] took
 #: 0.44-0.48 against 0.07-0.10 s at dim 40 and 1.35-1.44 against
-#: 0.11-0.15 s at dim 48 (2 cores).
+#: 0.11-0.15 s at dim 48 (2 cores; timed when the step came from
+#: ``scipy.linalg.expm``, before the stepper formed its own).
 _STEPPER_MAX_SIZE = 392
 #: Snapshots per matrix product in the stepper (a power of two: the chunk
 #: propagator ``S**_CHUNK`` is formed by ``log2(_CHUNK)`` squarings).
@@ -159,9 +164,12 @@ def integrate(
         if the generator does not preserve Hermiticity
         (``max|conj(L) - L[swap][:, swap]|`` above ``1e-12 max|L|``).
     ToleranceFailure
-        If the propagated trajectory has a non-finite entry (an unstable
-        generator overflowing), or if :func:`_propagate` refuses the span
-        for ``expm_multiply``.
+        If the propagated trajectory has a non-finite entry, or, for a
+        generator that conserves the trace, if ``trace_dev`` first exceeds
+        ``TRACE_DEV_LIMIT`` (1e-10) with neither limit below breached at
+        that time: either an unstable generator, or a span longer than the
+        propagator's rounding can resolve.  Also if :func:`_propagate`
+        refuses the span for ``expm_multiply``.
     PositivityBreach
         First stored time where the lowest eigenvalue drops below
         ``POSITIVITY_FLOOR_CP`` (-1e-8); raised for ``WITH_RWA`` generators
@@ -198,13 +206,14 @@ def integrate(
     # an overflow is reported below as ToleranceFailure, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         _propagate(real_gen, herm.real + herm.imag, times, real)
+    causes = (
+        "either the generator is unstable (check spectral_abscissa) or the span "
+        "is longer than the propagator's rounding can resolve"
+    )
     finite = np.isfinite(real).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))
-        raise ToleranceFailure(
-            f"propagated state is not finite at t = {float(times[k])!r}; "
-            "the generator is unstable (check spectral_abscissa)"
-        )
+        raise ToleranceFailure(f"propagated state is not finite at t = {float(times[k])!r}; {causes}")
     for lo in range(0, n_points, _CHUNK):
         w = real[lo:lo + _CHUNK].copy()
         w_swap = w[:, swap]
@@ -237,7 +246,16 @@ def integrate(
         if generator.mode is ApproximationMode.WITH_RWA
         else -math.inf
     )
-    breach = (min_eig < floor) | (np.abs(guard_pop) > GUARD_BAND_LIMIT)
+    # Trace drift is propagation error only where the generator conserves
+    # the trace (sum_i d(rho_ii)/dt = 0, as every builder's does), so only
+    # there is it gated.
+    trace_rate = abs(real_gen[np.arange(dim) * (dim + 1)].sum(axis=0)).max()
+    drift_limit = TRACE_DEV_LIMIT if trace_rate <= 1e-12 * abs(real_gen).max() else math.inf
+    breach = (
+        (min_eig < floor)
+        | (np.abs(guard_pop) > GUARD_BAND_LIMIT)
+        | (trace_dev > drift_limit)
+    )
     if breach.any():
         k = int(np.argmax(breach))
         if min_eig[k] < floor:
@@ -247,6 +265,11 @@ def integrate(
                 time=float(times[k]),
                 min_eigenvalue=float(min_eig[k]),
                 record=record,
+            )
+        if abs(guard_pop[k]) <= GUARD_BAND_LIMIT:
+            raise ToleranceFailure(
+                f"trace drift {trace_dev[k]:.3e} above {TRACE_DEV_LIMIT} "
+                f"at t = {float(times[k])!r}; {causes}"
             )
         if guard_pop[k] > 0.0:
             cause = f"above {GUARD_BAND_LIMIT} at t = {float(times[k])!r}; enlarge the truncation"
@@ -303,24 +326,20 @@ def _propagate(gen, w0: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
     choose the method, whatever the grid:
 
     - With no block above ``_STEPPER_MAX_SIZE`` entries (its comment gives
-      the measurement that sets it), block ``b`` gets
-      ``S_b = expm(gen_b dt)``, and the cost does not grow with the span.
-      After the initial row, chunks of width ``1, 2, 4, ..., _CHUNK,
-      _CHUNK, ...`` each take the ``width`` rows before them times
-      ``S_b**width``, one matrix product per chunk.  The powers are squared
-      up as ``X = S_b - I`` with ``X -> 2 X + X @ X``, so rounding stays
-      relative to ``S_b - I``; squaring ``S_b`` directly repeats its
-      rounding in every chunk and measured twice as far from ``expm(L t)``
-      at dim 20, t = 300.  The blocks fill ``out`` side by side, and its
-      columns are put back in place one chunk of rows at a time, so no
-      second trajectory-sized array exists.  Every product is a ``gemm``
-      from ``get_blas_funcs``, the OpenBLAS that ``expm`` runs on, never a
-      numpy product: numpy's own OpenBLAS keeps a worker spinning after
-      each call, and alternating the two pools made the 2 x 63 single
-      steps a dim-20 run once took cost 54-59 ms against 2 ms on one pool
-      (2 cores; ``BENCH_9.json``, ``stages``).  The matrices are handed
-      over transposed, which makes a C-ordered array Fortran-ordered
-      without a copy.
+      the measurement that sets it), the cost does not grow with the span.
+      Block ``b`` starts from ``a = gen_b dt / 2**s``, ``s`` the least
+      power with ``||a||_1 <= 0.05``, where the degree-8 Taylor sum of
+      ``expm(a) - I`` in Horner form is exact to half an ulp (its tail is
+      ``0.05**8 / 9!`` relative), and ``s`` doublings ``X -> 2 X + X @ X``
+      give ``X = S_b - I``, ``S_b = expm(gen_b dt)`` (Moler & Van Loan,
+      SIAM Rev. 45, 3 (2003)).  After the initial row, chunks of width
+      ``1, 2, 4, ..., _CHUNK, _CHUNK, ...`` each take the ``width`` rows
+      before them times ``S_b**width``, from further doublings of the same
+      chain, so rounding stays relative to ``S_b - I``; squaring ``S_b``
+      directly measured twice as far from ``expm(L t)`` at dim 20,
+      t = 300.  The blocks fill ``out`` side by side, and its columns are
+      put back in place one chunk of rows at a time, so no second
+      trajectory-sized array exists.
     - Otherwise ``expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci. Comput.
       33, 488 (2011)) touches the whole ``gen`` only through sparse
       products, in about ``||gen||_1 (t_1 - t_0) / 10`` steps that each
@@ -341,28 +360,32 @@ def _propagate(gen, w0: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
             )
         out[...] = expm_multiply(gen, w0, start=0.0, stop=span, num=n_points, endpoint=True)
         return
-    from scipy.linalg import expm, get_blas_funcs
-
-    dt = times[1] - times[0]
-    gemm = get_blas_funcs("gemm", (out,))
+    # dt = mantissa * 2**exponent: gen_b dt / 2**s is formed without gen_b dt,
+    # which can overflow
+    mantissa, exponent = np.frexp(times[1] - times[0])
     lo = 0
     for idx in blocks:
         hi = lo + len(idx)
         cols = out[:, lo:hi]
         cols[0] = w0[idx]
-        # (S_b**width - I)^T, whose sum with I is the transposed power
-        eye = np.eye(len(idx), order="F")
-        excess = expm(gen[np.ix_(idx, idx)].toarray() * dt).T - eye
+        eye = np.eye(len(idx))
+        a = gen[np.ix_(idx, idx)].toarray() * mantissa
+        s = max(0, exponent + int(np.frexp(np.abs(a).sum(axis=0).max() / 0.05)[1]))
+        a = np.ldexp(a, exponent - s)
+        excess = a / 8.0
+        for k in range(7, 0, -1):
+            excess = a @ (eye + excess) / k
+        for _ in range(s):
+            excess = 2.0 * excess + excess @ excess
         start = 1
         while start < n_points:
             width = min(start, _CHUNK)
             if width == start:
-                jump = eye + excess
+                jump = (eye + excess).T
                 if width < _CHUNK:
-                    excess = gemm(1.0, excess, excess, beta=2.0, c=excess)
+                    excess = 2.0 * excess + excess @ excess
             stop = min(start + width, n_points)
-            prev = cols[start - width:stop - width]
-            cols[start:stop] = gemm(1.0, jump, prev.T, trans_a=1).T
+            cols[start:stop] = cols[start - width:stop - width] @ jump
             start = stop
         lo = hi
     inverse = np.argsort(np.concatenate(blocks))

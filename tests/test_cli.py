@@ -270,20 +270,27 @@ def test_closed_form_range_ends_are_one_line_input_errors(argv, capsys):
     assert captured.err.count("\n") == 1
 
 
+_GUARDED_RUNS = [
+    (["evolve", "--dim", "6", "--points", "3", "--t-end", "1e300"], "propagated state is not finite"),
+    (["evolve", "--dim", "6", "--gamma", "1e300", "--points", "11"], "propagated state is not finite"),
+    (["witness", "--dim", "6", "--t-end", "1e300", "--points", "3"], "propagated state is not finite"),
+    (["evolve", "--dim", "12", "--points", "3", "--t-end", "1e12"], "trace drift"),
+    (["evolve", "--dim", "20", "--points", "3", "--t-end", "1e300"], "trace drift"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["evolve", "--dim", "6", "--points", "3", "--t-end", "1e300"],
-        ["evolve", "--dim", "6", "--gamma", "1e300", "--points", "11"],
-        ["witness", "--dim", "6", "--t-end", "1e300", "--points", "3"],
-    ],
+    "argv, cause", _GUARDED_RUNS, ids=[f"argv{k}" for k in range(len(_GUARDED_RUNS))]
 )
-def test_overflowing_expm_multiply_span_is_a_numerical_guard(argv, capsys):
-    # these generators take the stepper, whose exp(G dt) overflows on these
-    # spans; the finiteness check ends them as a numerical guard, exit 2
+def test_overflow_or_trace_drift_is_a_numerical_guard(argv, cause, capsys):
+    # these generators take the stepper; on these spans its step either
+    # overflows or rounds the trace away, and either ends the run as a
+    # numerical guard, exit 2, naming both an unstable generator and a span
+    # past the propagator's rounding as causes
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("vactrap: numerical guard")
+    assert err.startswith(f"vactrap: numerical guard: {cause}")
+    assert "spectral_abscissa" in err and "rounding" in err
     assert "Traceback" not in err
 
 

@@ -20,6 +20,7 @@ from vactrap.evolve import (
     _STEPPER_MAX_SIZE,
     GUARD_BAND_LIMIT,
     POSITIVITY_FLOOR_CP,
+    TRACE_DEV_LIMIT,
     _hermitian_coordinates,
     _propagate,
     gaussian_positivity_check,
@@ -157,7 +158,12 @@ def test_stepper_cap_applies_to_the_largest_block(monkeypatch):
 
 @pytest.mark.parametrize("n_points", [2, 3, 24, 41])
 def test_short_rwa_grids_take_the_stepper(monkeypatch, n_points):
-    # every grid below the cap takes the stepper, with or without the RWA
+    # every grid below the cap takes the stepper, with or without the RWA,
+    # and the stepper forms its own step exponential, with no SciPy expm
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg.expm called")
+
+    monkeypatch.setattr("scipy.linalg.expm", refuse)
     calls = _count_expm_multiply(monkeypatch)
     space = FockSpace(dim=12)
     rho0 = make_state("coherent", space, alpha=0.4)
@@ -182,6 +188,29 @@ def test_long_span_below_the_cap_takes_the_stepper(monkeypatch):
     y0 = vec(rho0.matrix)
     for k, t in enumerate(record.times):
         assert np.abs(vec(record.rho[k]) - expm(gen.matrix * t) @ y0).max() <= 1e-12
+
+
+def _trace_dev_column(argv: list[str], capsys) -> np.ndarray:
+    assert run_cli(argv) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0].split(",")[1] == "trace_dev"
+    return np.array([float(line.split(",")[1]) for line in lines[1:]])
+
+
+def test_long_span_keeps_the_trace(capsys):
+    # a step of 5e7 is scaled down by 2**s and squared back up s times; the
+    # trace drift stays near eps * s, far below the gate
+    trace_dev = _trace_dev_column(["evolve", "--dim", "12", "--points", "3", "--t-end", "1e8"], capsys)
+    assert trace_dev[-1] <= 1e-11
+
+
+def test_long_grid_trace_drift_is_far_below_the_limit(capsys):
+    # the benchmark's 4001-point beyond-RWA run, where the limit is sized
+    # at least a hundred times above the drift of ordinary runs
+    argv = ["evolve", "--dim", "20", "--t-end", "300", "--points", "4001"]
+    trace_dev = _trace_dev_column(argv, capsys)
+    assert trace_dev.max() <= 1e-14
+    assert trace_dev.max() * 100 <= TRACE_DEV_LIMIT
 
 
 def test_expm_multiply_span_guard():
@@ -333,7 +362,7 @@ def test_guard_band_overflow_on_underdimensioned_thermal_state():
     )
 
 
-def test_raise_on_breach_false_returns_full_record():
+def test_breach_exception_carries_the_full_record():
     # a breach at t = 0 still hands over every snapshot through the exception
     space = FockSpace(dim=16)
     gen = build_redfield_generator(space, STABLE)
@@ -377,6 +406,33 @@ def test_positivity_wins_when_both_limits_breach_at_once():
         integrate(gen, DensityMatrix(mat, validate=False), (0.0, 1.0), n_points=11)
     assert exc_info.value.time == 0.0
     assert exc_info.value.min_eigenvalue < POSITIVITY_FLOOR_CP
+
+
+@pytest.mark.parametrize(
+    "entries, breach",
+    [
+        ({1: -1e-6, 7: 2e-6}, PositivityBreach),  # and the guard band and the trace
+        ({7: 2e-6}, GuardBandOverflow),  # and the trace
+        ({0: 1e-9}, ToleranceFailure),
+    ],
+    ids=["positivity", "guard-band", "trace"],
+)
+def test_limits_breached_at_once_report_positivity_then_guard_band_then_trace(entries, breach):
+    space = FockSpace(dim=8)
+    gen = build_lindblad_generator(space, STABLE)
+    mat = np.zeros((8, 8), dtype=complex)
+    mat[0, 0] = 1.0
+    for level, weight in entries.items():
+        mat[level, level] += weight
+    assert abs(np.trace(mat) - 1.0) > TRACE_DEV_LIMIT
+    with pytest.raises(breach) as exc_info:
+        integrate(gen, DensityMatrix(mat, validate=False), (0.0, 1.0), n_points=11)
+    if breach is ToleranceFailure:
+        message = str(exc_info.value)
+        assert message.startswith("trace drift 1.000e-09 above 1e-10 at t = 0.0;")
+        assert "spectral_abscissa" in message and "rounding" in message
+    else:
+        assert exc_info.value.time == 0.0
 
 
 def test_integrate_argument_validation():
