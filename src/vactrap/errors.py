@@ -53,7 +53,13 @@ class ToleranceFailure(NumericalGuard):
     """A propagated trajectory is not finite, or its trace drifted past the
     accepted limit, or its span is too long for ``expm_multiply``: either
     the generator is unstable or the span is longer than the propagator's
-    rounding can resolve."""
+    rounding can resolve.  A trace-drift failure carries the full record of
+    the run as ``record``; the others, raised before a record exists, carry
+    ``None``."""
+
+    def __init__(self, message: str, record=None):
+        super().__init__(message)
+        self.record = record
 
 
 class PositivityBreach(NumericalGuard):

@@ -10,9 +10,9 @@ as ``rho_j = ((w_j + w_swap[j]) + i (w_j - w_swap[j])) / 2``, so it is
 Hermitian to the last bit, and every product is real.  A generator that
 does not preserve Hermiticity is refused, since these coordinates would
 drop its anti-Hermitian part.  How ``G`` is propagated, block by block or
-by ``expm_multiply``, is set out once, in :func:`_propagate`.  SciPy is
-imported inside the functions that call it, on the first propagation, so
-that importing the package leaves it unloaded.
+by ``expm_multiply``, is set out once, in :func:`_propagate`.  Below the
+stepper's cap numpy does all the work; SciPy is imported only where
+``expm_multiply`` runs, so no other path loads it.
 
 The propagated state is never projected, renormalized or symmetrized:
 whatever the propagator produces is stored, and its defects (trace drift,
@@ -180,7 +180,8 @@ def integrate(
         truncation; a negative one names a growing mode of the truncated
         generator, which a larger truncation need not cure.
 
-    Both breach exceptions carry the full record as ``.record``.
+    Both breach exceptions, and a trace-drift ``ToleranceFailure``, carry
+    the full record as ``.record``.
     """
     if not isinstance(rho0, DensityMatrix):
         rho0 = DensityMatrix(np.asarray(rho0, dtype=complex))
@@ -249,8 +250,10 @@ def integrate(
     # Trace drift is propagation error only where the generator conserves
     # the trace (sum_i d(rho_ii)/dt = 0, as every builder's does), so only
     # there is it gated.
-    trace_rate = abs(real_gen[np.arange(dim) * (dim + 1)].sum(axis=0)).max()
-    drift_limit = TRACE_DEV_LIMIT if trace_rate <= 1e-12 * abs(real_gen).max() else math.inf
+    rows, cols, vals = real_gen
+    diagonal = rows % (dim + 1) == 0
+    trace_rate = np.abs(np.bincount(cols[diagonal], weights=vals[diagonal], minlength=size)).max()
+    drift_limit = TRACE_DEV_LIMIT if trace_rate <= 1e-12 * np.abs(vals).max(initial=0.0) else math.inf
     breach = (
         (min_eig < floor)
         | (np.abs(guard_pop) > GUARD_BAND_LIMIT)
@@ -269,7 +272,8 @@ def integrate(
         if abs(guard_pop[k]) <= GUARD_BAND_LIMIT:
             raise ToleranceFailure(
                 f"trace drift {trace_dev[k]:.3e} above {TRACE_DEV_LIMIT} "
-                f"at t = {float(times[k])!r}; {causes}"
+                f"at t = {float(times[k])!r}; {causes}",
+                record=record,
             )
         if guard_pop[k] > 0.0:
             cause = f"above {GUARD_BAND_LIMIT} at t = {float(times[k])!r}; enlarge the truncation"
@@ -295,38 +299,54 @@ def _hermitian_coordinates(matrix: np.ndarray):
     Im vec(sigma)``, and ``w_j + w_swap[j]``, ``w_j - w_swap[j]`` give back
     twice its real and imaginary parts.  ``L`` maps ``w`` to ``X w`` with
     ``X = ((1 + i) L + (1 - i) L[:, swap]) / 2``, so ``dw/dt = G w`` with
-    ``G = Re X + Im X = Re L + (Im L)[:, swap]``, a CSR array with the
-    nonzeros of ``L`` and no dense temporary.
+    ``G = Re X + Im X = Re L + (Im L)[:, swap]``.
+
+    ``G`` is returned as the triple ``(rows, cols, vals)`` of its nonzeros,
+    one per position, in row-major order: the real parts of the nonzeros
+    of ``L`` at ``(rows, cols)`` plus their imaginary parts at ``(rows,
+    swap[cols])``, read from ``L`` once and never formed as a dense array.
 
     Raises ``ConfigurationError`` unless ``L`` preserves Hermiticity
     (``conj(L) = L[swap][:, swap]`` to ``1e-12 max|L|``, the gate of
     :class:`DensityMatrix`): its anti-Hermitian part would be dropped.
+    ``swap`` is an involution, so the largest gap over the nonzeros of ``L``
+    is the largest gap over all of it.
     """
-    from scipy.sparse import csr_array
-
-    dim = math.isqrt(len(matrix))
-    swap = np.arange(dim * dim).reshape(dim, dim).T.ravel()
-    sparse = csr_array(matrix)
-    scale = abs(sparse).max()
-    leak = abs(sparse.conj() - sparse[swap][:, swap]).max()
+    size = len(matrix)
+    dim = math.isqrt(size)
+    swap = np.arange(size).reshape(dim, dim).T.ravel()
+    # a boolean mask is read faster than complex entries
+    rows, cols = np.nonzero(matrix != 0)
+    vals = matrix[rows, cols]
+    scale = np.abs(vals).max(initial=0.0)
+    leak = np.abs(matrix[swap[rows], swap[cols]] - vals.conj()).max(initial=0.0)
     if leak > 1e-12 * scale:
         raise ConfigurationError(
             f"the generator does not preserve Hermiticity: max|conj(L) - L[swap][:, swap]| "
             f"= {leak:.3e} against max|L| = {scale:.3e}"
         )
-    return sparse.real + sparse.imag[:, swap], swap
+    # a position reached by both a real and an imaginary part takes their sum
+    keys, where = np.unique(
+        np.concatenate([rows * size + cols, rows * size + swap[cols]]), return_inverse=True
+    )
+    sums = np.bincount(where, weights=np.concatenate([vals.real, vals.imag]))
+    kept = sums != 0.0
+    rows, cols = np.divmod(keys[kept], size)
+    return (rows, cols, sums[kept]), swap
 
 
 def _propagate(gen, w0: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
     """Write ``expm(gen (t_k - t_0)) w0`` into ``out[k]`` for each ``t_k`` of a uniform grid.
 
-    ``gen`` is the sparse real generator of :func:`_hermitian_coordinates`,
-    and ``out`` a real ``(len(times), len(w0))`` array, possibly a strided
-    view.  The invariant blocks of ``gen`` (:func:`_invariant_blocks`)
-    choose the method, whatever the grid:
+    ``gen`` is the ``(rows, cols, vals)`` triple of the real generator's
+    nonzeros, as :func:`_hermitian_coordinates` returns it, and ``out`` a
+    real ``(len(times), len(w0))`` array, possibly a strided view.  The
+    invariant blocks of ``gen`` (:func:`_invariant_blocks`) choose the
+    method, whatever the grid:
 
     - With no block above ``_STEPPER_MAX_SIZE`` entries (its comment gives
-      the measurement that sets it), the cost does not grow with the span.
+      the measurement that sets it), the cost does not grow with the span,
+      and numpy does all of it.
       Block ``b`` starts from ``a = gen_b dt / 2**s``, ``s`` the least
       power with ``||a||_1 <= 0.05``, where the degree-8 Taylor sum of
       ``expm(a) - I`` in Horner form is exact to half an ulp (its tail is
@@ -341,17 +361,22 @@ def _propagate(gen, w0: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
       put back in place one chunk of rows at a time, so no second
       trajectory-sized array exists.
     - Otherwise ``expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci. Comput.
-      33, 488 (2011)) touches the whole ``gen`` only through sparse
-      products, in about ``||gen||_1 (t_1 - t_0) / 10`` steps that each
-      round at ``eps``: a span with ``||gen||_1 (t_1 - t_0) >= 1/eps``
-      raises ``ToleranceFailure`` first (SciPy's own step count would
-      overflow into a ``ValueError``).
+      33, 488 (2011)) touches the whole ``gen`` only through products with
+      a CSR array built from the triple, in about ``||gen||_1 (t_1 - t_0) /
+      10`` steps that each round at ``eps``: a span with ``||gen||_1 (t_1 -
+      t_0) >= 1/eps`` raises ``ToleranceFailure`` first (SciPy's own step
+      count would overflow into a ``ValueError``).  This is the one place
+      SciPy is imported.
     """
+    rows, cols, vals = gen
+    size = len(w0)
     n_points = len(times)
-    blocks = _invariant_blocks(gen)
+    blocks = _invariant_blocks(rows, cols, size)
     if max(len(idx) for idx in blocks) > _STEPPER_MAX_SIZE:
+        from scipy.sparse import csr_array
         from scipy.sparse.linalg import expm_multiply, norm as sparse_norm
 
+        gen = csr_array((vals, (rows, cols)), shape=(size, size))
         span = times[-1] - times[0]
         norm_span = sparse_norm(gen, 1) * span
         if not norm_span * np.finfo(float).eps < 1.0:
@@ -363,13 +388,22 @@ def _propagate(gen, w0: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
     # dt = mantissa * 2**exponent: gen_b dt / 2**s is formed without gen_b dt,
     # which can overflow
     mantissa, exponent = np.frexp(times[1] - times[0])
+    # each nonzero's block, and its row and column within that block
+    block_of = np.empty(size, dtype=int)
+    local = np.empty(size, dtype=int)
+    for b, idx in enumerate(blocks):
+        block_of[idx] = b
+        local[idx] = np.arange(len(idx))
+    by_block = np.argsort(block_of[rows], kind="stable")
+    nonzeros = np.split(by_block, np.cumsum(np.bincount(block_of[rows], minlength=len(blocks)))[:-1])
     lo = 0
-    for idx in blocks:
+    for idx, nz in zip(blocks, nonzeros):
         hi = lo + len(idx)
-        cols = out[:, lo:hi]
-        cols[0] = w0[idx]
+        block_out = out[:, lo:hi]
+        block_out[0] = w0[idx]
         eye = np.eye(len(idx))
-        a = gen[np.ix_(idx, idx)].toarray() * mantissa
+        a = np.zeros((len(idx), len(idx)))
+        a[local[rows[nz]], local[cols[nz]]] = vals[nz] * mantissa
         s = max(0, exponent + int(np.frexp(np.abs(a).sum(axis=0).max() / 0.05)[1]))
         a = np.ldexp(a, exponent - s)
         excess = a / 8.0
@@ -385,7 +419,7 @@ def _propagate(gen, w0: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
                 if width < _CHUNK:
                     excess = 2.0 * excess + excess @ excess
             stop = min(start + width, n_points)
-            cols[start:stop] = cols[start - width:stop - width] @ jump
+            block_out[start:stop] = block_out[start - width:stop - width] @ jump
             start = stop
         lo = hi
     inverse = np.argsort(np.concatenate(blocks))

@@ -373,29 +373,45 @@ def spectral_abscissa(superop: Superoperator) -> float:
     fraction of the cost of one dense ``eigvals``.
     """
     mat = superop.matrix
+    rows, cols = np.nonzero(mat != 0)
     return max(
         float(np.linalg.eigvals(mat[np.ix_(idx, idx)]).real.max())
-        for idx in _invariant_blocks(mat)
+        for idx in _invariant_blocks(rows, cols, len(mat))
     )
 
 
-def _invariant_blocks(matrix) -> list[np.ndarray]:
+def _invariant_blocks(rows: np.ndarray, cols: np.ndarray, size: int) -> list[np.ndarray]:
     """Index sets of the subspaces a generator never couples to each other.
 
-    They are the connected components of the nonzero pattern, so the
-    generator is block diagonal over them and ``expm``, eigenvalues and
-    propagation can be taken block by block.  Exact zeros give an exact
-    structure, so no tolerance enters.  Beyond-RWA generators keep the
-    parity of ``i - j`` (two blocks, four on the planar space); the RWA
-    generator keeps ``i - j`` itself (``2 dim - 1`` blocks of sizes 1 to
-    ``dim``).  Each set is ascending.  ``matrix`` may be dense or sparse.
-    SciPy is imported here, on first use, so that importing the package
-    leaves it unloaded.
+    ``rows``, ``cols`` list the positions of the nonzeros of a ``(size,
+    size)`` generator.  The sets are the connected components of that
+    pattern, so the generator is block diagonal over them and ``expm``,
+    eigenvalues and propagation can be taken block by block.  Exact zeros
+    give an exact structure, so no tolerance enters.  Beyond-RWA generators
+    keep the parity of ``i - j`` (two blocks, four on the planar space); the
+    RWA generator keeps ``i - j`` itself (``2 dim - 1`` blocks of sizes 1 to
+    ``dim``).  Each set is ascending, and the sets are ordered by their
+    smallest index.
+
+    Each index points to a parent in its component, itself at first.
+    Every pass hooks both ends of each edge, and the parents of both ends,
+    onto the lesser grandparent found across it, then points each index at
+    its grandparent (FastSV: Zhang, Azad & Hu, Proc. SIAM PP20, 2020).  A
+    chain of ``n`` entries, numbered in order or at random, settles in about
+    ``log2(n) + 1`` passes (measured up to ``n = 1e5``); a generator of
+    dim 20 or 40 in five or six.  Parents only decrease, so once the parents
+    form stars that agree across every edge, each index points to the
+    smallest index of its component.
     """
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
-
-    n_blocks, labels = connected_components(csr_array(matrix != 0), directed=False)
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels, minlength=n_blocks))[:-1])
-
+    heads = np.concatenate([rows, cols])
+    tails = np.concatenate([cols, rows])
+    parent = np.arange(size)
+    while True:
+        grand = parent[parent]
+        if np.array_equal(grand, parent) and np.array_equal(parent[heads], parent[tails]):
+            break
+        np.minimum.at(parent, parent[heads], grand[tails])
+        np.minimum.at(parent, heads, grand[tails])
+        np.minimum(parent, grand, out=parent)
+    order = np.argsort(parent, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(parent[order])) + 1)

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.sparse import csr_array
 from scipy.sparse.linalg import expm_multiply
 
 from vactrap.cli import run_cli
@@ -118,13 +117,19 @@ def _count_expm_multiply(monkeypatch) -> list:
     return calls
 
 
-def _one_block(size: int) -> csr_array:
+def _triple(op: np.ndarray) -> tuple:
+    """The ``(rows, cols, vals)`` triple of a real generator's nonzeros."""
+    rows, cols = np.nonzero(op)
+    return rows, cols, op[rows, cols]
+
+
+def _one_block(size: int) -> np.ndarray:
     """A damped real tridiagonal generator: one invariant block of ``size`` entries."""
     coupling = np.diag(np.linspace(0.05, 1.0, size - 1), k=1)
-    return csr_array(np.diag(-np.linspace(0.0, 0.1, size)) + coupling - coupling.T)
+    return np.diag(-np.linspace(0.0, 0.1, size)) + coupling - coupling.T
 
 
-def _propagated(gen: csr_array, w0: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _propagated(gen: tuple, w0: np.ndarray, times: np.ndarray) -> np.ndarray:
     out = np.empty((len(times), len(w0)))
     _propagate(gen, w0, times, out)
     return out
@@ -139,10 +144,10 @@ def test_dense_stepper_is_kept_to_small_generators(monkeypatch, size):
     gen = _one_block(size)
     w0 = np.ones(size)
     times = np.linspace(0.0, 2.0, size + 1)
-    traj = _propagated(gen, w0, times)
+    traj = _propagated(_triple(gen), w0, times)
     assert len(calls) == (0 if size <= _STEPPER_MAX_SIZE else 1)
     for k in (1, size // 2, size):
-        assert np.abs(traj[k] - expm(gen.toarray() * times[k]) @ w0).max() <= 1e-12
+        assert np.abs(traj[k] - expm(gen * times[k]) @ w0).max() <= 1e-12
 
 
 def test_stepper_cap_applies_to_the_largest_block(monkeypatch):
@@ -151,7 +156,7 @@ def test_stepper_cap_applies_to_the_largest_block(monkeypatch):
     size = _STEPPER_MAX_SIZE + 1
     diagonal = -np.linspace(0.0, 0.1, size)
     times = np.linspace(0.0, 2.0, size + 1)
-    traj = _propagated(csr_array(np.diag(diagonal)), np.ones(size), times)
+    traj = _propagated(_triple(np.diag(diagonal)), np.ones(size), times)
     assert calls == []
     assert np.abs(traj - np.exp(np.outer(times, diagonal))).max() <= 1e-12
 
@@ -204,6 +209,25 @@ def test_long_span_keeps_the_trace(capsys):
     assert trace_dev[-1] <= 1e-11
 
 
+def test_trace_drift_failure_carries_the_full_record(monkeypatch, capsys):
+    # the CLI run of a span longer than the stepper's rounding resolves
+    caught = []
+
+    def keeping(*args, **kwargs):
+        try:
+            return integrate(*args, **kwargs)
+        except ToleranceFailure as exc:
+            caught.append(exc)
+            raise
+
+    monkeypatch.setattr("vactrap.cli.integrate", keeping)
+    assert run_cli(["evolve", "--dim", "12", "--points", "3", "--t-end", "1e12"]) == 2
+    assert "trace drift" in capsys.readouterr().err
+    (exc,) = caught
+    assert len(exc.record.times) == 3 and exc.record.times[-1] == 1e12
+    assert exc.record.trace_dev[-1] > TRACE_DEV_LIMIT
+
+
 def test_long_grid_trace_drift_is_far_below_the_limit(capsys):
     # the benchmark's 4001-point beyond-RWA run, where the limit is sized
     # at least a hundred times above the drift of ordinary runs
@@ -218,7 +242,7 @@ def test_expm_multiply_span_guard():
     # before expm_multiply's step count overflows
     size = _STEPPER_MAX_SIZE + 1
     with pytest.raises(ToleranceFailure, match="reaches 1/eps"):
-        _propagated(_one_block(size), np.ones(size), np.linspace(0.0, 1e300, 3))
+        _propagated(_triple(_one_block(size)), np.ones(size), np.linspace(0.0, 1e300, 3))
 
 
 @pytest.mark.parametrize("n_points", [2, 3, 5, 33, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
@@ -231,13 +255,14 @@ def test_step_blocks_on_unequal_scattered_blocks(n_points):
     for idx in blocks:
         a = rng.normal(size=(len(idx),) * 2)
         op[np.ix_(idx, idx)] = 0.3 * (a - a.T) - 0.05 * np.eye(len(idx)) + 0.02 * a
-    gen = csr_array(op)
-    assert sorted(map(list, _invariant_blocks(gen))) == sorted(map(list, blocks))
+    gen = _triple(op)
+    gen_in = [part.copy() for part in gen]
+    assert sorted(map(list, _invariant_blocks(*gen[:2], 8))) == sorted(map(list, blocks))
     w0 = rng.normal(size=8)
     w0_in = w0.copy()
     times = np.linspace(0.0, 0.05 * (n_points - 1), n_points)
     traj = _propagated(gen, w0, times)
-    assert np.array_equal(gen.toarray(), op) and np.array_equal(w0, w0_in)
+    assert all(map(np.array_equal, gen, gen_in)) and np.array_equal(w0, w0_in)
     for k, t in enumerate(times):
         assert np.abs(traj[k] - expm(op * t) @ w0).max() <= 1e-12
 
@@ -254,8 +279,13 @@ _SMALL_GENERATORS = {
 def test_hermitian_coordinates_carry_the_generator(herm_factory, name):
     # G w(sigma) = w(L vec sigma), w = Re vec + Im vec, on Hermitian sigma
     gen = _SMALL_GENERATORS[name]()
-    real_gen, swap = _hermitian_coordinates(gen.matrix)
-    assert real_gen.dtype == np.float64
+    (rows, cols, vals), swap = _hermitian_coordinates(gen.matrix)
+    assert vals.dtype == np.float64 and np.all(vals != 0.0)
+    # one entry per position, in row-major order
+    keys = rows * len(swap) + cols
+    assert np.all(np.diff(keys) > 0)
+    real_gen = np.zeros((len(swap), len(swap)))
+    real_gen[rows, cols] = vals
     scale = np.abs(gen.matrix).max()
     for _ in range(3):
         v = vec(herm_factory(gen.dim))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vactrap.errors import ConfigurationError, DimensionMismatch, DimensionTooSmall
+from vactrap.evolve import _hermitian_coordinates
 from vactrap.liouville import (
     DensityMatrix,
     FockSpace,
@@ -389,24 +390,82 @@ def test_blocked_spectral_abscissa_is_the_dense_one(build, rates):
     assert abs(spectral_abscissa(gen) - dense) <= 1e-12
 
 
+def _blocks_of(matrix: np.ndarray) -> list[np.ndarray]:
+    return _invariant_blocks(*np.nonzero(matrix), len(matrix))
+
+
 def test_invariant_blocks_follow_the_conserved_quantity():
     dim = 8
     space = FockSpace(dim=dim)
     # vector position i + j*dim holds the entry (i, j)
     i, j = np.divmod(np.arange(dim * dim), dim)[::-1]
-    beyond = _invariant_blocks(build_redfield_generator(space, RATES).matrix)
+    beyond = _blocks_of(build_redfield_generator(space, RATES).matrix)
     assert [len(idx) for idx in beyond] == [dim * dim // 2] * 2
     for idx in beyond:
         assert len(set((i - j)[idx] % 2)) == 1
-    rwa = _invariant_blocks(build_lindblad_generator(space, RATES).matrix)
+    rwa = _blocks_of(build_lindblad_generator(space, RATES).matrix)
     assert len(rwa) == 2 * dim - 1
     assert sorted(len(idx) for idx in rwa) == sorted([*range(1, dim + 1), *range(1, dim)])
     for idx in rwa:
         assert len(set((i - j)[idx])) == 1
-    xp = _invariant_blocks(build_xp_generator(space, RATES).matrix)
+    xp = _blocks_of(build_xp_generator(space, RATES).matrix)
     assert [len(idx) for idx in xp] == [dim * dim // 2] * 2
-    planar = _invariant_blocks(_planar(FockSpace(dim=6), RATES).matrix)
+    planar = _blocks_of(_planar(FockSpace(dim=6), RATES).matrix)
     assert [len(idx) for idx in planar] == [324] * 4
     for blocks in (beyond, rwa, xp, planar):
         every = np.concatenate(blocks)
         assert np.array_equal(np.sort(every), np.arange(len(every)))
+
+
+def _assert_scipy_components(rows: np.ndarray, cols: np.ndarray, size: int) -> None:
+    # the same sets as SciPy's undirected components, each ascending, in
+    # SciPy's order, which is by smallest index
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    pattern = coo_array((np.ones(len(rows)), (rows, cols)), shape=(size, size))
+    n_blocks, labels = connected_components(pattern, directed=False)
+    blocks = _invariant_blocks(rows, cols, size)
+    assert len(blocks) == n_blocks
+    for k, idx in enumerate(blocks):
+        assert np.array_equal(idx, np.flatnonzero(labels == k))
+
+
+@st.composite
+def _edge_lists(draw):
+    size = draw(st.integers(1, 60))
+    index = st.integers(0, size - 1)
+    edges = draw(st.lists(st.tuples(index, index), max_size=2 * size))
+    rows = np.array([u for u, _ in edges], dtype=int)
+    cols = np.array([v for _, v in edges], dtype=int)
+    if draw(st.booleans()):
+        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    return rows, cols, size
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_lists())
+def test_invariant_blocks_are_scipys_components(pattern):
+    # symmetric and asymmetric patterns, with isolated indices and loops
+    _assert_scipy_components(*pattern)
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_invariant_blocks_of_a_long_chain(shuffled):
+    # a chain is the longest path a label has to travel
+    size = 20000
+    nodes = np.random.default_rng(3).permutation(size) if shuffled else np.arange(size)
+    rows, cols = nodes[:-1], nodes[1:]
+    _assert_scipy_components(rows, cols, size)
+    # and a chain cut in two, with an isolated index after it
+    _assert_scipy_components(np.delete(rows, 5000), np.delete(cols, 5000), size + 1)
+
+
+@pytest.mark.parametrize(
+    "build", [build_redfield_generator, build_lindblad_generator, build_xp_generator, _planar]
+)
+def test_invariant_blocks_of_every_builder_are_scipys_components(build):
+    gen = build(FockSpace(dim=4 if build is _planar else 12), RATES)
+    _assert_scipy_components(*np.nonzero(gen.matrix), len(gen.matrix))
+    (rows, cols, _), swap = _hermitian_coordinates(gen.matrix)
+    _assert_scipy_components(rows, cols, len(swap))

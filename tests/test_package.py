@@ -53,8 +53,8 @@ def test_import_loads_no_scipy():
 
 
 def test_report_commands_load_no_scipy():
-    # SciPy is imported where a propagation, block search or abscissa probe
-    # runs; none of these reports does one
+    # SciPy is imported only where expm_multiply runs, past the stepper's
+    # cap; none of these reports propagates at all
     reports = [
         ["rates"],
         ["table1"],
@@ -83,4 +83,37 @@ def test_product_space_oracle_loads_no_scipy():
         "                 duration=40.0, n_points=801)"
     )
     proc = _scipy_modules_after(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _without_scipy(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` as :func:`_scipy_modules_after` does, with every SciPy
+    import made to fail while it runs."""
+    return _scipy_modules_after(
+        f"sys.modules['scipy'] = None\n{code}\ndel sys.modules['scipy']"
+    )
+
+
+def test_integrating_commands_below_the_cap_load_no_scipy():
+    # evolve (dim 20) and witness (dim 24) have no invariant block past the
+    # stepper's cap, so numpy alone propagates them
+    code = (
+        "import contextlib, io\n"
+        "from vactrap.cli import run_cli\n"
+        "for argv in (['evolve'], ['witness']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert run_cli(argv) == 0, argv"
+    )
+    proc = _without_scipy(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_spectral_abscissa_loads_no_scipy():
+    code = (
+        "from vactrap.liouville import FockSpace, build_redfield_generator, spectral_abscissa\n"
+        "from vactrap.rates import RateSet\n"
+        "gen = build_redfield_generator(FockSpace(dim=20), RateSet.scaled(1e-2, 5e-3, 8e-3))\n"
+        "assert abs(spectral_abscissa(gen)) < 1e-10"
+    )
+    proc = _without_scipy(code)
     assert proc.returncode == 0, proc.stderr
