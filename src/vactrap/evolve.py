@@ -7,9 +7,11 @@ by the real vector ``w = Re vec(rho) + Im vec(rho)``, which obeys
 ``dw/dt = G w`` with the real ``G = Re L + (Im L)[:, swap]``, ``swap[j]``
 the vec index of the entry transposed to ``j``.  Each snapshot is unpacked
 as ``rho_j = ((w_j + w_swap[j]) + i (w_j - w_swap[j])) / 2``, so it is
-Hermitian to the last bit, and every product is real.  A generator that
-does not preserve Hermiticity is refused, since these coordinates would
-drop its anti-Hermitian part.  How ``G`` is propagated, block by block or
+Hermitian to the last bit, and every product is real.  ``G``, its
+invariant blocks and their dense fill are read from ``L`` in
+:mod:`.liouville`, which refuses a generator that does not preserve
+Hermiticity, since these coordinates would drop its anti-Hermitian part;
+this module only propagates.  How ``G`` is propagated, block by block or
 by ``expm_multiply``, is set out once, in :func:`_propagate`.  Below the
 stepper's cap numpy does all the work; SciPy is imported only where
 ``expm_multiply`` runs, so no other path loads it.
@@ -60,6 +62,8 @@ from .errors import (
 from .liouville import (
     DensityMatrix,
     Superoperator,
+    _dense_blocks,
+    _hermitian_coordinates,
     _invariant_blocks,
     vec,
 )
@@ -160,9 +164,10 @@ def integrate(
     Raises
     ------
     ConfigurationError
-        If ``t_span`` is not finite and increasing, or ``n_points < 2``, or
-        if the generator does not preserve Hermiticity
-        (``max|conj(L) - L[swap][:, swap]|`` above ``1e-12 max|L|``).
+        If ``t_span`` is not increasing with a finite length ``t1 - t0``,
+        or ``n_points < 2``, or if the generator does not preserve
+        Hermiticity (``max|conj(L) - L[swap][:, swap]|`` above
+        ``1e-12 max|L|``).
     ToleranceFailure
         If the propagated trajectory has a non-finite entry, or, for a
         generator that conserves the trace, if ``trace_dev`` first exceeds
@@ -190,7 +195,8 @@ def integrate(
             f"initial state dim {rho0.dim} does not match generator dim {generator.dim}"
         )
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
+    # a nan or infinite end, or two finite ends too far apart, leaves t1 - t0 not finite
+    if not (t1 > t0 and math.isfinite(t1 - t0)):
         raise ConfigurationError(f"t_span must be finite and increasing, got {t_span}")
     if n_points < 2:
         raise ConfigurationError(f"n_points must be at least 2, got {n_points}")
@@ -291,50 +297,6 @@ def integrate(
     return record
 
 
-def _hermitian_coordinates(matrix: np.ndarray):
-    """The real generator ``G`` of Hermitian coordinates, and ``swap``.
-
-    ``swap[j]`` is the vec index of the entry transposed to ``j``.  A
-    Hermitian ``sigma`` is carried by the real vector ``w = Re vec(sigma) +
-    Im vec(sigma)``, and ``w_j + w_swap[j]``, ``w_j - w_swap[j]`` give back
-    twice its real and imaginary parts.  ``L`` maps ``w`` to ``X w`` with
-    ``X = ((1 + i) L + (1 - i) L[:, swap]) / 2``, so ``dw/dt = G w`` with
-    ``G = Re X + Im X = Re L + (Im L)[:, swap]``.
-
-    ``G`` is returned as the triple ``(rows, cols, vals)`` of its nonzeros,
-    one per position, in row-major order: the real parts of the nonzeros
-    of ``L`` at ``(rows, cols)`` plus their imaginary parts at ``(rows,
-    swap[cols])``, read from ``L`` once and never formed as a dense array.
-
-    Raises ``ConfigurationError`` unless ``L`` preserves Hermiticity
-    (``conj(L) = L[swap][:, swap]`` to ``1e-12 max|L|``, the gate of
-    :class:`DensityMatrix`): its anti-Hermitian part would be dropped.
-    ``swap`` is an involution, so the largest gap over the nonzeros of ``L``
-    is the largest gap over all of it.
-    """
-    size = len(matrix)
-    dim = math.isqrt(size)
-    swap = np.arange(size).reshape(dim, dim).T.ravel()
-    # a boolean mask is read faster than complex entries
-    rows, cols = np.nonzero(matrix != 0)
-    vals = matrix[rows, cols]
-    scale = np.abs(vals).max(initial=0.0)
-    leak = np.abs(matrix[swap[rows], swap[cols]] - vals.conj()).max(initial=0.0)
-    if leak > 1e-12 * scale:
-        raise ConfigurationError(
-            f"the generator does not preserve Hermiticity: max|conj(L) - L[swap][:, swap]| "
-            f"= {leak:.3e} against max|L| = {scale:.3e}"
-        )
-    # a position reached by both a real and an imaginary part takes their sum
-    keys, where = np.unique(
-        np.concatenate([rows * size + cols, rows * size + swap[cols]]), return_inverse=True
-    )
-    sums = np.bincount(where, weights=np.concatenate([vals.real, vals.imag]))
-    kept = sums != 0.0
-    rows, cols = np.divmod(keys[kept], size)
-    return (rows, cols, sums[kept]), swap
-
-
 def _propagate(gen, w0: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
     """Write ``expm(gen (t_k - t_0)) w0`` into ``out[k]`` for each ``t_k`` of a uniform grid.
 
@@ -388,22 +350,13 @@ def _propagate(gen, w0: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
     # dt = mantissa * 2**exponent: gen_b dt / 2**s is formed without gen_b dt,
     # which can overflow
     mantissa, exponent = np.frexp(times[1] - times[0])
-    # each nonzero's block, and its row and column within that block
-    block_of = np.empty(size, dtype=int)
-    local = np.empty(size, dtype=int)
-    for b, idx in enumerate(blocks):
-        block_of[idx] = b
-        local[idx] = np.arange(len(idx))
-    by_block = np.argsort(block_of[rows], kind="stable")
-    nonzeros = np.split(by_block, np.cumsum(np.bincount(block_of[rows], minlength=len(blocks)))[:-1])
     lo = 0
-    for idx, nz in zip(blocks, nonzeros):
+    for idx, block in _dense_blocks(gen, blocks):
         hi = lo + len(idx)
         block_out = out[:, lo:hi]
         block_out[0] = w0[idx]
         eye = np.eye(len(idx))
-        a = np.zeros((len(idx), len(idx)))
-        a[local[rows[nz]], local[cols[nz]]] = vals[nz] * mantissa
+        a = block * mantissa
         s = max(0, exponent + int(np.frexp(np.abs(a).sum(axis=0).max() / 0.05)[1]))
         a = np.ldexp(a, exponent - s)
         excess = a / 8.0

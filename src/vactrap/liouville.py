@@ -18,6 +18,12 @@ part of the ladder triple (a damped oscillator at ``omega_c + delta_minus``);
 the beyond-RWA generator adds the counter-rotating part (the ``-delta_plus``
 frequency pull and the two-quantum ``b^2``, ``(b+)^2`` channels).
 
+How a generator is read for numerics is decided here too:
+:func:`_hermitian_coordinates` gives the real generator ``G`` of Hermitian
+coordinates, :func:`_invariant_blocks` its blocks and :func:`_dense_blocks`
+their dense fill, read the same way by the stepper of :mod:`.evolve` and by
+:func:`spectral_abscissa`.
+
 Everything here is in trap units, ``omega_c = hbar = m = 1``: generators
 read ``gamma`` and the renormalized pair ``delta_plus`` / ``delta_minus`` of
 a ``RateSet.scaled`` rate set, and refuse an SI one.
@@ -368,16 +374,15 @@ def spectral_abscissa(superop: Superoperator) -> float:
     roundoff, and long integrations explode.  Probe this before trusting a
     long run at large dimension or large shifts.
 
-    The eigenvalues are taken block by block over the generator's invariant
-    subspaces (:func:`_invariant_blocks`), which is the same spectrum at a
-    fraction of the cost of one dense ``eigvals``.
+    The eigenvalues are taken block by block over the real generator ``G``
+    of :func:`_hermitian_coordinates`, which is ``L`` acting on Hermitian
+    matrices, whose complex span is every matrix: the same spectrum, at a
+    fraction of the cost of one dense ``eigvals`` of ``L``.  A generator
+    that does not preserve Hermiticity is refused with ``ConfigurationError``.
     """
-    mat = superop.matrix
-    rows, cols = np.nonzero(mat != 0)
-    return max(
-        float(np.linalg.eigvals(mat[np.ix_(idx, idx)]).real.max())
-        for idx in _invariant_blocks(rows, cols, len(mat))
-    )
+    gen, swap = _hermitian_coordinates(superop.matrix)
+    blocks = _invariant_blocks(gen[0], gen[1], len(swap))
+    return max(float(np.linalg.eigvals(block).real.max()) for _, block in _dense_blocks(gen, blocks))
 
 
 def _invariant_blocks(rows: np.ndarray, cols: np.ndarray, size: int) -> list[np.ndarray]:
@@ -387,11 +392,11 @@ def _invariant_blocks(rows: np.ndarray, cols: np.ndarray, size: int) -> list[np.
     size)`` generator.  The sets are the connected components of that
     pattern, so the generator is block diagonal over them and ``expm``,
     eigenvalues and propagation can be taken block by block.  Exact zeros
-    give an exact structure, so no tolerance enters.  Beyond-RWA generators
-    keep the parity of ``i - j`` (two blocks, four on the planar space); the
-    RWA generator keeps ``i - j`` itself (``2 dim - 1`` blocks of sizes 1 to
-    ``dim``).  Each set is ascending, and the sets are ordered by their
-    smallest index.
+    give an exact structure, so no tolerance enters.  On the pattern of ``G``
+    (:func:`_hermitian_coordinates`), which the callers pass, beyond-RWA
+    generators keep the parity of ``i - j`` (two blocks, four on the planar
+    space) and the RWA generator the ``dim`` sets of fixed ``|i - j|``.
+    Each set is ascending, and the sets are ordered by their smallest index.
 
     Each index points to a parent in its component, itself at first.
     Every pass hooks both ends of each edge, and the parents of both ends,
@@ -415,3 +420,66 @@ def _invariant_blocks(rows: np.ndarray, cols: np.ndarray, size: int) -> list[np.
         np.minimum(parent, grand, out=parent)
     order = np.argsort(parent, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(parent[order])) + 1)
+
+
+def _hermitian_coordinates(matrix: np.ndarray):
+    """The real generator ``G`` of Hermitian coordinates, and ``swap``.
+
+    ``swap[j]`` is the vec index of the entry transposed to ``j``.  A
+    Hermitian ``sigma`` is carried by the real vector ``w = Re vec(sigma) +
+    Im vec(sigma)``, and ``w_j + w_swap[j]``, ``w_j - w_swap[j]`` give back
+    twice its real and imaginary parts.  ``L`` maps ``w`` to ``X w`` with
+    ``X = ((1 + i) L + (1 - i) L[:, swap]) / 2``, so ``dw/dt = G w`` with
+    ``G = Re X + Im X = Re L + (Im L)[:, swap]``.
+
+    ``G`` is returned as the triple ``(rows, cols, vals)`` of its nonzeros,
+    one per position, in row-major order: the real parts of the nonzeros
+    of ``L`` at ``(rows, cols)`` plus their imaginary parts at ``(rows,
+    swap[cols])``, read from ``L`` once and never formed as a dense array.
+
+    Raises ``ConfigurationError`` unless ``L`` preserves Hermiticity
+    (``conj(L) = L[swap][:, swap]`` to ``1e-12 max|L|``, the gate of
+    :class:`DensityMatrix`): its anti-Hermitian part would be dropped.
+    ``swap`` is an involution, so the largest gap over the nonzeros of ``L``
+    is the largest gap over all of it.
+    """
+    size = len(matrix)
+    dim = math.isqrt(size)
+    swap = np.arange(size).reshape(dim, dim).T.ravel()
+    # a boolean mask is read faster than complex entries
+    rows, cols = np.nonzero(matrix != 0)
+    vals = matrix[rows, cols]
+    scale = np.abs(vals).max(initial=0.0)
+    leak = np.abs(matrix[swap[rows], swap[cols]] - vals.conj()).max(initial=0.0)
+    if leak > 1e-12 * scale:
+        raise ConfigurationError(
+            f"the generator does not preserve Hermiticity: max|conj(L) - L[swap][:, swap]| "
+            f"= {leak:.3e} against max|L| = {scale:.3e}"
+        )
+    # a position reached by both a real and an imaginary part takes their sum
+    keys, where = np.unique(
+        np.concatenate([rows * size + cols, rows * size + swap[cols]]), return_inverse=True
+    )
+    sums = np.bincount(where, weights=np.concatenate([vals.real, vals.imag]))
+    kept = sums != 0.0
+    rows, cols = np.divmod(keys[kept], size)
+    return (rows, cols, sums[kept]), swap
+
+
+def _dense_blocks(gen, blocks: list[np.ndarray]):
+    """Yield ``(idx, G[idx][:, idx])``, dense and real, for each invariant
+    block ``idx`` of the ``(rows, cols, vals)`` triple ``gen``, one at a time."""
+    rows, cols, vals = gen
+    size = sum(len(idx) for idx in blocks)
+    # each nonzero's block, and its row and column within that block
+    block_of = np.empty(size, dtype=int)
+    local = np.empty(size, dtype=int)
+    for b, idx in enumerate(blocks):
+        block_of[idx] = b
+        local[idx] = np.arange(len(idx))
+    by_block = np.argsort(block_of[rows], kind="stable")
+    nonzeros = np.split(by_block, np.cumsum(np.bincount(block_of[rows], minlength=len(blocks)))[:-1])
+    for idx, nz in zip(blocks, nonzeros):
+        block = np.zeros((len(idx), len(idx)))
+        block[local[rows[nz]], local[cols[nz]]] = vals[nz]
+        yield idx, block

@@ -20,7 +20,6 @@ from vactrap.evolve import (
     GUARD_BAND_LIMIT,
     POSITIVITY_FLOOR_CP,
     TRACE_DEV_LIMIT,
-    _hermitian_coordinates,
     _propagate,
     gaussian_positivity_check,
     integrate,
@@ -30,11 +29,13 @@ from vactrap.liouville import (
     DensityMatrix,
     FockSpace,
     Superoperator,
+    _hermitian_coordinates,
     _invariant_blocks,
     build_2d_generator,
     build_lindblad_generator,
     build_redfield_generator,
     build_xp_generator,
+    spectral_abscissa,
     vec,
 )
 from vactrap.observables import expect, make_state, witness_sum
@@ -301,8 +302,11 @@ def test_generator_that_breaks_hermiticity_is_refused():
     rho0 = make_state("fock", space, n=0)
     broken = gen.matrix.copy()
     broken[1, 0] += 1e-9
+    broken = Superoperator(matrix=broken, mode=gen.mode)
     with pytest.raises(ConfigurationError, match="Hermiticity"):
-        integrate(Superoperator(matrix=broken, mode=gen.mode), rho0, (0.0, 1.0), n_points=11)
+        integrate(broken, rho0, (0.0, 1.0), n_points=11)
+    with pytest.raises(ConfigurationError, match="Hermiticity"):
+        spectral_abscissa(broken)
     # a real shift of the spectrum keeps Hermiticity: propagated, not refused
     shifted = Superoperator(matrix=gen.matrix + 1e3 * np.eye(16), mode=gen.mode)
     record = integrate(shifted, rho0, (0.0, 0.1), n_points=5)
@@ -469,7 +473,8 @@ def test_integrate_argument_validation():
     space = FockSpace(dim=6)
     gen = build_lindblad_generator(space, STABLE)
     rho0 = make_state("fock", space, n=0)
-    for t_span in ((1.0, 1.0), (0.0, math.inf), (math.nan, 1.0)):
+    # finite ends whose distance overflows are refused too
+    for t_span in ((1.0, 1.0), (0.0, math.inf), (math.nan, 1.0), (-1e308, 1e308)):
         with pytest.raises(ConfigurationError, match="t_span"):
             integrate(gen, rho0, t_span)
     with pytest.raises(ConfigurationError, match="n_points"):

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vactrap.errors import ConfigurationError, DimensionMismatch, DimensionTooSmall
-from vactrap.evolve import _hermitian_coordinates
 from vactrap.liouville import (
     DensityMatrix,
     FockSpace,
     Superoperator,
+    _dense_blocks,
+    _hermitian_coordinates,
     _invariant_blocks,
     build_2d_generator,
     build_fock_operators,
@@ -412,9 +413,37 @@ def test_invariant_blocks_follow_the_conserved_quantity():
     assert [len(idx) for idx in xp] == [dim * dim // 2] * 2
     planar = _blocks_of(_planar(FockSpace(dim=6), RATES).matrix)
     assert [len(idx) for idx in planar] == [324] * 4
-    for blocks in (beyond, rwa, xp, planar):
+    # G of Hermitian coordinates also joins each entry to its transpose: with
+    # the RWA its blocks are the dim sets of fixed |i - j|, beyond it the two
+    # parities of i - j
+    rwa_g = _g_blocks(build_lindblad_generator(space, RATES))
+    assert sorted(len(idx) for idx in rwa_g) == [2, 4, 6, 8, 8, 10, 12, 14]
+    for idx in rwa_g:
+        assert len(set(np.abs(i - j)[idx])) == 1
+    beyond_g = _g_blocks(build_redfield_generator(space, RATES))
+    assert [len(idx) for idx in beyond_g] == [dim * dim // 2] * 2
+    for idx in beyond_g:
+        assert len(set((i - j)[idx] % 2)) == 1
+    assert [len(idx) for idx in _g_blocks(build_xp_generator(space, RATES))] == [dim * dim // 2] * 2
+    assert [len(idx) for idx in _g_blocks(_planar(FockSpace(dim=6), RATES))] == [324] * 4
+    for blocks in (beyond, rwa, xp, planar, rwa_g, beyond_g):
         every = np.concatenate(blocks)
         assert np.array_equal(np.sort(every), np.arange(len(every)))
+
+
+def _g_blocks(gen: Superoperator) -> list[np.ndarray]:
+    """The invariant blocks of ``gen``'s real generator ``G``, once its dense
+    blocks put back at ``(idx, idx)`` are checked to give ``G`` exactly, with
+    nothing outside them."""
+    (rows, cols, vals), swap = _hermitian_coordinates(gen.matrix)
+    blocks = _invariant_blocks(rows, cols, len(swap))
+    dense = np.zeros((len(swap), len(swap)))
+    dense[rows, cols] = vals
+    rebuilt = np.zeros_like(dense)
+    for idx, block in _dense_blocks((rows, cols, vals), blocks):
+        rebuilt[np.ix_(idx, idx)] = block
+    assert np.array_equal(rebuilt, dense)
+    return blocks
 
 
 def _assert_scipy_components(rows: np.ndarray, cols: np.ndarray, size: int) -> None:

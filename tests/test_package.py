@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import vactrap
 from vactrap import errors
 
@@ -108,11 +110,13 @@ def test_integrating_commands_below_the_cap_load_no_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_spectral_abscissa_loads_no_scipy():
+# at dim 30 each block has 450 entries, past the stepper's cap
+@pytest.mark.parametrize("dim", [20, 30])
+def test_spectral_abscissa_loads_no_scipy(dim):
     code = (
         "from vactrap.liouville import FockSpace, build_redfield_generator, spectral_abscissa\n"
         "from vactrap.rates import RateSet\n"
-        "gen = build_redfield_generator(FockSpace(dim=20), RateSet.scaled(1e-2, 5e-3, 8e-3))\n"
+        f"gen = build_redfield_generator(FockSpace(dim={dim}), RateSet.scaled(1e-2, 5e-3, 8e-3))\n"
         "assert abs(spectral_abscissa(gen)) < 1e-10"
     )
     proc = _without_scipy(code)
