@@ -19,14 +19,15 @@ stepper's cap numpy does all the work; SciPy is imported only where
 The propagated state is never projected, renormalized or symmetrized:
 whatever the propagator produces is stored, and its defects (trace drift,
 most negative eigenvalue, guard-band population) are recorded per time
-point.  A breach raises, and the exception carries the full record as
-``.record``, so studies *of* a breach catch it and look at the
-diagnostics there.  What counts as a positivity breach
-depends on the generator: the RWA equation is completely positive, so any
-visible negativity there is an integration defect and raises, while the
-beyond-RWA equation is *supposed* to leak negativity (a small immediate
-dip, growing without bound past the Gaussian horizon) -- for it min_eig
-is diagnostic data only and positivity never aborts a run.  Truncation
+point, the eigenvalue only where it is gated or read.  A breach raises,
+and the exception carries the full record as ``.record``, so studies
+*of* a breach catch it and look at the diagnostics there.  What counts as
+a positivity breach depends on the generator: the RWA equation is
+completely positive, so any visible negativity there is an integration
+defect and raises, while the beyond-RWA equation is *supposed* to leak
+negativity (a small immediate dip, growing without bound past the
+Gaussian horizon) -- for it min_eig is diagnostic data only, computed on
+first read, and positivity never aborts a run.  Truncation
 overflow into the guard band aborts either way, and so does a guard-band
 population below minus the same limit, the mark of a growing mode of the
 truncated generator.
@@ -49,6 +50,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,9 +89,6 @@ GUARD_BAND_LIMIT = 1e-6
 #: about 1e-14, and the propagator's rounding over a span of 1e12 already
 #: reads 3e-8 at dim 12.
 TRACE_DEV_LIMIT = 1e-10
-#: Snapshots per eigenvalue batch are sized to about this many bytes, so the
-#: diagnostics temporaries stay small whatever the trajectory length.
-_DIAGNOSTICS_BLOCK_BYTES = 2 * 1024 * 1024
 #: Largest invariant block (``_invariant_blocks``; beyond-RWA at dim 28 has
 #: two of 392 entries) propagated by the cached ``expm(G_b dt)`` stepper.
 #: Past it the O(m^3) ``expm`` set-up per block loses to ``expm_multiply``
@@ -103,6 +102,11 @@ _STEPPER_MAX_SIZE = 392
 _CHUNK = 64
 
 
+#: Snapshots per eigenvalue batch are sized to about this many bytes, so the
+#: diagnostics temporaries stay small whatever the trajectory length.
+_DIAGNOSTICS_BLOCK_BYTES = 2 * 1024 * 1024
+
+
 @dataclass(frozen=True, eq=False)
 class EvolutionRecord:
     """Stored trajectory plus per-point diagnostics.
@@ -111,14 +115,26 @@ class EvolutionRecord:
     is the Hermitian part of the supplied initial state), stacked as one
     ``(n_points, dim, dim)`` array, each snapshot exactly Hermitian.
     Diagnostics arrays align with ``times``: absolute trace deviation,
-    lowest eigenvalue, and guard-band population.
+    guard-band population, and the lowest eigenvalue ``min_eig``, which
+    is computed from ``rho`` on its first read and kept (``integrate``
+    reads it at once for a ``WITH_RWA`` generator, whose positivity it
+    gates).
     """
 
     times: np.ndarray
     rho: np.ndarray
     trace_dev: np.ndarray
-    min_eig: np.ndarray
     guard_pop: np.ndarray
+
+    @cached_property
+    def min_eig(self) -> np.ndarray:
+        """Lowest eigenvalue of each snapshot, computed on first read."""
+        n_points = len(self.rho)
+        min_eig = np.empty(n_points)
+        step = max(1, _DIAGNOSTICS_BLOCK_BYTES // self.rho[0].nbytes)
+        for lo in range(0, n_points, step):
+            min_eig[lo:lo + step] = np.linalg.eigvalsh(self.rho[lo:lo + step]).min(axis=1)
+        return min_eig
 
     @property
     def states(self) -> Sequence[DensityMatrix]:
@@ -232,26 +248,16 @@ def integrate(
     rho = traj.reshape(n_points, dim, dim).transpose(0, 2, 1)
     trace_dev = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
     guard_pop = rho[:, -1, -1].real + rho[:, -2, -2].real
-    min_eig = np.empty(n_points)
-    step = max(1, _DIAGNOSTICS_BLOCK_BYTES // rho[0].nbytes)
-    for lo in range(0, n_points, step):
-        min_eig[lo:lo + step] = np.linalg.eigvalsh(rho[lo:lo + step]).min(axis=1)
-
-    record = EvolutionRecord(
-        times=times,
-        rho=rho,
-        trace_dev=trace_dev,
-        min_eig=min_eig,
-        guard_pop=guard_pop,
-    )
+    record = EvolutionRecord(times=times, rho=rho, trace_dev=trace_dev, guard_pop=guard_pop)
     # The RWA generator is completely positive, so negativity there means
-    # the integration itself broke.  The beyond-RWA generator leaks genuine
-    # negativity (immediately at small amplitude, substantially past the
-    # Gaussian horizon), so for it min_eig is recorded but never raised on.
-    floor = (
-        POSITIVITY_FLOOR_CP
+    # the integration itself broke, and min_eig is computed here to gate it.
+    # The beyond-RWA generator leaks genuine negativity (immediately at
+    # small amplitude, substantially past the Gaussian horizon), so for it
+    # min_eig is never raised on and is computed only if it is read.
+    negative = (
+        record.min_eig < POSITIVITY_FLOOR_CP
         if generator.mode is ApproximationMode.WITH_RWA
-        else -math.inf
+        else np.zeros(n_points, dtype=bool)
     )
     # Trace drift is propagation error only where the generator conserves
     # the trace (sum_i d(rho_ii)/dt = 0, as every builder's does), so only
@@ -260,19 +266,15 @@ def integrate(
     diagonal = rows % (dim + 1) == 0
     trace_rate = np.abs(np.bincount(cols[diagonal], weights=vals[diagonal], minlength=size)).max()
     drift_limit = TRACE_DEV_LIMIT if trace_rate <= 1e-12 * np.abs(vals).max(initial=0.0) else math.inf
-    breach = (
-        (min_eig < floor)
-        | (np.abs(guard_pop) > GUARD_BAND_LIMIT)
-        | (trace_dev > drift_limit)
-    )
+    breach = negative | (np.abs(guard_pop) > GUARD_BAND_LIMIT) | (trace_dev > drift_limit)
     if breach.any():
         k = int(np.argmax(breach))
-        if min_eig[k] < floor:
+        if negative[k]:
             raise PositivityBreach(
-                f"state eigenvalue {min_eig[k]:.3e} below {floor} "
+                f"state eigenvalue {record.min_eig[k]:.3e} below {POSITIVITY_FLOOR_CP} "
                 f"at t = {float(times[k])!r}",
                 time=float(times[k]),
-                min_eigenvalue=float(min_eig[k]),
+                min_eigenvalue=float(record.min_eig[k]),
                 record=record,
             )
         if abs(guard_pop[k]) <= GUARD_BAND_LIMIT:
@@ -319,7 +321,8 @@ def _propagate(gen, w0: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
       before them times ``S_b**width``, from further doublings of the same
       chain, so rounding stays relative to ``S_b - I``; squaring ``S_b``
       directly measured twice as far from ``expm(L t)`` at dim 20,
-      t = 300.  The blocks fill ``out`` side by side, and its columns are
+      t = 300.  A block on which ``w0`` is all zero stays exactly zero
+      and is written, not stepped.  The blocks fill ``out`` side by side, and its columns are
       put back in place one chunk of rows at a time, so no second
       trajectory-sized array exists.
     - Otherwise ``expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci. Comput.
@@ -352,9 +355,14 @@ def _propagate(gen, w0: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
     mantissa, exponent = np.frexp(times[1] - times[0])
     lo = 0
     for idx, block in _dense_blocks(gen, blocks):
-        hi = lo + len(idx)
-        block_out = out[:, lo:hi]
+        block_out = out[:, lo:lo + len(idx)]
+        lo += len(idx)
         block_out[0] = w0[idx]
+        if not block_out[0].any():
+            # zeros times the step are exact zeros, so a block the initial
+            # state does not touch is written, not stepped
+            block_out[1:] = 0.0
+            continue
         eye = np.eye(len(idx))
         a = block * mantissa
         s = max(0, exponent + int(np.frexp(np.abs(a).sum(axis=0).max() / 0.05)[1]))
@@ -374,7 +382,6 @@ def _propagate(gen, w0: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
             stop = min(start + width, n_points)
             block_out[start:stop] = block_out[start - width:stop - width] @ jump
             start = stop
-        lo = hi
     inverse = np.argsort(np.concatenate(blocks))
     for start in range(0, n_points, _CHUNK):
         out[start:start + _CHUNK] = out[start:start + _CHUNK, inverse]

@@ -16,6 +16,7 @@ from vactrap.errors import (
 )
 from vactrap.evolve import (
     _CHUNK,
+    _DIAGNOSTICS_BLOCK_BYTES,
     _STEPPER_MAX_SIZE,
     GUARD_BAND_LIMIT,
     POSITIVITY_FLOOR_CP,
@@ -408,24 +409,56 @@ def test_breach_exception_carries_the_full_record():
     assert len(record.states) == 11
     assert record.times[-1] == 1.0
     assert record.guard_pop[0] > GUARD_BAND_LIMIT
+    # the beyond-RWA record computes min_eig when it is first read
+    for k in (0, -1):
+        assert abs(record.min_eig[k] - np.linalg.eigvalsh(record.rho[k]).min()) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "build, gated",
+    [(build_redfield_generator, False), (build_lindblad_generator, True)],
+    ids=["beyond-rwa", "with-rwa"],
+)
+def test_min_eig_is_computed_where_it_is_gated_or_read(monkeypatch, build, gated):
+    # integrate computes min_eig only to gate positivity (WITH_RWA); a
+    # beyond-RWA record computes it on first read, and either keeps it
+    space = FockSpace(dim=20)
+    rho0 = make_state("coherent", space, alpha=1.0)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr("numpy.linalg.eigvalsh", counting_eigvalsh)
+    record = integrate(build(space, STABLE), rho0, (0.0, 50.0), n_points=1001)
+    batches = math.ceil(1001 / (_DIAGNOSTICS_BLOCK_BYTES // record.rho[0].nbytes))
+    assert len(calls) == (batches if gated else 0)
+    min_eig = record.min_eig
+    assert len(calls) == batches > 1
+    assert sum(calls) == 1001
+    assert record.min_eig is min_eig
+    assert len(calls) == batches
 
 
 def test_blockwise_diagnostics_match_per_snapshot_formulas():
-    # 1001 dim-20 snapshots span several diagnostics blocks
+    # 1001 dim-20 snapshots span several diagnostics blocks; min_eig is
+    # computed on first read beyond the RWA and inside integrate with it
     space = FockSpace(dim=20)
-    gen = build_redfield_generator(space, STABLE)
     rho0 = make_state("coherent", space, alpha=1.0)
-    record = integrate(gen, rho0, (0.0, 50.0), n_points=1001)
-    assert record.rho.shape == (1001, 20, 20)
-    for k, mat in enumerate(record.rho):
-        herm = (mat + mat.conj().T) / 2.0
-        assert abs(record.trace_dev[k] - abs(np.trace(mat) - 1.0)) <= 1e-14
-        assert np.array_equal(mat, mat.conj().T)
-        assert abs(record.min_eig[k] - np.linalg.eigvalsh(herm).min()) <= 1e-14
-        assert abs(record.guard_pop[k] - (mat[-1, -1].real + mat[-2, -2].real)) <= 1e-14
-    for k in (0, 500, 1000):
-        assert np.shares_memory(record.states[k].matrix, record.rho)
-        assert np.array_equal(record.states[k].matrix, record.rho[k])
+    for build in (build_redfield_generator, build_lindblad_generator):
+        record = integrate(build(space, STABLE), rho0, (0.0, 50.0), n_points=1001)
+        assert record.rho.shape == (1001, 20, 20)
+        for k, mat in enumerate(record.rho):
+            herm = (mat + mat.conj().T) / 2.0
+            assert abs(record.trace_dev[k] - abs(np.trace(mat) - 1.0)) <= 1e-14
+            assert np.array_equal(mat, mat.conj().T)
+            assert abs(record.min_eig[k] - np.linalg.eigvalsh(herm).min()) <= 1e-14
+            assert abs(record.guard_pop[k] - (mat[-1, -1].real + mat[-2, -2].real)) <= 1e-14
+        for k in (0, 500, 1000):
+            assert np.shares_memory(record.states[k].matrix, record.rho)
+            assert np.array_equal(record.states[k].matrix, record.rho[k])
 
 
 def test_positivity_wins_when_both_limits_breach_at_once():
