@@ -5,16 +5,19 @@ Every snapshot time is on a uniform grid, so the trajectory is
 It is propagated in Hermitian coordinates: a Hermitian ``rho`` is carried
 by the real vector ``w = Re vec(rho) + Im vec(rho)``, which obeys
 ``dw/dt = G w`` with the real ``G = Re L + (Im L)[:, swap]``, ``swap[j]``
-the vec index of the entry transposed to ``j``.  Each snapshot is unpacked
-as ``rho_j = ((w_j + w_swap[j]) + i (w_j - w_swap[j])) / 2``, so it is
-Hermitian to the last bit, and every product is real.  ``G``, its
-invariant blocks and their dense fill are read from ``L`` in
-:mod:`.liouville`, which refuses a generator that does not preserve
-Hermiticity, since these coordinates would drop its anti-Hermitian part;
-this module only propagates.  How ``G`` is propagated, block by block or
-by ``expm_multiply``, is set out once, in :func:`_propagate`.  Below the
-stepper's cap numpy does all the work; SciPy is imported only where
-``expm_multiply`` runs, so no other path loads it.
+the vec index of the entry transposed to ``j``, and every product is real.
+The record keeps the real rows as the propagator returns them; the
+diagnostics read them directly (``w_jj = rho_jj`` and ``||rho||_F =
+||w||_2``), and a snapshot is unpacked as ``rho_j = ((w_j + w_swap[j]) +
+i (w_j - w_swap[j])) / 2``, Hermitian to the last bit, only where ``rho``
+or ``min_eig`` is read.  ``G``, its invariant blocks, their dense fill and
+the packing of ``w`` are kept in :mod:`.liouville`, which refuses a
+generator that does not preserve Hermiticity, since these coordinates
+would drop its anti-Hermitian part; this module only propagates.  How
+``G`` is propagated, block by block or by ``expm_multiply``, is set out
+once, in :func:`_propagate`.  Below the stepper's cap numpy does all the
+work; SciPy is imported only where ``expm_multiply`` runs, so no other
+path loads it.
 
 The propagated state is never projected, renormalized or symmetrized:
 whatever the propagator produces is stored, and its defects (trace drift,
@@ -30,7 +33,9 @@ Gaussian horizon) -- for it min_eig is diagnostic data only, computed on
 first read, and positivity never aborts a run.  Truncation
 overflow into the guard band aborts either way, and so does a guard-band
 population below minus the same limit, the mark of a growing mode of the
-truncated generator.
+truncated generator; where the generator conserves the trace, so does a
+Hilbert-Schmidt norm above ``NORM_LIMIT``, a growing mode that leaves the
+trace and the guard band alone.
 
 Time scales: real single-electron parameters put ``w/G`` near 1e11, so
 direct integration over laboratory times is hopeless.  The dynamics run in
@@ -67,7 +72,8 @@ from .liouville import (
     _dense_blocks,
     _hermitian_coordinates,
     _invariant_blocks,
-    vec,
+    _pack,
+    _unpack,
 )
 from .params import ApproximationMode
 from .rates import RateSet
@@ -89,6 +95,12 @@ GUARD_BAND_LIMIT = 1e-6
 #: about 1e-14, and the propagator's rounding over a span of 1e12 already
 #: reads 3e-8 at dim 12.
 TRACE_DEV_LIMIT = 1e-10
+#: Largest tolerated Hilbert-Schmidt norm ``||rho||_F`` where the trace is
+#: gated.  A trace-one Hermitian ``rho`` has ``||rho||_F <= ||rho||_1 = 1 +
+#: 2 sum|negative eigenvalues|``, so a norm above 2 means a negativity of at
+#: least 0.5.  Beyond-RWA at dim 20 reads 1.021 out to t = 1000, past the
+#: Gaussian horizon.
+NORM_LIMIT = 2.0
 #: Largest invariant block (``_invariant_blocks``; beyond-RWA at dim 28 has
 #: two of 392 entries) propagated by the cached ``expm(G_b dt)`` stepper.
 #: Past it the O(m^3) ``expm`` set-up per block loses to ``expm_multiply``
@@ -102,39 +114,40 @@ _STEPPER_MAX_SIZE = 392
 _CHUNK = 64
 
 
-#: Snapshots per eigenvalue batch are sized to about this many bytes, so the
-#: diagnostics temporaries stay small whatever the trajectory length.
-_DIAGNOSTICS_BLOCK_BYTES = 2 * 1024 * 1024
-
-
 @dataclass(frozen=True, eq=False)
 class EvolutionRecord:
     """Stored trajectory plus per-point diagnostics.
 
-    ``rho[k]`` is the unvalidated snapshot at ``times[k]`` (the first entry
-    is the Hermitian part of the supplied initial state), stacked as one
-    ``(n_points, dim, dim)`` array, each snapshot exactly Hermitian.
+    ``w[k]`` is the unvalidated snapshot at ``times[k]`` in Hermitian
+    coordinates (``Re vec rho + Im vec rho``), one real ``(n_points,
+    dim*dim)`` array as the propagator returns it; the first row carries
+    the Hermitian part of the supplied initial state.  ``rho`` is the same
+    trajectory as a ``(n_points, dim, dim)`` complex stack, each snapshot
+    exactly Hermitian, unpacked on its first read and kept.
     Diagnostics arrays align with ``times``: absolute trace deviation,
     guard-band population, and the lowest eigenvalue ``min_eig``, which
-    is computed from ``rho`` on its first read and kept (``integrate``
-    reads it at once for a ``WITH_RWA`` generator, whose positivity it
-    gates).
+    is computed on its first read, unpacking ``_CHUNK`` rows at a time,
+    and kept (``integrate`` reads it at once for a ``WITH_RWA`` generator,
+    whose positivity it gates).
     """
 
     times: np.ndarray
-    rho: np.ndarray
+    w: np.ndarray
     trace_dev: np.ndarray
     guard_pop: np.ndarray
 
     @cached_property
+    def rho(self) -> np.ndarray:
+        """Snapshots as one complex stack, unpacked on first read."""
+        return _unpack(self.w)
+
+    @cached_property
     def min_eig(self) -> np.ndarray:
         """Lowest eigenvalue of each snapshot, computed on first read."""
-        n_points = len(self.rho)
-        min_eig = np.empty(n_points)
-        step = max(1, _DIAGNOSTICS_BLOCK_BYTES // self.rho[0].nbytes)
-        for lo in range(0, n_points, step):
-            min_eig[lo:lo + step] = np.linalg.eigvalsh(self.rho[lo:lo + step]).min(axis=1)
-        return min_eig
+        return np.concatenate([
+            np.linalg.eigvalsh(_unpack(self.w[lo:lo + _CHUNK])).min(axis=1)
+            for lo in range(0, len(self.w), _CHUNK)
+        ])
 
     @property
     def states(self) -> Sequence[DensityMatrix]:
@@ -168,14 +181,13 @@ def integrate(
     ``n_points`` evenly spaced snapshots (including both endpoints) are
     stored, each the exact exponential ``expm(L t_k)`` applied to the
     vectorized initial state up to rounding.  The state is propagated in
-    the Hermitian coordinates of :func:`_hermitian_coordinates`, and each
-    snapshot is unpacked from them, exactly Hermitian (the sums and
-    differences of ``w_j`` and ``w_swap[j]`` commute and negate exactly),
-    and ``rho[0]`` is the Hermitian part of ``rho0`` (at most 1e-12 from
-    it for a validated :class:`DensityMatrix`).  The real rows are
-    propagated by :func:`_propagate`, written into the memory of the
-    complex record and unpacked over it one chunk at a time, so no second
-    trajectory-sized array exists.
+    the Hermitian coordinates of :func:`_hermitian_coordinates`, from the
+    Hermitian part of ``rho0`` (at most 1e-12 from it for a validated
+    :class:`DensityMatrix`), and the record keeps the real rows that
+    :func:`_propagate` returns, with no copy.  ``trace_dev`` and
+    ``guard_pop`` are read from their diagonal columns (``w_jj =
+    rho_jj``), and the norm gate from their 2-norms (``||w||_2 =
+    ||rho||_F``).
 
     Raises
     ------
@@ -185,10 +197,12 @@ def integrate(
         Hermiticity (``max|conj(L) - L[swap][:, swap]|`` above
         ``1e-12 max|L|``).
     ToleranceFailure
-        If the propagated trajectory has a non-finite entry, or, for a
-        generator that conserves the trace, if ``trace_dev`` first exceeds
-        ``TRACE_DEV_LIMIT`` (1e-10) with neither limit below breached at
-        that time: either an unstable generator, or a span longer than the
+        If the propagated trajectory has a non-finite entry.  For a
+        generator that conserves the trace, also at the first stored time
+        where, with neither limit below breached, the Hilbert-Schmidt norm
+        exceeds ``NORM_LIMIT`` (2), which names a growing mode of the
+        truncated generator, or ``trace_dev`` exceeds ``TRACE_DEV_LIMIT``
+        (1e-10): either an unstable generator, or a span longer than the
         propagator's rounding can resolve.  Also if :func:`_propagate`
         refuses the span for ``expm_multiply``.
     PositivityBreach
@@ -201,8 +215,10 @@ def integrate(
         truncation; a negative one names a growing mode of the truncated
         generator, which a larger truncation need not cure.
 
-    Both breach exceptions, and a trace-drift ``ToleranceFailure``, carry
-    the full record as ``.record``.
+    When several limits breach at the first such time, positivity is
+    reported first, then the guard band, the norm and the trace.  Both
+    breach exceptions, and a norm or trace-drift ``ToleranceFailure``,
+    carry the full record as ``.record``.
     """
     if not isinstance(rho0, DensityMatrix):
         rho0 = DensityMatrix(np.asarray(rho0, dtype=complex))
@@ -219,92 +235,82 @@ def integrate(
 
     times = np.linspace(t0, t1, n_points)
     dim = generator.dim
-    size = dim * dim
-    real_gen, swap = _hermitian_coordinates(generator.matrix)
-    herm = vec((rho0.matrix + rho0.matrix.conj().T) / 2.0)
-    # the stepper writes the real rows w_k into the first half of each row's
-    # bytes of the complex record, which they are unpacked over below
-    traj = np.empty((n_points, size), dtype=complex)
-    real = traj.view(float)[:, :size]
+    real_gen, _ = _hermitian_coordinates(generator.matrix)
     # an overflow is reported below as ToleranceFailure, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        _propagate(real_gen, herm.real + herm.imag, times, real)
+        w = _propagate(real_gen, _pack((rho0.matrix + rho0.matrix.conj().T) / 2.0), times)
+        norm = np.sqrt(np.einsum("ij,ij->i", w, w))
     causes = (
         "either the generator is unstable (check spectral_abscissa) or the span "
         "is longer than the propagator's rounding can resolve"
     )
-    finite = np.isfinite(real).all(axis=1)
+    finite = np.isfinite(w).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))
         raise ToleranceFailure(f"propagated state is not finite at t = {float(times[k])!r}; {causes}")
-    for lo in range(0, n_points, _CHUNK):
-        w = real[lo:lo + _CHUNK].copy()
-        w_swap = w[:, swap]
-        chunk = traj[lo:lo + _CHUNK]
-        chunk.real = (w + w_swap) / 2.0
-        chunk.imag = (w - w_swap) / 2.0
-
-    # (n, dim*dim) trajectory -> (n, dim, dim) view, column-major per snapshot
-    rho = traj.reshape(n_points, dim, dim).transpose(0, 2, 1)
-    trace_dev = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
-    guard_pop = rho[:, -1, -1].real + rho[:, -2, -2].real
-    record = EvolutionRecord(times=times, rho=rho, trace_dev=trace_dev, guard_pop=guard_pop)
+    populations = w[:, ::dim + 1]
+    # summed as complex, the way np.trace sums the unpacked diagonal
+    trace_dev = np.abs(populations.astype(complex).sum(axis=1) - 1.0)
+    guard_pop = populations[:, -1] + populations[:, -2]
+    record = EvolutionRecord(times=times, w=w, trace_dev=trace_dev, guard_pop=guard_pop)
     # The RWA generator is completely positive, so negativity there means
     # the integration itself broke, and min_eig is computed here to gate it.
     # The beyond-RWA generator leaks genuine negativity (immediately at
     # small amplitude, substantially past the Gaussian horizon), so for it
     # min_eig is never raised on and is computed only if it is read.
-    negative = (
-        record.min_eig < POSITIVITY_FLOOR_CP
-        if generator.mode is ApproximationMode.WITH_RWA
-        else np.zeros(n_points, dtype=bool)
-    )
-    # Trace drift is propagation error only where the generator conserves
-    # the trace (sum_i d(rho_ii)/dt = 0, as every builder's does), so only
-    # there is it gated.
+    rwa = generator.mode is ApproximationMode.WITH_RWA
+    negative = record.min_eig < POSITIVITY_FLOOR_CP if rwa else np.zeros(n_points, dtype=bool)
+    # Trace drift and the norm are propagation error only where the
+    # generator conserves the trace (sum_i d(rho_ii)/dt = 0, as every
+    # builder's does), so only there are they gated.
     rows, cols, vals = real_gen
     diagonal = rows % (dim + 1) == 0
-    trace_rate = np.abs(np.bincount(cols[diagonal], weights=vals[diagonal], minlength=size)).max()
-    drift_limit = TRACE_DEV_LIMIT if trace_rate <= 1e-12 * np.abs(vals).max(initial=0.0) else math.inf
-    breach = negative | (np.abs(guard_pop) > GUARD_BAND_LIMIT) | (trace_dev > drift_limit)
+    trace_rates = np.bincount(cols[diagonal], weights=vals[diagonal], minlength=dim * dim)
+    conserving = np.abs(trace_rates).max() <= 1e-12 * np.abs(vals).max(initial=0.0)
+    drift_limit, norm_limit = (TRACE_DEV_LIMIT, NORM_LIMIT) if conserving else (math.inf, math.inf)
+    guard_breach = np.abs(guard_pop) > GUARD_BAND_LIMIT
+    breach = negative | guard_breach | (norm > norm_limit) | (trace_dev > drift_limit)
     if breach.any():
         k = int(np.argmax(breach))
+        at = f"at t = {float(times[k])!r}"
         if negative[k]:
             raise PositivityBreach(
-                f"state eigenvalue {record.min_eig[k]:.3e} below {POSITIVITY_FLOOR_CP} "
-                f"at t = {float(times[k])!r}",
+                f"state eigenvalue {record.min_eig[k]:.3e} below {POSITIVITY_FLOOR_CP} {at}",
                 time=float(times[k]),
                 min_eigenvalue=float(record.min_eig[k]),
                 record=record,
             )
-        if abs(guard_pop[k]) <= GUARD_BAND_LIMIT:
-            raise ToleranceFailure(
-                f"trace drift {trace_dev[k]:.3e} above {TRACE_DEV_LIMIT} "
-                f"at t = {float(times[k])!r}; {causes}",
+        growing = "the truncated generator has a growing mode (check spectral_abscissa)"
+        if guard_breach[k]:
+            if guard_pop[k] > 0.0:
+                cause = f"above {GUARD_BAND_LIMIT} {at}; enlarge the truncation"
+            else:
+                cause = f"below -{GUARD_BAND_LIMIT} {at}; {growing}"
+            raise GuardBandOverflow(
+                f"guard-band population {guard_pop[k]:.3e} {cause}",
+                time=float(times[k]),
+                population=float(guard_pop[k]),
                 record=record,
             )
-        if guard_pop[k] > 0.0:
-            cause = f"above {GUARD_BAND_LIMIT} at t = {float(times[k])!r}; enlarge the truncation"
-        else:
-            cause = (
-                f"below -{GUARD_BAND_LIMIT} at t = {float(times[k])!r}; the truncated "
-                "generator has a growing mode (check spectral_abscissa)"
+        if norm[k] > norm_limit:
+            raise ToleranceFailure(
+                f"Hilbert-Schmidt norm {norm[k]:.3e} above {NORM_LIMIT} {at}; {growing}, "
+                "which a larger truncation need not cure",
+                record=record,
             )
-        raise GuardBandOverflow(
-            f"guard-band population {guard_pop[k]:.3e} {cause}",
-            time=float(times[k]),
-            population=float(guard_pop[k]),
+        raise ToleranceFailure(
+            f"trace drift {trace_dev[k]:.3e} above {TRACE_DEV_LIMIT} {at}; {causes}",
             record=record,
         )
     return record
 
 
-def _propagate(gen, w0: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
-    """Write ``expm(gen (t_k - t_0)) w0`` into ``out[k]`` for each ``t_k`` of a uniform grid.
+def _propagate(gen, w0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The real ``(len(times), len(w0))`` trajectory ``expm(gen (t_k - t_0)) w0``
+    over a uniform grid of times ``t_k``.
 
     ``gen`` is the ``(rows, cols, vals)`` triple of the real generator's
-    nonzeros, as :func:`_hermitian_coordinates` returns it, and ``out`` a
-    real ``(len(times), len(w0))`` array, possibly a strided view.  The
+    nonzeros, as :func:`_hermitian_coordinates` returns it.  The
     invariant blocks of ``gen`` (:func:`_invariant_blocks`) choose the
     method, whatever the grid:
 
@@ -322,16 +328,16 @@ def _propagate(gen, w0: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
       chain, so rounding stays relative to ``S_b - I``; squaring ``S_b``
       directly measured twice as far from ``expm(L t)`` at dim 20,
       t = 300.  A block on which ``w0`` is all zero stays exactly zero
-      and is written, not stepped.  The blocks fill ``out`` side by side, and its columns are
-      put back in place one chunk of rows at a time, so no second
-      trajectory-sized array exists.
+      and is written, not stepped.  The blocks fill the trajectory side by
+      side, and its columns are put back in place one chunk of rows at a
+      time, so no second trajectory-sized array exists.
     - Otherwise ``expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci. Comput.
       33, 488 (2011)) touches the whole ``gen`` only through products with
       a CSR array built from the triple, in about ``||gen||_1 (t_1 - t_0) /
       10`` steps that each round at ``eps``: a span with ``||gen||_1 (t_1 -
       t_0) >= 1/eps`` raises ``ToleranceFailure`` first (SciPy's own step
-      count would overflow into a ``ValueError``).  This is the one place
-      SciPy is imported.
+      count would overflow into a ``ValueError``).  SciPy's trajectory is
+      returned as it is.  This is the one place SciPy is imported.
     """
     rows, cols, vals = gen
     size = len(w0)
@@ -348,11 +354,11 @@ def _propagate(gen, w0: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
             raise ToleranceFailure(
                 f"||L||_1 (t1 - t0) = {norm_span:.3e} reaches 1/eps; too long a span for expm_multiply"
             )
-        out[...] = expm_multiply(gen, w0, start=0.0, stop=span, num=n_points, endpoint=True)
-        return
+        return expm_multiply(gen, w0, start=0.0, stop=span, num=n_points, endpoint=True)
     # dt = mantissa * 2**exponent: gen_b dt / 2**s is formed without gen_b dt,
     # which can overflow
     mantissa, exponent = np.frexp(times[1] - times[0])
+    out = np.empty((n_points, size))
     lo = 0
     for idx, block in _dense_blocks(gen, blocks):
         block_out = out[:, lo:lo + len(idx)]
@@ -385,6 +391,7 @@ def _propagate(gen, w0: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
     inverse = np.argsort(np.concatenate(blocks))
     for start in range(0, n_points, _CHUNK):
         out[start:start + _CHUNK] = out[start:start + _CHUNK, inverse]
+    return out
 
 
 @dataclass(frozen=True)

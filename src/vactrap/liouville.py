@@ -22,7 +22,9 @@ How a generator is read for numerics is decided here too:
 :func:`_hermitian_coordinates` gives the real generator ``G`` of Hermitian
 coordinates, :func:`_invariant_blocks` its blocks and :func:`_dense_blocks`
 their dense fill, read the same way by the stepper of :mod:`.evolve` and by
-:func:`spectral_abscissa`.
+:func:`spectral_abscissa`.  The coordinates themselves are kept here:
+:func:`_pack` gives the real row of a matrix, and :func:`_unpack` turns
+rows back into Hermitian matrices.
 
 Everything here is in trap units, ``omega_c = hbar = m = 1``: generators
 read ``gamma`` and the renormalized pair ``delta_plus`` / ``delta_minus`` of
@@ -155,10 +157,43 @@ def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(vector, dtype=complex).reshape((dim, dim), order="F")
 
 
-def trace_product(rho: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """``Tr[rho @ op]`` for one matrix or each matrix of a ``(..., dim, dim)``
-    stack (complex)."""
-    return np.einsum("...ij,ji->...", rho, op)
+def trace_product(rho: np.ndarray, op: np.ndarray) -> complex:
+    """``Tr[rho @ op]`` for one matrix (complex)."""
+    return np.einsum("ij,ji->", rho, op)
+
+
+def _swap(dim: int) -> np.ndarray:
+    """Vec index of the entry transposed to each vec index."""
+    return np.arange(dim * dim).reshape(dim, dim).T.ravel()
+
+
+def _pack(matrix: np.ndarray) -> np.ndarray:
+    """Hermitian coordinates ``Re vec A + Im vec A`` of a matrix ``A``.
+
+    They carry a Hermitian state (:func:`_unpack` gives it back), and for
+    Hermitian ``rho`` and ``A``, ``Tr[rho A] = _pack(rho) @ _pack(A)``:
+    ``Re vec`` is swap-symmetric and ``Im vec`` swap-antisymmetric, so the
+    cross terms cancel.
+    """
+    v = vec(matrix)
+    return v.real + v.imag
+
+
+def _unpack(rows: np.ndarray) -> np.ndarray:
+    """The ``(n, dim, dim)`` Hermitian stack of ``(n, dim*dim)`` Hermitian
+    coordinates, ``rho_j = ((w_j + w_swap[j]) + i (w_j - w_swap[j])) / 2``.
+
+    Exactly Hermitian, since the sums and differences commute and negate
+    exactly; the result is a transposed view of one new complex array.
+    """
+    dim = math.isqrt(rows.shape[1])
+    swapped = rows[:, _swap(dim)]
+    stack = np.empty(rows.shape, dtype=complex)
+    for part, combine in ((stack.real, np.add), (stack.imag, np.subtract)):
+        combine(rows, swapped, out=part)
+        part /= 2.0
+    # column-major per snapshot
+    return stack.reshape(-1, dim, dim).transpose(0, 2, 1)
 
 
 def spre(op: np.ndarray) -> np.ndarray:
@@ -444,8 +479,7 @@ def _hermitian_coordinates(matrix: np.ndarray):
     is the largest gap over all of it.
     """
     size = len(matrix)
-    dim = math.isqrt(size)
-    swap = np.arange(size).reshape(dim, dim).T.ravel()
+    swap = _swap(math.isqrt(size))
     # a boolean mask is read faster than complex entries
     rows, cols = np.nonzero(matrix != 0)
     vals = matrix[rows, cols]

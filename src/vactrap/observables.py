@@ -26,6 +26,7 @@ from .evolve import EvolutionRecord
 from .liouville import (
     DensityMatrix,
     FockSpace,
+    _pack,
     build_fock_operators,
     build_redfield_generator,
     trace_product,
@@ -156,34 +157,34 @@ def expect(op_name: str, state: DensityMatrix | np.ndarray,
     independent ladder-sum expression (:func:`witness_sum`).
     """
     mat = state.matrix if isinstance(state, DensityMatrix) else np.asarray(state)
-    if mat.ndim != 2:
-        raise DimensionMismatch(f"expect needs one state matrix, got shape {mat.shape}")
-    return float(_expect_stack(op_name, mat, space))
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise DimensionMismatch(f"expect needs one square state matrix, got shape {mat.shape}")
+    value = trace_product(mat, _operator(op_name, len(mat), space))
+    if op_name == "X":
+        _check_witness(value, witness_sum(mat))
+    return float(value.real)
 
 
-def _expect_stack(
-    op_name: str, rho: np.ndarray, space: FockSpace | None
-) -> np.ndarray:
-    """Real ``Tr[rho O]`` for one state or each state of a ``(n, dim, dim)``
-    stack, building the operator once."""
+def _operator(op_name: str, dim: int, space: FockSpace | None) -> np.ndarray:
+    """The named operator on ``space`` (a ``dim``-level space when none is
+    given), refusing a space of another dimension."""
     if op_name not in _OP_NAMES:
         raise DimensionMismatch(f"unknown observable {op_name!r}; have {_OP_NAMES}")
     if space is None:
-        space = FockSpace(dim=rho.shape[-1])
-    if rho.shape[-2:] != (space.dim, space.dim):
-        raise DimensionMismatch(
-            f"state shape {rho.shape[-2:]} does not match space dim {space.dim}"
-        )
+        space = FockSpace(dim=dim)
+    if space.dim != dim:
+        raise DimensionMismatch(f"state dim {dim} does not match space dim {space.dim}")
     ops = build_fock_operators(space)
-    if op_name != "X":
-        return trace_product(rho, {"x": ops.x, "p": ops.p, "n": ops.n}[op_name]).real
-    values = trace_product(rho, ops.witness)
-    gap = np.abs(values - witness_sum(rho))
+    return {"x": ops.x, "p": ops.p, "n": ops.n, "X": ops.witness}[op_name]
+
+
+def _check_witness(values, ladder) -> None:
+    """Refuse witness values that disagree with the ladder sum beyond rounding."""
+    gap = np.abs(values - ladder)
     if np.any(gap > 1e-10 * np.maximum(1.0, np.abs(values))):
         raise DimensionMismatch(
             f"witness trace disagrees with the ladder sum by up to {np.max(gap):.3e}"
         )
-    return values.real
 
 
 def witness_sum(state: DensityMatrix | np.ndarray) -> float | np.ndarray:
@@ -205,8 +206,19 @@ def witness_sum(state: DensityMatrix | np.ndarray) -> float | np.ndarray:
 def series_from_record(
     record: EvolutionRecord, op_name: str, space: FockSpace | None = None
 ) -> ObservableSeries:
-    """Expectation series of a named operator along a stored trajectory."""
-    values = _expect_stack(op_name, record.rho, space)
+    """Expectation series of a named operator along a stored trajectory.
+
+    Read from the record's Hermitian coordinates without unpacking ``rho``:
+    ``Tr[rho A] = w @ (Re vec A + Im vec A)`` for Hermitian ``rho`` and
+    ``A``.  The witness is cross-checked against :func:`witness_sum` on
+    ``W = w.reshape(n, dim, dim)`` transposed, a view, whose ``W + W.T``
+    is ``2 Re rho``, all the ladder sum reads.
+    """
+    w = record.w
+    dim = math.isqrt(w.shape[1])
+    values = w @ _pack(_operator(op_name, dim, space))
+    if op_name == "X":
+        _check_witness(values, witness_sum(w.reshape(-1, dim, dim).transpose(0, 2, 1)))
     return ObservableSeries(times=record.times, values=values, label=op_name)
 
 

@@ -16,9 +16,9 @@ from vactrap.errors import (
 )
 from vactrap.evolve import (
     _CHUNK,
-    _DIAGNOSTICS_BLOCK_BYTES,
     _STEPPER_MAX_SIZE,
     GUARD_BAND_LIMIT,
+    NORM_LIMIT,
     POSITIVITY_FLOOR_CP,
     TRACE_DEV_LIMIT,
     _propagate,
@@ -131,12 +131,6 @@ def _one_block(size: int) -> np.ndarray:
     return np.diag(-np.linspace(0.0, 0.1, size)) + coupling - coupling.T
 
 
-def _propagated(gen: tuple, w0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    out = np.empty((len(times), len(w0)))
-    _propagate(gen, w0, times, out)
-    return out
-
-
 @pytest.mark.parametrize("size", [_STEPPER_MAX_SIZE, _STEPPER_MAX_SIZE + 1])
 def test_dense_stepper_is_kept_to_small_generators(monkeypatch, size):
     # past the cap the stepper's dense steps lose to expm_multiply, however
@@ -146,7 +140,7 @@ def test_dense_stepper_is_kept_to_small_generators(monkeypatch, size):
     gen = _one_block(size)
     w0 = np.ones(size)
     times = np.linspace(0.0, 2.0, size + 1)
-    traj = _propagated(_triple(gen), w0, times)
+    traj = _propagate(_triple(gen), w0, times)
     assert len(calls) == (0 if size <= _STEPPER_MAX_SIZE else 1)
     for k in (1, size // 2, size):
         assert np.abs(traj[k] - expm(gen * times[k]) @ w0).max() <= 1e-12
@@ -158,7 +152,7 @@ def test_stepper_cap_applies_to_the_largest_block(monkeypatch):
     size = _STEPPER_MAX_SIZE + 1
     diagonal = -np.linspace(0.0, 0.1, size)
     times = np.linspace(0.0, 2.0, size + 1)
-    traj = _propagated(_triple(np.diag(diagonal)), np.ones(size), times)
+    traj = _propagate(_triple(np.diag(diagonal)), np.ones(size), times)
     assert calls == []
     assert np.abs(traj - np.exp(np.outer(times, diagonal))).max() <= 1e-12
 
@@ -230,6 +224,45 @@ def test_trace_drift_failure_carries_the_full_record(monkeypatch, capsys):
     assert exc.record.trace_dev[-1] > TRACE_DEV_LIMIT
 
 
+_GROWING = ["evolve", "--gamma", "0.01", "--delta-plus", "-0.02", "--delta-minus", "-0.015"]
+
+
+@pytest.mark.parametrize(
+    "grid, t_breach",
+    [
+        (["--dim", "32", "--t-end", "300", "--points", "31"], 250.0),
+        (["--dim", "28", "--t-end", "1000", "--points", "101"], 610.0),
+    ],
+    ids=["dim32", "dim28"],
+)
+def test_growing_mode_that_keeps_trace_and_guard_band_is_caught(monkeypatch, capsys, grid, t_breach):
+    # at these negative shifts the truncated generator grows in the odd i - j
+    # block, which holds <b> but neither the trace nor the guard band; the
+    # Hilbert-Schmidt norm sees it
+    caught = []
+
+    def keeping(*args, **kwargs):
+        try:
+            return integrate(*args, **kwargs)
+        except ToleranceFailure as exc:
+            caught.append(exc)
+            raise
+
+    monkeypatch.setattr("vactrap.cli.integrate", keeping)
+    assert run_cli(_GROWING + grid) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("vactrap: numerical guard: Hilbert-Schmidt norm ")
+    assert f"above {NORM_LIMIT} at t = {t_breach};" in err
+    assert "growing mode" in err and "spectral_abscissa" in err
+    assert "enlarge" not in err and "Traceback" not in err
+    (exc,) = caught
+    record = exc.record
+    k = int(np.searchsorted(record.times, t_breach))
+    assert record.trace_dev.max() <= TRACE_DEV_LIMIT
+    assert np.abs(record.guard_pop).max() <= GUARD_BAND_LIMIT
+    assert np.linalg.norm(record.rho[k]) > NORM_LIMIT >= np.linalg.norm(record.rho[k - 1])
+
+
 def test_long_grid_trace_drift_is_far_below_the_limit(capsys):
     # the benchmark's 4001-point beyond-RWA run, where the limit is sized
     # at least a hundred times above the drift of ordinary runs
@@ -239,12 +272,29 @@ def test_long_grid_trace_drift_is_far_below_the_limit(capsys):
     assert trace_dev.max() * 100 <= TRACE_DEV_LIMIT
 
 
+def test_expm_multiply_trajectory_is_kept_as_returned(monkeypatch):
+    # the record stores the array expm_multiply returns, with no copy
+    monkeypatch.setattr("vactrap.evolve._STEPPER_MAX_SIZE", 0)
+    returned = []
+
+    def marking_expm_multiply(*args, **kwargs):
+        returned.append(expm_multiply(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr("scipy.sparse.linalg.expm_multiply", marking_expm_multiply)
+    space = FockSpace(dim=8)
+    rho0 = make_state("coherent", space, alpha=0.4)
+    record = integrate(build_redfield_generator(space, STABLE), rho0, (0.0, 10.0), n_points=21)
+    (traj,) = returned
+    assert record.w is traj
+
+
 def test_expm_multiply_span_guard():
     # past the cap, a span whose ||op||_1 (t1 - t0) reaches 1/eps is refused
     # before expm_multiply's step count overflows
     size = _STEPPER_MAX_SIZE + 1
     with pytest.raises(ToleranceFailure, match="reaches 1/eps"):
-        _propagated(_triple(_one_block(size)), np.ones(size), np.linspace(0.0, 1e300, 3))
+        _propagate(_triple(_one_block(size)), np.ones(size), np.linspace(0.0, 1e300, 3))
 
 
 @pytest.mark.parametrize("n_points", [2, 3, 5, 33, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
@@ -263,7 +313,7 @@ def test_step_blocks_on_unequal_scattered_blocks(n_points):
     w0 = rng.normal(size=8)
     w0_in = w0.copy()
     times = np.linspace(0.0, 0.05 * (n_points - 1), n_points)
-    traj = _propagated(gen, w0, times)
+    traj = _propagate(gen, w0, times)
     assert all(map(np.array_equal, gen, gen_in)) and np.array_equal(w0, w0_in)
     for k, t in enumerate(times):
         assert np.abs(traj[k] - expm(op * t) @ w0).max() <= 1e-12
@@ -433,7 +483,7 @@ def test_min_eig_is_computed_where_it_is_gated_or_read(monkeypatch, build, gated
 
     monkeypatch.setattr("numpy.linalg.eigvalsh", counting_eigvalsh)
     record = integrate(build(space, STABLE), rho0, (0.0, 50.0), n_points=1001)
-    batches = math.ceil(1001 / (_DIAGNOSTICS_BLOCK_BYTES // record.rho[0].nbytes))
+    batches = math.ceil(1001 / _CHUNK)
     assert len(calls) == (batches if gated else 0)
     min_eig = record.min_eig
     assert len(calls) == batches > 1
@@ -476,15 +526,20 @@ def test_positivity_wins_when_both_limits_breach_at_once():
 
 
 @pytest.mark.parametrize(
-    "entries, breach",
+    "entries, breach, opening",
     [
-        ({1: -1e-6, 7: 2e-6}, PositivityBreach),  # and the guard band and the trace
-        ({7: 2e-6}, GuardBandOverflow),  # and the trace
-        ({0: 1e-9}, ToleranceFailure),
+        # each case also breaches every limit reported after its own
+        ({0: 2.0, 1: -1e-6, 7: 2e-6}, PositivityBreach, "state eigenvalue"),
+        ({0: 2.0, 7: 2e-6}, GuardBandOverflow, "guard-band population"),
+        ({0: 2.0}, ToleranceFailure, "Hilbert-Schmidt norm 3.000e+00 above 2.0 at t = 0.0;"),
+        ({0: 1e-9}, ToleranceFailure, "trace drift 1.000e-09 above 1e-10 at t = 0.0;"),
     ],
-    ids=["positivity", "guard-band", "trace"],
+    ids=["positivity", "guard-band", "norm", "trace"],
 )
-def test_limits_breached_at_once_report_positivity_then_guard_band_then_trace(entries, breach):
+def test_limits_breached_at_once_report_positivity_then_guard_band_then_trace(
+    entries, breach, opening
+):
+    # the norm is reported between the guard band and the trace
     space = FockSpace(dim=8)
     gen = build_lindblad_generator(space, STABLE)
     mat = np.zeros((8, 8), dtype=complex)
@@ -492,12 +547,16 @@ def test_limits_breached_at_once_report_positivity_then_guard_band_then_trace(en
     for level, weight in entries.items():
         mat[level, level] += weight
     assert abs(np.trace(mat) - 1.0) > TRACE_DEV_LIMIT
+    assert (np.linalg.norm(mat) > NORM_LIMIT) == (entries[0] > 1.0)
     with pytest.raises(breach) as exc_info:
         integrate(gen, DensityMatrix(mat, validate=False), (0.0, 1.0), n_points=11)
+    message = str(exc_info.value)
+    assert message.startswith(opening)
+    assert exc_info.value.record.times[-1] == 1.0
     if breach is ToleranceFailure:
-        message = str(exc_info.value)
-        assert message.startswith("trace drift 1.000e-09 above 1e-10 at t = 0.0;")
-        assert "spectral_abscissa" in message and "rounding" in message
+        assert "spectral_abscissa" in message
+        assert ("growing mode" in message) == (entries[0] > 1.0)
+        assert ("rounding" in message) == (entries[0] < 1.0)
     else:
         assert exc_info.value.time == 0.0
 

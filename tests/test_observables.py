@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from vactrap.errors import DimensionMismatch, TruncationRisk
-from vactrap.evolve import integrate
+from vactrap.evolve import _CHUNK, integrate
 from vactrap.liouville import (
     FockSpace,
+    _unpack,
     build_fock_operators,
     build_lindblad_generator,
     build_redfield_generator,
+    build_xp_generator,
 )
 from vactrap.observables import (
     amplitude_peaks,
@@ -167,17 +169,52 @@ def test_series_from_record():
     assert np.all(np.diff(series.values) < 0.0)  # pure decay
 
 
-def test_series_match_per_snapshot_traces():
-    # the stacked einsum path against the per-snapshot trace it replaced;
-    # only the summation order differs, so agreement is at rounding level
+@pytest.mark.parametrize(
+    "build, cap",
+    [
+        (build_redfield_generator, None),
+        (build_lindblad_generator, None),
+        (build_xp_generator, None),
+        # expm_multiply, forced by a cap that no block fits under
+        (build_redfield_generator, 0),
+    ],
+    ids=["redfield", "lindblad", "xp", "redfield-expm-multiply"],
+)
+def test_series_match_per_snapshot_traces(monkeypatch, build, cap):
+    # the real functionals w @ (Re vec A + Im vec A) of the stored rows
+    # against the trace of each unpacked snapshot; only the summation
+    # differs, so agreement is at rounding level
+    if cap is not None:
+        monkeypatch.setattr("vactrap.evolve._STEPPER_MAX_SIZE", cap)
     space = FockSpace(dim=12)
-    gen = build_redfield_generator(space, STABLE)
+    gen = build(space, STABLE)
     record = integrate(gen, make_state("coherent", space, alpha=1.0), (0.0, 5.0), n_points=51)
     ops = build_fock_operators(space)
     for name, op in (("x", ops.x), ("p", ops.p), ("n", ops.n), ("X", ops.witness)):
         loop = np.array([np.trace(op @ mat).real for mat in record.rho])
         values = series_from_record(record, name, space).values
         assert np.max(np.abs(values - loop)) <= 1e-13
+
+
+def test_series_and_min_eig_leave_rho_packed(monkeypatch):
+    # the series read the real rows, and min_eig unpacks them one chunk at a
+    # time, so no complex trajectory is formed
+    sizes = []
+
+    def counting_unpack(rows):
+        sizes.append(len(rows))
+        return _unpack(rows)
+
+    monkeypatch.setattr("vactrap.evolve._unpack", counting_unpack)
+    space = FockSpace(dim=12)
+    gen = build_redfield_generator(space, STABLE)
+    record = integrate(gen, make_state("coherent", space, alpha=1.0), (0.0, 50.0), n_points=201)
+    for name in ("x", "p", "n", "X"):
+        series_from_record(record, name, space)
+    assert sizes == []
+    assert record.min_eig.shape == (201,)
+    assert "rho" not in vars(record)
+    assert sum(sizes) == 201 and max(sizes) <= _CHUNK
 
 
 # ------------------------------------------------- damped-oscillator roots
