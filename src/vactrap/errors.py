@@ -50,12 +50,13 @@ class NumericalGuard(VactrapError):
 
 
 class ToleranceFailure(NumericalGuard):
-    """A propagated trajectory is not finite, or its trace drifted past the
-    accepted limit, or its span is too long for ``expm_multiply``: either
-    the generator is unstable or the span is longer than the propagator's
-    rounding can resolve.  A trace-drift failure carries the full record of
-    the run as ``record``; the others, raised before a record exists, carry
-    ``None``."""
+    """A propagation that cannot be trusted: its span is too long for the
+    propagator's rounding (``||G||_1 (t1 - t0)`` reaches ``1/eps``, refused
+    before either propagation method runs), or the propagated trajectory is
+    not finite, or its Hilbert-Schmidt norm or its trace drift passed the
+    accepted limit.  A norm or trace-drift failure carries the full record
+    of the run as ``record``; the span refusal and the non-finite check,
+    raised before a record exists, carry ``None``."""
 
     def __init__(self, message: str, record=None):
         super().__init__(message)
@@ -98,7 +99,9 @@ class FitFailure(NumericalGuard):
 
 
 class GuardExceeded(ConfigurationError):
-    """A brute-force model would exceed the hard dimension guard (2**16)."""
+    """A model too large to build: a brute-force bath past the hard
+    dimension guard (2**16), or a dense generator whose build would need
+    more bytes than the machine's physical memory."""
 
 
 class LongWavelengthWarning(UserWarning):

@@ -10,14 +10,16 @@ The record keeps the real rows as the propagator returns them; the
 diagnostics read them directly (``w_jj = rho_jj`` and ``||rho||_F =
 ||w||_2``), and a snapshot is unpacked as ``rho_j = ((w_j + w_swap[j]) +
 i (w_j - w_swap[j])) / 2``, Hermitian to the last bit, only where ``rho``
-or ``min_eig`` is read.  ``G``, its invariant blocks, their dense fill and
-the packing of ``w`` are kept in :mod:`.liouville`, which refuses a
-generator that does not preserve Hermiticity, since these coordinates
-would drop its anti-Hermitian part; this module only propagates.  How
-``G`` is propagated, block by block or by ``expm_multiply``, is set out
-once, in :func:`_propagate`.  Below the stepper's cap numpy does all the
-work; SciPy is imported only where ``expm_multiply`` runs, so no other
-path loads it.
+or ``min_eig`` is read.  How a generator is read is decided in
+:mod:`.liouville`: its one reader gives ``G``'s nonzeros, their invariant
+blocks and whether ``G`` conserves the trace, and refuses a generator that
+does not preserve Hermiticity, since these coordinates would drop its
+anti-Hermitian part.  The packing of ``w`` and the dense fill of the
+blocks are kept there too; this module only propagates.  How ``G`` is
+propagated, block by block or by ``expm_multiply``, and which spans are
+too long for either to resolve, is set out once, in :func:`_propagate`.
+Below the stepper's cap numpy does all the work; SciPy is imported only
+where ``expm_multiply`` runs, so no other path loads it.
 
 The propagated state is never projected, renormalized or symmetrized:
 whatever the propagator produces is stored, and its defects (trace drift,
@@ -71,7 +73,6 @@ from .liouville import (
     Superoperator,
     _dense_blocks,
     _hermitian_coordinates,
-    _invariant_blocks,
     _pack,
     _unpack,
 )
@@ -198,13 +199,15 @@ def integrate(
         ``1e-12 max|L|``).
     ToleranceFailure
         If the propagated trajectory has a non-finite entry.  For a
-        generator that conserves the trace, also at the first stored time
+        generator that conserves the trace (the verdict of
+        :func:`_hermitian_coordinates`), also at the first stored time
         where, with neither limit below breached, the Hilbert-Schmidt norm
         exceeds ``NORM_LIMIT`` (2), which names a growing mode of the
         truncated generator, or ``trace_dev`` exceeds ``TRACE_DEV_LIMIT``
         (1e-10): either an unstable generator, or a span longer than the
-        propagator's rounding can resolve.  Also if :func:`_propagate`
-        refuses the span for ``expm_multiply``.
+        propagator's rounding can resolve.  Also, before anything is
+        propagated, if :func:`_propagate` refuses a span whose ``||G||_1
+        (t1 - t0)`` reaches ``1/eps``, on either method.
     PositivityBreach
         First stored time where the lowest eigenvalue drops below
         ``POSITIVITY_FLOOR_CP`` (-1e-8); raised for ``WITH_RWA`` generators
@@ -235,10 +238,10 @@ def integrate(
 
     times = np.linspace(t0, t1, n_points)
     dim = generator.dim
-    real_gen, _ = _hermitian_coordinates(generator.matrix)
+    coords = _hermitian_coordinates(generator.matrix)
     # an overflow is reported below as ToleranceFailure, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _propagate(real_gen, _pack((rho0.matrix + rho0.matrix.conj().T) / 2.0), times)
+        w = _propagate(coords, _pack((rho0.matrix + rho0.matrix.conj().T) / 2.0), times)
         norm = np.sqrt(np.einsum("ij,ij->i", w, w))
     causes = (
         "either the generator is unstable (check spectral_abscissa) or the span "
@@ -263,10 +266,7 @@ def integrate(
     # Trace drift and the norm are propagation error only where the
     # generator conserves the trace (sum_i d(rho_ii)/dt = 0, as every
     # builder's does), so only there are they gated.
-    rows, cols, vals = real_gen
-    diagonal = rows % (dim + 1) == 0
-    trace_rates = np.bincount(cols[diagonal], weights=vals[diagonal], minlength=dim * dim)
-    conserving = np.abs(trace_rates).max() <= 1e-12 * np.abs(vals).max(initial=0.0)
+    _, _, conserving = coords
     drift_limit, norm_limit = (TRACE_DEV_LIMIT, NORM_LIMIT) if conserving else (math.inf, math.inf)
     guard_breach = np.abs(guard_pop) > GUARD_BAND_LIMIT
     breach = negative | guard_breach | (norm > norm_limit) | (trace_dev > drift_limit)
@@ -305,23 +305,26 @@ def integrate(
     return record
 
 
-def _propagate(gen, w0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """The real ``(len(times), len(w0))`` trajectory ``expm(gen (t_k - t_0)) w0``
+def _propagate(coords, w0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The real ``(len(times), len(w0))`` trajectory ``expm(G (t_k - t_0)) w0``
     over a uniform grid of times ``t_k``.
 
-    ``gen`` is the ``(rows, cols, vals)`` triple of the real generator's
-    nonzeros, as :func:`_hermitian_coordinates` returns it.  The
-    invariant blocks of ``gen`` (:func:`_invariant_blocks`) choose the
-    method, whatever the grid:
+    ``coords`` is the result of :func:`_hermitian_coordinates`: the ``(rows,
+    cols, vals)`` triple of the nonzeros of ``G`` and its invariant blocks
+    (the trace verdict is not read here).  The rounding of either method
+    grows like ``eps ||G||_1 (t_1 - t_0)``, ``||G||_1`` the largest
+    absolute column sum of the triple, so a span where that product
+    reaches 1 is refused with ``ToleranceFailure`` before either runs.
+    The largest block then chooses the method, whatever the grid:
 
     - With no block above ``_STEPPER_MAX_SIZE`` entries (its comment gives
       the measurement that sets it), the cost does not grow with the span,
       and numpy does all of it.
-      Block ``b`` starts from ``a = gen_b dt / 2**s``, ``s`` the least
+      Block ``b`` starts from ``a = G_b dt / 2**s``, ``s`` the least
       power with ``||a||_1 <= 0.05``, where the degree-8 Taylor sum of
       ``expm(a) - I`` in Horner form is exact to half an ulp (its tail is
       ``0.05**8 / 9!`` relative), and ``s`` doublings ``X -> 2 X + X @ X``
-      give ``X = S_b - I``, ``S_b = expm(gen_b dt)`` (Moler & Van Loan,
+      give ``X = S_b - I``, ``S_b = expm(G_b dt)`` (Moler & Van Loan,
       SIAM Rev. 45, 3 (2003)).  After the initial row, chunks of width
       ``1, 2, 4, ..., _CHUNK, _CHUNK, ...`` each take the ``width`` rows
       before them times ``S_b**width``, from further doublings of the same
@@ -332,35 +335,34 @@ def _propagate(gen, w0: np.ndarray, times: np.ndarray) -> np.ndarray:
       side, and its columns are put back in place one chunk of rows at a
       time, so no second trajectory-sized array exists.
     - Otherwise ``expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci. Comput.
-      33, 488 (2011)) touches the whole ``gen`` only through products with
-      a CSR array built from the triple, in about ``||gen||_1 (t_1 - t_0) /
-      10`` steps that each round at ``eps``: a span with ``||gen||_1 (t_1 -
-      t_0) >= 1/eps`` raises ``ToleranceFailure`` first (SciPy's own step
-      count would overflow into a ``ValueError``).  SciPy's trajectory is
-      returned as it is.  This is the one place SciPy is imported.
+      33, 488 (2011)) touches the whole ``G`` only through products with
+      a CSR array built from the triple, in about ``||G||_1 (t_1 - t_0) /
+      10`` steps, a count the guard above keeps from overflowing.  SciPy's
+      trajectory is returned as it is.  This is the one place SciPy is
+      imported.
     """
-    rows, cols, vals = gen
+    (rows, cols, vals), blocks, _ = coords
     size = len(w0)
     n_points = len(times)
-    blocks = _invariant_blocks(rows, cols, size)
+    span = times[-1] - times[0]
+    norm_span = np.bincount(cols, weights=np.abs(vals), minlength=size).max() * span
+    if not norm_span * np.finfo(float).eps < 1.0:
+        raise ToleranceFailure(
+            f"||G||_1 (t1 - t0) = {norm_span:.3e} reaches 1/eps, past what the "
+            "propagator's rounding can resolve"
+        )
     if max(len(idx) for idx in blocks) > _STEPPER_MAX_SIZE:
         from scipy.sparse import csr_array
-        from scipy.sparse.linalg import expm_multiply, norm as sparse_norm
+        from scipy.sparse.linalg import expm_multiply
 
         gen = csr_array((vals, (rows, cols)), shape=(size, size))
-        span = times[-1] - times[0]
-        norm_span = sparse_norm(gen, 1) * span
-        if not norm_span * np.finfo(float).eps < 1.0:
-            raise ToleranceFailure(
-                f"||L||_1 (t1 - t0) = {norm_span:.3e} reaches 1/eps; too long a span for expm_multiply"
-            )
         return expm_multiply(gen, w0, start=0.0, stop=span, num=n_points, endpoint=True)
-    # dt = mantissa * 2**exponent: gen_b dt / 2**s is formed without gen_b dt,
+    # dt = mantissa * 2**exponent: G_b dt / 2**s is formed without G_b dt,
     # which can overflow
     mantissa, exponent = np.frexp(times[1] - times[0])
     out = np.empty((n_points, size))
     lo = 0
-    for idx, block in _dense_blocks(gen, blocks):
+    for idx, block in _dense_blocks(coords):
         block_out = out[:, lo:lo + len(idx)]
         lo += len(idx)
         block_out[0] = w0[idx]

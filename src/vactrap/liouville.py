@@ -18,13 +18,15 @@ part of the ladder triple (a damped oscillator at ``omega_c + delta_minus``);
 the beyond-RWA generator adds the counter-rotating part (the ``-delta_plus``
 frequency pull and the two-quantum ``b^2``, ``(b+)^2`` channels).
 
-How a generator is read for numerics is decided here too:
-:func:`_hermitian_coordinates` gives the real generator ``G`` of Hermitian
-coordinates, :func:`_invariant_blocks` its blocks and :func:`_dense_blocks`
-their dense fill, read the same way by the stepper of :mod:`.evolve` and by
-:func:`spectral_abscissa`.  The coordinates themselves are kept here:
-:func:`_pack` gives the real row of a matrix, and :func:`_unpack` turns
-rows back into Hermitian matrices.
+How a generator is read for numerics is decided here too, once:
+:func:`_hermitian_coordinates` is its one reader, and gives the nonzeros of
+the real generator ``G`` of Hermitian coordinates, their invariant blocks
+(:func:`_invariant_blocks`) and whether ``G`` conserves the trace.
+:mod:`.evolve` and :func:`spectral_abscissa` take that result whole, and
+:func:`_dense_blocks` fills its blocks the same way for the stepper and for
+the spectrum.  The coordinates themselves are kept here: :func:`_pack`
+gives the real row of a matrix, and :func:`_unpack` turns rows back into
+Hermitian matrices.
 
 Everything here is in trap units, ``omega_c = hbar = m = 1``: generators
 read ``gamma`` and the renormalized pair ``delta_plus`` / ``delta_minus`` of
@@ -33,12 +35,13 @@ a ``RateSet.scaled`` rate set, and refuse an SI one.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatch, DimensionTooSmall
+from .errors import ConfigurationError, DimensionMismatch, DimensionTooSmall, GuardExceeded
 from .params import ApproximationMode
 from .rates import RateSet
 
@@ -248,7 +251,21 @@ _Jump = tuple[complex, np.ndarray, np.ndarray]
 
 def _assemble(left: np.ndarray, right: np.ndarray, jumps: list[_Jump]) -> np.ndarray:
     """Matrix of ``sigma -> left @ sigma + sigma @ right + sum c L @ sigma @ R``
-    for the generator triple ``(left, right, [(c, L, R), ...])``."""
+    for the generator triple ``(left, right, [(c, L, R), ...])``.
+
+    A build holds three ``(d**2, d**2)`` complex arrays at its peak, the
+    matrix and two Kronecker terms (tracemalloc reads 3.0 times the matrix's
+    ``16 d**4`` bytes for every builder at d = 16-32).  A build whose peak
+    exceeds the machine's physical memory is refused with ``GuardExceeded``
+    before anything is allocated.
+    """
+    peak = 3 * 16 * len(left) ** 4
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if peak > memory:
+        raise GuardExceeded(
+            f"a generator on {len(left)} levels needs {peak / 2**30:.4g} GiB to build, "
+            f"more than the {memory / 2**30:.4g} GiB of physical memory"
+        )
     gen = spre(left) + spost(right)
     for coeff, op_left, op_right in jumps:
         gen += coeff * sandwich(op_left, op_right)
@@ -415,9 +432,8 @@ def spectral_abscissa(superop: Superoperator) -> float:
     fraction of the cost of one dense ``eigvals`` of ``L``.  A generator
     that does not preserve Hermiticity is refused with ``ConfigurationError``.
     """
-    gen, swap = _hermitian_coordinates(superop.matrix)
-    blocks = _invariant_blocks(gen[0], gen[1], len(swap))
-    return max(float(np.linalg.eigvals(block).real.max()) for _, block in _dense_blocks(gen, blocks))
+    coords = _hermitian_coordinates(superop.matrix)
+    return max(float(np.linalg.eigvals(block).real.max()) for _, block in _dense_blocks(coords))
 
 
 def _invariant_blocks(rows: np.ndarray, cols: np.ndarray, size: int) -> list[np.ndarray]:
@@ -427,8 +443,8 @@ def _invariant_blocks(rows: np.ndarray, cols: np.ndarray, size: int) -> list[np.
     size)`` generator.  The sets are the connected components of that
     pattern, so the generator is block diagonal over them and ``expm``,
     eigenvalues and propagation can be taken block by block.  Exact zeros
-    give an exact structure, so no tolerance enters.  On the pattern of ``G``
-    (:func:`_hermitian_coordinates`), which the callers pass, beyond-RWA
+    give an exact structure, so no tolerance enters.  On the pattern of ``G``,
+    which :func:`_hermitian_coordinates` passes, beyond-RWA
     generators keep the parity of ``i - j`` (two blocks, four on the planar
     space) and the RWA generator the ``dim`` sets of fixed ``|i - j|``.
     Each set is ascending, and the sets are ordered by their smallest index.
@@ -458,19 +474,26 @@ def _invariant_blocks(rows: np.ndarray, cols: np.ndarray, size: int) -> list[np.
 
 
 def _hermitian_coordinates(matrix: np.ndarray):
-    """The real generator ``G`` of Hermitian coordinates, and ``swap``.
+    """The real generator ``G`` of Hermitian coordinates, its invariant
+    blocks, and whether it conserves the trace: the one reading of a
+    generator that the numerics take.
 
-    ``swap[j]`` is the vec index of the entry transposed to ``j``.  A
-    Hermitian ``sigma`` is carried by the real vector ``w = Re vec(sigma) +
-    Im vec(sigma)``, and ``w_j + w_swap[j]``, ``w_j - w_swap[j]`` give back
-    twice its real and imaginary parts.  ``L`` maps ``w`` to ``X w`` with
-    ``X = ((1 + i) L + (1 - i) L[:, swap]) / 2``, so ``dw/dt = G w`` with
-    ``G = Re X + Im X = Re L + (Im L)[:, swap]``.
+    A Hermitian ``sigma`` is carried by the real vector ``w = Re vec(sigma)
+    + Im vec(sigma)``, and ``w_j + w_swap[j]``, ``w_j - w_swap[j]`` give
+    back twice its real and imaginary parts (``swap[j]`` the vec index of
+    the entry transposed to ``j``).  ``L`` maps ``w`` to ``X w`` with ``X =
+    ((1 + i) L + (1 - i) L[:, swap]) / 2``, so ``dw/dt = G w`` with ``G =
+    Re X + Im X = Re L + (Im L)[:, swap]``.
 
-    ``G`` is returned as the triple ``(rows, cols, vals)`` of its nonzeros,
-    one per position, in row-major order: the real parts of the nonzeros
-    of ``L`` at ``(rows, cols)`` plus their imaginary parts at ``(rows,
-    swap[cols])``, read from ``L`` once and never formed as a dense array.
+    Returns ``(gen, blocks, conserving)``.  ``gen`` is the triple ``(rows,
+    cols, vals)`` of the nonzeros of ``G``, one per position, in row-major
+    order: the real parts of the nonzeros of ``L`` at ``(rows, cols)`` plus
+    their imaginary parts at ``(rows, swap[cols])``, read from ``L`` once
+    and never formed as a dense array.  ``blocks`` are the
+    :func:`_invariant_blocks` of that pattern.  ``conserving`` says whether
+    ``sum_i d(rho_ii)/dt = 0`` for every state (``w_ii = rho_ii``, so the
+    diagonal rows of ``G`` sum to zero in every column) to ``1e-12 max|G|``,
+    as every builder's generator does.
 
     Raises ``ConfigurationError`` unless ``L`` preserves Hermiticity
     (``conj(L) = L[swap][:, swap]`` to ``1e-12 max|L|``, the gate of
@@ -497,13 +520,20 @@ def _hermitian_coordinates(matrix: np.ndarray):
     sums = np.bincount(where, weights=np.concatenate([vals.real, vals.imag]))
     kept = sums != 0.0
     rows, cols = np.divmod(keys[kept], size)
-    return (rows, cols, sums[kept]), swap
+    vals = sums[kept]
+    # the rate of change of the trace per entry of w: column sums over the
+    # diagonal rows, the vec indices that are their own transpose
+    diagonal = swap[rows] == rows
+    trace_rates = np.bincount(cols[diagonal], weights=vals[diagonal], minlength=size)
+    conserving = bool(np.abs(trace_rates).max() <= 1e-12 * np.abs(vals).max(initial=0.0))
+    return (rows, cols, vals), _invariant_blocks(rows, cols, size), conserving
 
 
-def _dense_blocks(gen, blocks: list[np.ndarray]):
+def _dense_blocks(coords):
     """Yield ``(idx, G[idx][:, idx])``, dense and real, for each invariant
-    block ``idx`` of the ``(rows, cols, vals)`` triple ``gen``, one at a time."""
-    rows, cols, vals = gen
+    block ``idx`` of the result of :func:`_hermitian_coordinates`, one at a
+    time."""
+    (rows, cols, vals), blocks, _ = coords
     size = sum(len(idx) for idx in blocks)
     # each nonzero's block, and its row and column within that block
     block_of = np.empty(size, dtype=int)

@@ -260,6 +260,8 @@ def test_out_of_domain_values_are_input_errors(argv, capsys):
         ["pt-compare", "--ratios", "1e40"],  # the master-equation shift rounds to 0
         ["sweep-b", "--b-max", "1e70"],  # ln|1 +- W/w| rounds to 0 past Compton
         ["sweep-b", "--b-min", "1e-300"],  # the damping rate underflows to 0
+        # the dense generator (381 GiB) is refused before it is allocated
+        ["evolve", "--dim", "400", "--points", "3"],
     ],
 )
 def test_closed_form_range_ends_are_one_line_input_errors(argv, capsys):
@@ -270,12 +272,13 @@ def test_closed_form_range_ends_are_one_line_input_errors(argv, capsys):
     assert captured.err.count("\n") == 1
 
 
+_SPAN_GUARD = "||G||_1 (t1 - t0) = "
 _GUARDED_RUNS = [
-    (["evolve", "--dim", "6", "--points", "3", "--t-end", "1e300"], "propagated state is not finite"),
-    (["evolve", "--dim", "6", "--gamma", "1e300", "--points", "11"], "propagated state is not finite"),
-    (["witness", "--dim", "6", "--t-end", "1e300", "--points", "3"], "propagated state is not finite"),
+    (["evolve", "--dim", "6", "--points", "3", "--t-end", "1e300"], _SPAN_GUARD),
+    (["evolve", "--dim", "6", "--gamma", "1e300", "--points", "11"], _SPAN_GUARD),
+    (["witness", "--dim", "6", "--t-end", "1e300", "--points", "3"], _SPAN_GUARD),
     (["evolve", "--dim", "12", "--points", "3", "--t-end", "1e12"], "trace drift"),
-    (["evolve", "--dim", "20", "--points", "3", "--t-end", "1e300"], "trace drift"),
+    (["evolve", "--dim", "20", "--points", "3", "--t-end", "1e300"], _SPAN_GUARD),
 ]
 
 
@@ -283,14 +286,20 @@ _GUARDED_RUNS = [
     "argv, cause", _GUARDED_RUNS, ids=[f"argv{k}" for k in range(len(_GUARDED_RUNS))]
 )
 def test_overflow_or_trace_drift_is_a_numerical_guard(argv, cause, capsys):
-    # these generators take the stepper; on these spans its step either
-    # overflows or rounds the trace away, and either ends the run as a
-    # numerical guard, exit 2, naming both an unstable generator and a span
-    # past the propagator's rounding as causes
+    # these generators take the stepper.  Where ||G||_1 (t1 - t0) reaches
+    # 1/eps, the span is refused before any propagation; below that, over
+    # dim 12's span of 1e12, the stepper rounds the trace away, and the
+    # trace gate names both an unstable generator and a span past the
+    # propagator's rounding as causes.  Either ends the run as a numerical
+    # guard, exit 2
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"vactrap: numerical guard: {cause}")
-    assert "spectral_abscissa" in err and "rounding" in err
+    assert "rounding" in err
+    if cause == _SPAN_GUARD:
+        assert "reaches 1/eps" in err
+    else:
+        assert "spectral_abscissa" in err
     assert "Traceback" not in err
 
 

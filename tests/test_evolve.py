@@ -32,6 +32,7 @@ from vactrap.liouville import (
     Superoperator,
     _hermitian_coordinates,
     _invariant_blocks,
+    _swap,
     build_2d_generator,
     build_lindblad_generator,
     build_redfield_generator,
@@ -119,10 +120,12 @@ def _count_expm_multiply(monkeypatch) -> list:
     return calls
 
 
-def _triple(op: np.ndarray) -> tuple:
-    """The ``(rows, cols, vals)`` triple of a real generator's nonzeros."""
+def _coords(op: np.ndarray) -> tuple:
+    """A real generator read the way ``_hermitian_coordinates`` reads one:
+    the ``(rows, cols, vals)`` triple of its nonzeros, their invariant
+    blocks, and a trace verdict, which ``_propagate`` does not read."""
     rows, cols = np.nonzero(op)
-    return rows, cols, op[rows, cols]
+    return (rows, cols, op[rows, cols]), _invariant_blocks(rows, cols, len(op)), True
 
 
 def _one_block(size: int) -> np.ndarray:
@@ -140,7 +143,7 @@ def test_dense_stepper_is_kept_to_small_generators(monkeypatch, size):
     gen = _one_block(size)
     w0 = np.ones(size)
     times = np.linspace(0.0, 2.0, size + 1)
-    traj = _propagate(_triple(gen), w0, times)
+    traj = _propagate(_coords(gen), w0, times)
     assert len(calls) == (0 if size <= _STEPPER_MAX_SIZE else 1)
     for k in (1, size // 2, size):
         assert np.abs(traj[k] - expm(gen * times[k]) @ w0).max() <= 1e-12
@@ -152,7 +155,7 @@ def test_stepper_cap_applies_to_the_largest_block(monkeypatch):
     size = _STEPPER_MAX_SIZE + 1
     diagonal = -np.linspace(0.0, 0.1, size)
     times = np.linspace(0.0, 2.0, size + 1)
-    traj = _propagate(_triple(np.diag(diagonal)), np.ones(size), times)
+    traj = _propagate(_coords(np.diag(diagonal)), np.ones(size), times)
     assert calls == []
     assert np.abs(traj - np.exp(np.outer(times, diagonal))).max() <= 1e-12
 
@@ -289,12 +292,17 @@ def test_expm_multiply_trajectory_is_kept_as_returned(monkeypatch):
     assert record.w is traj
 
 
-def test_expm_multiply_span_guard():
-    # past the cap, a span whose ||op||_1 (t1 - t0) reaches 1/eps is refused
-    # before expm_multiply's step count overflows
-    size = _STEPPER_MAX_SIZE + 1
-    with pytest.raises(ToleranceFailure, match="reaches 1/eps"):
-        _propagate(_triple(_one_block(size)), np.ones(size), np.linspace(0.0, 1e300, 3))
+@pytest.mark.parametrize(
+    "size", [_STEPPER_MAX_SIZE, _STEPPER_MAX_SIZE + 1], ids=["stepper", "expm_multiply"]
+)
+def test_span_guard_covers_both_routes(monkeypatch, size):
+    # a span whose ||G||_1 (t1 - t0) reaches 1/eps is refused before either
+    # route runs: the stepper's step would overflow, and expm_multiply's
+    # step count with it
+    calls = _count_expm_multiply(monkeypatch)
+    with pytest.raises(ToleranceFailure, match=r"\|\|G\|\|_1 \(t1 - t0\) = .* reaches 1/eps, .*rounding"):
+        _propagate(_coords(_one_block(size)), np.ones(size), np.linspace(0.0, 1e300, 3))
+    assert calls == []
 
 
 @pytest.mark.parametrize("n_points", [2, 3, 5, 33, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
@@ -307,13 +315,14 @@ def test_step_blocks_on_unequal_scattered_blocks(n_points):
     for idx in blocks:
         a = rng.normal(size=(len(idx),) * 2)
         op[np.ix_(idx, idx)] = 0.3 * (a - a.T) - 0.05 * np.eye(len(idx)) + 0.02 * a
-    gen = _triple(op)
+    coords = _coords(op)
+    gen = coords[0]
     gen_in = [part.copy() for part in gen]
-    assert sorted(map(list, _invariant_blocks(*gen[:2], 8))) == sorted(map(list, blocks))
+    assert sorted(map(list, coords[1])) == sorted(map(list, blocks))
     w0 = rng.normal(size=8)
     w0_in = w0.copy()
     times = np.linspace(0.0, 0.05 * (n_points - 1), n_points)
-    traj = _propagate(gen, w0, times)
+    traj = _propagate(coords, w0, times)
     assert all(map(np.array_equal, gen, gen_in)) and np.array_equal(w0, w0_in)
     for k, t in enumerate(times):
         assert np.abs(traj[k] - expm(op * t) @ w0).max() <= 1e-12
@@ -331,12 +340,14 @@ _SMALL_GENERATORS = {
 def test_hermitian_coordinates_carry_the_generator(herm_factory, name):
     # G w(sigma) = w(L vec sigma), w = Re vec + Im vec, on Hermitian sigma
     gen = _SMALL_GENERATORS[name]()
-    (rows, cols, vals), swap = _hermitian_coordinates(gen.matrix)
+    (rows, cols, vals), _, _ = _hermitian_coordinates(gen.matrix)
     assert vals.dtype == np.float64 and np.all(vals != 0.0)
+    size = len(gen.matrix)
+    swap = _swap(gen.dim)
     # one entry per position, in row-major order
-    keys = rows * len(swap) + cols
+    keys = rows * size + cols
     assert np.all(np.diff(keys) > 0)
-    real_gen = np.zeros((len(swap), len(swap)))
+    real_gen = np.zeros((size, size))
     real_gen[rows, cols] = vals
     scale = np.abs(gen.matrix).max()
     for _ in range(3):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vactrap.errors import ConfigurationError, DimensionMismatch, DimensionTooSmall
+from vactrap.errors import ConfigurationError, DimensionMismatch, DimensionTooSmall, GuardExceeded
 from vactrap.liouville import (
     DensityMatrix,
     FockSpace,
@@ -435,12 +435,13 @@ def _g_blocks(gen: Superoperator) -> list[np.ndarray]:
     """The invariant blocks of ``gen``'s real generator ``G``, once its dense
     blocks put back at ``(idx, idx)`` are checked to give ``G`` exactly, with
     nothing outside them."""
-    (rows, cols, vals), swap = _hermitian_coordinates(gen.matrix)
-    blocks = _invariant_blocks(rows, cols, len(swap))
-    dense = np.zeros((len(swap), len(swap)))
+    coords = (rows, cols, vals), blocks, _ = _hermitian_coordinates(gen.matrix)
+    size = len(gen.matrix)
+    assert all(map(np.array_equal, blocks, _invariant_blocks(rows, cols, size)))
+    dense = np.zeros((size, size))
     dense[rows, cols] = vals
     rebuilt = np.zeros_like(dense)
-    for idx, block in _dense_blocks((rows, cols, vals), blocks):
+    for idx, block in _dense_blocks(coords):
         rebuilt[np.ix_(idx, idx)] = block
     assert np.array_equal(rebuilt, dense)
     return blocks
@@ -496,5 +497,28 @@ def test_invariant_blocks_of_a_long_chain(shuffled):
 def test_invariant_blocks_of_every_builder_are_scipys_components(build):
     gen = build(FockSpace(dim=4 if build is _planar else 12), RATES)
     _assert_scipy_components(*np.nonzero(gen.matrix), len(gen.matrix))
-    (rows, cols, _), swap = _hermitian_coordinates(gen.matrix)
-    _assert_scipy_components(rows, cols, len(swap))
+    (rows, cols, _), _, _ = _hermitian_coordinates(gen.matrix)
+    _assert_scipy_components(rows, cols, len(gen.matrix))
+
+
+@pytest.mark.parametrize(
+    "build", [build_redfield_generator, build_lindblad_generator, build_xp_generator, _planar]
+)
+def test_trace_verdict_of_the_generator_reader(build):
+    # every builder conserves the trace, so integrate gates trace drift and
+    # the norm; a shift of the spectrum by 1e3 does not, and is not gated
+    gen = build(FockSpace(dim=3 if build is _planar else 8), RATES)
+    _, _, conserving = _hermitian_coordinates(gen.matrix)
+    assert conserving is True
+    _, _, conserving = _hermitian_coordinates(gen.matrix + 1e3 * np.eye(len(gen.matrix)))
+    assert conserving is False
+
+
+def test_generator_build_past_physical_memory_is_refused(monkeypatch):
+    # the build's peak, three (d**2, d**2) complex arrays, is checked against
+    # physical memory before anything is allocated; 16 pages of 1 KiB hold a
+    # dim-4 build (12 KiB) and refuse a dim-5 one (29 KiB)
+    monkeypatch.setattr("vactrap.liouville.os.sysconf", lambda name: {"SC_PAGE_SIZE": 1024}.get(name, 16))
+    assert build_redfield_generator(FockSpace(dim=4), RATES).dim == 4
+    with pytest.raises(GuardExceeded, match="physical memory"):
+        build_redfield_generator(FockSpace(dim=5), RATES)
