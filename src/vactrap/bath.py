@@ -16,14 +16,18 @@ Two interaction forms are supported:
   single-excitation states, so the effective dimension is ``M + 2`` for M
   modes and huge mode counts are exact and cheap;
 * full coupling ``i kappa (b - b+)(a + a+)`` (``counter_rotating=True``):
-  dense product-space evolution with per-mode photon truncation, guarded
-  by a hard dimension cap.  The coupling changes the trap level plus the
-  total photon count by 0 or +-2, so the product space splits into two
-  parity sectors, each diagonalized and propagated on its own.
+  dense product-space evolution with per-mode photon truncation.  The
+  coupling changes the trap level plus the total photon count by 0 or
+  +-2, so the product space splits into two parity sectors, each
+  diagonalized and propagated on its own.
 
 Both share one representation, built by ``_hamiltonian`` (the only place
 they differ); the second-order sum, the evolution with one diagonalization
 per invariant block shared by both runs, and the observables are one path.
+The evolution walks the time grid in chunks of columns, so a run holds its
+dense Hamiltonian and eigenvectors but never a states-by-times array; a
+model whose run would need more than physical memory is refused when it is
+made.
 The product space is written in the gauge ``psi_j -> i**level_j psi_j``,
 in which the coupling reads ``-kappa (b + b+)(a + a+)``: a real symmetric
 float64 matrix, half the bytes of the complex one and cheaper to
@@ -45,13 +49,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DimensionMismatch,
-    FitFailure,
-    GuardExceeded,
-)
-from .liouville import FockSpace, build_fock_operators
+from .errors import ConfigurationError, DimensionMismatch, FitFailure
+from .liouville import FockSpace, _refuse_past_memory, build_fock_operators
 
 __all__ = [
     "BathModel",
@@ -62,10 +61,15 @@ __all__ = [
     "bath_brute_force",
 ]
 
-DIMENSION_GUARD = 2**16
-
 # share of the run skipped before fitting: the initial bandwidth transient
 _FIT_START_FRACTION = 0.05
+
+# time columns per chunk of the evolution.  On the 8-mode product space
+# (dim 512, 801 points) tracemalloc peaks at 4.5 MB for widths 32-128, all
+# of it in building H, against 6.2 MB at 256, 11.1 MB at 512 and 21 MB for
+# the whole grid at once; run times at these widths agree within the spread
+# of the measurement
+_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -114,11 +118,15 @@ class BathModel:
                 "sector; it needs particle_levels=2, photons_per_mode=1 "
                 f"(got {self.particle_levels}, {self.photons_per_mode})"
             )
-        if self.dimension() > DIMENSION_GUARD:
-            raise GuardExceeded(
-                f"effective dimension {self.dimension()} exceeds the "
-                f"{DIMENSION_GUARD} guard"
-            )
+        # the oracle's peak in bytes of its dense Hamiltonian, refused before
+        # anything is allocated: tracemalloc reads 2.25 times the float64
+        # product-space H (_hamiltonian's kron) and 3.0 times the complex
+        # sector H (H, its block copy, the eigenvectors); eigh's LAPACK
+        # workspace, which tracemalloc does not see, lifts ru_maxrss to
+        # 2.6 and 6.1 times (2048-4096 and 1002-2002 states)
+        dim = self.dimension()
+        peak = (3 * 8 if self.counter_rotating else 6 * 16) * dim**2
+        _refuse_past_memory(peak, f"a bath oracle on {dim} states", "run")
 
     @property
     def n_modes(self) -> int:
@@ -326,10 +334,18 @@ def bath_brute_force(
     the phase drift of ``<b> = sum_j sqrt(level_j) conj(c[lower_j]) c[j]``
     (frequency-shift fit on the unwrapped phase).
 
-    Each block gets one ``eigh`` and one phase table ``exp(-i E t)``,
-    shared by both runs; a run whose initial state has no amplitude in a
-    block leaves it at zero (``|1> x |vac>`` lies wholly in the odd parity
-    sector).  The product space is diagonalized as two float64 blocks (the
+    Each block gets one ``eigh``, shared by both runs; a run whose initial
+    state has no amplitude in a block leaves it at zero (``|1> x |vac>``
+    lies wholly in the odd parity sector).  The time grid is then walked in
+    ``ceil(n_points / _CHUNK)`` chunks of near-equal width (``_CHUNK`` = 128
+    columns, so no chunk is narrower than 64 unless the grid is; a chunk of
+    one or two columns takes another BLAS kernel and moves the sector's
+    last bits).  Per chunk and block, one phase table ``exp(-i E t)`` (as
+    ``cos`` and ``sin`` of ``-E t``) feeds both runs, whose populations,
+    norms and ``<b>`` are reduced before the next chunk.  A run holds O(dim**2 + dim * _CHUNK)
+    numbers, never a ``(dim, n_points)`` array.
+
+    The product space is diagonalized as two float64 blocks (the
     ``i**level`` gauge of :func:`_hamiltonian`), so each of its
     eigenvector products is one real ``gemm`` on the complex columns'
     real and imaginary parts.  The sector is one complex128 block, which
@@ -360,36 +376,47 @@ def bath_brute_force(
     decay0[i1] = phase[i1].conj()
     sup0 = np.zeros(len(level), dtype=complex)
     sup0[[0, i1]] = phase[[0, i1]].conj() / math.sqrt(2.0)
+    # per block: its states, energies and eigenvectors, and the coordinates
+    # of both initial states in them (None where a run has no amplitude)
+    eigen = []
+    for idx in blocks:
+        energies, u = np.linalg.eigh(h[np.ix_(idx, idx)])
+        eigen.append((idx, energies, u, *(
+            u.conj().T @ psi[idx] if psi[idx].any() else None for psi in (decay0, sup0)
+        )))
+    del h
+    up = lower >= 0
+    down, ladder = lower[up], np.sqrt(level[up])
 
-    def evolve(u: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        spread = phases * (u.conj().T @ psi)[:, None]
+    def evolve(u: np.ndarray, phases: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        spread = phases * coords[:, None]
         if np.isrealobj(u):  # one real product over Re and Im side by side
             return (u @ spread.view(float)).view(complex)
         return u @ spread
 
-    pop = np.zeros(n_points)
-    norms = np.zeros(n_points)
-    sup = np.zeros((len(level), n_points), dtype=complex)
-    for idx in blocks:
-        energies, u = np.linalg.eigh(h[np.ix_(idx, idx)])
-        phases = np.exp(-1j * np.outer(energies, times))
-        if decay0[idx].any():
-            # |phase| = 1: the gauge leaves populations as they are
-            weight = np.abs(evolve(u, phases, decay0[idx])) ** 2
-            pop += np.sum(weight[level[idx] == 1], axis=0)
-            norms += np.sum(weight, axis=0)
-        if sup0[idx].any():
-            sup[idx] = evolve(u, phases, sup0[idx])
-    del h
-    sup *= phase[:, None]
+    def chunk(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        pop = np.zeros(len(t))
+        norms = np.zeros(len(t))
+        sup = np.zeros((len(level), len(t)), dtype=complex)
+        for idx, energies, u, decay, start in eigen:
+            angle = np.outer(-energies, t)
+            phases = np.empty(angle.shape, dtype=complex)  # exp(-i E t)
+            np.cos(angle, out=phases.real)
+            np.sin(angle, out=phases.imag)
+            if decay is not None:
+                # |phase| = 1: the gauge leaves populations as they are
+                weight = np.abs(evolve(u, phases, decay)) ** 2
+                pop += np.sum(weight[level[idx] == 1], axis=0)
+                norms += np.sum(weight, axis=0)
+            if start is not None:
+                sup[idx] = evolve(u, phases, start)
+        sup *= phase[:, None]
+        mean_b = np.einsum("jt,j,jt->t", sup[down].conj(), ladder, sup[up])
+        return pop, norms, mean_b
+
+    parts = [chunk(t) for t in np.array_split(times, -(-n_points // _CHUNK))]
+    pop, norms, mean_b = (np.concatenate(column) for column in zip(*parts))
     norm_drift = float(np.max(np.abs(norms - 1.0)))
-    up = lower >= 0
-    mean_b = np.einsum(
-        "jt,j,jt->t",
-        sup[lower[up]].conj(),
-        np.sqrt(level[up]),
-        sup[up],
-    )
 
     fit_mask = times >= _FIT_START_FRACTION * duration
     gamma_fit = _fit_decay(times[fit_mask], pop[fit_mask])

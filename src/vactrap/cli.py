@@ -20,6 +20,7 @@ numerical-guard failure (tolerance, positivity, truncation, fit).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -327,7 +328,10 @@ def _cmd_bath_oracle(args) -> str:
 # ---------------------------------------------------------------- wiring
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``vactrap`` parser, built on first use and shared by every later
+    call in the process; parsing leaves no state on it."""
     parser = _Parser(prog="vactrap", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 

@@ -99,9 +99,9 @@ class FitFailure(NumericalGuard):
 
 
 class GuardExceeded(ConfigurationError):
-    """A model too large to build: a brute-force bath past the hard
-    dimension guard (2**16), or a dense generator whose build would need
-    more bytes than the machine's physical memory."""
+    """A model too large for the machine: a brute-force bath whose run, or
+    a dense generator whose build, would need more bytes than the machine's
+    physical memory.  Refused before anything is allocated."""
 
 
 class LongWavelengthWarning(UserWarning):

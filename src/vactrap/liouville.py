@@ -249,6 +249,19 @@ class Superoperator:
 _Jump = tuple[complex, np.ndarray, np.ndarray]
 
 
+def _refuse_past_memory(peak: int, what: str, task: str) -> None:
+    """Raise ``GuardExceeded`` when ``peak`` bytes exceed the machine's
+    physical memory (page size times physical pages): "``what`` needs ...
+    GiB to ``task``".  Callers check before they allocate; the figure is
+    total memory, not free memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if peak > memory:
+        raise GuardExceeded(
+            f"{what} needs {peak / 2**30:.4g} GiB to {task}, "
+            f"more than the {memory / 2**30:.4g} GiB of physical memory"
+        )
+
+
 def _assemble(left: np.ndarray, right: np.ndarray, jumps: list[_Jump]) -> np.ndarray:
     """Matrix of ``sigma -> left @ sigma + sigma @ right + sum c L @ sigma @ R``
     for the generator triple ``(left, right, [(c, L, R), ...])``.
@@ -257,15 +270,9 @@ def _assemble(left: np.ndarray, right: np.ndarray, jumps: list[_Jump]) -> np.nda
     matrix and two Kronecker terms (tracemalloc reads 3.0 times the matrix's
     ``16 d**4`` bytes for every builder at d = 16-32).  A build whose peak
     exceeds the machine's physical memory is refused with ``GuardExceeded``
-    before anything is allocated.
+    before anything is allocated (:func:`_refuse_past_memory`).
     """
-    peak = 3 * 16 * len(left) ** 4
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if peak > memory:
-        raise GuardExceeded(
-            f"a generator on {len(left)} levels needs {peak / 2**30:.4g} GiB to build, "
-            f"more than the {memory / 2**30:.4g} GiB of physical memory"
-        )
+    _refuse_past_memory(3 * 16 * len(left) ** 4, f"a generator on {len(left)} levels", "build")
     gen = spre(left) + spost(right)
     for coeff, op_left, op_right in jumps:
         gen += coeff * sandwich(op_left, op_right)

@@ -1,13 +1,14 @@
 """Brute-force discretized-bath oracle: exact evolution vs discrete-sum rates."""
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import vactrap.bath
 from vactrap.bath import (
-    DIMENSION_GUARD,
     BathModel,
     _hamiltonian,
     bath_brute_force,
@@ -15,7 +16,7 @@ from vactrap.bath import (
     discrete_second_order_shift,
     make_flat_bath,
 )
-from vactrap.cli import _oracle_report_csv
+from vactrap.cli import _oracle_report_csv, run_cli
 from vactrap.errors import DimensionMismatch, FitFailure, GuardExceeded
 
 
@@ -66,6 +67,28 @@ def test_dimension_guard_trips_on_large_product_space():
         )
 
 
+@pytest.mark.parametrize(
+    "make, admitted, refused",
+    [(dict(omega_min=0.2, omega_max=5.0), 11, 12),
+     (dict(omega_min=0.5, omega_max=1.5, counter_rotating=True), 3, 4)],
+    ids=["sector", "product"],
+)
+def test_bath_past_physical_memory_is_refused(monkeypatch, capsys, make, admitted, refused):
+    # the oracle's peak, 96 d**2 bytes in the sector and 24 d**2 in the
+    # product space, is checked against physical memory when the model is
+    # made; 16 pages of 1 KiB hold the sector at 13 states and the product
+    # space at 16, and refuse 14 and 32
+    monkeypatch.setattr("vactrap.liouville.os.sysconf",
+                        lambda name: {"SC_PAGE_SIZE": 1024}.get(name, 16))
+    make_flat_bath(admitted, gamma_target=1e-3, **make)
+    with pytest.raises(GuardExceeded, match="physical memory"):
+        make_flat_bath(refused, gamma_target=1e-3, **make)
+    if not make.get("counter_rotating"):
+        assert run_cli(["bath-oracle", "--modes", str(refused)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "physical memory" in err
+
+
 def test_dimension_both_paths():
     sector = BathModel(mode_frequencies=[0.9, 1.0, 1.1], couplings=[0.01] * 3)
     assert sector.dimension() == 5
@@ -77,7 +100,6 @@ def test_dimension_both_paths():
         counter_rotating=True,
     )
     assert full.dimension() == 27
-    assert 2 * 2**16 > DIMENSION_GUARD  # the guard is below the 17-mode case
 
 
 # -------------------------------------------------------------- references
@@ -307,6 +329,53 @@ def test_blocked_evolution_matches_one_dense_diagonalization(bath, kwargs):
     assert np.abs(result.mean_lowering - mean_b).max() <= 1e-12
     assert result.norm_drift < 1e-10
     assert norm_drift < 1e-10
+
+
+@pytest.mark.parametrize(
+    "bath, kwargs",
+    [(make_flat_bath(8, 0.5, 1.5, gamma_target=2e-3, counter_rotating=True),
+      dict(duration=40.0, n_points=801)),
+     (make_flat_bath(64, 0.2, 5.0, gamma_target=5e-3), dict(n_points=2001))],
+    ids=["product 8 modes", "sector 64 modes"],
+)
+def test_time_chunks_do_not_move_the_results(monkeypatch, bath, kwargs):
+    # the time grid is walked in chunks of columns; one column at a time,
+    # seven, and the whole grid at once must give the same trajectory to
+    # rounding and the same verdicts
+    references = (discrete_golden_rule(bath), discrete_second_order_shift(bath))
+    runs = []
+    for width in (1, 7, kwargs["n_points"]):
+        monkeypatch.setattr(vactrap.bath, "_CHUNK", width)
+        runs.append(bath_brute_force(bath, rates_expected=references, **kwargs))
+    whole = runs[-1]
+    verdicts = _oracle_report_csv(whole)
+    for run in runs[:-1]:
+        np.testing.assert_allclose(run.excited_population, whole.excited_population,
+                                   rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(np.abs(run.mean_lowering), np.abs(whole.mean_lowering),
+                                   rtol=1e-14, atol=0.0)
+        assert run.norm_drift < 1e-10
+        assert [row.split(",")[4] for row in _oracle_report_csv(run).splitlines()[1:]] == [
+            row.split(",")[4] for row in verdicts.splitlines()[1:]
+        ]
+
+
+def test_product_run_holds_no_trajectory_sized_array():
+    # the 8-mode product space has 512 states; its run peaks in building
+    # H, and a ten times longer time grid adds only the per-time vectors
+    # (a (512, 8001) float64 array alone would add 31 MiB)
+    bath = make_flat_bath(8, 0.5, 1.5, gamma_target=2e-3, counter_rotating=True)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n_points in (801, 8001):
+            tracemalloc.reset_peak()
+            bath_brute_force(bath, duration=40.0, n_points=n_points)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= 8 * 2**20
+    assert peaks[1] - peaks[0] < 2**20
 
 
 def test_resonant_single_mode_is_reported_as_rabi_not_decay():

@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from vactrap.cli import run_cli
+from vactrap.cli import build_parser, run_cli
 from vactrap.errors import LongWavelengthWarning
 from vactrap.params import load_config
 from vactrap.sweeps import table1
@@ -321,3 +321,22 @@ def test_negative_guard_band_population_names_a_growing_mode(capsys):
 def test_bad_flag_value(capsys):
     assert run_cli(["evolve", "--dim", "not-a-number"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_in_process_calls_share_no_state(capsys):
+    # the parser is built once per process: what one call parsed, refused or
+    # printed help for must not reach the next call
+    assert build_parser() is build_parser()
+    assert run_cli(["pt-compare", "--ratios", "2.5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert run_cli(["pt-compare"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["5.0", "20.0", "80.0", "320.0", "1000.0"]
+    assert run_cli(["rates", "--points", "3"]) == 1
+    capsys.readouterr()
+    assert run_cli(["rates"]) == 0
+    assert capsys.readouterr().out.startswith("quantity,value\nmode,")
+    assert run_cli(["evolve", "--help"]) == 0
+    assert "--alpha" in capsys.readouterr().out
+    assert run_cli(["rates"]) == 0
+    assert capsys.readouterr().out.startswith("quantity,value\nmode,")
