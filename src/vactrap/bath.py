@@ -22,12 +22,13 @@ Two interaction forms are supported:
   diagonalized and propagated on its own.
 
 Both share one representation, built by ``_hamiltonian`` (the only place
-they differ); the second-order sum, the evolution with one diagonalization
-per invariant block shared by both runs, and the observables are one path.
-The evolution walks the time grid in chunks of columns, so a run holds its
-dense Hamiltonian and eigenvectors but never a states-by-times array; a
-model whose run would need more than physical memory is refused when it is
-made.
+they differ) as the Hamiltonian's invariant blocks, each built directly and
+never cut from a whole-space matrix; the second-order sum, the evolution
+with one diagonalization per block shared by both runs, and the
+observables are one path.  The evolution walks the time grid in chunks of
+columns, so a run holds its dense blocks and eigenvectors but never a
+states-by-times array; a model whose run would need more than physical
+memory is refused when it is made.
 The product space is written in the gauge ``psi_j -> i**level_j psi_j``,
 in which the coupling reads ``-kappa (b + b+)(a + a+)``: a real symmetric
 float64 matrix, half the bytes of the complex one and cheaper to
@@ -65,10 +66,10 @@ __all__ = [
 _FIT_START_FRACTION = 0.05
 
 # time columns per chunk of the evolution.  On the 8-mode product space
-# (dim 512, 801 points) tracemalloc peaks at 4.5 MB for widths 32-128, all
-# of it in building H, against 6.2 MB at 256, 11.1 MB at 512 and 21 MB for
-# the whole grid at once; run times at these widths agree within the spread
-# of the measurement
+# (dim 512, 801 points) tracemalloc peaks at 2.3 MB at width 32 (building
+# the blocks), 3.3 MB at 64 and 5.0 MB at 128, against 7.8 MB at 256,
+# 14.4 MB at 512 and 27.5 MB for the whole grid at once; run times at these
+# widths agree within the spread of the measurement
 _CHUNK = 128
 
 
@@ -76,8 +77,8 @@ _CHUNK = 128
 class BathModel:
     """A finite stand-in for the mode continuum.
 
-    ``mode_frequencies`` and ``couplings`` are parallel arrays (couplings
-    real, in the same angular-frequency units as the frequencies --
+    ``mode_frequencies`` and ``couplings`` are parallel finite arrays
+    (couplings real, in the same angular-frequency units as the frequencies --
     throughout this module ``hbar = 1`` and frequencies are measured in
     units of the trap frequency, so the trap sits at 1).  The
     excitation-conserving coupling (``counter_rotating=False``) is modelled
@@ -102,6 +103,8 @@ class BathModel:
             raise DimensionMismatch(
                 f"{len(coups)} couplings for {len(freqs)} modes"
             )
+        if not (np.isfinite(freqs).all() and np.isfinite(coups).all()):
+            raise DimensionMismatch("mode frequencies and couplings must be finite")
         if self.particle_levels < 2:
             raise DimensionMismatch(
                 f"particle needs >= 2 levels, got {self.particle_levels}"
@@ -118,14 +121,16 @@ class BathModel:
                 "sector; it needs particle_levels=2, photons_per_mode=1 "
                 f"(got {self.particle_levels}, {self.photons_per_mode})"
             )
-        # the oracle's peak in bytes of its dense Hamiltonian, refused before
-        # anything is allocated: tracemalloc reads 2.25 times the float64
-        # product-space H (_hamiltonian's kron) and 3.0 times the complex
-        # sector H (H, its block copy, the eigenvectors); eigh's LAPACK
-        # workspace, which tracemalloc does not see, lifts ru_maxrss to
-        # 2.6 and 6.1 times (2048-4096 and 1002-2002 states)
+        # the oracle's peak in bytes per dim**2, refused before anything is
+        # allocated.  ru_maxrss of a fresh process running both references
+        # and an 801-point oracle, less its size before, LAPACK's eigh
+        # workspace included: 13.7 and 12.6 in the product space (2048 and
+        # 4096 states: two float64 sectors of dim**2 / 4 entries, each with
+        # its eigenvectors, eigh's copy and workspace), 84.9 and 82.1 in the
+        # sector (1002 and 2002 states: the complex block, eigh's copy,
+        # eigenvectors and workspace)
         dim = self.dimension()
-        peak = (3 * 8 if self.counter_rotating else 6 * 16) * dim**2
+        peak = (16 if self.counter_rotating else 88) * dim**2
         _refuse_past_memory(peak, f"a bath oracle on {dim} states", "run")
 
     @property
@@ -206,12 +211,13 @@ def discrete_second_order_shift(bath: BathModel) -> float:
     adiabatically connected to one and zero trap quanta.  A coupled state
     exactly on resonance makes the sum meaningless and raises.
     """
-    h0, v, _, lower, _, _ = _hamiltonian(bath)
+    h0, _, lower, _, blocks = _hamiltonian(bath)
     shifts = []
     for target in (int(np.flatnonzero(lower == 0)[0]), 0):
-        amp2 = np.abs(v[:, target]) ** 2
+        idx, v = next(block for block in blocks if target in block[0])
+        amp2 = np.abs(v[:, np.searchsorted(idx, target)]) ** 2
         keep = amp2 > 0
-        denom = h0[target] - h0[keep]
+        denom = h0[target] - h0[idx[keep]]
         if np.any(np.abs(denom) <= 1e-12):
             raise FitFailure(
                 "a mode sits exactly on resonance; the second-order sum diverges"
@@ -221,23 +227,28 @@ def discrete_second_order_shift(bath: BathModel) -> float:
 
 
 def _hamiltonian(bath: BathModel) -> tuple:
-    """The bath Hamiltonian as ``(diag(H0), V, level, lower, phase, blocks)``.
+    """The bath Hamiltonian as ``(diag(H0), level, lower, phase, blocks)``.
 
     ``level[j]`` is the trap level of basis state ``j`` and ``lower[j]`` the
     state one trap quantum down with the same field (negative at level 0).
-    State 0 is ``|0> x |vac>``.  ``V`` acts on gauged amplitudes: the
-    physical state is ``phase * c`` for the vector ``c`` it evolves.
-    ``blocks`` lists index arrays of basis states that ``H0 + V`` never
-    connects across: the sector is one block of all its states, the
-    product space splits by ``(level + total photons) mod 2``, which the
-    coupling changes by 0 or +-2.
+    State 0 is ``|0> x |vac>``.  ``blocks`` lists ``(idx, V_block)`` pairs:
+    ``idx`` the ascending basis states of a block that ``H0 + V`` never
+    connects across, ``V_block`` the coupling among them, a fresh array
+    its consumer may overwrite.  The sector is one block of all its states;
+    the product space splits by ``(level + total photons) mod 2``, which
+    the coupling changes by 0 or +-2, and each parity sector is built
+    directly, so no whole-space ``V`` is formed.  ``V`` acts on gauged
+    amplitudes: the physical state is ``phase * c`` for the vector ``c``
+    it evolves.
 
     The conserving coupling uses the sector basis e0 = |0> x |vac>,
     e1 = |1> x |vac>, e_{k+2} = |0> x |1_k>, with ``V`` complex and the
     phases all one.  The full coupling ``i kappa (b - b+)(a + a+)`` uses the
     kron-ordered truncated product space with ``phase = i**level``, which
-    turns ``V`` into the float64 ``-kappa (b + b+)(a + a+)``; the phases
-    come from an exact table, not a complex power.
+    turns ``V`` into the float64 ``-kappa (b + b+)(a + a+)``; each block
+    holds the entries of ``-kron(b + b+, quadrature)``, the same products
+    and signed zeros.  The phases come from an exact table, not a complex
+    power.
     """
     m = bath.n_modes
     if not bath.counter_rotating:
@@ -247,7 +258,7 @@ def _hamiltonian(bath: BathModel) -> tuple:
         v[1, 2:] = -1j * bath.couplings
         level = np.zeros(m + 2, dtype=int)
         level[1] = 1
-        return h0, v, level, level - 1, np.ones(m + 2), [np.arange(m + 2)]
+        return h0, level, level - 1, np.ones(m + 2), [(np.arange(m + 2), v)]
 
     n_p = bath.particle_levels
     n_ph = bath.photons_per_mode + 1
@@ -268,11 +279,13 @@ def _hamiltonian(bath: BathModel) -> tuple:
         room = np.flatnonzero(photons[:, k] < bath.photons_per_mode)
         amp = bath.couplings[k] * np.sqrt(photons[room, k] + 1.0)
         quadrature[room, room + strides[k]] = quadrature[room + strides[k], room] = amp
-    v = -np.kron(b + b.T, quadrature)
     phase = np.array([1, 1j, -1, -1j])[level % 4]
     parity = (level + np.tile(photons.sum(axis=1), n_p)) % 2
-    blocks = [np.flatnonzero(parity == p) for p in (0, 1)]
-    return h0, v, level, np.arange(dim) - n_field, phase, blocks
+    field = np.tile(np.arange(n_field), n_p)
+    coupling = -(b + b.T)  # times quadrature: -kron(b + b+, quadrature) entry by entry
+    blocks = [(idx, coupling[level[idx, None], level[idx]] * quadrature[field[idx, None], field[idx]])
+              for idx in (np.flatnonzero(parity == p) for p in (0, 1))]
+    return h0, level, np.arange(dim) - n_field, phase, blocks
 
 
 @dataclass(frozen=True)
@@ -334,16 +347,19 @@ def bath_brute_force(
     the phase drift of ``<b> = sum_j sqrt(level_j) conj(c[lower_j]) c[j]``
     (frequency-shift fit on the unwrapped phase).
 
-    Each block gets one ``eigh``, shared by both runs; a run whose initial
-    state has no amplitude in a block leaves it at zero (``|1> x |vac>``
-    lies wholly in the odd parity sector).  The time grid is then walked in
-    ``ceil(n_points / _CHUNK)`` chunks of near-equal width (``_CHUNK`` = 128
-    columns, so no chunk is narrower than 64 unless the grid is; a chunk of
-    one or two columns takes another BLAS kernel and moves the sector's
-    last bits).  Per chunk and block, one phase table ``exp(-i E t)`` (as
-    ``cos`` and ``sin`` of ``-E t``) feeds both runs, whose populations,
-    norms and ``<b>`` are reduced before the next chunk.  A run holds O(dim**2 + dim * _CHUNK)
-    numbers, never a ``(dim, n_points)`` array.
+    Each block of :func:`_hamiltonian` gets ``H0`` on its diagonal and one
+    ``eigh``, shared by both runs, and is dropped once diagonalized; a run
+    whose initial state has no amplitude in a block leaves it at zero
+    (``|1> x |vac>`` lies wholly in the odd parity sector).  The time grid
+    is then walked in ``ceil(n_points / _CHUNK)`` chunks of near-equal
+    width (``_CHUNK`` = 128 columns, so no chunk is narrower than 64 unless
+    the grid is; a chunk of one or two columns takes another BLAS kernel
+    and moves the sector's last bits).  Per chunk and block, one phase
+    table ``exp(-i E t)`` (as ``cos`` and ``sin`` of ``-E t``) feeds both
+    runs, whose populations, norms and ``<b>`` are reduced before the next
+    chunk; the table and each run's product with the eigenvectors are
+    written into three arrays made once per run.  A run holds
+    O(dim**2 + dim * _CHUNK) numbers, never a ``(dim, n_points)`` array.
 
     The product space is diagonalized as two float64 blocks (the
     ``i**level`` gauge of :func:`_hamiltonian`), so each of its
@@ -369,8 +385,7 @@ def bath_brute_force(
     with np.errstate(over="ignore", under="ignore"):  # both fits scale t by sqrt(sum t**2)
         if not 0.0 < np.sum(times * times) < math.inf:
             raise ConfigurationError(f"duration {duration} over/underflows the fits' sum of t**2")
-    h0, h, level, lower, phase, blocks = _hamiltonian(bath)
-    h[np.diag_indices_from(h)] += h0
+    h0, level, lower, phase, blocks = _hamiltonian(bath)
     i1 = int(np.flatnonzero(lower == 0)[0])
     decay0 = np.zeros(len(level), dtype=complex)
     decay0[i1] = phase[i1].conj()
@@ -379,20 +394,29 @@ def bath_brute_force(
     # per block: its states, energies and eigenvectors, and the coordinates
     # of both initial states in them (None where a run has no amplitude)
     eigen = []
-    for idx in blocks:
-        energies, u = np.linalg.eigh(h[np.ix_(idx, idx)])
+    while blocks:  # each block is dropped once diagonalized
+        idx, h = blocks.pop(0)
+        h[np.diag_indices_from(h)] += h0[idx]
+        energies, u = np.linalg.eigh(h)
+        del h
         eigen.append((idx, energies, u, *(
             u.conj().T @ psi[idx] if psi[idx].any() else None for psi in (decay0, sup0)
         )))
-    del h
     up = lower >= 0
     down, ladder = lower[up], np.sqrt(level[up])
 
+    chunks = np.array_split(times, -(-n_points // _CHUNK))
+    # the phase table, the spread coordinates and their product with u, made
+    # once so that no chunk reallocates them (flat: each chunk's leading part
+    # is contiguous)
+    work = np.empty((3, max(len(idx) for idx, *_ in eigen) * len(chunks[0])), dtype=complex)
+
     def evolve(u: np.ndarray, phases: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        spread = phases * coords[:, None]
+        spread, out = (w[:phases.size].reshape(phases.shape) for w in work[1:])
+        np.multiply(phases, coords[:, None], out=spread)
         if np.isrealobj(u):  # one real product over Re and Im side by side
-            return (u @ spread.view(float)).view(complex)
-        return u @ spread
+            return np.matmul(u, spread.view(float), out=out.view(float)).view(complex)
+        return np.matmul(u, spread, out=out)
 
     def chunk(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         pop = np.zeros(len(t))
@@ -400,7 +424,7 @@ def bath_brute_force(
         sup = np.zeros((len(level), len(t)), dtype=complex)
         for idx, energies, u, decay, start in eigen:
             angle = np.outer(-energies, t)
-            phases = np.empty(angle.shape, dtype=complex)  # exp(-i E t)
+            phases = work[0, :angle.size].reshape(angle.shape)  # exp(-i E t)
             np.cos(angle, out=phases.real)
             np.sin(angle, out=phases.imag)
             if decay is not None:
@@ -414,7 +438,7 @@ def bath_brute_force(
         mean_b = np.einsum("jt,j,jt->t", sup[down].conj(), ladder, sup[up])
         return pop, norms, mean_b
 
-    parts = [chunk(t) for t in np.array_split(times, -(-n_points // _CHUNK))]
+    parts = [chunk(t) for t in chunks]
     pop, norms, mean_b = (np.concatenate(column) for column in zip(*parts))
     norm_drift = float(np.max(np.abs(norms - 1.0)))
 

@@ -116,8 +116,8 @@ def build_fock_operators(space: FockSpace) -> FockOperators:
 class DensityMatrix:
     """A (validated) density matrix on a truncated space.
 
-    Validation enforces Hermiticity and unit trace to 1e-12 and eigenvalues
-    above -1e-10.  The evolution layer stores *unvalidated* snapshots
+    Validation enforces finite entries, Hermiticity and unit trace to 1e-12
+    and eigenvalues above -1e-10.  The evolution layer stores *unvalidated* snapshots
     (``validate=False``) and reports their deviations explicitly instead of
     hiding them behind renormalization.
     """
@@ -131,6 +131,8 @@ class DensityMatrix:
             raise DimensionMismatch(f"density matrix must be square, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
         if self.validate:
+            if not np.isfinite(m).all():
+                raise DimensionMismatch("density matrix has non-finite entries")
             herm = np.max(np.abs(m - m.conj().T))
             if herm > 1e-12:
                 raise DimensionMismatch(f"not Hermitian: max|s - s+| = {herm:.3e}")

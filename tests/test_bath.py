@@ -1,10 +1,13 @@
 """Brute-force discretized-bath oracle: exact evolution vs discrete-sum rates."""
+import functools
 import math
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import vactrap.bath
@@ -57,6 +60,18 @@ def test_bath_model_validation():
         BathModel(mode_frequencies=[1.0], couplings=[0.1], photons_per_mode=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("counter_rotating", [False, True])
+def test_bath_model_refuses_non_finite_modes(bad, counter_rotating):
+    # a nan or infinite frequency or coupling would reach the golden rule as
+    # nan or inf and eigh as a LinAlgError; it is refused when the model is made
+    for field in ("mode_frequencies", "couplings"):
+        arrays = dict(mode_frequencies=[0.8, 1.2], couplings=[0.01, 0.01])
+        arrays[field] = [bad, arrays[field][1]]
+        with pytest.raises(DimensionMismatch, match="finite"):
+            BathModel(**arrays, counter_rotating=counter_rotating)
+
+
 def test_dimension_guard_trips_on_large_product_space():
     freqs = np.linspace(0.5, 1.5, 17)
     with pytest.raises(GuardExceeded):
@@ -74,12 +89,12 @@ def test_dimension_guard_trips_on_large_product_space():
     ids=["sector", "product"],
 )
 def test_bath_past_physical_memory_is_refused(monkeypatch, capsys, make, admitted, refused):
-    # the oracle's peak, 96 d**2 bytes in the sector and 24 d**2 in the
+    # the oracle's peak, 88 d**2 bytes in the sector and 16 d**2 in the
     # product space, is checked against physical memory when the model is
-    # made; 16 pages of 1 KiB hold the sector at 13 states and the product
+    # made; 15 pages of 1 KiB hold the sector at 13 states and the product
     # space at 16, and refuse 14 and 32
     monkeypatch.setattr("vactrap.liouville.os.sysconf",
-                        lambda name: {"SC_PAGE_SIZE": 1024}.get(name, 16))
+                        lambda name: {"SC_PAGE_SIZE": 1024}.get(name, 15))
     make_flat_bath(admitted, gamma_target=1e-3, **make)
     with pytest.raises(GuardExceeded, match="physical memory"):
         make_flat_bath(refused, gamma_target=1e-3, **make)
@@ -288,28 +303,107 @@ _SPLIT_BATHS = {
 }
 
 
+def _kron_hamiltonian(bath):
+    """The gauged product-space ``(diag(H0), V)`` written out whole:
+    ``H0 = b+ b x I + sum_k Omega_k n_k`` and
+    ``V = -(b + b+) x sum_k kappa_k (a_k + a_k+)``, from sqrt(n) ladders in
+    kron order (mode 0 leading).  At most one mode joins two field states,
+    so each entry of the field quadrature is written once or stays +0.0.
+    """
+    n_ph = bath.photons_per_mode + 1
+    b = np.diag(np.sqrt(np.arange(1.0, bath.particle_levels)), 1)
+    a = np.diag(np.sqrt(np.arange(1.0, n_ph)), 1)
+    eye = np.eye(n_ph)
+
+    def on_mode(k, op):
+        return functools.reduce(np.kron, [eye] * k + [op] + [eye] * (bath.n_modes - k - 1))
+
+    n_field = n_ph**bath.n_modes
+    h0 = np.repeat(np.arange(float(bath.particle_levels)), n_field)
+    quadrature = np.zeros((n_field, n_field))
+    for k, (omega, kappa) in enumerate(zip(bath.mode_frequencies, bath.couplings)):
+        photons = np.diag(on_mode(k, np.diag(np.arange(float(n_ph)))))
+        h0 += omega * np.tile(photons, bath.particle_levels)
+        ladder = on_mode(k, a + a.T)
+        quadrature[ladder != 0] = kappa * ladder[ladder != 0]
+    return h0, -np.kron(b + b.T, quadrature)
+
+
+def _dense_second_order_shift(h0, v, lower):
+    """``discrete_second_order_shift`` read off the whole V's columns; None
+    where a coupled state sits on resonance."""
+    shifts = []
+    for target in (int(np.flatnonzero(lower == 0)[0]), 0):
+        amp2 = np.abs(v[:, target]) ** 2
+        keep = amp2 > 0
+        denom = h0[target] - h0[keep]
+        if np.any(np.abs(denom) <= 1e-12):
+            return None
+        shifts.append(float(np.sum(amp2[keep] / denom)))
+    return shifts[0] - shifts[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_modes=st.integers(1, 4),
+    particle_levels=st.integers(2, 4),
+    photons_per_mode=st.integers(1, 2),
+    freqs=st.lists(st.floats(0.1, 5.0), min_size=4, max_size=4),
+    couplings=st.lists(st.one_of(st.just(0.0), st.floats(-0.05, 0.05)), min_size=4, max_size=4),
+)
+def test_blocks_are_the_kron_hamiltonian_cut_by_parity(
+    n_modes, particle_levels, photons_per_mode, freqs, couplings
+):
+    # the blocks partition the states, the whole kron-built H has no entry
+    # between them, and each block is its cut of V to the bit, signed zeros
+    # included; the second-order sum read inside its target's block equals
+    # the one read off the whole column
+    bath = BathModel(freqs[:n_modes], couplings[:n_modes], particle_levels=particle_levels,
+                     photons_per_mode=photons_per_mode, counter_rotating=True)
+    h0_ref, v_ref = _kron_hamiltonian(bath)
+    h0, _, lower, _, blocks = _hamiltonian(bath)
+    assert np.array_equal(h0, h0_ref)
+    assert sorted(np.concatenate([idx for idx, _ in blocks])) == list(range(bath.dimension()))
+    outside = np.ones(v_ref.shape, dtype=bool)
+    for idx, v in blocks:
+        cut = v_ref[np.ix_(idx, idx)]
+        assert np.array_equal(v, cut)
+        assert np.array_equal(np.signbit(v), np.signbit(cut))
+        outside[np.ix_(idx, idx)] = False
+    assert np.count_nonzero((v_ref + np.diag(h0_ref))[outside]) == 0
+    try:
+        shift = discrete_second_order_shift(bath)
+    except FitFailure:
+        shift = None
+    # repr tells -0.0 from 0.0 and None from a number
+    assert repr(shift) == repr(_dense_second_order_shift(h0_ref, v_ref, lower))
+
+
 @pytest.mark.parametrize("bath", [bath for bath, _ in _SPLIT_BATHS.values()], ids=_SPLIT_BATHS)
 def test_product_space_splits_into_parity_sectors(bath):
-    h0, v, level, _, _, blocks = _hamiltonian(bath)
+    _, level, _, _, blocks = _hamiltonian(bath)
     # the parity classes of level + total photons, counted by hand
     n_ph = bath.photons_per_mode + 1
     n_field = n_ph**bath.n_modes
     photons = [sum(int(d) for d in np.base_repr(x, n_ph)) for x in range(n_field)]
     parity = np.array([(lvl + photons[j % n_field]) % 2 for j, lvl in enumerate(level)])
-    assert [b.tolist() for b in blocks] == [
+    (even, _), (odd, _) = blocks
+    assert [even.tolist(), odd.tolist()] == [
         np.flatnonzero(parity == 0).tolist(), np.flatnonzero(parity == 1).tolist()
     ]
+    h0, v = _kron_hamiltonian(bath)
     h = v + np.diag(h0)
-    assert np.count_nonzero(h[np.ix_(blocks[0], blocks[1])]) == 0
-    assert np.count_nonzero(h[np.ix_(blocks[1], blocks[0])]) == 0
+    assert np.count_nonzero(h[np.ix_(even, odd)]) == 0
+    assert np.count_nonzero(h[np.ix_(odd, even)]) == 0
 
 
 @pytest.mark.parametrize("bath, kwargs", _SPLIT_BATHS.values(), ids=_SPLIT_BATHS)
 def test_blocked_evolution_matches_one_dense_diagonalization(bath, kwargs):
-    # the reference diagonalizes the whole gauged H at once and evolves
-    # both initial states through it
+    # the reference diagonalizes the whole gauged kron-built H at once and
+    # evolves both initial states through it
     result = bath_brute_force(bath, **kwargs)
-    h0, v, level, lower, phase, _ = _hamiltonian(bath)
+    _, level, lower, phase, _ = _hamiltonian(bath)
+    h0, v = _kron_hamiltonian(bath)
     energies, u = np.linalg.eigh(v + np.diag(h0))
     times = np.linspace(0.0, kwargs["duration"], kwargs["n_points"])
     i1 = int(np.flatnonzero(lower == 0)[0])
@@ -361,9 +455,9 @@ def test_time_chunks_do_not_move_the_results(monkeypatch, bath, kwargs):
 
 
 def test_product_run_holds_no_trajectory_sized_array():
-    # the 8-mode product space has 512 states; its run peaks in building
-    # H, and a ten times longer time grid adds only the per-time vectors
-    # (a (512, 8001) float64 array alone would add 31 MiB)
+    # the 8-mode product space has 512 states; a ten times longer time grid
+    # adds only the per-time vectors (a (512, 8001) float64 array alone
+    # would add 31 MiB)
     bath = make_flat_bath(8, 0.5, 1.5, gamma_target=2e-3, counter_rotating=True)
     peaks = []
     tracemalloc.start()
@@ -376,6 +470,22 @@ def test_product_run_holds_no_trajectory_sized_array():
         tracemalloc.stop()
     assert peaks[0] <= 8 * 2**20
     assert peaks[1] - peaks[0] < 2**20
+
+
+def test_product_hamiltonian_is_built_by_sector():
+    # the 10-mode product space has 2048 states, two float64 sectors of
+    # 1024**2 entries (8 MiB each).  Built sector by sector and each sector
+    # dropped once diagonalized, the run peaks near four of them (about
+    # 32 MiB); the whole 32 MiB V, its kron temporary and the cut copies
+    # peaked at 72 MiB
+    bath = make_flat_bath(10, 0.5, 1.5, gamma_target=2e-3, counter_rotating=True)
+    tracemalloc.start()
+    try:
+        bath_brute_force(bath, duration=40.0, n_points=801)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20
 
 
 def test_resonant_single_mode_is_reported_as_rabi_not_decay():

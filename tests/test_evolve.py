@@ -427,6 +427,14 @@ def test_same_trajectory_raises_when_labelled_completely_positive():
     assert exc.record.times[-1] == 1.0  # full diagnostics retained
 
 
+def test_non_finite_initial_array_is_refused_before_propagation():
+    gen = build_lindblad_generator(FockSpace(dim=4), STABLE)
+    mat = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    mat[1, 2] = mat[2, 1] = np.nan
+    with pytest.raises(DimensionMismatch, match="non-finite"):
+        integrate(gen, mat, (0.0, 1.0), n_points=11)
+
+
 def test_guard_band_overflow_on_constructed_state():
     space = FockSpace(dim=8)
     gen = build_lindblad_generator(space, STABLE)

@@ -110,6 +110,19 @@ def test_density_matrix_validation():
     DensityMatrix(np.diag([1.5, -0.5]).astype(complex), validate=False)
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+def test_density_matrix_refuses_non_finite_entries(entry):
+    # a nan compares false against every gate and reaches eigvalsh as a
+    # LinAlgError; an unvalidated snapshot still carries anything
+    diagonal = np.diag([entry, 0.0, 0.0])
+    pair = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    pair[0, 1] = pair[1, 0] = entry
+    for mat in (diagonal, pair, np.full((3, 3), entry)):
+        with pytest.raises(DimensionMismatch, match="non-finite"):
+            DensityMatrix(mat)
+        DensityMatrix(mat, validate=False)
+
+
 def test_density_matrix_must_be_square():
     with pytest.raises(DimensionMismatch):
         DensityMatrix(np.zeros((2, 3)))
