@@ -55,10 +55,12 @@ from .rates import (
     damping_rate,
     free_particle_shift,
     frequency_shift,
+    gaussian_positivity_check,
     kappa,
     level_shifts_raw,
     level_shifts_renormalized,
     relative_shift,
+    validity_window,
 )
 from .liouville import (
     DensityMatrix,
@@ -78,13 +80,7 @@ from .liouville import (
     unvec,
     vec,
 )
-from .evolve import (
-    EvolutionRecord,
-    ValidityWindow,
-    gaussian_positivity_check,
-    integrate,
-    validity_window,
-)
+from .evolve import EvolutionRecord, integrate
 from .observables import (
     DampedOscillatorSolution,
     ObservableSeries,

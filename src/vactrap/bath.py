@@ -32,9 +32,12 @@ memory is refused when it is made.
 The product space is written in the gauge ``psi_j -> i**level_j psi_j``,
 in which the coupling reads ``-kappa (b + b+)(a + a+)``: a real symmetric
 float64 matrix, half the bytes of the complex one and cheaper to
-diagonalize.  The sector basis keeps the complex coupling; the gauge would
-be just as exact there, but it would move the sector reports in their
-last digits.
+diagonalize.  The gauge leaves populations and norms alone, and since
+``b`` lowers the level by one, ``<b>`` is ``1j`` times the same sum over
+the gauged amplitudes: one phase step, exact in floating point.  The
+sector basis keeps the complex coupling, so its step is ``1``; the gauge
+would be just as exact there, but it would move the sector reports in
+their last digits.
 
 Decay is fitted from ``ln P_1(t)`` (survival of one trap quantum) and the
 frequency from the unwrapped phase of ``<b>(t)`` along a superposition
@@ -50,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatch, FitFailure
+from .errors import ConfigurationError, DimensionMismatch, FitFailure, _require_count
 from .liouville import FockSpace, _refuse_past_memory, build_fock_operators
 
 __all__ = [
@@ -99,6 +102,8 @@ class BathModel:
         object.__setattr__(self, "couplings", coups)
         if freqs.ndim != 1 or len(freqs) < 1:
             raise DimensionMismatch("need at least one bath mode")
+        _require_count(self.particle_levels, "particle_levels")
+        _require_count(self.photons_per_mode, "photons_per_mode")
         if coups.shape != freqs.shape:
             raise DimensionMismatch(
                 f"{len(coups)} couplings for {len(freqs)} modes"
@@ -161,6 +166,7 @@ def make_flat_bath(
     The golden rule for a flat discretization gives
     ``Gamma = 2 pi kappa^2 / dw``, so ``kappa = sqrt(Gamma dw / 2 pi)``.
     """
+    _require_count(n_modes, "n_modes")
     if n_modes < 2:
         raise DimensionMismatch("flat bath needs >= 2 modes to define a spacing")
     if not 0.0 < omega_min < omega_max < math.inf:
@@ -227,7 +233,7 @@ def discrete_second_order_shift(bath: BathModel) -> float:
 
 
 def _hamiltonian(bath: BathModel) -> tuple:
-    """The bath Hamiltonian as ``(diag(H0), level, lower, phase, blocks)``.
+    """The bath Hamiltonian as ``(diag(H0), level, lower, step, blocks)``.
 
     ``level[j]`` is the trap level of basis state ``j`` and ``lower[j]`` the
     state one trap quantum down with the same field (negative at level 0).
@@ -237,18 +243,16 @@ def _hamiltonian(bath: BathModel) -> tuple:
     its consumer may overwrite.  The sector is one block of all its states;
     the product space splits by ``(level + total photons) mod 2``, which
     the coupling changes by 0 or +-2, and each parity sector is built
-    directly, so no whole-space ``V`` is formed.  ``V`` acts on gauged
-    amplitudes: the physical state is ``phase * c`` for the vector ``c``
-    it evolves.
+    directly, so no whole-space ``V`` is formed.  ``V`` acts on the
+    amplitudes of the module's gauge, and ``step`` is the phase ``<b>``
+    takes in it.
 
     The conserving coupling uses the sector basis e0 = |0> x |vac>,
-    e1 = |1> x |vac>, e_{k+2} = |0> x |1_k>, with ``V`` complex and the
-    phases all one.  The full coupling ``i kappa (b - b+)(a + a+)`` uses the
-    kron-ordered truncated product space with ``phase = i**level``, which
-    turns ``V`` into the float64 ``-kappa (b + b+)(a + a+)``; each block
-    holds the entries of ``-kron(b + b+, quadrature)``, the same products
-    and signed zeros.  The phases come from an exact table, not a complex
-    power.
+    e1 = |1> x |vac>, e_{k+2} = |0> x |1_k>, with ``V`` complex and
+    ``step = 1``.  The full coupling ``i kappa (b - b+)(a + a+)`` uses the
+    gauged kron-ordered truncated product space, with ``step = 1j`` and the
+    float64 ``V = -kappa (b + b+)(a + a+)``; each block holds the entries
+    of ``-kron(b + b+, quadrature)``, the same products and signed zeros.
     """
     m = bath.n_modes
     if not bath.counter_rotating:
@@ -258,7 +262,7 @@ def _hamiltonian(bath: BathModel) -> tuple:
         v[1, 2:] = -1j * bath.couplings
         level = np.zeros(m + 2, dtype=int)
         level[1] = 1
-        return h0, level, level - 1, np.ones(m + 2), [(np.arange(m + 2), v)]
+        return h0, level, level - 1, 1, [(np.arange(m + 2), v)]
 
     n_p = bath.particle_levels
     n_ph = bath.photons_per_mode + 1
@@ -279,13 +283,12 @@ def _hamiltonian(bath: BathModel) -> tuple:
         room = np.flatnonzero(photons[:, k] < bath.photons_per_mode)
         amp = bath.couplings[k] * np.sqrt(photons[room, k] + 1.0)
         quadrature[room, room + strides[k]] = quadrature[room + strides[k], room] = amp
-    phase = np.array([1, 1j, -1, -1j])[level % 4]
     parity = (level + np.tile(photons.sum(axis=1), n_p)) % 2
     field = np.tile(np.arange(n_field), n_p)
     coupling = -(b + b.T)  # times quadrature: -kron(b + b+, quadrature) entry by entry
     blocks = [(idx, coupling[level[idx, None], level[idx]] * quadrature[field[idx, None], field[idx]])
               for idx in (np.flatnonzero(parity == p) for p in (0, 1))]
-    return h0, level, np.arange(dim) - n_field, phase, blocks
+    return h0, level, np.arange(dim) - n_field, 1j, blocks
 
 
 @dataclass(frozen=True)
@@ -344,7 +347,7 @@ def bath_brute_force(
     Two runs share one diagonalization per block: ``|1> x |vac>`` for the
     survival probability ``P_1`` (decay fit on its logarithm, skipping the
     initial bandwidth transient) and ``(|0> + |1>)/sqrt 2 x |vac>`` for
-    the phase drift of ``<b> = sum_j sqrt(level_j) conj(c[lower_j]) c[j]``
+    the phase drift of ``<b> = sum_j sqrt(level_j) conj(psi[lower_j]) psi[j]``
     (frequency-shift fit on the unwrapped phase).
 
     Each block of :func:`_hamiltonian` gets ``H0`` on its diagonal and one
@@ -356,21 +359,18 @@ def bath_brute_force(
     the grid is; a chunk of one or two columns takes another BLAS kernel
     and moves the sector's last bits).  Per chunk and block, one phase
     table ``exp(-i E t)`` (as ``cos`` and ``sin`` of ``-E t``) feeds both
-    runs, whose populations, norms and ``<b>`` are reduced before the next
-    chunk; the table and each run's product with the eigenvectors are
-    written into three arrays made once per run.  A run holds
-    O(dim**2 + dim * _CHUNK) numbers, never a ``(dim, n_points)`` array.
+    runs, whose populations, norms and ``<b>`` are reduced into their
+    columns of three arrays of length ``n_points``; these, the table, each
+    run's product with the eigenvectors and the superposition state are
+    made once per run.  A run holds O(dim**2 + dim * _CHUNK) numbers, never
+    a ``(dim, n_points)`` array.
 
-    The product space is diagonalized as two float64 blocks (the
-    ``i**level`` gauge of :func:`_hamiltonian`), so each of its
-    eigenvector products is one real ``gemm`` on the complex columns'
-    real and imaginary parts.  The sector is one complex128 block, which
-    stays ungauged so its reports keep their bytes.  Each run starts from
-    the gauged ``conj(phase) * psi0``; the superposition run multiplies
-    ``phase`` back onto its trajectory, and the decay run reads only
-    ``|c|**2``, which the gauge leaves alone.  The phases are +-1 and +-i,
-    so these steps are exact and ``P_1``, ``<b>`` and the norms are the
-    physical ones.
+    Both runs start and stay in the module's gauge, where the product
+    space is two float64 blocks, so each of its eigenvector products is one
+    real ``gemm`` on the complex columns' real and imaginary parts; the
+    sector is one complex128 block.  Each chunk's ``<b>`` sum over the gauged
+    amplitudes is multiplied by the ``step`` of :func:`_hamiltonian`, so
+    ``P_1``, ``<b>`` and the norms are the physical ones.
 
     ``rates_expected`` is an optional ``(gamma, shift)`` pair recorded in
     the result for reporting; pass the discrete-sum references.
@@ -379,18 +379,20 @@ def bath_brute_force(
     """
     if not 0.0 < duration < math.inf:
         raise ConfigurationError(f"duration must be positive and finite, got {duration}")
+    _require_count(n_points, "n_points", ConfigurationError)
     if n_points < 2:
         raise ConfigurationError(f"n_points must be at least 2, got {n_points}")
     times = np.linspace(0.0, duration, n_points)
     with np.errstate(over="ignore", under="ignore"):  # both fits scale t by sqrt(sum t**2)
         if not 0.0 < np.sum(times * times) < math.inf:
             raise ConfigurationError(f"duration {duration} over/underflows the fits' sum of t**2")
-    h0, level, lower, phase, blocks = _hamiltonian(bath)
+    h0, level, lower, step, blocks = _hamiltonian(bath)
+    # the initial states gauged: the phase is 1 at level 0 and step at level 1
     i1 = int(np.flatnonzero(lower == 0)[0])
     decay0 = np.zeros(len(level), dtype=complex)
-    decay0[i1] = phase[i1].conj()
+    decay0[i1] = np.conj(step)
     sup0 = np.zeros(len(level), dtype=complex)
-    sup0[[0, i1]] = phase[[0, i1]].conj() / math.sqrt(2.0)
+    sup0[[0, i1]] = np.conj([1, step]) / math.sqrt(2.0)
     # per block: its states, energies and eigenvectors, and the coordinates
     # of both initial states in them (None where a run has no amplitude)
     eigen = []
@@ -410,6 +412,9 @@ def bath_brute_force(
     # once so that no chunk reallocates them (flat: each chunk's leading part
     # is contiguous)
     work = np.empty((3, max(len(idx) for idx, *_ in eigen) * len(chunks[0])), dtype=complex)
+    # the superposition run's state, made once; the rows of a block it does
+    # not touch stay zero
+    sup_columns = np.zeros((len(level), len(chunks[0])), dtype=complex)
 
     def evolve(u: np.ndarray, phases: np.ndarray, coords: np.ndarray) -> np.ndarray:
         spread, out = (w[:phases.size].reshape(phases.shape) for w in work[1:])
@@ -418,28 +423,26 @@ def bath_brute_force(
             return np.matmul(u, spread.view(float), out=out.view(float)).view(complex)
         return np.matmul(u, spread, out=out)
 
-    def chunk(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        pop = np.zeros(len(t))
-        norms = np.zeros(len(t))
-        sup = np.zeros((len(level), len(t)), dtype=complex)
+    pop = np.zeros(n_points)
+    norms = np.zeros(n_points)
+    mean_b = np.empty(n_points, dtype=complex)
+    lo = 0
+    for t in chunks:
+        cols = slice(lo, lo + len(t))
+        lo += len(t)
+        sup = sup_columns[:, :len(t)]
         for idx, energies, u, decay, start in eigen:
             angle = np.outer(-energies, t)
             phases = work[0, :angle.size].reshape(angle.shape)  # exp(-i E t)
             np.cos(angle, out=phases.real)
             np.sin(angle, out=phases.imag)
             if decay is not None:
-                # |phase| = 1: the gauge leaves populations as they are
                 weight = np.abs(evolve(u, phases, decay)) ** 2
-                pop += np.sum(weight[level[idx] == 1], axis=0)
-                norms += np.sum(weight, axis=0)
+                pop[cols] += np.sum(weight[level[idx] == 1], axis=0)
+                norms[cols] += np.sum(weight, axis=0)
             if start is not None:
                 sup[idx] = evolve(u, phases, start)
-        sup *= phase[:, None]
-        mean_b = np.einsum("jt,j,jt->t", sup[down].conj(), ladder, sup[up])
-        return pop, norms, mean_b
-
-    parts = [chunk(t) for t in chunks]
-    pop, norms, mean_b = (np.concatenate(column) for column in zip(*parts))
+        mean_b[cols] = step * np.einsum("jt,j,jt->t", sup[down].conj(), ladder, sup[up])
     norm_drift = float(np.max(np.abs(norms - 1.0)))
 
     fit_mask = times >= _FIT_START_FRACTION * duration

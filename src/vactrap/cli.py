@@ -111,12 +111,15 @@ def _csv_text(header, rows) -> str:
 
     A ``str`` cell is written unchanged; any other cell is written as
     ``repr(float(v))``, the shortest text that reads back to the same double
-    whether a Python float, an int or a numpy scalar carried it.  Handlers
-    spell out ints, booleans and missing values as strings themselves.
+    whether a Python float, an int or a numpy scalar carried it (a Python
+    float, the common cell, skips the ``float`` call).  Handlers spell out
+    ints, booleans and missing values as strings themselves.
     """
     lines = [",".join(header)]
     lines.extend(
-        ",".join(v if isinstance(v, str) else repr(float(v)) for v in row) for row in rows
+        ",".join([repr(v) if type(v) is float else v if isinstance(v, str) else repr(float(v))
+                  for v in row])
+        for row in rows
     )
     return "\n".join(lines) + "\n"
 
@@ -224,11 +227,9 @@ def _cmd_evolve(args) -> str:
     # drift column is printed as zeros
     columns = (record.times, record.trace_dev, np.zeros(len(record.times)), record.min_eig,
                record.guard_pop, *moments)
-    # each column is formatted in one pass, as the repr of its Python
-    # floats: the text _csv_text writes for a float cell
     return _csv_text(
         ("time", "trace_dev", "herm_dev", "min_eig", "guard_pop", "x", "p", "n", "witness"),
-        zip(*(map(repr, column.tolist()) for column in columns)),
+        zip(*(column.tolist() for column in columns)),
     )
 
 

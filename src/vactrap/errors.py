@@ -3,9 +3,12 @@
 Every guard in the package raises one of these types so callers (and the
 command-line tool) can map failures onto exit codes without string matching:
 configuration problems are ``ConfigurationError`` subclasses, numerical
-guards are ``NumericalGuard`` subclasses.
+guards are ``NumericalGuard`` subclasses.  A count that is not an integer
+is refused in one place, ``_require_count``.
 """
 from __future__ import annotations
+
+import operator
 
 
 class VactrapError(Exception):
@@ -107,3 +110,12 @@ class GuardExceeded(ConfigurationError):
 class LongWavelengthWarning(UserWarning):
     """The chosen cut-off violates the long-wavelength bound; results are
     still produced but the dipole-coupling premise is strained."""
+
+
+def _require_count(value, name: str, error: type[VactrapError] = DimensionMismatch) -> None:
+    """Refuse a count that is not an integer (a numpy integer is one) with
+    ``error``, before a float reaches ``range`` or ``linspace``."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None

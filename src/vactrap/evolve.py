@@ -43,14 +43,8 @@ Time scales: real single-electron parameters put ``w/G`` near 1e11, so
 direct integration over laboratory times is hopeless.  The dynamics run in
 trap units (``omega_c = hbar = m = 1``, rates as multiples of ``omega_c``
 from ``RateSet.scaled``, times in ``1/omega_c``); the generator builders
-refuse an SI rate set, and everything analytic stays in SI.
-
-The analytic positivity horizon for Gaussian states is
-
-    ``T_max = (G + sqrt(G^2 + 4 D^2)) / (4 D^2)``,   ``D = delta_minus_ren``
-
--- the positive root of ``4 D^2 t^2 - 2 G t - 1 = 0``; the state map stays
-positive on Gaussian inputs strictly below it.
+refuse an SI rate set, and everything analytic stays in SI, the Gaussian
+horizon (:func:`.rates.validity_window`) included.
 """
 from __future__ import annotations
 
@@ -67,6 +61,7 @@ from .errors import (
     GuardBandOverflow,
     PositivityBreach,
     ToleranceFailure,
+    _require_count,
 )
 from .liouville import (
     DensityMatrix,
@@ -77,15 +72,8 @@ from .liouville import (
     _unpack,
 )
 from .params import ApproximationMode
-from .rates import RateSet
 
-__all__ = [
-    "EvolutionRecord",
-    "ValidityWindow",
-    "integrate",
-    "validity_window",
-    "gaussian_positivity_check",
-]
+__all__ = ["EvolutionRecord", "integrate"]
 
 #: Positivity floor for completely positive (RWA) dynamics, where any
 #: negative eigenvalue is propagation error.
@@ -104,11 +92,9 @@ TRACE_DEV_LIMIT = 1e-10
 NORM_LIMIT = 2.0
 #: Largest invariant block (``_invariant_blocks``; beyond-RWA at dim 28 has
 #: two of 392 entries) propagated by the cached ``expm(G_b dt)`` stepper.
-#: Past it the O(m^3) ``expm`` set-up per block loses to ``expm_multiply``
-#: over short spans: beyond-RWA at 101 points over t in [0, 10] took
-#: 0.44-0.48 against 0.07-0.10 s at dim 40 and 1.35-1.44 against
-#: 0.11-0.15 s at dim 48 (2 cores; timed when the step came from
-#: ``scipy.linalg.expm``, before the stepper formed its own).
+#: Past it the O(m^3) set-up per block loses to ``expm_multiply`` over short
+#: spans and wins over long ones; ROADMAP item 4 tables both paths at dims
+#: 30, 36 and 40 with the stepper this module has.
 _STEPPER_MAX_SIZE = 392
 #: Snapshots per matrix product in the stepper (a power of two: the chunk
 #: propagator ``S**_CHUNK`` is formed by ``log2(_CHUNK)`` squarings).
@@ -194,9 +180,9 @@ def integrate(
     ------
     ConfigurationError
         If ``t_span`` is not increasing with a finite length ``t1 - t0``,
-        or ``n_points < 2``, or if the generator does not preserve
-        Hermiticity (``max|conj(L) - L[swap][:, swap]|`` above
-        ``1e-12 max|L|``).
+        or ``n_points`` is not an integer of at least 2, or if the
+        generator does not preserve Hermiticity (``max|conj(L) -
+        L[swap][:, swap]|`` above ``1e-12 max|L|``).
     ToleranceFailure
         If the propagated trajectory has a non-finite entry.  For a
         generator that conserves the trace (the verdict of
@@ -233,6 +219,7 @@ def integrate(
     # a nan or infinite end, or two finite ends too far apart, leaves t1 - t0 not finite
     if not (t1 > t0 and math.isfinite(t1 - t0)):
         raise ConfigurationError(f"t_span must be finite and increasing, got {t_span}")
+    _require_count(n_points, "n_points", ConfigurationError)
     if n_points < 2:
         raise ConfigurationError(f"n_points must be at least 2, got {n_points}")
 
@@ -317,10 +304,11 @@ def _propagate(coords, w0: np.ndarray, times: np.ndarray) -> np.ndarray:
     reaches 1 is refused with ``ToleranceFailure`` before either runs.
     The largest block then chooses the method, whatever the grid:
 
-    - With no block above ``_STEPPER_MAX_SIZE`` entries (its comment gives
-      the measurement that sets it), the cost does not grow with the span,
-      and numpy does all of it.
-      Block ``b`` starts from ``a = G_b dt / 2**s``, ``s`` the least
+    - With no block above ``_STEPPER_MAX_SIZE`` entries (its comment says
+      where both paths are timed), the cost does not grow with the span,
+      and numpy does all of it.  The guard keeps every entry of ``G_b dt``
+      below ``1/eps``, so it is formed directly, and block ``b`` starts
+      from ``a = G_b dt / 2**s``, ``s`` the least
       power with ``||a||_1 <= 0.05``, where the degree-8 Taylor sum of
       ``expm(a) - I`` in Horner form is exact to half an ulp (its tail is
       ``0.05**8 / 9!`` relative), and ``s`` doublings ``X -> 2 X + X @ X``
@@ -357,9 +345,7 @@ def _propagate(coords, w0: np.ndarray, times: np.ndarray) -> np.ndarray:
 
         gen = csr_array((vals, (rows, cols)), shape=(size, size))
         return expm_multiply(gen, w0, start=0.0, stop=span, num=n_points, endpoint=True)
-    # dt = mantissa * 2**exponent: G_b dt / 2**s is formed without G_b dt,
-    # which can overflow
-    mantissa, exponent = np.frexp(times[1] - times[0])
+    dt = times[1] - times[0]
     out = np.empty((n_points, size))
     lo = 0
     for idx, block in _dense_blocks(coords):
@@ -372,9 +358,9 @@ def _propagate(coords, w0: np.ndarray, times: np.ndarray) -> np.ndarray:
             block_out[1:] = 0.0
             continue
         eye = np.eye(len(idx))
-        a = block * mantissa
-        s = max(0, exponent + int(np.frexp(np.abs(a).sum(axis=0).max() / 0.05)[1]))
-        a = np.ldexp(a, exponent - s)
+        a = block * dt
+        s = max(0, int(np.frexp(np.abs(a).sum(axis=0).max() / 0.05)[1]))
+        a = np.ldexp(a, -s)
         excess = a / 8.0
         for k in range(7, 0, -1):
             excess = a @ (eye + excess) / k
@@ -394,41 +380,3 @@ def _propagate(coords, w0: np.ndarray, times: np.ndarray) -> np.ndarray:
     for start in range(0, n_points, _CHUNK):
         out[start:start + _CHUNK] = out[start:start + _CHUNK, inverse]
     return out
-
-
-@dataclass(frozen=True)
-class ValidityWindow:
-    """Analytic Gaussian-positivity horizon ``t_max`` in the rate set's time
-    unit; ``math.inf`` when positivity never breaks."""
-
-    t_max: float
-
-
-def validity_window(rates: RateSet) -> ValidityWindow:
-    """Horizon ``T_max`` for the rate set (uses the renormalized shift).
-
-    A vanishing renormalized single-quantum shift gives ``t_max = inf``,
-    the formula's limit as ``D -> 0``; at ``G = 0`` the limit
-    ``1/(2 |D|)`` is returned.  When ``4 D^2`` underflows the same root is
-    evaluated as ``(r + hypot(r, 2)) / (4 |D|)`` with ``r = G/|D|``.
-    """
-    d, g = rates.delta_minus_ren, rates.gamma
-    if d == 0.0:
-        return ValidityWindow(t_max=math.inf)
-    four_d2 = 4.0 * d * d
-    if four_d2 == 0.0:
-        r = g / abs(d)
-        return ValidityWindow(t_max=(r + math.hypot(r, 2.0)) / (4.0 * abs(d)))
-    return ValidityWindow(t_max=(g + math.sqrt(g * g + four_d2)) / four_d2)
-
-
-def gaussian_positivity_check(rates: RateSet, t: float) -> bool:
-    """Whether the Gaussian state map is positivity-preserving at time ``t``.
-
-    Evaluates ``G - 2 D^2 t > -1/(2 t)`` (equivalently ``t < T_max``); with
-    ``D = 0`` the condition holds for every ``t``.
-    """
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    d = rates.delta_minus_ren
-    return rates.gamma - 2.0 * d * d * t > -1.0 / (2.0 * t)

@@ -41,7 +41,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatch, DimensionTooSmall, GuardExceeded
+from .errors import (
+    ConfigurationError,
+    DimensionMismatch,
+    DimensionTooSmall,
+    GuardExceeded,
+    _require_count,
+)
 from .params import ApproximationMode
 from .rates import RateSet
 
@@ -73,6 +79,7 @@ class FockSpace:
     dim: int
 
     def __post_init__(self):
+        _require_count(self.dim, "dim")
         if self.dim < 2:
             raise DimensionTooSmall(f"need at least 2 levels, got dim={self.dim}")
 
@@ -117,9 +124,10 @@ class DensityMatrix:
     """A (validated) density matrix on a truncated space.
 
     Validation enforces finite entries, Hermiticity and unit trace to 1e-12
-    and eigenvalues above -1e-10.  The evolution layer stores *unvalidated* snapshots
-    (``validate=False``) and reports their deviations explicitly instead of
-    hiding them behind renormalization.
+    and eigenvalues above -1e-10.  ``EvolutionRecord.states`` wraps each
+    stored snapshot unvalidated (``validate=False``): the evolution layer
+    reports their deviations explicitly instead of hiding them behind
+    renormalization.
     """
 
     matrix: np.ndarray

@@ -9,6 +9,9 @@ angular, rad/s):
 * renormalized shifts   ``D+-^R = -(G/2 pi) ln|(w +- W)/w|``
 * trap-frequency shift  beyond-RWA ``dw = D-^R - D+^R``; with the RWA only
   the single-quantum shift survives, ``dw = D-^R``.
+* positivity horizon    ``T_max = (G + sqrt(G^2 + 4 D^2)) / (4 D^2)`` with
+  ``D = D-^R``, the positive root of ``4 D^2 t^2 - 2 G t - 1 = 0``; the
+  beyond-RWA state map stays positive on Gaussian inputs strictly below it.
 
 The raw shifts grow linearly with the cut-off; that linear piece is exactly
 the free-particle (mass-renormalization) term ``dE_lin * w / 2`` and is
@@ -40,6 +43,8 @@ __all__ = [
     "relative_shift",
     "free_particle_shift",
     "build_rate_set",
+    "validity_window",
+    "gaussian_positivity_check",
 ]
 
 
@@ -260,3 +265,34 @@ def _rate_set_at(config: ExperimentConfig, W: float) -> RateSet:
         omega_max=W,
         mode=config.mode,
     )
+
+
+def validity_window(rates: RateSet) -> float:
+    """Gaussian-positivity horizon ``T_max`` in the rate set's time unit
+    (uses the renormalized shift).
+
+    A vanishing renormalized single-quantum shift gives ``math.inf``, the
+    formula's limit as ``D -> 0``; at ``G = 0`` the limit ``1/(2 |D|)`` is
+    returned.  When ``4 D^2`` underflows the same root is evaluated as
+    ``(r + hypot(r, 2)) / (4 |D|)`` with ``r = G/|D|``.
+    """
+    d, g = rates.delta_minus_ren, rates.gamma
+    if d == 0.0:
+        return math.inf
+    four_d2 = 4.0 * d * d
+    if four_d2 == 0.0:
+        r = g / abs(d)
+        return (r + math.hypot(r, 2.0)) / (4.0 * abs(d))
+    return (g + math.sqrt(g * g + four_d2)) / four_d2
+
+
+def gaussian_positivity_check(rates: RateSet, t: float) -> bool:
+    """Whether the Gaussian state map is positivity-preserving at time ``t``.
+
+    Evaluates ``G - 2 D^2 t > -1/(2 t)`` (equivalently ``t < T_max``); with
+    ``D = 0`` the condition holds for every ``t``.
+    """
+    if not t > 0.0:
+        raise ValueError(f"t must be positive, got {t}")
+    d = rates.delta_minus_ren
+    return rates.gamma - 2.0 * d * d * t > -1.0 / (2.0 * t)

@@ -24,8 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatch
-from .evolve import validity_window
+from .errors import ConfigurationError, DimensionMismatch, _require_count
 from .params import (
     ApproximationMode,
     CutoffKind,
@@ -39,7 +38,7 @@ from .params import (
     parse_mode,
     spin_coupling_ratio,
 )
-from .rates import _rate_set_at, relative_shift
+from .rates import _rate_set_at, relative_shift, validity_window
 
 __all__ = [
     "SweepResult",
@@ -145,6 +144,7 @@ def bfield_sweep(
     b_lo, b_hi = b_range
     if not (0 < b_lo < b_hi < math.inf):
         raise DimensionMismatch(f"need 0 < b_min < b_max < inf, got {b_range!r}")
+    _require_count(n_points, "n_points")
     if n_points < 16:
         raise DimensionMismatch(f"need >= 16 points for stable slopes, got {n_points}")
     the_mode = parse_mode(mode) if isinstance(mode, str) else (mode or config.mode)
@@ -251,7 +251,7 @@ def validity_report(config: ExperimentConfig) -> ValidityReport:
             "completely positive dynamics (RWA); no positivity horizon"
         )
     else:
-        t_max = validity_window(rates).t_max
+        t_max = validity_window(rates)
         if t_max == math.inf:
             notes.append("zero renormalized shift; positivity never breaks")
     bound = lwa_bound(config.particle, config.omega_c)

@@ -17,7 +17,7 @@ from vactrap.bath import (
     discrete_second_order_shift,
     make_flat_bath,
 )
-from vactrap.evolve import gaussian_positivity_check, integrate, validity_window
+from vactrap.evolve import integrate
 from vactrap.liouville import (
     FockSpace,
     build_2d_generator,
@@ -41,7 +41,9 @@ from vactrap.rates import (
     build_rate_set,
     damping_rate,
     free_particle_shift,
+    gaussian_positivity_check,
     level_shifts_renormalized,
+    validity_window,
 )
 from vactrap.sweeps import (
     bfield_sweep,
@@ -89,7 +91,7 @@ def test_criterion_02_positivity_horizon():
     not at the rate pipeline.
     """
     rates = build_rate_set(REFERENCE)
-    t_max = validity_window(rates).t_max
+    t_max = validity_window(rates)
     d, g = rates.delta_minus_ren, rates.gamma
 
     # defense 1: the closed form satisfies its own defining quadratic
@@ -392,7 +394,7 @@ def test_criterion_10_structural_invariants(herm_factory):
             )
 
     rates = build_rate_set(REFERENCE)
-    t_max = validity_window(rates).t_max
+    t_max = validity_window(rates)
     d, g = rates.delta_minus_ren, rates.gamma
     poly = abs(4.0 * d * d * t_max * t_max - 2.0 * g * t_max - 1.0)
     assert poly < 1e-9, f"horizon polynomial residual {poly:.2e} (gate 1e-9)"

@@ -13,6 +13,8 @@ from scipy.linalg import expm
 import vactrap.bath
 from vactrap.bath import (
     BathModel,
+    _fit_decay,
+    _fit_phase_drift,
     _hamiltonian,
     bath_brute_force,
     discrete_golden_rule,
@@ -20,7 +22,7 @@ from vactrap.bath import (
     make_flat_bath,
 )
 from vactrap.cli import _oracle_report_csv, run_cli
-from vactrap.errors import DimensionMismatch, FitFailure, GuardExceeded
+from vactrap.errors import ConfigurationError, DimensionMismatch, FitFailure, GuardExceeded
 
 
 # ------------------------------------------------------------ construction
@@ -52,6 +54,8 @@ def test_flat_bath_needs_an_ordered_band_and_a_positive_rate(
 
 
 def test_bath_model_validation():
+    with pytest.raises(DimensionMismatch, match="at least one bath mode"):
+        BathModel(mode_frequencies=[], couplings=[])
     with pytest.raises(DimensionMismatch):
         BathModel(mode_frequencies=[1.0, 2.0], couplings=[0.1])
     with pytest.raises(DimensionMismatch):
@@ -138,6 +142,10 @@ def test_sector_second_order_shift_is_the_plain_mode_sum():
 def test_golden_rule_needs_two_modes():
     bath = BathModel(mode_frequencies=[1.3], couplings=[0.01])
     with pytest.raises(FitFailure):
+        discrete_golden_rule(bath)
+    # and a local spacing: modes that do not increase through resonance
+    bath = BathModel(mode_frequencies=[1.2, 1.0, 0.8], couplings=[0.01] * 3)
+    with pytest.raises(FitFailure, match="strictly increasing"):
         discrete_golden_rule(bath)
 
 
@@ -400,9 +408,11 @@ def test_product_space_splits_into_parity_sectors(bath):
 @pytest.mark.parametrize("bath, kwargs", _SPLIT_BATHS.values(), ids=_SPLIT_BATHS)
 def test_blocked_evolution_matches_one_dense_diagonalization(bath, kwargs):
     # the reference diagonalizes the whole gauged kron-built H at once and
-    # evolves both initial states through it
+    # evolves both initial states through it, with the gauge psi_j ->
+    # i**level_j psi_j written out as a table of its own
     result = bath_brute_force(bath, **kwargs)
-    _, level, lower, phase, _ = _hamiltonian(bath)
+    _, level, lower, _, _ = _hamiltonian(bath)
+    phase = np.array([1, 1j, -1, -1j])[level % 4]
     h0, v = _kron_hamiltonian(bath)
     energies, u = np.linalg.eigh(v + np.diag(h0))
     times = np.linspace(0.0, kwargs["duration"], kwargs["n_points"])
@@ -492,6 +502,22 @@ def test_resonant_single_mode_is_reported_as_rabi_not_decay():
     bath = BathModel(mode_frequencies=[1.0], couplings=[0.05])
     with pytest.raises(FitFailure, match="not a clean exponential"):
         bath_brute_force(bath, duration=200.0)
+
+
+@pytest.mark.parametrize("fit, words", [(_fit_decay, "collapsed"), (_fit_phase_drift, "vanished")])
+def test_fits_refuse_a_vanished_signal(fit, words):
+    # fewer than 8 usable points: no survival above 1e-12, no <b> above
+    # 1e-12 of its largest magnitude (here zero, so of 1)
+    times = np.linspace(0.0, 10.0, 50)
+    with pytest.raises(FitFailure, match=words):
+        fit(times, np.zeros(50))
+
+
+def test_brute_force_needs_two_time_points():
+    # the CLI fixes the grid, so only the library reaches this refusal
+    bath = make_flat_bath(8, 0.5, 1.5, gamma_target=2e-3)
+    with pytest.raises(ConfigurationError, match="n_points must be at least 2"):
+        bath_brute_force(bath, n_points=1)
 
 
 def test_conserving_path_requires_two_level_sector():

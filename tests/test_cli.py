@@ -1,8 +1,10 @@
 """End-to-end command-line checks via run_cli (no subprocesses)."""
+import math
 import warnings
 
 import pytest
 
+from vactrap import _svg
 from vactrap.cli import build_parser, run_cli
 from vactrap.errors import LongWavelengthWarning
 from vactrap.params import load_config
@@ -125,6 +127,17 @@ def test_witness_command_headers_and_contrast(capsys):
     rwa = [abs(float(line.split(",")[2])) for line in lines[1:]]
     assert max(beyond) > 1e-9  # beyond-RWA generated coherence
     assert max(rwa) < 1e-10  # the RWA column stays at zero throughout
+
+
+def test_line_plot_degenerate_series_and_label_count():
+    # a series with no finite value draws no polyline on a unit y range; a
+    # constant one is drawn on a range padded around it
+    blank = _svg.line_plot([0.0, 1.0, 2.0], [[math.nan, math.inf, math.nan]], ["blank"])
+    assert "<polyline" not in blank and ">blank</text>" in blank
+    flat = _svg.line_plot([0.0, 1.0, 2.0], [[2.0, 2.0, 2.0]], ["flat"])
+    assert flat.count("<polyline") == 1 and ">2</text>" in flat
+    with pytest.raises(ValueError, match="2 series but 1 labels"):
+        _svg.line_plot([0.0, 1.0], [[0.0, 1.0], [1.0, 0.0]], ["one"])
 
 
 def test_witness_command_svg(capsys):

@@ -22,9 +22,7 @@ from vactrap.evolve import (
     POSITIVITY_FLOOR_CP,
     TRACE_DEV_LIMIT,
     _propagate,
-    gaussian_positivity_check,
     integrate,
-    validity_window,
 )
 from vactrap.liouville import (
     DensityMatrix,
@@ -42,7 +40,7 @@ from vactrap.liouville import (
 )
 from vactrap.observables import expect, make_state, witness_sum
 from vactrap.params import ApproximationMode, load_config
-from vactrap.rates import RateSet, build_rate_set
+from vactrap.rates import RateSet, build_rate_set, gaussian_positivity_check, validity_window
 
 STABLE = RateSet.scaled(1e-2, 5e-3, 8e-3)
 
@@ -476,6 +474,8 @@ def test_breach_exception_carries_the_full_record():
     record = exc_info.value.record
     assert exc_info.value.time == 0.0
     assert len(record.states) == 11
+    head = record.states[:2]
+    assert len(head) == 2 and np.array_equal(head[1].matrix, record.rho[1])
     assert record.times[-1] == 1.0
     assert record.guard_pop[0] > GUARD_BAND_LIMIT
     # the beyond-RWA record computes min_eig when it is first read
@@ -610,33 +610,32 @@ def test_overflowing_generator_raises_tolerance_failure(monkeypatch, n_points, c
 
 def test_validity_window_for_reference_trap():
     rates = build_rate_set(load_config("sec-reference"))
-    window = validity_window(rates)
-    assert window.t_max == pytest.approx(0.035644301694089886, rel=1e-12)
+    t = validity_window(rates)
+    assert t == pytest.approx(0.035644301694089886, rel=1e-12)
     # the horizon satisfies its defining quadratic
-    t = window.t_max
     d, g = rates.delta_minus_ren, rates.gamma
     assert abs(4.0 * d * d * t * t - 2.0 * g * t - 1.0) < 1e-12
 
 
 def test_validity_window_unbounded_when_shift_vanishes():
-    assert validity_window(RateSet.scaled(1e-2, 5e-3, 0.0)).t_max == math.inf
+    assert validity_window(RateSet.scaled(1e-2, 5e-3, 0.0)) == math.inf
 
 
 def test_validity_window_zero_damping_limit():
-    window = validity_window(RateSet.scaled(0.0, 0.0, 0.5))
-    assert window.t_max == pytest.approx(1.0, rel=1e-14)  # 1 / (2 |D|)
+    # 1 / (2 |D|)
+    assert validity_window(RateSet.scaled(0.0, 0.0, 0.5)) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_validity_window_when_the_shift_squared_underflows():
     # 4 D^2 is 0.0 at D = 1e-170; the root keeps the formula's limits
-    assert validity_window(RateSet.scaled(1e-2, 0.0, 1e-170)).t_max == math.inf
-    window = validity_window(RateSet.scaled(0.0, 0.0, 1e-170))
-    assert window.t_max == pytest.approx(5e169, rel=1e-14)  # 1 / (2 |D|)
+    assert validity_window(RateSet.scaled(1e-2, 0.0, 1e-170)) == math.inf
+    t_max = validity_window(RateSet.scaled(0.0, 0.0, 1e-170))
+    assert t_max == pytest.approx(5e169, rel=1e-14)  # 1 / (2 |D|)
 
 
 def test_gaussian_check_flips_exactly_at_the_horizon():
     rates = build_rate_set(load_config("sec-reference"))
-    t_max = validity_window(rates).t_max
+    t_max = validity_window(rates)
     assert gaussian_positivity_check(rates, t_max * (1.0 - 1e-6))
     assert not gaussian_positivity_check(rates, t_max * (1.0 + 1e-6))
 

@@ -136,6 +136,8 @@ def test_expect_validation():
         expect("y", rho, space)
     with pytest.raises(DimensionMismatch):
         expect("x", rho, FockSpace(dim=8))
+    with pytest.raises(DimensionMismatch, match="square"):
+        expect("x", np.zeros((2, 3)))
 
 
 def test_witness_vanishes_on_diagonal_states(rng):
@@ -232,6 +234,9 @@ def test_first_moment_identities_are_exact():
     assert first_moment_rhs_check(STABLE, dim=16) < 1e-12
     assert first_moment_rhs_check(RateSet.scaled(0.0, 5e-3, 8e-3)) < 1e-12
     assert first_moment_rhs_check(RateSet.scaled(0.05, 1e-2, 2e-3), dim=12) < 1e-12
+    # G = 0 and dw = -1/2 make the expected <x> rate vanish: the residual
+    # is then absolute
+    assert first_moment_rhs_check(RateSet.scaled(0.0, 0.5, 0.0), dim=12) < 1e-12
 
 
 # ------------------------------------------------------------------ fitting

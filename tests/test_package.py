@@ -1,5 +1,7 @@
 """The package surface: what ``vactrap`` exports is what its modules declare,
-and what importing it and running its report commands loads."""
+which modules import which, what importing it and running its report
+commands loads, and how a count that is not an integer is refused."""
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -7,10 +9,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vactrap
 from vactrap import errors
+from vactrap.bath import BathModel, bath_brute_force, make_flat_bath
+from vactrap.errors import ConfigurationError, DimensionMismatch
+from vactrap.evolve import integrate
+from vactrap.liouville import FockSpace, build_lindblad_generator
+from vactrap.observables import make_state
+from vactrap.params import reference_config
+from vactrap.rates import RateSet
+from vactrap.sweeps import bfield_sweep
 
 _SRC = str(Path(vactrap.__file__).resolve().parents[1])
 
@@ -35,6 +46,79 @@ def test_package_exports_every_declared_name_and_nothing_else():
         if not name.startswith("_") and not inspect.ismodule(obj)
     }
     assert exported == declared
+
+
+def _imported_submodules(name: str) -> set:
+    """The ``vactrap`` submodules that module ``name`` imports anywhere in
+    its source, read from its syntax tree."""
+    tree = ast.parse(Path(vactrap.__file__).with_name(f"{name}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            dotted = [f"vactrap.{node.module}"] if node.module else [
+                f"vactrap.{alias.name}" for alias in node.names
+            ]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            dotted = [node.module] if node.module != "vactrap" else [
+                f"vactrap.{alias.name}" for alias in node.names
+            ]
+        else:
+            continue
+        found.update(d.split(".")[1] for d in dotted if d.startswith("vactrap."))
+    return found
+
+
+@pytest.mark.parametrize("name", ["params", "rates", "perturbation", "sweeps"])
+def test_closed_form_modules_import_no_dynamics(name):
+    # rates, shifts, the positivity horizon and the reports built on them
+    # need no generator, trajectory or oracle
+    dynamics = {"liouville", "evolve", "observables", "bath", "cli"}
+    assert not _imported_submodules(name) & dynamics
+
+
+def _integrate_points(n):
+    space = FockSpace(dim=4)
+    gen = build_lindblad_generator(space, RateSet.scaled(1e-2, 5e-3, 8e-3))
+    return integrate(gen, make_state("fock", space, n=0), (0.0, 1.0), n_points=n)
+
+
+# entry point -> (call taking the count, an admitted count, the refusal)
+_COUNTS = {
+    "FockSpace dim": (lambda n: FockSpace(dim=n), 4, DimensionMismatch),
+    "integrate n_points": (_integrate_points, 3, ConfigurationError),
+    "bath_brute_force n_points": (
+        lambda n: bath_brute_force(make_flat_bath(64, 0.2, 5.0, 5e-3), n_points=n),
+        401,
+        ConfigurationError,
+    ),
+    "BathModel particle_levels": (
+        lambda n: BathModel([2.0], [0.01], particle_levels=n, counter_rotating=True),
+        3,
+        DimensionMismatch,
+    ),
+    "BathModel photons_per_mode": (
+        lambda n: BathModel([2.0], [0.01], photons_per_mode=n, counter_rotating=True),
+        2,
+        DimensionMismatch,
+    ),
+    "make_flat_bath n_modes": (lambda n: make_flat_bath(n, 0.5, 1.5, 2e-3), 8, DimensionMismatch),
+    "bfield_sweep n_points": (
+        lambda n: bfield_sweep(reference_config(), (1.0, 10.0), n), 17, DimensionMismatch
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", _COUNTS)
+def test_a_count_must_be_an_integer(entry):
+    # a float count, even a whole one, is refused where it enters rather
+    # than ending in a TypeError from range or linspace; numpy integers pass
+    call, admitted, refusal = _COUNTS[entry]
+    call(np.int64(admitted))
+    for bad in (float(admitted), admitted + 0.5):
+        with pytest.raises(refusal, match="must be an integer"):
+            call(bad)
 
 
 def _scipy_modules_after(code: str) -> subprocess.CompletedProcess:

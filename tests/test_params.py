@@ -1,5 +1,6 @@
 """Constants, particle/trap validation, cutoff rules, config parsing."""
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -77,6 +78,10 @@ def test_particle_spec_validation():
 def test_trap_spec_needs_a_frequency_or_field():
     with pytest.raises(ConfigurationError):
         TrapSpec()
+    # and every field it carries must be positive and finite
+    for name in ("omega_c", "b_field", "d_a", "d_c"):
+        with pytest.raises(ConfigurationError, match=f"trap.{name} must be positive"):
+            TrapSpec(**{"omega_c": W_REF, name: -1.0})
 
 
 def test_trap_spec_geometry_ordering():
@@ -111,6 +116,15 @@ def test_config_derives_field_from_frequency():
     config = reference_config()
     assert config.omega_c == W_REF
     assert config.b_field == pytest.approx(B_REF, rel=1e-12)
+    # and the frequency from a field alone
+    config = ExperimentConfig(
+        particle=ELECTRON,
+        trap=TrapSpec(b_field=B_REF),
+        cutoff=CutoffSpec(kind=CutoffKind.ZERO_POINT),
+        mode=ApproximationMode.BEYOND_RWA,
+    )
+    assert config.omega_c == cyclotron_frequency(ELECTRON, B_REF)
+    assert config.b_field == B_REF
 
 
 def test_cutoff_spec_explicit_needs_value():
@@ -160,6 +174,8 @@ def test_largest_amplitude_cutoff_needs_geometry():
     )
     with pytest.raises(MissingParameter):
         cutoff_frequency(config)
+    with pytest.raises(MissingParameter, match="trap.d_c"):
+        cutoff_frequency(replace(config, cutoff=CutoffSpec(kind=CutoffKind.DE_BROGLIE)))
 
 
 def test_de_broglie_cutoff_warns_beyond_lwa_bound():
@@ -202,6 +218,9 @@ def test_lwa_bound_reference_value():
     bound = lwa_bound(ELECTRON, W_REF)
     assert bound == pytest.approx(3.824437515578783e16, rel=1e-12)
     assert bound / (2.0 * math.pi) == pytest.approx(6.086781e15, rel=1e-6)
+    for bad in (0.0, -W_REF, math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="omega_c must be positive"):
+            lwa_bound(ELECTRON, bad)
 
 
 def test_spin_coupling_ratio_reference_values():
@@ -211,6 +230,9 @@ def test_spin_coupling_ratio_reference_values():
     assert spin_coupling_ratio(ELECTRON, W_REF, 1e15) == pytest.approx(
         8107244575.839385, rel=1e-12
     )
+    for bad in (0.0, -1e15, math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="mode_frequency must be positive"):
+            spin_coupling_ratio(ELECTRON, W_REF, bad)
 
 
 def test_parse_cutoff_kind_aliases():

@@ -168,7 +168,7 @@ def test_sweep_validation():
 def test_sweep_result_validation():
     b = np.array([1.0, 2.0, 3.0])
     ok = np.zeros(3)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="equal length"):
         SweepResult(
             b_values=b,
             omega_c_values=ok,
