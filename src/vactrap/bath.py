@@ -35,7 +35,7 @@ float64 matrix, half the bytes of the complex one and cheaper to
 diagonalize.  The gauge leaves populations and norms alone, and since
 ``b`` lowers the level by one, ``<b>`` is ``1j`` times the same sum over
 the gauged amplitudes: one phase step, exact in floating point.  The
-sector basis keeps the complex coupling, so its step is ``1``; the gauge
+sector basis keeps the complex coupling, so its step is ``1 + 0j``; the gauge
 would be just as exact there, but it would move the sector reports in
 their last digits.
 
@@ -249,7 +249,7 @@ def _hamiltonian(bath: BathModel) -> tuple:
 
     The conserving coupling uses the sector basis e0 = |0> x |vac>,
     e1 = |1> x |vac>, e_{k+2} = |0> x |1_k>, with ``V`` complex and
-    ``step = 1``.  The full coupling ``i kappa (b - b+)(a + a+)`` uses the
+    ``step = 1 + 0j``.  The full coupling ``i kappa (b - b+)(a + a+)`` uses the
     gauged kron-ordered truncated product space, with ``step = 1j`` and the
     float64 ``V = -kappa (b + b+)(a + a+)``; each block holds the entries
     of ``-kron(b + b+, quadrature)``, the same products and signed zeros.
@@ -262,7 +262,7 @@ def _hamiltonian(bath: BathModel) -> tuple:
         v[1, 2:] = -1j * bath.couplings
         level = np.zeros(m + 2, dtype=int)
         level[1] = 1
-        return h0, level, level - 1, 1, [(np.arange(m + 2), v)]
+        return h0, level, level - 1, 1 + 0j, [(np.arange(m + 2), v)]
 
     n_p = bath.particle_levels
     n_ph = bath.photons_per_mode + 1

@@ -111,15 +111,12 @@ def _csv_text(header, rows) -> str:
 
     A ``str`` cell is written unchanged; any other cell is written as
     ``repr(float(v))``, the shortest text that reads back to the same double
-    whether a Python float, an int or a numpy scalar carried it (a Python
-    float, the common cell, skips the ``float`` call).  Handlers spell out
-    ints, booleans and missing values as strings themselves.
+    whether a Python float, an int or a numpy scalar carried it.  Handlers
+    spell out ints, booleans and missing values as strings themselves.
     """
     lines = [",".join(header)]
     lines.extend(
-        ",".join([repr(v) if type(v) is float else v if isinstance(v, str) else repr(float(v))
-                  for v in row])
-        for row in rows
+        ",".join(v if isinstance(v, str) else repr(float(v)) for v in row) for row in rows
     )
     return "\n".join(lines) + "\n"
 

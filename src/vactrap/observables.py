@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, TruncationRisk
+from .errors import DimensionMismatch, TruncationRisk, _require_count
 from .evolve import EvolutionRecord
 from .liouville import (
     DensityMatrix,
@@ -81,9 +81,7 @@ def make_state(kind: str, space: FockSpace, **params) -> DensityMatrix:
     if kind == "fock":
         n = _required(params, "n", kind)
         _reject_unknown(params)
-        if not float(n).is_integer():
-            raise DimensionMismatch(f"fock level must be an integer, got {n!r}")
-        n = int(n)
+        _require_count(n, "fock level")
         if not 0 <= n < dim:
             raise DimensionMismatch(f"fock level {n} outside 0..{dim - 1}")
         if n >= dim - 2:

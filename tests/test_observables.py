@@ -109,12 +109,12 @@ def test_make_state_rejects_bad_parameters():
         make_state("fock", space)
     with pytest.raises(DimensionMismatch, match="coherent state needs alpha="):
         make_state("coherent", space)
-    for n in (1.7, math.nan, math.inf):
+    for n in (2.0, 1.7, math.nan, math.inf):
         with pytest.raises(DimensionMismatch, match="integer"):
             make_state("fock", space, n=n)
-    whole = make_state("fock", space, n=2.0).matrix
-    assert np.array_equal(whole, make_state("fock", space, n=np.int64(2)).matrix)
-    assert whole[2, 2] == 1.0
+    level = make_state("fock", space, n=np.int64(2)).matrix
+    assert np.array_equal(level, make_state("fock", space, n=2).matrix)
+    assert level[2, 2] == 1.0
 
 
 # ------------------------------------------------------------ expectations

@@ -87,6 +87,9 @@ def _integrate_points(n):
 # entry point -> (call taking the count, an admitted count, the refusal)
 _COUNTS = {
     "FockSpace dim": (lambda n: FockSpace(dim=n), 4, DimensionMismatch),
+    "make_state fock level": (
+        lambda n: make_state("fock", FockSpace(dim=8), n=n), 2, DimensionMismatch
+    ),
     "integrate n_points": (_integrate_points, 3, ConfigurationError),
     "bath_brute_force n_points": (
         lambda n: bath_brute_force(make_flat_bath(64, 0.2, 5.0, 5e-3), n_points=n),
