@@ -106,19 +106,24 @@ def _plotless(fmt: str | None, name: str, form: str = "csv") -> None:
         sys.stderr.write(f"note: {name} has no plot form; emitting {form}\n")
 
 
-def _csv_text(header, rows) -> str:
-    """``header`` and ``rows`` as comma-separated, newline-terminated lines.
+def _csv_text(header, columns) -> str:
+    """``header`` and the table of ``columns`` as comma-separated,
+    newline-terminated lines.
 
     A ``str`` cell is written unchanged; any other cell is written as
     ``repr(float(v))``, the shortest text that reads back to the same double
-    whether a Python float, an int or a numpy scalar carried it.  Handlers
-    spell out ints, booleans and missing values as strings themselves.
+    whether a Python float, an int or a numpy scalar carried it.  A numpy
+    array column holds no ``str``, and is rendered in one C-level pass:
+    ``repr`` over the Python floats of its float64 values, the same doubles.
+    Handlers spell out ints, booleans and missing values as strings
+    themselves.
     """
-    lines = [",".join(header)]
-    lines.extend(
-        ",".join(v if isinstance(v, str) else repr(float(v)) for v in row) for row in rows
-    )
-    return "\n".join(lines) + "\n"
+    texts = [
+        map(repr, np.asarray(column, dtype=float).tolist()) if isinstance(column, np.ndarray)
+        else [v if isinstance(v, str) else repr(float(v)) for v in column]
+        for column in columns
+    ]
+    return "\n".join(map(",".join, [header, *zip(*texts)])) + "\n"
 
 
 # relative errors up to which the oracle report marks a fit "pass"
@@ -138,7 +143,7 @@ def _oracle_report_csv(result: BathFitResult) -> str:
     ):
         rel = abs(fitted - expected) / abs(expected) if expected != 0 else math.inf
         rows.append((name, expected, fitted, rel, "pass" if rel <= tol else "fail"))
-    return _csv_text(("quantity", "expected", "fitted", "relative_error", "pass"), rows)
+    return _csv_text(("quantity", "expected", "fitted", "relative_error", "pass"), zip(*rows))
 
 
 # ---------------------------------------------------------------- handlers
@@ -149,7 +154,7 @@ def _cmd_rates(args) -> str:
     _plotless(args.format, "rates")
     rs = build_rate_set(config)
     rel = rs.delta_omega / rs.omega_c
-    return _csv_text(("quantity", "value"), [
+    return _csv_text(("quantity", "value"), zip(*[
         ("mode", config.mode.value),
         ("omega_c_rad_s", rs.omega_c),
         ("omega_max_rad_s", rs.omega_max),
@@ -161,7 +166,7 @@ def _cmd_rates(args) -> str:
         ("delta_omega_per_s", rs.delta_omega),
         ("relative_shift", rel),
         ("total_frequency_rad_s", rs.omega_c * (1.0 + rel)),
-    ])
+    ]))
 
 
 def _cmd_table1(args) -> str:
@@ -170,7 +175,7 @@ def _cmd_table1(args) -> str:
     report = table1(config)
     return _csv_text(
         ("cutoff", "with_rwa", "beyond_rwa"),
-        zip(report.cutoff_labels, report.with_rwa, report.beyond_rwa),
+        (report.cutoff_labels, report.with_rwa, report.beyond_rwa),
     )
 
 
@@ -199,7 +204,7 @@ def _cmd_sweep_b(args) -> str:
         )
     return _csv_text(
         ("b_tesla", "omega_c_rad_s", "delta_omega_rad_s", "local_exponent"),
-        zip(result.b_values, result.omega_c_values, result.delta_omega, result.local_exponents),
+        (result.b_values, result.omega_c_values, result.delta_omega, result.local_exponents),
     )
 
 
@@ -226,7 +231,7 @@ def _cmd_evolve(args) -> str:
                record.guard_pop, *moments)
     return _csv_text(
         ("time", "trace_dev", "herm_dev", "min_eig", "guard_pop", "x", "p", "n", "witness"),
-        zip(*(column.tolist() for column in columns)),
+        columns,
     )
 
 
@@ -252,7 +257,7 @@ def _cmd_witness(args) -> str:
             y_label="<b^2 + b+^2>",
         )
     return _csv_text(
-        ("time", "beyond_rwa", "with_rwa"), zip(rec_beyond.times, beyond.values, rwa.values)
+        ("time", "beyond_rwa", "with_rwa"), (rec_beyond.times, beyond.values, rwa.values)
     )
 
 
@@ -260,7 +265,7 @@ def _cmd_validate(args) -> str:
     config = load_config(args.config)
     report = validity_report(config)
     if args.format == "csv":
-        return _csv_text(("quantity", "value"), [
+        return _csv_text(("quantity", "value"), zip(*[
             ("omega_c_rad_s", report.omega_c),
             ("gamma_per_s", report.gamma),
             ("delta_minus_ren_per_s", report.delta_minus_ren),
@@ -272,7 +277,7 @@ def _cmd_validate(args) -> str:
             ("cutoff_within_lwa", str(report.cutoff_within_lwa).lower()),
             ("spin_ratio", report.spin_ratio),
             ("spin_negligible", str(report.spin_negligible).lower()),
-        ])
+        ]))
     _plotless(args.format, "validate", "text")
     lines = [
         f"trap frequency          {report.omega_c!r} rad/s",
@@ -305,7 +310,8 @@ def _cmd_pt_compare(args) -> str:
             )
         rows.append((r, omega_max, pt, me, pt / me))
     return _csv_text(
-        ("cutoff_ratio", "omega_max_rad_s", "pt_shift_per_s", "me_shift_per_s", "ratio"), rows
+        ("cutoff_ratio", "omega_max_rad_s", "pt_shift_per_s", "me_shift_per_s", "ratio"),
+        zip(*rows),
     )
 
 

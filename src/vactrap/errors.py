@@ -103,8 +103,8 @@ class FitFailure(NumericalGuard):
 
 class GuardExceeded(ConfigurationError):
     """A model too large for the machine: a brute-force bath whose run, or
-    a dense generator whose build, would need more bytes than the machine's
-    physical memory.  Refused before anything is allocated."""
+    a generator whose dense matrix, would need more bytes than the
+    machine's physical memory.  Refused before anything is allocated."""
 
 
 class LongWavelengthWarning(UserWarning):

@@ -225,7 +225,7 @@ def integrate(
 
     times = np.linspace(t0, t1, n_points)
     dim = generator.dim
-    coords = _hermitian_coordinates(generator.matrix)
+    coords = _hermitian_coordinates(generator)
     # an overflow is reported below as ToleranceFailure, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         w = _propagate(coords, _pack((rho0.matrix + rho0.matrix.conj().T) / 2.0), times)

@@ -12,11 +12,14 @@ population reaching them means the physical state no longer fits the
 truncation, not that anything here silently fixed it up.
 
 Every generator is a triple ``(left, right, jumps)`` acting as
-``left @ sigma + sigma @ right + sum_k c_k L_k @ sigma @ R_k``; ``_assemble``
-is the one place it becomes a matrix.  The RWA generator is the rotating
-part of the ladder triple (a damped oscillator at ``omega_c + delta_minus``);
-the beyond-RWA generator adds the counter-rotating part (the ``-delta_plus``
-frequency pull and the two-quantum ``b^2``, ``(b+)^2`` channels).
+``left @ sigma + sigma @ right + sum_k c_k L_k @ sigma @ R_k``.  A
+:class:`Superoperator` keeps the nonzeros of its matrix ``L`` (its COO),
+computed from the triple by :func:`_coo`, and assembles the dense ``L``
+(:func:`_assemble`) only when ``.matrix`` is read.  The RWA generator is
+the rotating part of the ladder triple (a damped oscillator at ``omega_c +
+delta_minus``); the beyond-RWA generator adds the counter-rotating part (the
+``-delta_plus`` frequency pull and the two-quantum ``b^2``, ``(b+)^2``
+channels).
 
 How a generator is read for numerics is decided here too, once:
 :func:`_hermitian_coordinates` is its one reader, and gives the nonzeros of
@@ -37,6 +40,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -200,13 +204,14 @@ def _unpack(rows: np.ndarray) -> np.ndarray:
     exactly; the result is a transposed view of one new complex array.
     """
     dim = math.isqrt(rows.shape[1])
-    swapped = rows[:, _swap(dim)]
-    stack = np.empty(rows.shape, dtype=complex)
+    # column-major per snapshot: [k, j, i] holds the entry (i, j), and the
+    # strided transpose view holds its transpose, w_swap
+    w = rows.reshape(-1, dim, dim)
+    stack = np.empty(w.shape, dtype=complex)
     for part, combine in ((stack.real, np.add), (stack.imag, np.subtract)):
-        combine(rows, swapped, out=part)
+        combine(w, w.transpose(0, 2, 1), out=part)
         part /= 2.0
-    # column-major per snapshot
-    return stack.reshape(-1, dim, dim).transpose(0, 2, 1)
+    return stack.transpose(0, 2, 1)
 
 
 def spre(op: np.ndarray) -> np.ndarray:
@@ -226,25 +231,51 @@ def sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.kron(right.T, left)
 
 
-@dataclass(frozen=True, eq=False)
-class Superoperator:
-    """A dense generator on vectorized density matrices.
+_Jump = tuple[complex, np.ndarray, np.ndarray]
 
-    ``matrix`` is ``(dim**2, dim**2)``, which sets ``dim``; on a
-    tensor-product space that is the product of the per-axis level counts.
+
+class Superoperator:
+    """A generator on vectorized density matrices, kept as the nonzeros of
+    its ``(dim**2, dim**2)`` matrix ``L``.
+
+    ``coo`` is ``(rows, cols, vals)``: the positions of the nonzeros of
+    ``L`` in row-major order and their complex values.  A builder computes
+    it from its generator triple (:func:`_coo`); ``Superoperator(matrix,
+    mode)`` takes a dense ``L`` and reads it with ``np.nonzero``.  ``dim``
+    is set by the size of ``L``; on a tensor-product space it is the
+    product of the per-axis level counts.  ``matrix``, the dense ``L``, is
+    assembled on first read only (:func:`_assemble`); every builder checks
+    at build time that it fits in memory.
     """
 
-    matrix: np.ndarray
-    mode: ApproximationMode
-
-    def __post_init__(self):
-        n = len(self.matrix)
-        if np.shape(self.matrix) != (n, n) or math.isqrt(n) ** 2 != n:
+    def __init__(self, matrix: np.ndarray, mode: ApproximationMode):
+        n = len(matrix)
+        if np.shape(matrix) != (n, n) or math.isqrt(n) ** 2 != n:
             raise DimensionMismatch(f"generator needs a (dim**2, dim**2) matrix, got {n} rows")
+        # a boolean mask is read faster than complex entries
+        rows, cols = np.nonzero(matrix != 0)
+        self.__dict__["matrix"] = matrix
+        self.coo = (rows, cols, matrix[rows, cols])
+        self.mode = mode
+        self.dim = math.isqrt(n)
 
-    @property
-    def dim(self) -> int:
-        return math.isqrt(len(self.matrix))
+    @classmethod
+    def _from_triple(cls, left, right, jumps: list[_Jump], mode: ApproximationMode):
+        """The generator of the triple ``(left, right, jumps)``, refused
+        with ``GuardExceeded`` when its dense ``matrix`` could not be
+        assembled (:func:`_refuse_dense`)."""
+        _refuse_dense(len(left))
+        gen = cls.__new__(cls)
+        gen._triple = (left, right, jumps)
+        gen.coo = _coo(left, right, jumps)
+        gen.mode = mode
+        gen.dim = len(left)
+        return gen
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense complex ``L``, assembled on first read."""
+        return _assemble(*self._triple)
 
     def apply(self, sigma: np.ndarray | DensityMatrix) -> np.ndarray:
         """Time derivative of ``sigma`` under this generator."""
@@ -254,9 +285,6 @@ class Superoperator:
                 f"state shape {mat.shape} does not match generator dim {self.dim}"
             )
         return unvec(self.matrix @ vec(mat), self.dim)
-
-
-_Jump = tuple[complex, np.ndarray, np.ndarray]
 
 
 def _refuse_past_memory(peak: int, what: str, task: str) -> None:
@@ -272,21 +300,62 @@ def _refuse_past_memory(peak: int, what: str, task: str) -> None:
         )
 
 
-def _assemble(left: np.ndarray, right: np.ndarray, jumps: list[_Jump]) -> np.ndarray:
-    """Matrix of ``sigma -> left @ sigma + sigma @ right + sum c L @ sigma @ R``
-    for the generator triple ``(left, right, [(c, L, R), ...])``.
+def _refuse_dense(levels: int) -> None:
+    """Refuse a generator on ``levels`` levels whose dense ``matrix``, which
+    every :class:`Superoperator` promises to give, would need more than
+    physical memory to assemble: :func:`_assemble` holds three ``(d**2,
+    d**2)`` complex arrays at its peak, the matrix and two Kronecker terms
+    (tracemalloc reads 3.0 times the matrix's ``16 d**4`` bytes for every
+    builder at d = 16-32).  Checked when the generator is built, before
+    anything is allocated, so a generator that could not give its matrix
+    is never made."""
+    _refuse_past_memory(
+        3 * 16 * levels**4, f"a generator on {levels} levels", "assemble its dense matrix"
+    )
 
-    A build holds three ``(d**2, d**2)`` complex arrays at its peak, the
-    matrix and two Kronecker terms (tracemalloc reads 3.0 times the matrix's
-    ``16 d**4`` bytes for every builder at d = 16-32).  A build whose peak
-    exceeds the machine's physical memory is refused with ``GuardExceeded``
-    before anything is allocated (:func:`_refuse_past_memory`).
-    """
-    _refuse_past_memory(3 * 16 * len(left) ** 4, f"a generator on {len(left)} levels", "build")
+
+def _assemble(left: np.ndarray, right: np.ndarray, jumps: list[_Jump]) -> np.ndarray:
+    """Dense matrix of ``sigma -> left @ sigma + sigma @ right + sum c L @
+    sigma @ R`` for the generator triple ``(left, right, [(c, L, R), ...])``,
+    the terms added in that order.  Read only through
+    :attr:`Superoperator.matrix`, whose build checked the peak
+    (:func:`_refuse_dense`)."""
     gen = spre(left) + spost(right)
     for coeff, op_left, op_right in jumps:
         gen += coeff * sandwich(op_left, op_right)
     return gen
+
+
+def _coo(left: np.ndarray, right: np.ndarray, jumps: list[_Jump]):
+    """The nonzeros of ``_assemble(left, right, jumps)`` as ``(rows, cols,
+    vals)`` in row-major order, computed from the triple without the dense
+    matrix, and bit for bit the same.
+
+    Each term ``c kron(B.T, A)`` (``spre(left)`` is ``kron(I, left)`` and
+    ``spost(right)`` is ``kron(right.T, I)``, with no ``c``) adds ``c
+    (B.T)[k, l] A[i, j]`` at ``(k dim + i, l dim + j)`` for the nonzeros of
+    ``B.T`` and ``A``, formed by the same products as ``np.kron``.  A
+    position takes each term at most once, and ``np.bincount`` sums its
+    contributions in ``_assemble``'s term order, real and imaginary parts
+    apart, as ``_assemble``'s additions do; the terms that skip it would add
+    only zeros.  Positions that sum to an exact zero are dropped.
+    """
+    dim = len(left)
+    size = dim * dim
+    eye = np.eye(dim)
+    keys, values = [], []
+    for coeff, a, b in [(None, left, eye), (None, eye, right), *jumps]:
+        (ai, aj), (bk, bl) = np.nonzero(a), np.nonzero(b.T)
+        keys.append((((bk * dim)[:, None] + ai) * size + (bl * dim)[:, None] + aj).ravel())
+        product = (b.T[bk, bl][:, None] * a[ai, aj]).ravel()
+        values.append(product if coeff is None else coeff * product)
+    keys, where = np.unique(np.concatenate(keys), return_inverse=True)
+    values = np.concatenate(values)
+    vals = np.bincount(where, weights=values.real, minlength=len(keys)).astype(complex)
+    vals.imag = np.bincount(where, weights=values.imag, minlength=len(keys))
+    kept = vals != 0
+    rows, cols = np.divmod(keys[kept], size)
+    return rows, cols, vals[kept]
 
 
 def _trap_rates(rates: RateSet) -> tuple[float, float, float]:
@@ -335,8 +404,8 @@ def build_redfield_generator(space: FockSpace, rates: RateSet) -> Superoperator:
     ``gamma/2`` weights of those terms remain.
     """
     b = build_fock_operators(space).b
-    gen = _assemble(*_ladder_terms(b, rates, counter_rotating=True))
-    return Superoperator(matrix=gen, mode=ApproximationMode.BEYOND_RWA)
+    triple = _ladder_terms(b, rates, counter_rotating=True)
+    return Superoperator._from_triple(*triple, ApproximationMode.BEYOND_RWA)
 
 
 def build_lindblad_generator(space: FockSpace, rates: RateSet) -> Superoperator:
@@ -346,8 +415,8 @@ def build_lindblad_generator(space: FockSpace, rates: RateSet) -> Superoperator:
     stationary and diagonal states stay diagonal.
     """
     b = build_fock_operators(space).b
-    gen = _assemble(*_ladder_terms(b, rates, counter_rotating=False))
-    return Superoperator(matrix=gen, mode=ApproximationMode.WITH_RWA)
+    triple = _ladder_terms(b, rates, counter_rotating=False)
+    return Superoperator._from_triple(*triple, ApproximationMode.WITH_RWA)
 
 
 def build_xp_generator(space: FockSpace, rates: RateSet) -> Superoperator:
@@ -381,7 +450,7 @@ def build_xp_generator(space: FockSpace, rates: RateSet) -> Superoperator:
     left = kinetic + potential - anti + counter_xp * xp - counter_px * px
     right = -kinetic - potential - anti - counter_xp * xp + counter_px * px
     jumps = [(diffusion, p, p), (mixed_px, p, x), (mixed_xp, x, p)]
-    return Superoperator(matrix=_assemble(left, right, jumps), mode=ApproximationMode.BEYOND_RWA)
+    return Superoperator._from_triple(left, right, jumps, ApproximationMode.BEYOND_RWA)
 
 
 def build_2d_generator(
@@ -398,8 +467,9 @@ def build_2d_generator(
     by_full = np.kron(np.eye(space_x.dim), build_fock_operators(space_y).b)
     left_x, right_x, jumps_x = _ladder_terms(bx_full, rates, True)
     left_y, right_y, jumps_y = _ladder_terms(by_full, rates, True)
-    gen = _assemble(left_x + left_y, right_x + right_y, jumps_x + jumps_y)
-    return Superoperator(matrix=gen, mode=ApproximationMode.BEYOND_RWA)
+    return Superoperator._from_triple(
+        left_x + left_y, right_x + right_y, jumps_x + jumps_y, ApproximationMode.BEYOND_RWA
+    )
 
 
 def sigma02_rhs(sigma: np.ndarray | DensityMatrix, rates: RateSet) -> complex:
@@ -449,7 +519,7 @@ def spectral_abscissa(superop: Superoperator) -> float:
     fraction of the cost of one dense ``eigvals`` of ``L``.  A generator
     that does not preserve Hermiticity is refused with ``ConfigurationError``.
     """
-    coords = _hermitian_coordinates(superop.matrix)
+    coords = _hermitian_coordinates(superop)
     return max(float(np.linalg.eigvals(block).real.max()) for _, block in _dense_blocks(coords))
 
 
@@ -490,7 +560,7 @@ def _invariant_blocks(rows: np.ndarray, cols: np.ndarray, size: int) -> list[np.
     return np.split(order, np.flatnonzero(np.diff(parent[order])) + 1)
 
 
-def _hermitian_coordinates(matrix: np.ndarray):
+def _hermitian_coordinates(superop: Superoperator):
     """The real generator ``G`` of Hermitian coordinates, its invariant
     blocks, and whether it conserves the trace: the one reading of a
     generator that the numerics take.
@@ -505,26 +575,29 @@ def _hermitian_coordinates(matrix: np.ndarray):
     Returns ``(gen, blocks, conserving)``.  ``gen`` is the triple ``(rows,
     cols, vals)`` of the nonzeros of ``G``, one per position, in row-major
     order: the real parts of the nonzeros of ``L`` at ``(rows, cols)`` plus
-    their imaginary parts at ``(rows, swap[cols])``, read from ``L`` once
-    and never formed as a dense array.  ``blocks`` are the
-    :func:`_invariant_blocks` of that pattern.  ``conserving`` says whether
-    ``sum_i d(rho_ii)/dt = 0`` for every state (``w_ii = rho_ii``, so the
-    diagonal rows of ``G`` sum to zero in every column) to ``1e-12 max|G|``,
-    as every builder's generator does.
+    their imaginary parts at ``(rows, swap[cols])``, read from the COO of
+    ``L`` (``superop.coo``), with neither ``L`` nor ``G`` formed as a dense
+    array.  ``blocks`` are the :func:`_invariant_blocks` of that pattern.
+    ``conserving`` says whether ``sum_i d(rho_ii)/dt = 0`` for every state
+    (``w_ii = rho_ii``, so the diagonal rows of ``G`` sum to zero in every
+    column) to ``1e-12 max|G|``, as every builder's generator does.
 
     Raises ``ConfigurationError`` unless ``L`` preserves Hermiticity
     (``conj(L) = L[swap][:, swap]`` to ``1e-12 max|L|``, the gate of
     :class:`DensityMatrix`): its anti-Hermitian part would be dropped.
     ``swap`` is an involution, so the largest gap over the nonzeros of ``L``
-    is the largest gap over all of it.
+    is the largest gap over all of it; ``L[swap[r], swap[c]]`` is looked up
+    among the sorted positions of the COO, and is 0 where it is not one.
     """
-    size = len(matrix)
-    swap = _swap(math.isqrt(size))
-    # a boolean mask is read faster than complex entries
-    rows, cols = np.nonzero(matrix != 0)
-    vals = matrix[rows, cols]
+    rows, cols, vals = superop.coo
+    size = superop.dim**2
+    swap = _swap(superop.dim)
+    positions = rows * size + cols
+    mirrors = swap[rows] * size + swap[cols]
+    at = np.minimum(np.searchsorted(positions, mirrors), len(positions) - 1)
+    mirrored = np.where(positions[at] == mirrors, vals[at], 0.0)
     scale = np.abs(vals).max(initial=0.0)
-    leak = np.abs(matrix[swap[rows], swap[cols]] - vals.conj()).max(initial=0.0)
+    leak = np.abs(mirrored - vals.conj()).max(initial=0.0)
     if leak > 1e-12 * scale:
         raise ConfigurationError(
             f"the generator does not preserve Hermiticity: max|conj(L) - L[swap][:, swap]| "
@@ -532,7 +605,7 @@ def _hermitian_coordinates(matrix: np.ndarray):
         )
     # a position reached by both a real and an imaginary part takes their sum
     keys, where = np.unique(
-        np.concatenate([rows * size + cols, rows * size + swap[cols]]), return_inverse=True
+        np.concatenate([positions, rows * size + swap[cols]]), return_inverse=True
     )
     sums = np.bincount(where, weights=np.concatenate([vals.real, vals.imag]))
     kept = sums != 0.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vactrap.bath import BathFitResult
-from vactrap.cli import _oracle_report_csv, run_cli
+from vactrap.cli import _csv_text, _oracle_report_csv, run_cli
 from vactrap.evolve import integrate
 from vactrap.liouville import FockSpace, build_fock_operators, build_redfield_generator
 from vactrap.observables import make_state, series_from_record
@@ -96,3 +96,24 @@ def test_oracle_report_cells_round_trip():
         assert _same_double(row[1], want)
         assert _same_double(row[3], abs(fitted - want) / abs(want))
         assert row[4] == "pass"
+
+
+def test_column_rule_writes_the_bytes_of_the_cell_rule():
+    # a numpy column is rendered in one pass, a mixed one cell by cell; both
+    # give each cell the text of the one rule, str unchanged, else
+    # repr(float(v))
+    tiny = 5e-324
+    mixed = ["label", 3, 1.5, np.float64(0.1), -0.0, math.nan, math.inf, -math.inf, tiny,
+             np.float64(-2.2250738585072014e-308), 10**20, np.int64(-7)]
+    doubles = np.array([cell for cell in mixed if not isinstance(cell, str)], dtype=float)
+    columns = (mixed[1:], doubles, np.arange(len(doubles)), doubles.astype(np.float32))
+    text = _csv_text(("a", "b", "c", "d"), columns)
+    expected = "a,b,c,d\n" + "".join(
+        ",".join(v if isinstance(v, str) else repr(float(v)) for v in row) + "\n"
+        for row in zip(*columns)
+    )
+    assert text == expected
+    assert _csv_text(("a",), [mixed]) == "a\n" + "".join(
+        (v if isinstance(v, str) else repr(float(v))) + "\n" for v in mixed
+    )
+    assert "-0.0" in text and "5e-324" in text and "-inf" in text and "nan" in text

@@ -338,7 +338,7 @@ _SMALL_GENERATORS = {
 def test_hermitian_coordinates_carry_the_generator(herm_factory, name):
     # G w(sigma) = w(L vec sigma), w = Re vec + Im vec, on Hermitian sigma
     gen = _SMALL_GENERATORS[name]()
-    (rows, cols, vals), _, _ = _hermitian_coordinates(gen.matrix)
+    (rows, cols, vals), _, _ = _hermitian_coordinates(gen)
     assert vals.dtype == np.float64 and np.all(vals != 0.0)
     size = len(gen.matrix)
     swap = _swap(gen.dim)

@@ -1,5 +1,6 @@
 """Ladder operators, vectorization, and the master-equation generators."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from vactrap.liouville import (
     DensityMatrix,
     FockSpace,
     Superoperator,
+    _assemble,
     _dense_blocks,
     _hermitian_coordinates,
     _invariant_blocks,
+    _swap,
     build_2d_generator,
     build_fock_operators,
     build_lindblad_generator,
@@ -27,6 +30,8 @@ from vactrap.liouville import (
     unvec,
     vec,
 )
+from vactrap.evolve import integrate
+from vactrap.observables import make_state
 from vactrap.params import reference_config
 from vactrap.rates import RateSet, build_rate_set
 
@@ -448,7 +453,7 @@ def _g_blocks(gen: Superoperator) -> list[np.ndarray]:
     """The invariant blocks of ``gen``'s real generator ``G``, once its dense
     blocks put back at ``(idx, idx)`` are checked to give ``G`` exactly, with
     nothing outside them."""
-    coords = (rows, cols, vals), blocks, _ = _hermitian_coordinates(gen.matrix)
+    coords = (rows, cols, vals), blocks, _ = _hermitian_coordinates(gen)
     size = len(gen.matrix)
     assert all(map(np.array_equal, blocks, _invariant_blocks(rows, cols, size)))
     dense = np.zeros((size, size))
@@ -510,7 +515,7 @@ def test_invariant_blocks_of_a_long_chain(shuffled):
 def test_invariant_blocks_of_every_builder_are_scipys_components(build):
     gen = build(FockSpace(dim=4 if build is _planar else 12), RATES)
     _assert_scipy_components(*np.nonzero(gen.matrix), len(gen.matrix))
-    (rows, cols, _), _, _ = _hermitian_coordinates(gen.matrix)
+    (rows, cols, _), _, _ = _hermitian_coordinates(gen)
     _assert_scipy_components(rows, cols, len(gen.matrix))
 
 
@@ -521,9 +526,10 @@ def test_trace_verdict_of_the_generator_reader(build):
     # every builder conserves the trace, so integrate gates trace drift and
     # the norm; a shift of the spectrum by 1e3 does not, and is not gated
     gen = build(FockSpace(dim=3 if build is _planar else 8), RATES)
-    _, _, conserving = _hermitian_coordinates(gen.matrix)
+    _, _, conserving = _hermitian_coordinates(gen)
     assert conserving is True
-    _, _, conserving = _hermitian_coordinates(gen.matrix + 1e3 * np.eye(len(gen.matrix)))
+    shifted = Superoperator(matrix=gen.matrix + 1e3 * np.eye(len(gen.matrix)), mode=gen.mode)
+    _, _, conserving = _hermitian_coordinates(shifted)
     assert conserving is False
 
 
@@ -535,3 +541,71 @@ def test_generator_build_past_physical_memory_is_refused(monkeypatch):
     assert build_redfield_generator(FockSpace(dim=4), RATES).dim == 4
     with pytest.raises(GuardExceeded, match="physical memory"):
         build_redfield_generator(FockSpace(dim=5), RATES)
+
+
+def _generator_on(build, levels):
+    """``build``'s generator on ``levels`` levels in all; the planar one on
+    2 x 4 or 4 x 6 levels."""
+    if build is build_2d_generator:
+        per_axis = {8: 2, 24: 4}[levels]
+        return build_2d_generator(FockSpace(dim=per_axis), FockSpace(dim=levels // per_axis), RATES)
+    return build(FockSpace(dim=levels), RATES)
+
+
+@pytest.mark.parametrize(
+    "build, levels",
+    [
+        *((build, levels)
+          for build in (build_redfield_generator, build_lindblad_generator, build_xp_generator,
+                        build_2d_generator)
+          for levels in (8, 24)),
+        (build_redfield_generator, 20),
+        (build_redfield_generator, 40),
+    ],
+)
+def test_coo_is_the_nonzeros_of_the_assembled_matrix(build, levels):
+    # the COO computed from the triple is, bit for bit, the nonzeros of the
+    # dense L that _assemble adds up term by term, and .matrix is that L,
+    # assembled on first read only
+    gen = _generator_on(build, levels)
+    assert "matrix" not in vars(gen)
+    dense = _assemble(*gen._triple)
+    rows, cols = np.nonzero(dense)
+    for coo in (gen.coo, Superoperator(matrix=dense, mode=gen.mode).coo):
+        assert np.array_equal(coo[0], rows) and np.array_equal(coo[1], cols)
+        assert np.array_equal(coo[2].view(float), dense[rows, cols].view(float))
+    assert np.array_equal(gen.matrix.view(float), dense.view(float))
+    assert gen.matrix is gen.matrix
+
+
+@pytest.mark.parametrize("consumer", ["spectral_abscissa", "integrate"])
+def test_numeric_path_builds_no_dense_generator(consumer):
+    # one dense L at dim 48 is 16 * 48**4 bytes (85 MB); the build, the
+    # reader and either consumer of it peak below that
+    space = FockSpace(dim=48)
+    tracemalloc.start()
+    try:
+        gen = build_redfield_generator(space, RATES)
+        if consumer == "spectral_abscissa":
+            spectral_abscissa(gen)
+        else:
+            integrate(gen, make_state("coherent", space, alpha=1.0), (0.0, 1.0), n_points=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 48**4
+
+
+def test_hermiticity_gap_reads_a_missing_mirror_as_zero():
+    # an entry of L whose mirror L[swap[r], swap[c]] is not among the
+    # nonzeros leaks its whole magnitude
+    gen = build_lindblad_generator(FockSpace(dim=4), RATES)
+    broken = gen.matrix.copy()
+    swap = _swap(4)
+    r, c = next(
+        (r, c) for r, c in zip(*np.nonzero(broken == 0))
+        if broken[swap[r], swap[c]] == 0 and (swap[r], swap[c]) != (r, c)
+    )
+    broken[r, c] = 1e-9
+    with pytest.raises(ConfigurationError, match=r"= 1\.000e-09 against"):
+        _hermitian_coordinates(Superoperator(matrix=broken, mode=gen.mode))
