@@ -263,13 +263,16 @@ class Superoperator:
     def _from_triple(cls, left, right, jumps: list[_Jump], mode: ApproximationMode):
         """The generator of the triple ``(left, right, jumps)``, refused
         with ``GuardExceeded`` when its dense ``matrix`` could not be
-        assembled (:func:`_refuse_dense`)."""
-        _refuse_dense(len(left))
+        assembled (:func:`_assemble`)."""
+        levels = len(left)
+        _refuse_past_memory(
+            3 * 16 * levels**4, f"a generator on {levels} levels", "assemble its dense matrix"
+        )
         gen = cls.__new__(cls)
         gen._triple = (left, right, jumps)
         gen.coo = _coo(left, right, jumps)
         gen.mode = mode
-        gen.dim = len(left)
+        gen.dim = levels
         return gen
 
     @cached_property
@@ -300,26 +303,19 @@ def _refuse_past_memory(peak: int, what: str, task: str) -> None:
         )
 
 
-def _refuse_dense(levels: int) -> None:
-    """Refuse a generator on ``levels`` levels whose dense ``matrix``, which
-    every :class:`Superoperator` promises to give, would need more than
-    physical memory to assemble: :func:`_assemble` holds three ``(d**2,
-    d**2)`` complex arrays at its peak, the matrix and two Kronecker terms
-    (tracemalloc reads 3.0 times the matrix's ``16 d**4`` bytes for every
-    builder at d = 16-32).  Checked when the generator is built, before
-    anything is allocated, so a generator that could not give its matrix
-    is never made."""
-    _refuse_past_memory(
-        3 * 16 * levels**4, f"a generator on {levels} levels", "assemble its dense matrix"
-    )
-
-
 def _assemble(left: np.ndarray, right: np.ndarray, jumps: list[_Jump]) -> np.ndarray:
     """Dense matrix of ``sigma -> left @ sigma + sigma @ right + sum c L @
     sigma @ R`` for the generator triple ``(left, right, [(c, L, R), ...])``,
-    the terms added in that order.  Read only through
-    :attr:`Superoperator.matrix`, whose build checked the peak
-    (:func:`_refuse_dense`)."""
+    the terms added in that order: :attr:`Superoperator.matrix`.
+
+    It holds three ``(d**2, d**2)`` complex arrays at its peak, the matrix
+    and two Kronecker terms (tracemalloc reads 3.0 times the matrix's ``16
+    d**4`` bytes for every builder at d = 16-32).  Every
+    :class:`Superoperator` promises this matrix, so a generator whose peak
+    exceeds physical memory is refused when it is built, with
+    ``GuardExceeded``, before anything is allocated
+    (:meth:`Superoperator._from_triple`).
+    """
     gen = spre(left) + spost(right)
     for coeff, op_left, op_right in jumps:
         gen += coeff * sandwich(op_left, op_right)
