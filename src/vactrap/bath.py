@@ -53,8 +53,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatch, FitFailure, _require_count
-from .liouville import FockSpace, _refuse_past_memory, build_fock_operators
+from .errors import ConfigurationError, DimensionMismatch, FitFailure
+from .errors import _refuse_past_memory, _require_count
+from .liouville import FockSpace, build_fock_operators
 
 __all__ = [
     "BathModel",

@@ -4,11 +4,13 @@ Every guard in the package raises one of these types so callers (and the
 command-line tool) can map failures onto exit codes without string matching:
 configuration problems are ``ConfigurationError`` subclasses, numerical
 guards are ``NumericalGuard`` subclasses.  A count that is not an integer
-is refused in one place, ``_require_count``.
+is refused in one place, ``_require_count``, and a request for more bytes
+than the machine has in one place, ``_refuse_past_memory``.
 """
 from __future__ import annotations
 
 import operator
+import os
 
 
 class VactrapError(Exception):
@@ -102,9 +104,9 @@ class FitFailure(NumericalGuard):
 
 
 class GuardExceeded(ConfigurationError):
-    """A model too large for the machine: a brute-force bath whose run, or
-    a generator whose dense matrix, would need more bytes than the
-    machine's physical memory.  Refused before anything is allocated."""
+    """A model too large for the machine: a bath oracle's run, a generator's
+    dense matrix or a time or field grid that would need more bytes than
+    the machine's physical memory.  Refused before anything is allocated."""
 
 
 class LongWavelengthWarning(UserWarning):
@@ -119,3 +121,16 @@ def _require_count(value, name: str, error: type[VactrapError] = DimensionMismat
         operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
+
+
+def _refuse_past_memory(peak: int, what: str, task: str) -> None:
+    """Raise ``GuardExceeded`` when ``peak`` bytes exceed the machine's
+    physical memory (page size times physical pages): "``what`` needs ...
+    GiB to ``task``".  Callers check before they allocate; the figure is
+    total memory, not free memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if peak > memory:
+        raise GuardExceeded(
+            f"{what} needs {peak / 2**30:.4g} GiB to {task}, "
+            f"more than the {memory / 2**30:.4g} GiB of physical memory"
+        )

@@ -61,6 +61,7 @@ from .errors import (
     GuardBandOverflow,
     PositivityBreach,
     ToleranceFailure,
+    _refuse_past_memory,
     _require_count,
 )
 from .liouville import (
@@ -180,9 +181,10 @@ def integrate(
     ------
     ConfigurationError
         If ``t_span`` is not increasing with a finite length ``t1 - t0``,
-        or ``n_points`` is not an integer of at least 2, or if the
-        generator does not preserve Hermiticity (``max|conj(L) -
-        L[swap][:, swap]|`` above ``1e-12 max|L|``).
+        or ``n_points`` is not an integer of at least 2, or its grid would
+        not fit in physical memory (``GuardExceeded``), or if the generator
+        does not preserve Hermiticity (``max|conj(L) - L[swap][:, swap]|``
+        above ``1e-12 max|L|``).
     ToleranceFailure
         If the propagated trajectory has a non-finite entry.  For a
         generator that conserves the trace (the verdict of
@@ -222,9 +224,13 @@ def integrate(
     _require_count(n_points, "n_points", ConfigurationError)
     if n_points < 2:
         raise ConfigurationError(f"n_points must be at least 2, got {n_points}")
+    dim = generator.dim
+    # bytes per grid point: w, the complex diagonal and the diagnostics; tracemalloc
+    # read this for both builders and methods at dim 6-16, 2001 and 8001 points
+    peak = (8 * dim**2 + 16 * dim + 33) * n_points
+    _refuse_past_memory(peak, f"a grid of {n_points} points on {dim} levels", "integrate")
 
     times = np.linspace(t0, t1, n_points)
-    dim = generator.dim
     coords = _hermitian_coordinates(generator)
     # an overflow is reported below as ToleranceFailure, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):

@@ -12,10 +12,11 @@ population reaching them means the physical state no longer fits the
 truncation, not that anything here silently fixed it up.
 
 Every generator is a triple ``(left, right, jumps)`` acting as
-``left @ sigma + sigma @ right + sum_k c_k L_k @ sigma @ R_k``.  A
-:class:`Superoperator` keeps the nonzeros of its matrix ``L`` (its COO),
-computed from the triple by :func:`_coo`, and assembles the dense ``L``
-(:func:`_assemble`) only when ``.matrix`` is read.  The RWA generator is
+``left @ sigma + sigma @ right + sum_k c_k L_k @ sigma @ R_k``, the one
+input of a :class:`Superoperator`, which applies it (:func:`_act`), keeps
+the nonzeros of its matrix ``L`` (its COO, :func:`_coo`), and assembles
+the dense ``L`` (:func:`_assemble`) only when ``.matrix`` is read, which
+nothing in this package does.  The RWA generator is
 the rotating part of the ladder triple (a damped oscillator at ``omega_c +
 delta_minus``); the beyond-RWA generator adds the counter-rotating part (the
 ``-delta_plus`` frequency pull and the two-quantum ``b^2``, ``(b+)^2``
@@ -38,7 +39,6 @@ a ``RateSet.scaled`` rate set, and refuse an SI one.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -49,7 +49,7 @@ from .errors import (
     ConfigurationError,
     DimensionMismatch,
     DimensionTooSmall,
-    GuardExceeded,
+    _refuse_past_memory,
     _require_count,
 )
 from .params import ApproximationMode
@@ -235,45 +235,28 @@ _Jump = tuple[complex, np.ndarray, np.ndarray]
 
 
 class Superoperator:
-    """A generator on vectorized density matrices, kept as the nonzeros of
-    its ``(dim**2, dim**2)`` matrix ``L``.
-
-    ``coo`` is ``(rows, cols, vals)``: the positions of the nonzeros of
-    ``L`` in row-major order and their complex values.  A builder computes
-    it from its generator triple (:func:`_coo`); ``Superoperator(matrix,
-    mode)`` takes a dense ``L`` and reads it with ``np.nonzero``.  ``dim``
-    is set by the size of ``L``; on a tensor-product space it is the
-    product of the per-axis level counts.  ``matrix``, the dense ``L``, is
-    assembled on first read only (:func:`_assemble`); every builder checks
-    at build time that it fits in memory.
+    """The generator of a triple ``(left, right, jumps)``, whose matrices
+    must all be ``(dim, dim)`` for one ``dim`` (``DimensionMismatch``); on
+    a tensor-product space ``dim`` is the product of the per-axis level
+    counts.  ``apply`` reads the triple.  ``coo`` is ``(rows, cols,
+    vals)``, the nonzeros of the ``(dim**2, dim**2)`` matrix ``L`` in
+    row-major order (:func:`_coo`).  ``matrix``, the dense ``L``, is
+    assembled on first read only (:func:`_assemble`), and a generator
+    whose assembly would not fit in physical memory is refused when it is
+    built, with ``GuardExceeded``.
     """
 
-    def __init__(self, matrix: np.ndarray, mode: ApproximationMode):
-        n = len(matrix)
-        if np.shape(matrix) != (n, n) or math.isqrt(n) ** 2 != n:
-            raise DimensionMismatch(f"generator needs a (dim**2, dim**2) matrix, got {n} rows")
-        # a boolean mask is read faster than complex entries
-        rows, cols = np.nonzero(matrix != 0)
-        self.__dict__["matrix"] = matrix
-        self.coo = (rows, cols, matrix[rows, cols])
-        self.mode = mode
-        self.dim = math.isqrt(n)
-
-    @classmethod
-    def _from_triple(cls, left, right, jumps: list[_Jump], mode: ApproximationMode):
-        """The generator of the triple ``(left, right, jumps)``, refused
-        with ``GuardExceeded`` when its dense ``matrix`` could not be
-        assembled (:func:`_assemble`)."""
+    def __init__(self, left, right, jumps: list[_Jump], mode: ApproximationMode):
         levels = len(left)
-        _refuse_past_memory(
-            3 * 16 * levels**4, f"a generator on {levels} levels", "assemble its dense matrix"
-        )
-        gen = cls.__new__(cls)
-        gen._triple = (left, right, jumps)
-        gen.coo = _coo(left, right, jumps)
-        gen.mode = mode
-        gen.dim = levels
-        return gen
+        shapes = {np.shape(op) for op in (left, right, *(op for _, *ops in jumps for op in ops))}
+        if shapes != {(levels, levels)}:
+            raise DimensionMismatch(f"triple shapes are not one (dim, dim): {sorted(shapes)}")
+        peak = 3 * 16 * levels**4
+        _refuse_past_memory(peak, f"a generator on {levels} levels", "assemble its dense matrix")
+        self._triple = (left, right, jumps)
+        self.coo = _coo(left, right, jumps)
+        self.mode = mode
+        self.dim = levels
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -281,26 +264,23 @@ class Superoperator:
         return _assemble(*self._triple)
 
     def apply(self, sigma: np.ndarray | DensityMatrix) -> np.ndarray:
-        """Time derivative of ``sigma`` under this generator."""
+        """Time derivative of ``sigma``, from the triple in O(dim**3)."""
         mat = sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma)
         if mat.shape != (self.dim, self.dim):
             raise DimensionMismatch(
                 f"state shape {mat.shape} does not match generator dim {self.dim}"
             )
-        return unvec(self.matrix @ vec(mat), self.dim)
+        return _act(*self._triple, mat)
 
 
-def _refuse_past_memory(peak: int, what: str, task: str) -> None:
-    """Raise ``GuardExceeded`` when ``peak`` bytes exceed the machine's
-    physical memory (page size times physical pages): "``what`` needs ...
-    GiB to ``task``".  Callers check before they allocate; the figure is
-    total memory, not free memory."""
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if peak > memory:
-        raise GuardExceeded(
-            f"{what} needs {peak / 2**30:.4g} GiB to {task}, "
-            f"more than the {memory / 2**30:.4g} GiB of physical memory"
-        )
+def _act(left: np.ndarray, right: np.ndarray, jumps: list[_Jump], sigma: np.ndarray):
+    """``left @ sigma + sigma @ right + sum c L @ sigma @ R``, the terms
+    added in :func:`_assemble`'s order, as a complex matrix."""
+    sigma = np.asarray(sigma, dtype=complex)
+    out = left @ sigma + sigma @ right
+    for coeff, op_left, op_right in jumps:
+        out += coeff * (op_left @ sigma @ op_right)
+    return out
 
 
 def _assemble(left: np.ndarray, right: np.ndarray, jumps: list[_Jump]) -> np.ndarray:
@@ -310,11 +290,8 @@ def _assemble(left: np.ndarray, right: np.ndarray, jumps: list[_Jump]) -> np.nda
 
     It holds three ``(d**2, d**2)`` complex arrays at its peak, the matrix
     and two Kronecker terms (tracemalloc reads 3.0 times the matrix's ``16
-    d**4`` bytes for every builder at d = 16-32).  Every
-    :class:`Superoperator` promises this matrix, so a generator whose peak
-    exceeds physical memory is refused when it is built, with
-    ``GuardExceeded``, before anything is allocated
-    (:meth:`Superoperator._from_triple`).
+    d**4`` bytes for every builder at d = 16-32), the peak against which
+    :class:`Superoperator` checks physical memory when it is built.
     """
     gen = spre(left) + spost(right)
     for coeff, op_left, op_right in jumps:
@@ -401,7 +378,7 @@ def build_redfield_generator(space: FockSpace, rates: RateSet) -> Superoperator:
     """
     b = build_fock_operators(space).b
     triple = _ladder_terms(b, rates, counter_rotating=True)
-    return Superoperator._from_triple(*triple, ApproximationMode.BEYOND_RWA)
+    return Superoperator(*triple, ApproximationMode.BEYOND_RWA)
 
 
 def build_lindblad_generator(space: FockSpace, rates: RateSet) -> Superoperator:
@@ -412,7 +389,7 @@ def build_lindblad_generator(space: FockSpace, rates: RateSet) -> Superoperator:
     """
     b = build_fock_operators(space).b
     triple = _ladder_terms(b, rates, counter_rotating=False)
-    return Superoperator._from_triple(*triple, ApproximationMode.WITH_RWA)
+    return Superoperator(*triple, ApproximationMode.WITH_RWA)
 
 
 def build_xp_generator(space: FockSpace, rates: RateSet) -> Superoperator:
@@ -446,7 +423,7 @@ def build_xp_generator(space: FockSpace, rates: RateSet) -> Superoperator:
     left = kinetic + potential - anti + counter_xp * xp - counter_px * px
     right = -kinetic - potential - anti - counter_xp * xp + counter_px * px
     jumps = [(diffusion, p, p), (mixed_px, p, x), (mixed_xp, x, p)]
-    return Superoperator._from_triple(left, right, jumps, ApproximationMode.BEYOND_RWA)
+    return Superoperator(left, right, jumps, ApproximationMode.BEYOND_RWA)
 
 
 def build_2d_generator(
@@ -463,7 +440,7 @@ def build_2d_generator(
     by_full = np.kron(np.eye(space_x.dim), build_fock_operators(space_y).b)
     left_x, right_x, jumps_x = _ladder_terms(bx_full, rates, True)
     left_y, right_y, jumps_y = _ladder_terms(by_full, rates, True)
-    return Superoperator._from_triple(
+    return Superoperator(
         left_x + left_y, right_x + right_y, jumps_x + jumps_y, ApproximationMode.BEYOND_RWA
     )
 

@@ -32,8 +32,6 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import (
     ConfigParseError,
     ConfigurationError,
@@ -246,8 +244,8 @@ def cyclotron_frequency(particle: ParticleSpec, b_field: float) -> float:
     b_field : float
         Magnetic field in tesla, must be positive with a finite frequency.
     """
-    with np.errstate(over="ignore"):  # a sweep's np.float64 field may overflow
-        omega = abs(particle.charge) * b_field / particle.mass
+    # Python floats give the same double as numpy, and inf on overflow with no warning
+    omega = abs(particle.charge) * float(b_field) / particle.mass
     if not (b_field > 0.0 and math.isfinite(omega)):
         raise ConfigurationError(f"b_field must give a positive, finite frequency, got {b_field}")
     return omega

@@ -24,7 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatch, _require_count
+from .errors import ConfigurationError, DimensionMismatch, _refuse_past_memory, _require_count
 from .params import (
     ApproximationMode,
     CutoffKind,
@@ -147,6 +147,9 @@ def bfield_sweep(
     _require_count(n_points, "n_points")
     if n_points < 16:
         raise DimensionMismatch(f"need >= 16 points for stable slopes, got {n_points}")
+    # bytes per field: tracemalloc read 48, and 104 where every field is noted
+    # past the long-wavelength bound (a boxed float each), at 1000 and 5000 points
+    _refuse_past_memory(104 * n_points, f"a sweep of {n_points} fields", "run")
     the_mode = parse_mode(mode) if isinstance(mode, str) else (mode or config.mode)
 
     b_values = np.geomspace(b_lo, b_hi, n_points)

@@ -1,7 +1,8 @@
 """Shared fixtures plus the acceptance-criteria summary hook.
 
 The helpers here are deliberately small: a seeded generator, a factory for
-random Hermitian matrices, and the two-significant-figure comparator used
+random Hermitian matrices, one for a jump that sets a single entry of a
+generator's matrix, and the two-significant-figure comparator used
 wherever a computed number is pinned against a value quoted to two digits.
 
 The terminal-summary hook collects the outcome of every test in
@@ -43,6 +44,20 @@ def herm_factory(rng):
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         h = (a + a.conj().T) / 2.0
         return h / np.linalg.norm(h)
+
+    return make
+
+
+@pytest.fixture
+def entry_jump():
+    """Factory for the jump ``(1e-9, e_i e_j^T, e_l e_k^T)`` on ``dim`` levels,
+    which adds 1e-9 to a generator's ``L`` at ``(row, col) = (k dim + i, l dim
+    + j)`` and nowhere else (``sandwich(A, B) = kron(B.T, A)``)."""
+
+    def make(dim: int, row: int, col: int):
+        (k, i), (l, j) = divmod(row, dim), divmod(col, dim)
+        eye = np.eye(dim)
+        return 1e-9, np.outer(eye[i], eye[j]), np.outer(eye[l], eye[k])
 
     return make
 

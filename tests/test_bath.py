@@ -97,7 +97,7 @@ def test_bath_past_physical_memory_is_refused(monkeypatch, capsys, make, admitte
     # product space, is checked against physical memory when the model is
     # made; 15 pages of 1 KiB hold the sector at 13 states and the product
     # space at 16, and refuse 14 and 32
-    monkeypatch.setattr("vactrap.liouville.os.sysconf",
+    monkeypatch.setattr("vactrap.errors.os.sysconf",
                         lambda name: {"SC_PAGE_SIZE": 1024}.get(name, 15))
     make_flat_bath(admitted, gamma_target=1e-3, **make)
     with pytest.raises(GuardExceeded, match="physical memory"):

@@ -285,6 +285,23 @@ def test_closed_form_range_ends_are_one_line_input_errors(argv, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--dim", "4", "--points", "1000000000000"],
+        ["witness", "--points", "1000000000000"],
+        ["sweep-b", "--points", "1000000000000"],
+    ],
+)
+def test_a_grid_past_physical_memory_is_a_one_line_input_error(argv, capsys):
+    # the time or field grid is refused before it is allocated
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("vactrap: input error: ")
+    assert captured.err.count("\n") == 1 and "physical memory" in captured.err
+
+
 _SPAN_GUARD = "||G||_1 (t1 - t0) = "
 _GUARDED_RUNS = [
     (["evolve", "--dim", "6", "--points", "3", "--t-end", "1e300"], _SPAN_GUARD),

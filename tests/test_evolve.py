@@ -11,6 +11,7 @@ from vactrap.errors import (
     ConfigurationError,
     DimensionMismatch,
     GuardBandOverflow,
+    GuardExceeded,
     PositivityBreach,
     ToleranceFailure,
 )
@@ -356,19 +357,18 @@ def test_hermitian_coordinates_carry_the_generator(herm_factory, name):
         assert gap <= 1e-14 * scale
 
 
-def test_generator_that_breaks_hermiticity_is_refused():
+def test_generator_that_breaks_hermiticity_is_refused(entry_jump):
     space = FockSpace(dim=4)
     gen = build_lindblad_generator(space, STABLE)
     rho0 = make_state("fock", space, n=0)
-    broken = gen.matrix.copy()
-    broken[1, 0] += 1e-9
-    broken = Superoperator(matrix=broken, mode=gen.mode)
+    left, right, jumps = gen._triple
+    broken = Superoperator(left, right, [*jumps, entry_jump(4, 1, 0)], gen.mode)
     with pytest.raises(ConfigurationError, match="Hermiticity"):
         integrate(broken, rho0, (0.0, 1.0), n_points=11)
     with pytest.raises(ConfigurationError, match="Hermiticity"):
         spectral_abscissa(broken)
     # a real shift of the spectrum keeps Hermiticity: propagated, not refused
-    shifted = Superoperator(matrix=gen.matrix + 1e3 * np.eye(16), mode=gen.mode)
+    shifted = Superoperator(left + 500.0 * np.eye(4), right + 500.0 * np.eye(4), jumps, gen.mode)
     record = integrate(shifted, rho0, (0.0, 0.1), n_points=5)
     assert record.rho[-1, 0, 0].real == pytest.approx(math.exp(100.0), rel=1e-12)
 
@@ -415,7 +415,7 @@ def test_same_trajectory_raises_when_labelled_completely_positive():
     space = FockSpace(dim=16)
     rates = RateSet.scaled(1e-2, 2e-2, 3e-2)
     gen = build_redfield_generator(space, rates)
-    relabelled = Superoperator(matrix=gen.matrix, mode=ApproximationMode.WITH_RWA)
+    relabelled = Superoperator(*gen._triple, ApproximationMode.WITH_RWA)
     rho0 = make_state("coherent", space, alpha=1.0)
     with pytest.raises(PositivityBreach) as exc_info:
         integrate(relabelled, rho0, (0.0, 1.0), n_points=101)
@@ -600,9 +600,23 @@ def test_overflowing_generator_raises_tolerance_failure(monkeypatch, n_points, c
     monkeypatch.setattr("vactrap.evolve._STEPPER_MAX_SIZE", cap)
     space = FockSpace(dim=4)
     gen = build_lindblad_generator(space, STABLE)
-    unstable = Superoperator(matrix=gen.matrix + 1e3 * np.eye(16), mode=gen.mode)
+    left, right, jumps = gen._triple
+    unstable = Superoperator(left + 500.0 * np.eye(4), right + 500.0 * np.eye(4), jumps, gen.mode)
     with pytest.raises(ToleranceFailure, match="not finite"):
         integrate(unstable, make_state("fock", space, n=0), (0.0, 1.0), n_points=n_points)
+
+
+def test_grid_past_physical_memory_is_refused(monkeypatch):
+    # the grid's peak, 8 d**2 + 16 d + 33 bytes a point, is checked against
+    # physical memory before the grid is made; 16 pages of 1 KiB hold 72
+    # points at dim 4 and refuse 73
+    space = FockSpace(dim=4)
+    gen = build_lindblad_generator(space, STABLE)
+    rho0 = make_state("fock", space, n=0)
+    monkeypatch.setattr("vactrap.errors.os.sysconf", lambda name: {"SC_PAGE_SIZE": 1024}.get(name, 16))
+    assert len(integrate(gen, rho0, (0.0, 1.0), n_points=72).times) == 72
+    with pytest.raises(GuardExceeded, match="a grid of 73 points on 4 levels .* physical memory"):
+        integrate(gen, rho0, (0.0, 1.0), n_points=73)
 
 
 # ------------------------------------------------------------------ window

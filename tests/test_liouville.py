@@ -138,11 +138,21 @@ def test_density_matrix_must_be_square():
 
 def test_superoperator_dim_comes_from_its_matrix():
     gen = build_lindblad_generator(FockSpace(dim=4), RATES)
-    assert Superoperator(matrix=gen.matrix, mode=gen.mode).dim == 4
+    assert Superoperator(*gen._triple, gen.mode).dim == 4
     assert build_2d_generator(FockSpace(dim=2), FockSpace(dim=3), RATES).dim == 6
-    for shape in [(16, 9), (15, 15), (16,)]:
-        with pytest.raises(DimensionMismatch):
-            Superoperator(matrix=np.zeros(shape), mode=gen.mode)
+    # a triple whose matrices are not all (d, d) for one d is refused
+    left, right, jumps = gen._triple
+    (coeff, op_left, op_right), *rest = jumps
+    for triple in [
+        (left[:3], right, jumps),
+        (left, right[:, :3], jumps),
+        (left, np.eye(5), jumps),
+        (np.diag(left), right, jumps),
+        (left, right, [(coeff, op_left[:3, :3], op_right), *rest]),
+        (left, right, [(coeff, op_left, np.eye(3)), *rest]),
+    ]:
+        with pytest.raises(DimensionMismatch, match=r"not one \(dim, dim\)"):
+            Superoperator(*triple, gen.mode)
 
 
 def test_generator_annihilates_trace_and_preserves_hermiticity(herm_factory):
@@ -528,7 +538,9 @@ def test_trace_verdict_of_the_generator_reader(build):
     gen = build(FockSpace(dim=3 if build is _planar else 8), RATES)
     _, _, conserving = _hermitian_coordinates(gen)
     assert conserving is True
-    shifted = Superoperator(matrix=gen.matrix + 1e3 * np.eye(len(gen.matrix)), mode=gen.mode)
+    left, right, jumps = gen._triple
+    eye = np.eye(gen.dim)
+    shifted = Superoperator(left + 500.0 * eye, right + 500.0 * eye, jumps, gen.mode)
     _, _, conserving = _hermitian_coordinates(shifted)
     assert conserving is False
 
@@ -537,7 +549,7 @@ def test_generator_build_past_physical_memory_is_refused(monkeypatch):
     # the build's peak, three (d**2, d**2) complex arrays, is checked against
     # physical memory before anything is allocated; 16 pages of 1 KiB hold a
     # dim-4 build (12 KiB) and refuse a dim-5 one (29 KiB)
-    monkeypatch.setattr("vactrap.liouville.os.sysconf", lambda name: {"SC_PAGE_SIZE": 1024}.get(name, 16))
+    monkeypatch.setattr("vactrap.errors.os.sysconf", lambda name: {"SC_PAGE_SIZE": 1024}.get(name, 16))
     assert build_redfield_generator(FockSpace(dim=4), RATES).dim == 4
     with pytest.raises(GuardExceeded, match="physical memory"):
         build_redfield_generator(FockSpace(dim=5), RATES)
@@ -571,11 +583,25 @@ def test_coo_is_the_nonzeros_of_the_assembled_matrix(build, levels):
     assert "matrix" not in vars(gen)
     dense = _assemble(*gen._triple)
     rows, cols = np.nonzero(dense)
-    for coo in (gen.coo, Superoperator(matrix=dense, mode=gen.mode).coo):
-        assert np.array_equal(coo[0], rows) and np.array_equal(coo[1], cols)
-        assert np.array_equal(coo[2].view(float), dense[rows, cols].view(float))
+    assert np.array_equal(gen.coo[0], rows) and np.array_equal(gen.coo[1], cols)
+    assert np.array_equal(gen.coo[2].view(float), dense[rows, cols].view(float))
     assert np.array_equal(gen.matrix.view(float), dense.view(float))
     assert gen.matrix is gen.matrix
+
+
+@pytest.mark.parametrize(
+    "build", [build_redfield_generator, build_lindblad_generator, build_xp_generator,
+              build_2d_generator]
+)
+def test_apply_reads_the_triple(rng, build):
+    # apply is the triple's action, and agrees with the dense L that .matrix
+    # promises without assembling it
+    gen = _generator_on(build, 24)
+    sigma = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
+    want = unvec(_assemble(*gen._triple) @ vec(sigma), 24)
+    for state in (sigma, DensityMatrix(sigma, validate=False)):
+        assert np.abs(gen.apply(state) - want).max() <= 1e-14 * np.abs(want).max()
+    assert "matrix" not in vars(gen)
 
 
 @pytest.mark.parametrize("consumer", ["spectral_abscissa", "integrate"])
@@ -596,16 +622,18 @@ def test_numeric_path_builds_no_dense_generator(consumer):
     assert peak < 16 * 48**4
 
 
-def test_hermiticity_gap_reads_a_missing_mirror_as_zero():
+def test_hermiticity_gap_reads_a_missing_mirror_as_zero(entry_jump):
     # an entry of L whose mirror L[swap[r], swap[c]] is not among the
     # nonzeros leaks its whole magnitude
     gen = build_lindblad_generator(FockSpace(dim=4), RATES)
-    broken = gen.matrix.copy()
+    dense = gen.matrix
     swap = _swap(4)
     r, c = next(
-        (r, c) for r, c in zip(*np.nonzero(broken == 0))
-        if broken[swap[r], swap[c]] == 0 and (swap[r], swap[c]) != (r, c)
+        (r, c) for r, c in zip(*np.nonzero(dense == 0))
+        if dense[swap[r], swap[c]] == 0 and (swap[r], swap[c]) != (r, c)
     )
-    broken[r, c] = 1e-9
+    left, right, jumps = gen._triple
+    broken = Superoperator(left, right, [*jumps, entry_jump(4, r, c)], gen.mode)
+    assert np.count_nonzero(broken.matrix - dense) == 1 and broken.matrix[r, c] == 1e-9
     with pytest.raises(ConfigurationError, match=r"= 1\.000e-09 against"):
-        _hermitian_coordinates(Superoperator(matrix=broken, mode=gen.mode))
+        _hermitian_coordinates(broken)

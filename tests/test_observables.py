@@ -8,11 +8,15 @@ from vactrap.errors import DimensionMismatch, TruncationRisk
 from vactrap.evolve import _CHUNK, integrate
 from vactrap.liouville import (
     FockSpace,
+    _act,
+    _assemble,
     _unpack,
     build_fock_operators,
     build_lindblad_generator,
     build_redfield_generator,
     build_xp_generator,
+    unvec,
+    vec,
 )
 from vactrap.observables import (
     amplitude_peaks,
@@ -237,6 +241,31 @@ def test_first_moment_identities_are_exact():
     # G = 0 and dw = -1/2 make the expected <x> rate vanish: the residual
     # is then absolute
     assert first_moment_rhs_check(RateSet.scaled(0.0, 0.5, 0.0), dim=12) < 1e-12
+
+
+def test_first_moment_adjoint_is_the_dense_adjoint(monkeypatch):
+    # the adjoint first_moment_rhs_check applies to x and p, read from the
+    # generator's triple, is conj(L).T applied to vec(x) and vec(p), and no
+    # dense L is assembled for it
+    built, applied = [], []
+
+    def build(space, rates):
+        built.append(build_redfield_generator(space, rates))
+        return built[-1]
+
+    def act(*args):
+        applied.append((args[-1], _act(*args)))
+        return applied[-1][1]
+
+    monkeypatch.setattr("vactrap.observables.build_redfield_generator", build)
+    monkeypatch.setattr("vactrap.observables._act", act)
+    assert first_moment_rhs_check(STABLE, dim=16) < 1e-12
+    (gen,) = built
+    assert len(applied) == 2 and "matrix" not in vars(gen)
+    adjoint = _assemble(*gen._triple).conj().T
+    for op, image in applied:
+        want = unvec(adjoint @ vec(op), gen.dim)
+        assert np.abs(image - want).max() <= 1e-14 * np.abs(want).max()
 
 
 # ------------------------------------------------------------------ fitting

@@ -78,6 +78,19 @@ def test_closed_form_modules_import_no_dynamics(name):
     assert not _imported_submodules(name) & dynamics
 
 
+@pytest.mark.parametrize("name", ["params", "rates", "perturbation"])
+def test_closed_form_modules_import_no_numpy_at_module_level(name):
+    # rates, shifts and the positivity horizon are Python-float arithmetic
+    tree = ast.parse(Path(vactrap.__file__).with_name(f"{name}.py").read_text())
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert "numpy" not in imported
+
+
 def _integrate_points(n):
     space = FockSpace(dim=4)
     gen = build_lindblad_generator(space, RateSet.scaled(1e-2, 5e-3, 8e-3))

@@ -2,6 +2,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from vactrap.errors import (
@@ -66,6 +67,14 @@ def test_cyclotron_frequency_reference_field():
 def test_cyclotron_frequency_rejects_nonpositive_field(bad):
     with pytest.raises(ConfigurationError):
         cyclotron_frequency(ELECTRON, bad)
+
+
+def test_cyclotron_frequency_overflow_is_refused_without_a_warning():
+    # |q| B / m past the largest double is inf, refused as not finite, with
+    # no overflow warning; a numpy field gives the Python field's double
+    with pytest.raises(ConfigurationError, match="finite"):
+        cyclotron_frequency(ELECTRON, np.float64(1e300))
+    assert cyclotron_frequency(ELECTRON, np.float64(B_REF)) == cyclotron_frequency(ELECTRON, B_REF)
 
 
 def test_particle_spec_validation():

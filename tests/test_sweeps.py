@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vactrap.cli import run_cli
-from vactrap.errors import DimensionMismatch, LongWavelengthWarning
+from vactrap.errors import DimensionMismatch, GuardExceeded, LongWavelengthWarning
 from vactrap.params import (
     ApproximationMode,
     CutoffKind,
@@ -163,6 +163,16 @@ def test_sweep_validation():
         bfield_sweep(REFERENCE, (10.0, 1.0), 33)
     with pytest.raises(DimensionMismatch):
         bfield_sweep(REFERENCE, (0.0, 10.0), 33)
+
+
+def test_sweep_past_physical_memory_is_refused(monkeypatch):
+    # the sweep's peak, 104 bytes a field, is checked against physical
+    # memory before the grid is made; 16 pages of 1 KiB hold 157 fields and
+    # refuse 158
+    monkeypatch.setattr("vactrap.errors.os.sysconf", lambda name: {"SC_PAGE_SIZE": 1024}.get(name, 16))
+    assert len(bfield_sweep(REFERENCE, (1.0, 10.0), 157).b_values) == 157
+    with pytest.raises(GuardExceeded, match="a sweep of 158 fields .* physical memory"):
+        bfield_sweep(REFERENCE, (1.0, 10.0), 158)
 
 
 def test_sweep_result_validation():
