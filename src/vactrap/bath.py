@@ -29,15 +29,19 @@ observables are one path.  The evolution walks the time grid in chunks of
 columns, so a run holds its dense blocks and eigenvectors but never a
 states-by-times array; a model whose run would need more than physical
 memory is refused when it is made.
-The product space is written in the gauge ``psi_j -> i**level_j psi_j``,
-in which the coupling reads ``-kappa (b + b+)(a + a+)``: a real symmetric
-float64 matrix, half the bytes of the complex one and cheaper to
-diagonalize.  The gauge leaves populations and norms alone, and since
-``b`` lowers the level by one, ``<b>`` is ``1j`` times the same sum over
-the gauged amplitudes: one phase step, exact in floating point.  The
-sector basis keeps the complex coupling, so its step is ``1 + 0j``; the gauge
-would be just as exact there, but it would move the sector reports in
-their last digits.
+Both bases are written in the gauge ``psi_j -> i**level_j psi_j``, in
+which the full coupling reads ``-kappa (b + b+)(a + a+)``, and the
+conserving one its excitation-conserving part: a real symmetric float64
+matrix, half the bytes of the complex one and cheaper to diagonalize, so
+both couplings run in one real arithmetic.  The gauge leaves populations
+and norms alone, and since ``b`` lowers the level by one, ``<b>`` is
+``1j`` times the same sum over the gauged amplitudes: one phase step,
+exact in floating point.
+The time grid is uniform, so each block's phase table ``exp(-i E t)`` is
+computed once per run, for the first chunk of columns, and every later
+chunk's is that table times one rotation ``exp(-i E t0)``, ``t0`` the
+chunk's first time: each phase stays within a few ulp of the direct
+exponential, and no error accumulates across chunks.
 
 Decay is fitted from ``ln P_1(t)`` (survival of one trap quantum) and the
 frequency from the unwrapped phase of ``<b>(t)`` along a superposition
@@ -127,16 +131,23 @@ class BathModel:
                 "sector; it needs particle_levels=2, photons_per_mode=1 "
                 f"(got {self.particle_levels}, {self.photons_per_mode})"
             )
-        # the oracle's peak in bytes per dim**2, refused before anything is
-        # allocated.  ru_maxrss of a fresh process running both references
-        # and an 801-point oracle, less its size before, LAPACK's eigh
-        # workspace included: 13.7 and 12.6 in the product space (2048 and
-        # 4096 states: two float64 sectors of dim**2 / 4 entries, each with
-        # its eigenvectors, eigh's copy and workspace), 84.9 and 82.1 in the
-        # sector (1002 and 2002 states: the complex block, eigh's copy,
-        # eigenvectors and workspace)
+        # the oracle's peak in bytes, refused before anything is allocated:
+        # q * dim**2 for the dense blocks, with q = 16 in the product space
+        # (two float64 sectors of dim**2 / 4 entries, each with its
+        # eigenvectors, eigh's copy and workspace) and 40 in the sector (the
+        # float64 block, eigh's copy, eigenvectors and LAPACK's workspace of
+        # 2 dim**2 doubles), plus 128 * _CHUNK * dim for the walk (the phase
+        # tables, three work buffers, the superposition state and the
+        # chunk's temporaries: about eight complex dim x _CHUNK arrays).
+        # ru_maxrss of a fresh process running both references and the
+        # oracle, less its size before, over this bound: 0.67 and 0.64 in
+        # the product space (2048 and 4096 states, 801 points), 0.76, 0.78
+        # and 0.87 in the sector (502, 1002 and 2002 states, 2001 points);
+        # the tracemalloc peak, which omits LAPACK's workspace, over it:
+        # 0.37-0.52 in the product space (256 to 4096 states) and 0.45-0.90
+        # in the sector (66 to 2002 states)
         dim = self.dimension()
-        peak = (16 if self.counter_rotating else 88) * dim**2
+        peak = ((16 if self.counter_rotating else 40) * dim + 128 * _CHUNK) * dim
         _refuse_past_memory(peak, f"a bath oracle on {dim} states", "run")
 
     @property
@@ -248,22 +259,22 @@ def _hamiltonian(bath: BathModel) -> tuple:
     amplitudes of the module's gauge, and ``step`` is the phase ``<b>``
     takes in it.
 
-    The conserving coupling uses the sector basis e0 = |0> x |vac>,
-    e1 = |1> x |vac>, e_{k+2} = |0> x |1_k>, with ``V`` complex and
-    ``step = 1 + 0j``.  The full coupling ``i kappa (b - b+)(a + a+)`` uses the
-    gauged kron-ordered truncated product space, with ``step = 1j`` and the
-    float64 ``V = -kappa (b + b+)(a + a+)``; each block holds the entries
-    of ``-kron(b + b+, quadrature)``, the same products and signed zeros.
+    Both couplings are gauged, with ``step = 1j`` and a float64 ``V``.  The
+    conserving coupling uses the sector basis e0 = |0> x |vac>,
+    e1 = |1> x |vac>, e_{k+2} = |0> x |1_k>, where ``V`` is ``-kappa_k`` on
+    row and column 1.  The full coupling ``i kappa (b - b+)(a + a+)`` uses
+    the kron-ordered truncated product space, with
+    ``V = -kappa (b + b+)(a + a+)``; each block holds the entries of
+    ``-kron(b + b+, quadrature)``, the same products and signed zeros.
     """
     m = bath.n_modes
     if not bath.counter_rotating:
         h0 = np.concatenate(([0.0, 1.0], bath.mode_frequencies))
-        v = np.zeros((m + 2, m + 2), dtype=complex)
-        v[2:, 1] = 1j * bath.couplings
-        v[1, 2:] = -1j * bath.couplings
+        v = np.zeros((m + 2, m + 2))
+        v[2:, 1] = v[1, 2:] = -bath.couplings
         level = np.zeros(m + 2, dtype=int)
         level[1] = 1
-        return h0, level, level - 1, 1 + 0j, [(np.arange(m + 2), v)]
+        return h0, level, level - 1, 1j, [(np.arange(m + 2), v)]
 
     n_p = bath.particle_levels
     n_ph = bath.photons_per_mode + 1
@@ -336,6 +347,16 @@ def _fit_phase_drift(times: np.ndarray, mean_b: np.ndarray) -> float:
     return -float(slope) - 1.0
 
 
+def _phases(energies: np.ndarray, t) -> np.ndarray:
+    """``exp(-i E t)`` over energies by times (by one time, a vector), from
+    ``cos`` and ``sin`` of ``-E t``."""
+    angle = np.multiply.outer(-energies, t)
+    phases = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=phases.real)
+    np.sin(angle, out=phases.imag)
+    return phases
+
+
 def bath_brute_force(
     bath: BathModel,
     rates_expected: tuple[float | None, float | None] | None = None,
@@ -358,20 +379,23 @@ def bath_brute_force(
     is then walked in ``ceil(n_points / _CHUNK)`` chunks of near-equal
     width (``_CHUNK`` = 128 columns, so no chunk is narrower than 64 unless
     the grid is; a chunk of one or two columns takes another BLAS kernel
-    and moves the sector's last bits).  Per chunk and block, one phase
-    table ``exp(-i E t)`` (as ``cos`` and ``sin`` of ``-E t``) feeds both
-    runs, whose populations, norms and ``<b>`` are reduced into their
-    columns of three arrays of length ``n_points``; these, the table, each
-    run's product with the eigenvectors and the superposition state are
-    made once per run.  A run holds O(dim**2 + dim * _CHUNK) numbers, never
-    a ``(dim, n_points)`` array.
+    and can move the last bits).  Each block's phase table ``exp(-i E t)``
+    over the first chunk (as ``cos`` and ``sin`` of ``-E t``) is made once
+    per run; a later chunk, whose times are ``t0`` plus the first chunk's
+    up to rounding, takes that table times ``exp(-i E t0)``, one rotation
+    of ``dim`` entries.  The chunk's phases feed both runs, whose
+    populations, norms and ``<b>`` are reduced into their columns of three
+    arrays of length ``n_points``; these, the tables, each run's product
+    with the eigenvectors and the superposition state are made once per
+    run.  A run holds O(dim**2 + dim * _CHUNK) numbers, never a
+    ``(dim, n_points)`` array.
 
-    Both runs start and stay in the module's gauge, where the product
-    space is two float64 blocks, so each of its eigenvector products is one
-    real ``gemm`` on the complex columns' real and imaginary parts; the
-    sector is one complex128 block.  Each chunk's ``<b>`` sum over the gauged
-    amplitudes is multiplied by the ``step`` of :func:`_hamiltonian`, so
-    ``P_1``, ``<b>`` and the norms are the physical ones.
+    Both runs start and stay in the module's gauge, where every block is
+    float64, so each eigenvector product is one real ``gemm`` on the
+    complex columns' real and imaginary parts.  Each chunk's ``<b>`` sum
+    over the gauged amplitudes is multiplied by the ``step`` of
+    :func:`_hamiltonian`, so ``P_1``, ``<b>`` and the norms are the
+    physical ones.
 
     ``rates_expected`` is an optional ``(gamma, shift)`` pair recorded in
     the result for reporting; pass the discrete-sum references.
@@ -394,24 +418,25 @@ def bath_brute_force(
     decay0[i1] = np.conj(step)
     sup0 = np.zeros(len(level), dtype=complex)
     sup0[[0, i1]] = np.conj([1, step]) / math.sqrt(2.0)
-    # per block: its states, energies and eigenvectors, and the coordinates
-    # of both initial states in them (None where a run has no amplitude)
+    chunks = np.array_split(times, -(-n_points // _CHUNK))
+    # per block: its states, energies, eigenvectors and first chunk's phase
+    # table, and the coordinates of both initial states in the eigenvectors
+    # (None where a run has no amplitude)
     eigen = []
     while blocks:  # each block is dropped once diagonalized
         idx, h = blocks.pop(0)
         h[np.diag_indices_from(h)] += h0[idx]
         energies, u = np.linalg.eigh(h)
         del h
-        eigen.append((idx, energies, u, *(
-            u.conj().T @ psi[idx] if psi[idx].any() else None for psi in (decay0, sup0)
+        eigen.append((idx, energies, u, _phases(energies, chunks[0]), *(
+            u.T @ psi[idx] if psi[idx].any() else None for psi in (decay0, sup0)
         )))
     up = lower >= 0
     down, ladder = lower[up], np.sqrt(level[up])
 
-    chunks = np.array_split(times, -(-n_points // _CHUNK))
-    # the phase table, the spread coordinates and their product with u, made
-    # once so that no chunk reallocates them (flat: each chunk's leading part
-    # is contiguous)
+    # the rotated phase table, the spread coordinates and their product with
+    # u, made once so that no chunk reallocates them (flat: each chunk's
+    # leading part is contiguous)
     work = np.empty((3, max(len(idx) for idx, *_ in eigen) * len(chunks[0])), dtype=complex)
     # the superposition run's state, made once; the rows of a block it does
     # not touch stay zero
@@ -420,9 +445,8 @@ def bath_brute_force(
     def evolve(u: np.ndarray, phases: np.ndarray, coords: np.ndarray) -> np.ndarray:
         spread, out = (w[:phases.size].reshape(phases.shape) for w in work[1:])
         np.multiply(phases, coords[:, None], out=spread)
-        if np.isrealobj(u):  # one real product over Re and Im side by side
-            return np.matmul(u, spread.view(float), out=out.view(float)).view(complex)
-        return np.matmul(u, spread, out=out)
+        # one real product over Re and Im side by side
+        return np.matmul(u, spread.view(float), out=out.view(float)).view(complex)
 
     pop = np.zeros(n_points)
     norms = np.zeros(n_points)
@@ -432,11 +456,11 @@ def bath_brute_force(
         cols = slice(lo, lo + len(t))
         lo += len(t)
         sup = sup_columns[:, :len(t)]
-        for idx, energies, u, decay, start in eigen:
-            angle = np.outer(-energies, t)
-            phases = work[0, :angle.size].reshape(angle.shape)  # exp(-i E t)
-            np.cos(angle, out=phases.real)
-            np.sin(angle, out=phases.imag)
+        for idx, energies, u, table, decay, start in eigen:
+            phases = table
+            if cols.start:  # exp(-i E (t0 + s)) = exp(-i E s) exp(-i E t0)
+                phases = work[0, :len(idx) * len(t)].reshape(len(idx), len(t))
+                np.multiply(table[:, :len(t)], _phases(energies, t[0])[:, None], out=phases)
             if decay is not None:
                 weight = np.abs(evolve(u, phases, decay)) ** 2
                 pop[cols] += np.sum(weight[level[idx] == 1], axis=0)

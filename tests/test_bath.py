@@ -88,17 +88,17 @@ def test_dimension_guard_trips_on_large_product_space():
 
 @pytest.mark.parametrize(
     "make, admitted, refused",
-    [(dict(omega_min=0.2, omega_max=5.0), 11, 12),
+    [(dict(omega_min=0.2, omega_max=5.0), 15, 16),
      (dict(omega_min=0.5, omega_max=1.5, counter_rotating=True), 3, 4)],
     ids=["sector", "product"],
 )
 def test_bath_past_physical_memory_is_refused(monkeypatch, capsys, make, admitted, refused):
-    # the oracle's peak, 88 d**2 bytes in the sector and 16 d**2 in the
-    # product space, is checked against physical memory when the model is
-    # made; 15 pages of 1 KiB hold the sector at 13 states and the product
-    # space at 16, and refuse 14 and 32
+    # the oracle's peak, (40 d + 128 * 128) d bytes in the sector and
+    # (16 d + 128 * 128) d in the product space, is checked against physical
+    # memory when the model is made; 300 pages of 1 KiB hold the sector at
+    # 17 states and the product space at 16, and refuse 18 and 32
     monkeypatch.setattr("vactrap.errors.os.sysconf",
-                        lambda name: {"SC_PAGE_SIZE": 1024}.get(name, 15))
+                        lambda name: {"SC_PAGE_SIZE": 1024}.get(name, 300))
     make_flat_bath(admitted, gamma_target=1e-3, **make)
     with pytest.raises(GuardExceeded, match="physical memory"):
         make_flat_bath(refused, gamma_target=1e-3, **make)
@@ -266,9 +266,9 @@ def test_trap_energies_are_exact_multiples_of_omega_c():
 
 @pytest.mark.parametrize("counter_rotating", [False, True])
 def test_one_diagonalization_per_run(monkeypatch, counter_rotating):
-    # one eigh per invariant block, shared by both initial states: the
-    # product space is diagonalized per parity sector in its real i**level
-    # gauge, the sector as one complex block
+    # one eigh per invariant block, shared by both initial states, each real
+    # in the i**level gauge: the product space per parity sector, the
+    # sector as one block
     calls = []
     eigh = np.linalg.eigh
 
@@ -286,7 +286,7 @@ def test_one_diagonalization_per_run(monkeypatch, counter_rotating):
         half = (dim // 2, dim // 2)
         assert calls == [(half, np.dtype(np.float64))] * 2
     else:
-        assert calls == [((dim, dim), np.dtype(np.complex128))]
+        assert calls == [((dim, dim), np.dtype(np.float64))]
 
 
 # (bath, bath_brute_force arguments): modes far from resonance, or enough
@@ -435,13 +435,18 @@ def test_blocked_evolution_matches_one_dense_diagonalization(bath, kwargs):
     assert norm_drift < 1e-10
 
 
-@pytest.mark.parametrize(
+# (bath, bath_brute_force arguments) walked in several chunks: 7 of the
+# product space, 16 of the sector
+_CHUNKED_RUNS = pytest.mark.parametrize(
     "bath, kwargs",
     [(make_flat_bath(8, 0.5, 1.5, gamma_target=2e-3, counter_rotating=True),
       dict(duration=40.0, n_points=801)),
      (make_flat_bath(64, 0.2, 5.0, gamma_target=5e-3), dict(n_points=2001))],
     ids=["product 8 modes", "sector 64 modes"],
 )
+
+
+@_CHUNKED_RUNS
 def test_time_chunks_do_not_move_the_results(monkeypatch, bath, kwargs):
     # the time grid is walked in chunks of columns; one column at a time,
     # seven, and the whole grid at once must give the same trajectory to
@@ -462,6 +467,42 @@ def test_time_chunks_do_not_move_the_results(monkeypatch, bath, kwargs):
         assert [row.split(",")[4] for row in _oracle_report_csv(run).splitlines()[1:]] == [
             row.split(",")[4] for row in verdicts.splitlines()[1:]
         ]
+
+
+@_CHUNKED_RUNS
+def test_walk_phases_match_the_direct_exponential(monkeypatch, bath, kwargs):
+    # each later chunk's phases are the first chunk's table rotated to its
+    # first time; a walk that takes exp(-i E t) of every column, from the
+    # same eigendecomposition, must agree to rounding up to t = duration
+    decompositions = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(matrix, *args, **kwargs):
+        decompositions.append(eigh(matrix, *args, **kwargs))
+        return decompositions[-1]
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    result = bath_brute_force(bath, **kwargs)
+    _, level, lower, step, blocks = _hamiltonian(bath)
+    times = np.linspace(0.0, kwargs.get("duration", 80.0), kwargs["n_points"])
+    assert times[-1] == result.times[-1]
+    i1 = int(np.flatnonzero(lower == 0)[0])
+
+    def evolve(amplitudes):  # the gauged initial amplitudes, by basis state
+        start = np.zeros(len(level), dtype=complex)
+        start[list(amplitudes)] = list(amplitudes.values())
+        psi = np.zeros((len(level), len(times)), dtype=complex)
+        for (idx, _), (energies, u) in zip(blocks, decompositions, strict=True):
+            psi[idx] = u @ (np.exp(-1j * np.outer(energies, times)) * (u.T @ start[idx])[:, None])
+        return psi
+
+    decay = evolve({i1: np.conj(step)})
+    sup = evolve({0: 1 / math.sqrt(2.0), i1: np.conj(step) / math.sqrt(2.0)})
+    pop = np.sum(np.abs(decay[level == 1]) ** 2, axis=0)
+    up = lower >= 0
+    mean_b = step * np.sum(sup[lower[up]].conj() * np.sqrt(level[up])[:, None] * sup[up], axis=0)
+    assert np.abs(result.excited_population - pop).max() <= 1e-12
+    assert np.abs(result.mean_lowering - mean_b).max() <= 1e-12
 
 
 def test_product_run_holds_no_trajectory_sized_array():

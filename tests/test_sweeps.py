@@ -166,13 +166,13 @@ def test_sweep_validation():
 
 
 def test_sweep_past_physical_memory_is_refused(monkeypatch):
-    # the sweep's peak, 104 bytes a field, is checked against physical
-    # memory before the grid is made; 16 pages of 1 KiB hold 157 fields and
-    # refuse 158
+    # the sweep's peak, 73 bytes a field, is checked against physical
+    # memory before the grid is made; 16 pages of 1 KiB hold 224 fields and
+    # refuse 225
     monkeypatch.setattr("vactrap.errors.os.sysconf", lambda name: {"SC_PAGE_SIZE": 1024}.get(name, 16))
-    assert len(bfield_sweep(REFERENCE, (1.0, 10.0), 157).b_values) == 157
-    with pytest.raises(GuardExceeded, match="a sweep of 158 fields .* physical memory"):
-        bfield_sweep(REFERENCE, (1.0, 10.0), 158)
+    assert len(bfield_sweep(REFERENCE, (1.0, 10.0), 224).b_values) == 224
+    with pytest.raises(GuardExceeded, match="a sweep of 225 fields .* physical memory"):
+        bfield_sweep(REFERENCE, (1.0, 10.0), 225)
 
 
 def test_sweep_result_validation():
