@@ -23,12 +23,17 @@ Two interaction forms are supported:
 
 Both share one representation, built by ``_hamiltonian`` (the only place
 they differ) as the Hamiltonian's invariant blocks, each built directly and
-never cut from a whole-space matrix; the second-order sum, the evolution
-with one diagonalization per block shared by both runs, and the
-observables are one path.  The evolution walks the time grid in chunks of
-columns, so a run holds its dense blocks and eigenvectors but never a
-states-by-times array; a model whose run would need more than physical
-memory is refused when it is made.
+never cut from a whole-space matrix; the evolution with one
+diagonalization per block shared by both runs, and the observables, are
+one path.  The second-order sum needs only the two coupling columns of
+``|1> x |vac>`` and ``|0> x |vac>``, which it reads from the coupling's
+factors, so the evolution is the only reader of the blocks.  The
+superposition start's ground part lies in one parity sector, so in the
+other its columns are the decay run's over ``sqrt 2`` and the
+eigenvectors there multiply once per chunk.  The evolution walks the time
+grid in chunks of columns, so a run holds its dense blocks and
+eigenvectors but never a states-by-times array; a model whose run would
+need more than physical memory is refused when it is made.
 Both bases are written in the gauge ``psi_j -> i**level_j psi_j``, in
 which the full coupling reads ``-kappa (b + b+)(a + a+)``, and the
 conserving one its excitation-conserving part: a real symmetric float64
@@ -79,6 +84,10 @@ _FIT_START_FRACTION = 0.05
 # 14.4 MB at 512 and 27.5 MB for the whole grid at once; run times at these
 # widths agree within the spread of the measurement
 _CHUNK = 128
+
+# the phase <b> takes in the gauge psi_j -> i**level_j psi_j: b lowers the
+# level by one, so <b> is this times the same sum over the gauged amplitudes
+_STEP = 1j
 
 
 @dataclass(frozen=True)
@@ -228,14 +237,29 @@ def discrete_second_order_shift(bath: BathModel) -> float:
     the full coupling it is the spacing drift between the dressed levels
     adiabatically connected to one and zero trap quanta.  A coupled state
     exactly on resonance makes the sum meaningless and raises.
+
+    Both columns of :func:`_hamiltonian`'s ``V`` are read from its factors,
+    with no block built: the quadrature takes the field vacuum to one
+    photon in mode ``k`` with weight ``kappa_k``, and the trap factor takes
+    the target's level ``t`` to level ``l`` (``-(b + b+)``; ``-b`` in the
+    sector, where the vacuum's ``a+`` pairs with ``b`` alone).  The coupled
+    state ``l x 1_k`` has energy ``l + Omega_k``.  Each sum runs over the
+    coupled states in ascending basis order, as the blocks hold them:
+    levels first, then the field, whose one-photon states run from the
+    last mode to the first in the product space's kron order.
     """
-    h0, _, lower, _, blocks = _hamiltonian(bath)
+    b = build_fock_operators(FockSpace(dim=bath.particle_levels)).b.real
+    trap = -(b + b.T) if bath.counter_rotating else -b
+    modes = np.arange(bath.n_modes)
+    if bath.counter_rotating:
+        modes = modes[::-1]
+    kappa, omega = bath.couplings[modes], bath.mode_frequencies[modes]
     shifts = []
-    for target in (int(np.flatnonzero(lower == 0)[0]), 0):
-        idx, v = next(block for block in blocks if target in block[0])
-        amp2 = np.abs(v[:, np.searchsorted(idx, target)]) ** 2
+    for target in (1, 0):
+        levels = np.flatnonzero(trap[:, target])
+        amp2 = np.abs(np.multiply.outer(trap[levels, target], kappa).ravel()) ** 2
         keep = amp2 > 0
-        denom = h0[target] - h0[idx[keep]]
+        denom = float(target) - np.add.outer(levels.astype(float), omega).ravel()[keep]
         if np.any(np.abs(denom) <= 1e-12):
             raise FitFailure(
                 "a mode sits exactly on resonance; the second-order sum diverges"
@@ -245,7 +269,7 @@ def discrete_second_order_shift(bath: BathModel) -> float:
 
 
 def _hamiltonian(bath: BathModel) -> tuple:
-    """The bath Hamiltonian as ``(diag(H0), level, lower, step, blocks)``.
+    """The bath Hamiltonian as ``(diag(H0), level, lower, blocks)``.
 
     ``level[j]`` is the trap level of basis state ``j`` and ``lower[j]`` the
     state one trap quantum down with the same field (negative at level 0).
@@ -256,11 +280,8 @@ def _hamiltonian(bath: BathModel) -> tuple:
     the product space splits by ``(level + total photons) mod 2``, which
     the coupling changes by 0 or +-2, and each parity sector is built
     directly, so no whole-space ``V`` is formed.  ``V`` acts on the
-    amplitudes of the module's gauge, and ``step`` is the phase ``<b>``
-    takes in it.
-
-    Both couplings are gauged, with ``step = 1j`` and a float64 ``V``.  The
-    conserving coupling uses the sector basis e0 = |0> x |vac>,
+    amplitudes of the module's gauge, in which it is float64 for both
+    couplings.  The conserving coupling uses the sector basis e0 = |0> x |vac>,
     e1 = |1> x |vac>, e_{k+2} = |0> x |1_k>, where ``V`` is ``-kappa_k`` on
     row and column 1.  The full coupling ``i kappa (b - b+)(a + a+)`` uses
     the kron-ordered truncated product space, with
@@ -274,7 +295,7 @@ def _hamiltonian(bath: BathModel) -> tuple:
         v[2:, 1] = v[1, 2:] = -bath.couplings
         level = np.zeros(m + 2, dtype=int)
         level[1] = 1
-        return h0, level, level - 1, 1j, [(np.arange(m + 2), v)]
+        return h0, level, level - 1, [(np.arange(m + 2), v)]
 
     n_p = bath.particle_levels
     n_ph = bath.photons_per_mode + 1
@@ -300,7 +321,7 @@ def _hamiltonian(bath: BathModel) -> tuple:
     coupling = -(b + b.T)  # times quadrature: -kron(b + b+, quadrature) entry by entry
     blocks = [(idx, coupling[level[idx, None], level[idx]] * quadrature[field[idx, None], field[idx]])
               for idx in (np.flatnonzero(parity == p) for p in (0, 1))]
-    return h0, level, np.arange(dim) - n_field, 1j, blocks
+    return h0, level, np.arange(dim) - n_field, blocks
 
 
 @dataclass(frozen=True)
@@ -357,6 +378,15 @@ def _phases(energies: np.ndarray, t) -> np.ndarray:
     return phases
 
 
+def _coordinates(u: np.ndarray, psi: np.ndarray) -> np.ndarray | None:
+    """``u.T @ psi`` for a real ``u``, read from the nonzero entries of
+    ``psi`` alone, so ``u`` is never copied to complex; None if ``psi`` is
+    zero.  The zeros of ``psi`` add only zeros, so the values are those of
+    the whole product."""
+    j = np.flatnonzero(psi)
+    return psi[j] @ u[j] if j.size else None
+
+
 def bath_brute_force(
     bath: BathModel,
     rates_expected: tuple[float | None, float | None] | None = None,
@@ -375,11 +405,14 @@ def bath_brute_force(
     Each block of :func:`_hamiltonian` gets ``H0`` on its diagonal and one
     ``eigh``, shared by both runs, and is dropped once diagonalized; a run
     whose initial state has no amplitude in a block leaves it at zero
-    (``|1> x |vac>`` lies wholly in the odd parity sector).  The time grid
-    is then walked in ``ceil(n_points / _CHUNK)`` chunks of near-equal
-    width (``_CHUNK`` = 128 columns, so no chunk is narrower than 64 unless
-    the grid is; a chunk of one or two columns takes another BLAS kernel
-    and can move the last bits).  Each block's phase table ``exp(-i E t)``
+    (``|1> x |vac>`` lies wholly in the odd parity sector).  Each start's
+    coordinates in a block's eigenvectors are read from its nonzero
+    amplitudes alone, so the real eigenvectors are never copied to
+    complex.  The time grid is then walked in ``ceil(n_points / _CHUNK)``
+    chunks of near-equal width (``_CHUNK`` = 128 columns, so no chunk is
+    narrower than 64 unless the grid is; a chunk of one or two columns
+    takes another BLAS kernel and can move the last bits).  Each block's
+    phase table ``exp(-i E t)``
     over the first chunk (as ``cos`` and ``sin`` of ``-E t``) is made once
     per run; a later chunk, whose times are ``t0`` plus the first chunk's
     up to rounding, takes that table times ``exp(-i E t0)``, one rotation
@@ -390,12 +423,19 @@ def bath_brute_force(
     run.  A run holds O(dim**2 + dim * _CHUNK) numbers, never a
     ``(dim, n_points)`` array.
 
+    The superposition's ground part ``|0> x |vac>`` lies wholly in the even
+    parity sector of the product space, so in the odd one its columns are
+    the decay run's over ``sqrt 2``: each chunk multiplies each sector's
+    eigenvectors once, two products where running both starts through the
+    odd sector took three.  The one-excitation sector is one block that
+    holds both starts, so it keeps both products.
+
     Both runs start and stay in the module's gauge, where every block is
     float64, so each eigenvector product is one real ``gemm`` on the
     complex columns' real and imaginary parts.  Each chunk's ``<b>`` sum
-    over the gauged amplitudes is multiplied by the ``step`` of
-    :func:`_hamiltonian`, so ``P_1``, ``<b>`` and the norms are the
-    physical ones.
+    over the gauged amplitudes, between two contiguous runs of states, is
+    multiplied by the gauge's phase step ``_STEP``, so ``P_1``, ``<b>`` and
+    the norms are the physical ones.
 
     ``rates_expected`` is an optional ``(gamma, shift)`` pair recorded in
     the result for reporting; pass the discrete-sum references.
@@ -411,28 +451,31 @@ def bath_brute_force(
     with np.errstate(over="ignore", under="ignore"):  # both fits scale t by sqrt(sum t**2)
         if not 0.0 < np.sum(times * times) < math.inf:
             raise ConfigurationError(f"duration {duration} over/underflows the fits' sum of t**2")
-    h0, level, lower, step, blocks = _hamiltonian(bath)
-    # the initial states gauged: the phase is 1 at level 0 and step at level 1
+    h0, level, lower, blocks = _hamiltonian(bath)
+    # the initial states gauged: the phase is 1 at level 0 and _STEP at level 1
     i1 = int(np.flatnonzero(lower == 0)[0])
     decay0 = np.zeros(len(level), dtype=complex)
-    decay0[i1] = np.conj(step)
+    decay0[i1] = np.conj(_STEP)
     sup0 = np.zeros(len(level), dtype=complex)
-    sup0[[0, i1]] = np.conj([1, step]) / math.sqrt(2.0)
+    sup0[[0, i1]] = np.conj([1, _STEP]) / math.sqrt(2.0)
     chunks = np.array_split(times, -(-n_points // _CHUNK))
     # per block: its states, energies, eigenvectors and first chunk's phase
     # table, and the coordinates of both initial states in the eigenvectors
-    # (None where a run has no amplitude)
+    # (None where a run has no amplitude, and for the superposition where
+    # the ground start, state 0, has none: there it is the decay run's)
     eigen = []
     while blocks:  # each block is dropped once diagonalized
         idx, h = blocks.pop(0)
         h[np.diag_indices_from(h)] += h0[idx]
         energies, u = np.linalg.eigh(h)
         del h
-        eigen.append((idx, energies, u, _phases(energies, chunks[0]), *(
-            u.T @ psi[idx] if psi[idx].any() else None for psi in (decay0, sup0)
-        )))
-    up = lower >= 0
-    down, ladder = lower[up], np.sqrt(level[up])
+        eigen.append((idx, energies, u, _phases(energies, chunks[0]), _coordinates(u, decay0[idx]),
+                      _coordinates(u, sup0[idx]) if idx[0] == 0 else None))
+    # <b> pairs the states with a level below with those below them: two
+    # contiguous runs (lower is arange(dim) - n_field in the product space)
+    up = np.flatnonzero(lower >= 0)
+    ladder = np.sqrt(level[up])
+    up, down = slice(up[0], up[-1] + 1), slice(lower[up[0]], lower[up[-1]] + 1)
 
     # the rotated phase table, the spread coordinates and their product with
     # u, made once so that no chunk reallocates them (flat: each chunk's
@@ -462,12 +505,15 @@ def bath_brute_force(
                 phases = work[0, :len(idx) * len(t)].reshape(len(idx), len(t))
                 np.multiply(table[:, :len(t)], _phases(energies, t[0])[:, None], out=phases)
             if decay is not None:
-                weight = np.abs(evolve(u, phases, decay)) ** 2
+                psi = evolve(u, phases, decay)
+                weight = np.abs(psi) ** 2
                 pop[cols] += np.sum(weight[level[idx] == 1], axis=0)
                 norms[cols] += np.sum(weight, axis=0)
+                if start is None:  # no ground start here: the superposition is this over sqrt 2
+                    sup[idx] = np.divide(psi, math.sqrt(2.0), out=psi)
             if start is not None:
                 sup[idx] = evolve(u, phases, start)
-        mean_b[cols] = step * np.einsum("jt,j,jt->t", sup[down].conj(), ladder, sup[up])
+        mean_b[cols] = _STEP * np.einsum("jt,j,jt->t", sup[down].conj(), ladder, sup[up])
     norm_drift = float(np.max(np.abs(norms - 1.0)))
 
     fit_mask = times >= _FIT_START_FRACTION * duration

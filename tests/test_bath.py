@@ -131,7 +131,7 @@ def test_second_order_shift_rejects_resonant_mode():
 
 
 def test_sector_second_order_shift_is_the_plain_mode_sum():
-    # the conserving path reads the sum off the sector Hamiltonian; it must
+    # the conserving path reads the sum off the coupling's column; it must
     # be the textbook sum over the modes itself, to the last bit
     bath = make_flat_bath(64, 0.2, 5.0, gamma_target=5e-3)
     kappa2 = bath.couplings**2
@@ -289,6 +289,31 @@ def test_one_diagonalization_per_run(monkeypatch, counter_rotating):
         assert calls == [((dim, dim), np.dtype(np.float64))]
 
 
+@pytest.mark.parametrize(
+    "bath, kwargs, block, count",
+    [(make_flat_bath(8, 0.5, 1.5, gamma_target=2e-3, counter_rotating=True),
+      dict(duration=40.0, n_points=801), 256, 14),
+     (make_flat_bath(64, 0.2, 5.0, gamma_target=5e-3), dict(n_points=2001), 66, 32)],
+    ids=["product 8 modes", "sector 64 modes"],
+)
+def test_two_eigenvector_products_per_chunk(monkeypatch, bath, kwargs, block, count):
+    # 7 and 16 chunks.  The product space multiplies each parity sector's
+    # eigenvectors once a chunk, since the superposition's odd-sector
+    # columns are the decay run's over sqrt 2 (running both starts there
+    # took 21 products); the sector's one block holds both starts
+    products = []
+    matmul = np.matmul
+
+    def counting_matmul(a, b, *args, **kwargs):
+        if a.ndim == 2 and a.shape[0] == a.shape[1]:
+            products.append(a.shape)
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting_matmul)
+    bath_brute_force(bath, **kwargs)
+    assert products == [(block, block)] * count
+
+
 # (bath, bath_brute_force arguments): modes far from resonance, or enough
 # of them for a clean decay within the recurrence time, so that both fits
 # succeed; the spans stay short because two diagonalizations agree in
@@ -369,7 +394,7 @@ def test_blocks_are_the_kron_hamiltonian_cut_by_parity(
     bath = BathModel(freqs[:n_modes], couplings[:n_modes], particle_levels=particle_levels,
                      photons_per_mode=photons_per_mode, counter_rotating=True)
     h0_ref, v_ref = _kron_hamiltonian(bath)
-    h0, _, lower, _, blocks = _hamiltonian(bath)
+    h0, _, lower, blocks = _hamiltonian(bath)
     assert np.array_equal(h0, h0_ref)
     assert sorted(np.concatenate([idx for idx, _ in blocks])) == list(range(bath.dimension()))
     outside = np.ones(v_ref.shape, dtype=bool)
@@ -387,9 +412,46 @@ def test_blocks_are_the_kron_hamiltonian_cut_by_parity(
     assert repr(shift) == repr(_dense_second_order_shift(h0_ref, v_ref, lower))
 
 
+def _block_second_order_shift(bath):
+    """``discrete_second_order_shift`` read inside its targets' blocks of
+    ``_hamiltonian``: each column's nonzero entries in ascending state order."""
+    h0, _, lower, blocks = _hamiltonian(bath)
+    shifts = []
+    for target in (int(np.flatnonzero(lower == 0)[0]), 0):
+        idx, v = next(block for block in blocks if target in block[0])
+        amp2 = np.abs(v[:, np.searchsorted(idx, target)]) ** 2
+        keep = amp2 > 0
+        shifts.append(float(np.sum(amp2[keep] / (h0[target] - h0[idx[keep]]))))
+    return shifts[0] - shifts[1]
+
+
+@pytest.mark.parametrize(
+    "bath",
+    [bath for bath, _ in _SPLIT_BATHS.values()] + [make_flat_bath(64, 0.2, 5.0, gamma_target=5e-3)],
+    ids=[*_SPLIT_BATHS, "sector 64 modes"],
+)
+def test_second_order_shift_is_the_block_sum(bath):
+    # the references read the two coupling columns from V's factors; the
+    # sum must be the one read off the blocks, to the bit
+    assert discrete_second_order_shift(bath) == _block_second_order_shift(bath)
+
+
+def test_second_order_shift_builds_no_block():
+    # at 12 product modes (8192 states) the two parity sectors alone would
+    # take 2 * 4096**2 * 8 B = 256 MiB; the two columns need a few kB
+    bath = make_flat_bath(12, 0.5, 1.5, gamma_target=2e-3, counter_rotating=True)
+    tracemalloc.start()
+    try:
+        discrete_second_order_shift(bath)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 @pytest.mark.parametrize("bath", [bath for bath, _ in _SPLIT_BATHS.values()], ids=_SPLIT_BATHS)
 def test_product_space_splits_into_parity_sectors(bath):
-    _, level, _, _, blocks = _hamiltonian(bath)
+    _, level, _, blocks = _hamiltonian(bath)
     # the parity classes of level + total photons, counted by hand
     n_ph = bath.photons_per_mode + 1
     n_field = n_ph**bath.n_modes
@@ -411,7 +473,7 @@ def test_blocked_evolution_matches_one_dense_diagonalization(bath, kwargs):
     # evolves both initial states through it, with the gauge psi_j ->
     # i**level_j psi_j written out as a table of its own
     result = bath_brute_force(bath, **kwargs)
-    _, level, lower, _, _ = _hamiltonian(bath)
+    _, level, lower, _ = _hamiltonian(bath)
     phase = np.array([1, 1j, -1, -1j])[level % 4]
     h0, v = _kron_hamiltonian(bath)
     energies, u = np.linalg.eigh(v + np.diag(h0))
@@ -483,7 +545,8 @@ def test_walk_phases_match_the_direct_exponential(monkeypatch, bath, kwargs):
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     result = bath_brute_force(bath, **kwargs)
-    _, level, lower, step, blocks = _hamiltonian(bath)
+    _, level, lower, blocks = _hamiltonian(bath)
+    step = 1j  # <b>'s phase in the gauge psi_j -> i**level_j psi_j
     times = np.linspace(0.0, kwargs.get("duration", 80.0), kwargs["n_points"])
     assert times[-1] == result.times[-1]
     i1 = int(np.flatnonzero(lower == 0)[0])
