@@ -72,11 +72,8 @@ from .liouville import (
     build_lindblad_generator,
     build_redfield_generator,
     build_xp_generator,
-    sandwich,
     sigma02_rhs,
     spectral_abscissa,
-    spost,
-    spre,
     unvec,
     vec,
 )

@@ -13,10 +13,12 @@ truncation, not that anything here silently fixed it up.
 
 Every generator is a triple ``(left, right, jumps)`` acting as
 ``left @ sigma + sigma @ right + sum_k c_k L_k @ sigma @ R_k``, the one
-input of a :class:`Superoperator`, which applies it (:func:`_act`), keeps
-the nonzeros of its matrix ``L`` (its COO, :func:`_coo`), and assembles
-the dense ``L`` (:func:`_assemble`) only when ``.matrix`` is read, which
-nothing in this package does.  The RWA generator is
+input of a :class:`Superoperator`, which applies it (:func:`_act`) and
+keeps the nonzeros of its matrix ``L`` (its COO, :func:`_coo`), the one
+definition of ``L``.  ``L`` is the Kronecker sum ``kron(I, left) +
+kron(right.T, I) + sum_k c_k kron(R_k.T, L_k)``, its terms added in that
+order; the dense ``L`` is the COO scattered, only when ``.matrix`` is
+read, which nothing in this package does.  The RWA generator is
 the rotating part of the ladder triple (a damped oscillator at ``omega_c +
 delta_minus``); the beyond-RWA generator adds the counter-rotating part (the
 ``-delta_plus`` frequency pull and the two-quantum ``b^2``, ``(b+)^2``
@@ -63,9 +65,6 @@ __all__ = [
     "build_fock_operators",
     "vec",
     "unvec",
-    "spre",
-    "spost",
-    "sandwich",
     "build_redfield_generator",
     "build_lindblad_generator",
     "build_xp_generator",
@@ -174,11 +173,6 @@ def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(vector, dtype=complex).reshape((dim, dim), order="F")
 
 
-def trace_product(rho: np.ndarray, op: np.ndarray) -> complex:
-    """``Tr[rho @ op]`` for one matrix (complex)."""
-    return np.einsum("ij,ji->", rho, op)
-
-
 def _swap(dim: int) -> np.ndarray:
     """Vec index of the entry transposed to each vec index."""
     return np.arange(dim * dim).reshape(dim, dim).T.ravel()
@@ -214,23 +208,6 @@ def _unpack(rows: np.ndarray) -> np.ndarray:
     return stack.transpose(0, 2, 1)
 
 
-def spre(op: np.ndarray) -> np.ndarray:
-    """Superoperator for left multiplication: sigma -> op @ sigma."""
-    dim = op.shape[0]
-    return np.kron(np.eye(dim), op)
-
-
-def spost(op: np.ndarray) -> np.ndarray:
-    """Superoperator for right multiplication: sigma -> sigma @ op."""
-    dim = op.shape[0]
-    return np.kron(op.T, np.eye(dim))
-
-
-def sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Superoperator for sigma -> left @ sigma @ right."""
-    return np.kron(right.T, left)
-
-
 _Jump = tuple[complex, np.ndarray, np.ndarray]
 
 
@@ -239,11 +216,12 @@ class Superoperator:
     must all be ``(dim, dim)`` for one ``dim`` (``DimensionMismatch``); on
     a tensor-product space ``dim`` is the product of the per-axis level
     counts.  ``apply`` reads the triple.  ``coo`` is ``(rows, cols,
-    vals)``, the nonzeros of the ``(dim**2, dim**2)`` matrix ``L`` in
-    row-major order (:func:`_coo`).  ``matrix``, the dense ``L``, is
-    assembled on first read only (:func:`_assemble`), and a generator
-    whose assembly would not fit in physical memory is refused when it is
-    built, with ``GuardExceeded``.
+    vals)``, the nonzeros of the ``(dim**2, dim**2)`` matrix ``L``, the
+    Kronecker sum ``kron(I, left) + kron(right.T, I) + sum c kron(R.T, L)``,
+    in row-major order (:func:`_coo`).  ``matrix``, the dense ``L``, is the
+    COO scattered on first read only, one ``16 dim**4``-byte array, and a
+    generator whose dense matrix would not fit in physical memory is
+    refused when it is built, with ``GuardExceeded``.
     """
 
     def __init__(self, left, right, jumps: list[_Jump], mode: ApproximationMode):
@@ -251,8 +229,9 @@ class Superoperator:
         shapes = {np.shape(op) for op in (left, right, *(op for _, *ops in jumps for op in ops))}
         if shapes != {(levels, levels)}:
             raise DimensionMismatch(f"triple shapes are not one (dim, dim): {sorted(shapes)}")
-        peak = 3 * 16 * levels**4
-        _refuse_past_memory(peak, f"a generator on {levels} levels", "assemble its dense matrix")
+        _refuse_past_memory(
+            16 * levels**4, f"a generator on {levels} levels", "assemble its dense matrix"
+        )
         self._triple = (left, right, jumps)
         self.coo = _coo(left, right, jumps)
         self.mode = mode
@@ -260,8 +239,12 @@ class Superoperator:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense complex ``L``, assembled on first read."""
-        return _assemble(*self._triple)
+        """The dense complex ``L``, the COO scattered into zeros on first
+        read."""
+        rows, cols, vals = self.coo
+        dense = np.zeros((self.dim**2, self.dim**2), dtype=complex)
+        dense[rows, cols] = vals
+        return dense
 
     def apply(self, sigma: np.ndarray | DensityMatrix) -> np.ndarray:
         """Time derivative of ``sigma``, from the triple in O(dim**3)."""
@@ -275,7 +258,7 @@ class Superoperator:
 
 def _act(left: np.ndarray, right: np.ndarray, jumps: list[_Jump], sigma: np.ndarray):
     """``left @ sigma + sigma @ right + sum c L @ sigma @ R``, the terms
-    added in :func:`_assemble`'s order, as a complex matrix."""
+    added in the Kronecker sum's order, as a complex matrix."""
     sigma = np.asarray(sigma, dtype=complex)
     out = left @ sigma + sigma @ right
     for coeff, op_left, op_right in jumps:
@@ -283,35 +266,21 @@ def _act(left: np.ndarray, right: np.ndarray, jumps: list[_Jump], sigma: np.ndar
     return out
 
 
-def _assemble(left: np.ndarray, right: np.ndarray, jumps: list[_Jump]) -> np.ndarray:
-    """Dense matrix of ``sigma -> left @ sigma + sigma @ right + sum c L @
-    sigma @ R`` for the generator triple ``(left, right, [(c, L, R), ...])``,
-    the terms added in that order: :attr:`Superoperator.matrix`.
-
-    It holds three ``(d**2, d**2)`` complex arrays at its peak, the matrix
-    and two Kronecker terms (tracemalloc reads 3.0 times the matrix's ``16
-    d**4`` bytes for every builder at d = 16-32), the peak against which
-    :class:`Superoperator` checks physical memory when it is built.
-    """
-    gen = spre(left) + spost(right)
-    for coeff, op_left, op_right in jumps:
-        gen += coeff * sandwich(op_left, op_right)
-    return gen
-
-
 def _coo(left: np.ndarray, right: np.ndarray, jumps: list[_Jump]):
-    """The nonzeros of ``_assemble(left, right, jumps)`` as ``(rows, cols,
-    vals)`` in row-major order, computed from the triple without the dense
-    matrix, and bit for bit the same.
+    """The nonzeros of ``L``, the Kronecker sum ``kron(I, left) +
+    kron(right.T, I) + sum c kron(R.T, L)`` of the triple ``(left, right,
+    [(c, L, R), ...])``, as ``(rows, cols, vals)`` in row-major order,
+    computed without the dense matrix, and bit for bit the entries that
+    adding up the dense Kronecker products in that order gives.
 
-    Each term ``c kron(B.T, A)`` (``spre(left)`` is ``kron(I, left)`` and
-    ``spost(right)`` is ``kron(right.T, I)``, with no ``c``) adds ``c
-    (B.T)[k, l] A[i, j]`` at ``(k dim + i, l dim + j)`` for the nonzeros of
-    ``B.T`` and ``A``, formed by the same products as ``np.kron``.  A
-    position takes each term at most once, and ``np.bincount`` sums its
-    contributions in ``_assemble``'s term order, real and imaginary parts
-    apart, as ``_assemble``'s additions do; the terms that skip it would add
-    only zeros.  Positions that sum to an exact zero are dropped.
+    Each term ``c kron(B.T, A)`` (``kron(I, left)`` and ``kron(right.T,
+    I)`` with no ``c``) adds ``c (B.T)[k, l] A[i, j]`` at ``(k dim + i, l
+    dim + j)`` for the nonzeros of ``B.T`` and ``A``, formed by the same
+    products as ``np.kron``.  A position takes each term at most once, and
+    ``np.bincount`` sums its contributions in the Kronecker sum's term
+    order, real and imaginary parts apart, as the dense additions do; the
+    terms that skip it would add only zeros.  Positions that sum to an
+    exact zero are dropped.
     """
     dim = len(left)
     size = dim * dim
@@ -371,10 +340,11 @@ def _ladder_terms(
 def build_redfield_generator(space: FockSpace, rates: RateSet) -> Superoperator:
     """Beyond-RWA (Redfield-class) generator on a truncated ladder.
 
-    Not of Lindblad form: besides the damping channel it carries two-quantum
-    sandwich terms that create/destroy coherences two levels apart.  Setting
-    both shifts to zero does *not* reduce it to the RWA generator - the
-    ``gamma/2`` weights of those terms remain.
+    Not of Lindblad form: besides the damping channel it carries the
+    two-quantum jumps ``b sigma b`` and ``b+ sigma b+``, which
+    create/destroy coherences two levels apart.  Setting both shifts to
+    zero does *not* reduce it to the RWA generator - the ``gamma/2``
+    weights of those terms remain.
     """
     b = build_fock_operators(space).b
     triple = _ladder_terms(b, rates, counter_rotating=True)

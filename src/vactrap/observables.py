@@ -30,7 +30,6 @@ from .liouville import (
     _pack,
     build_fock_operators,
     build_redfield_generator,
-    trace_product,
 )
 from .rates import RateSet
 
@@ -156,7 +155,7 @@ def expect(op_name: str, state: DensityMatrix | np.ndarray,
     mat = state.matrix if isinstance(state, DensityMatrix) else np.asarray(state)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"expect needs one square state matrix, got shape {mat.shape}")
-    value = trace_product(mat, _operator(op_name, len(mat), space))
+    value = np.einsum("ij,ji->", mat, _operator(op_name, len(mat), space))
     if op_name == "X":
         _check_witness(value, witness_sum(mat))
     return float(value.real)

@@ -475,11 +475,17 @@ def parse_config_text(text: str) -> ExperimentConfig:
 def load_config(source: str | Path) -> ExperimentConfig:
     """Load a config file, or return the named built-in configuration.
 
-    ``load_config("sec-reference")`` yields :func:`reference_config`.
+    ``load_config("sec-reference")`` yields :func:`reference_config`.  A
+    file that cannot be read as UTF-8 text (missing, a directory, other
+    bytes) raises ``ConfigParseError``.
     """
     if str(source) == REFERENCE_CONFIG_NAME:
         return reference_config()
     path = Path(source)
-    if not path.exists():
-        raise ConfigParseError(f"config file not found: {path}")
-    return parse_config_text(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigParseError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigParseError(f"cannot read config file {path}: {exc}") from None
+    return parse_config_text(text)

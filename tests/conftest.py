@@ -2,8 +2,9 @@
 
 The helpers here are deliberately small: a seeded generator, a factory for
 random Hermitian matrices, one for a jump that sets a single entry of a
-generator's matrix, and the two-significant-figure comparator used
-wherever a computed number is pinned against a value quoted to two digits.
+generator's matrix, a reference dense generator added up from Kronecker
+products, and the two-significant-figure comparator used wherever a
+computed number is pinned against a value quoted to two digits.
 
 The terminal-summary hook collects the outcome of every test in
 ``test_acceptance.py`` and prints one PASS/FAIL line per criterion at the
@@ -52,7 +53,7 @@ def herm_factory(rng):
 def entry_jump():
     """Factory for the jump ``(1e-9, e_i e_j^T, e_l e_k^T)`` on ``dim`` levels,
     which adds 1e-9 to a generator's ``L`` at ``(row, col) = (k dim + i, l dim
-    + j)`` and nowhere else (``sandwich(A, B) = kron(B.T, A)``)."""
+    + j)`` and nowhere else (the jump ``(c, A, B)`` adds ``c kron(B.T, A)``)."""
 
     def make(dim: int, row: int, col: int):
         (k, i), (l, j) = divmod(row, dim), divmod(col, dim)
@@ -60,6 +61,23 @@ def entry_jump():
         return 1e-9, np.outer(eye[i], eye[j]), np.outer(eye[l], eye[k])
 
     return make
+
+
+@pytest.fixture
+def kron_sum():
+    """The dense ``L`` of a generator triple ``(left, right, [(c, L, R),
+    ...])``, ``kron(I, left) + kron(right.T, I) + sum c kron(R.T, L)``
+    added in that order: a reference for the library's COO, assembled
+    without it."""
+
+    def assemble(left, right, jumps):
+        eye = np.eye(len(left))
+        gen = np.kron(eye, left) + np.kron(right.T, eye)
+        for coeff, op_left, op_right in jumps:
+            gen += coeff * np.kron(op_right.T, op_left)
+        return gen
+
+    return assemble
 
 
 # ---------------------------------------------------------------------------

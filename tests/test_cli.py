@@ -212,6 +212,22 @@ def test_missing_config_file(capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_an_unreadable_config_is_a_one_line_input_error(tmp_path, kind, capsys):
+    # a path that exists but cannot be read as UTF-8 text is refused like
+    # a missing one, not reported as an output failure or a traceback
+    path = tmp_path / "trap.cfg"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe\x00")
+    assert run_cli(["rates", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("vactrap: input error: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_guard_band_failure_exit_code(capsys):
     # nbar = 1 against a 16-level space: the initial thermal tail already
     # overfills the guard band, which is a numerical-guard failure (2),

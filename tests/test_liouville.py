@@ -12,7 +12,6 @@ from vactrap.liouville import (
     DensityMatrix,
     FockSpace,
     Superoperator,
-    _assemble,
     _dense_blocks,
     _hermitian_coordinates,
     _invariant_blocks,
@@ -22,11 +21,8 @@ from vactrap.liouville import (
     build_lindblad_generator,
     build_redfield_generator,
     build_xp_generator,
-    sandwich,
     sigma02_rhs,
     spectral_abscissa,
-    spost,
-    spre,
     unvec,
     vec,
 )
@@ -88,15 +84,6 @@ def test_vec_unvec_roundtrip(rng):
 def test_vec_is_column_major():
     m = np.arange(4.0).reshape(2, 2)  # [[0, 1], [2, 3]]
     assert np.array_equal(vec(m), [0.0, 2.0, 1.0, 3.0])
-
-
-def test_spre_spost_sandwich_actions(rng):
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    s = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert np.allclose(unvec(spre(a) @ vec(s), 4), a @ s)
-    assert np.allclose(unvec(spost(b) @ vec(s), 4), s @ b)
-    assert np.allclose(unvec(sandwich(a, b) @ vec(s), 4), a @ s @ b)
 
 
 # ------------------------------------------------------------ DensityMatrix
@@ -546,10 +533,10 @@ def test_trace_verdict_of_the_generator_reader(build):
 
 
 def test_generator_build_past_physical_memory_is_refused(monkeypatch):
-    # the build's peak, three (d**2, d**2) complex arrays, is checked against
-    # physical memory before anything is allocated; 16 pages of 1 KiB hold a
-    # dim-4 build (12 KiB) and refuse a dim-5 one (29 KiB)
-    monkeypatch.setattr("vactrap.errors.os.sysconf", lambda name: {"SC_PAGE_SIZE": 1024}.get(name, 16))
+    # the dense matrix a generator promises, one (d**2, d**2) complex array,
+    # is checked against physical memory before anything is allocated; 8
+    # pages of 1 KiB hold it at dim 4 (4 KiB) and refuse it at dim 5 (9.8 KiB)
+    monkeypatch.setattr("vactrap.errors.os.sysconf", lambda name: {"SC_PAGE_SIZE": 1024}.get(name, 8))
     assert build_redfield_generator(FockSpace(dim=4), RATES).dim == 4
     with pytest.raises(GuardExceeded, match="physical memory"):
         build_redfield_generator(FockSpace(dim=5), RATES)
@@ -575,30 +562,45 @@ def _generator_on(build, levels):
         (build_redfield_generator, 40),
     ],
 )
-def test_coo_is_the_nonzeros_of_the_assembled_matrix(build, levels):
+def test_coo_is_the_nonzeros_of_the_assembled_matrix(build, levels, kron_sum):
     # the COO computed from the triple is, bit for bit, the nonzeros of the
-    # dense L that _assemble adds up term by term, and .matrix is that L,
-    # assembled on first read only
+    # dense L that the Kronecker products add up term by term, and .matrix,
+    # the COO scattered on first read only, is that L, sign bits included
     gen = _generator_on(build, levels)
     assert "matrix" not in vars(gen)
-    dense = _assemble(*gen._triple)
+    dense = kron_sum(*gen._triple)
     rows, cols = np.nonzero(dense)
     assert np.array_equal(gen.coo[0], rows) and np.array_equal(gen.coo[1], cols)
     assert np.array_equal(gen.coo[2].view(float), dense[rows, cols].view(float))
     assert np.array_equal(gen.matrix.view(float), dense.view(float))
+    assert np.array_equal(np.signbit(gen.matrix.view(float)), np.signbit(dense.view(float)))
     assert gen.matrix is gen.matrix
+
+
+@pytest.mark.parametrize("levels", [20, 32])
+def test_dense_matrix_is_one_array(levels):
+    # reading .matrix allocates the one (d**2, d**2) complex array the
+    # build guard is sized for, 16 d**4 bytes, and no Kronecker term
+    gen = build_redfield_generator(FockSpace(dim=levels), RATES)
+    tracemalloc.start()
+    try:
+        gen.matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 16 * levels**4
 
 
 @pytest.mark.parametrize(
     "build", [build_redfield_generator, build_lindblad_generator, build_xp_generator,
               build_2d_generator]
 )
-def test_apply_reads_the_triple(rng, build):
-    # apply is the triple's action, and agrees with the dense L that .matrix
-    # promises without assembling it
+def test_apply_reads_the_triple(rng, build, kron_sum):
+    # apply is the triple's action, and agrees with the Kronecker sum's
+    # dense L without .matrix being read
     gen = _generator_on(build, 24)
     sigma = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
-    want = unvec(_assemble(*gen._triple) @ vec(sigma), 24)
+    want = unvec(kron_sum(*gen._triple) @ vec(sigma), 24)
     for state in (sigma, DensityMatrix(sigma, validate=False)):
         assert np.abs(gen.apply(state) - want).max() <= 1e-14 * np.abs(want).max()
     assert "matrix" not in vars(gen)

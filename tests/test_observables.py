@@ -9,7 +9,6 @@ from vactrap.evolve import _CHUNK, integrate
 from vactrap.liouville import (
     FockSpace,
     _act,
-    _assemble,
     _unpack,
     build_fock_operators,
     build_lindblad_generator,
@@ -243,7 +242,7 @@ def test_first_moment_identities_are_exact():
     assert first_moment_rhs_check(RateSet.scaled(0.0, 0.5, 0.0), dim=12) < 1e-12
 
 
-def test_first_moment_adjoint_is_the_dense_adjoint(monkeypatch):
+def test_first_moment_adjoint_is_the_dense_adjoint(monkeypatch, kron_sum):
     # the adjoint first_moment_rhs_check applies to x and p, read from the
     # generator's triple, is conj(L).T applied to vec(x) and vec(p), and no
     # dense L is assembled for it
@@ -262,7 +261,7 @@ def test_first_moment_adjoint_is_the_dense_adjoint(monkeypatch):
     assert first_moment_rhs_check(STABLE, dim=16) < 1e-12
     (gen,) = built
     assert len(applied) == 2 and "matrix" not in vars(gen)
-    adjoint = _assemble(*gen._triple).conj().T
+    adjoint = kron_sum(*gen._triple).conj().T
     for op, image in applied:
         want = unvec(adjoint @ vec(op), gen.dim)
         assert np.abs(image - want).max() <= 1e-14 * np.abs(want).max()

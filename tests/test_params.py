@@ -320,6 +320,19 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "nope.cfg")
 
 
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_load_config_unreadable_file(tmp_path, kind):
+    # a path that exists but cannot be read as UTF-8 text is a parse error,
+    # not an OSError or a UnicodeDecodeError
+    path = tmp_path / "trap.cfg"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"trap.omega_c_rad_s = 9.42e11\n\xff\xfe\n")
+    with pytest.raises(ConfigParseError, match="cannot read config file"):
+        load_config(path)
+
+
 def test_load_config_file(tmp_path):
     path = tmp_path / "trap.cfg"
     path.write_text(CONFIG_TEXT)
