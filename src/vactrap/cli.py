@@ -226,8 +226,8 @@ def _cmd_evolve(args) -> str:
         )
     moments = [series_from_record(record, name, space).values for name in ("x", "p", "n", "X")]
     # snapshots are exactly Hermitian by construction, so the Hermiticity
-    # drift column is printed as zeros
-    columns = (record.times, record.trace_dev, np.zeros(len(record.times)), record.min_eig,
+    # drift column is printed as the text 0.0
+    columns = (record.times, record.trace_dev, ("0.0",) * len(record.times), record.min_eig,
                record.guard_pop, *moments)
     return _csv_text(
         ("time", "trace_dev", "herm_dev", "min_eig", "guard_pop", "x", "p", "n", "witness"),

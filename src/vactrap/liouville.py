@@ -230,7 +230,7 @@ class Superoperator:
         if shapes != {(levels, levels)}:
             raise DimensionMismatch(f"triple shapes are not one (dim, dim): {sorted(shapes)}")
         _refuse_past_memory(
-            16 * levels**4, f"a generator on {levels} levels", "assemble its dense matrix"
+            16 * levels**4, f"a generator on {levels} levels", "scatter its dense matrix"
         )
         self._triple = (left, right, jumps)
         self.coo = _coo(left, right, jumps)

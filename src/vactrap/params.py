@@ -318,40 +318,48 @@ def cutoff_frequency(config: ExperimentConfig) -> float:
     -----
     LongWavelengthWarning
         If the resolved value exceeds ``lwa_bound`` (strictly); the library
-        reads the same verdict as a value from ``_resolve_cutoff``.
+        reads the same verdict as a value from ``_cutoff_at``.
     """
-    value, note = _resolve_cutoff(config)
+    value, note = _cutoff_at(config.particle, config.trap, config.cutoff, config.omega_c)
     if note is not None:
         warnings.warn(note, LongWavelengthWarning, stacklevel=2)
     return value
 
 
-def _resolve_cutoff(config: ExperimentConfig) -> tuple[float, str | None]:
-    """:func:`cutoff_frequency`'s value and the note it warns with (or None)."""
+def _cutoff_at(
+    particle: ParticleSpec, trap: TrapSpec, cutoff: CutoffSpec, omega_c: float
+) -> tuple[float, str | None]:
+    """The cut-off ``cutoff`` resolves to at trap frequency ``omega_c``, and
+    the long-wavelength note :func:`cutoff_frequency` warns with (or None).
+
+    The one kernel behind every cut-off: only ``trap.d_a`` and ``trap.d_c``
+    are read, so a field sweep passes its fixed geometry with each field's
+    frequency.  A device-derived value is capped at the Compton frequency
+    and noted when it exceeds ``lwa_bound``; an explicit value is neither.
+    """
     k = CODATA_2022
-    kind = config.cutoff.kind
-    w = config.omega_c
+    kind = cutoff.kind
     if kind is CutoffKind.LARGEST_AMPLITUDE:
-        if config.trap.d_a is None:
+        if trap.d_a is None:
             raise MissingParameter("largest-amplitude cutoff needs trap.d_a")
-        value = 2.0 * math.pi * k.c / config.trap.d_a
+        value = 2.0 * math.pi * k.c / trap.d_a
     elif kind is CutoffKind.DE_BROGLIE:
-        if config.trap.d_c is None:
+        if trap.d_c is None:
             raise MissingParameter("de-broglie cutoff needs trap.d_c")
-        value = k.c * config.particle.mass * config.trap.d_c * w / k.hbar
+        value = k.c * particle.mass * trap.d_c * omega_c / k.hbar
     elif kind is CutoffKind.ZERO_POINT:
-        value = lwa_bound(config.particle, w)
+        value = lwa_bound(particle, omega_c)
     elif kind is CutoffKind.COMPTON:
-        value = compton_frequency(config.particle)
+        value = compton_frequency(particle)
     else:  # EXPLICIT
-        value = float(config.cutoff.value)
+        value = float(cutoff.value)
 
     note = None
     if kind in _LWA_KINDS:
-        ceiling = compton_frequency(config.particle)
+        ceiling = compton_frequency(particle)
         if value > ceiling:
             value = ceiling
-        bound = lwa_bound(config.particle, w)
+        bound = lwa_bound(particle, omega_c)
         if value > bound:
             note = (
                 f"cutoff {value:.3e} rad/s exceeds the long-wavelength bound "

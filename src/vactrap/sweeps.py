@@ -30,15 +30,14 @@ from .params import (
     CutoffKind,
     CutoffSpec,
     ExperimentConfig,
-    TrapSpec,
-    _resolve_cutoff,
+    _cutoff_at,
     cyclotron_frequency,
     lwa_bound,
     parse_cutoff_kind,
     parse_mode,
     spin_coupling_ratio,
 )
-from .rates import _rate_set_at, relative_shift, validity_window
+from .rates import _rate_set_at, damping_rate, frequency_shift, relative_shift, validity_window
 
 __all__ = [
     "SweepResult",
@@ -54,27 +53,12 @@ __all__ = [
 _GRID_KINDS = (CutoffKind.LARGEST_AMPLITUDE, CutoffKind.DE_BROGLIE, CutoffKind.ZERO_POINT)
 
 
-def _at_field(
-    config: ExperimentConfig,
-    b_field: float,
-    cutoff: CutoffKind | str | None,
-    mode: ApproximationMode,
-) -> ExperimentConfig:
-    """``config`` at another field, with the sweep's cutoff kind and mode.
-
-    The trap frequency follows ``b_field`` while the geometry (d_a, d_c)
-    stays fixed.  ``cutoff`` is a kind, its name, or None for the config's
-    own; the explicit value is kept only for the explicit kind.
-    """
+def _sweep_cutoff(config: ExperimentConfig, cutoff: CutoffKind | str | None) -> CutoffSpec:
+    """The sweep's cut-off: ``cutoff`` is a kind, its name, or None for the
+    config's own; the explicit value is kept only for the explicit kind."""
     kind = parse_cutoff_kind(cutoff) if isinstance(cutoff, str) else (cutoff or config.cutoff.kind)
     value = config.cutoff.value if kind is CutoffKind.EXPLICIT else None
-    w = cyclotron_frequency(config.particle, b_field)
-    return replace(
-        config,
-        trap=TrapSpec(omega_c=w, d_a=config.trap.d_a, d_c=config.trap.d_c),
-        cutoff=CutoffSpec(kind=kind, value=value),
-        mode=mode,
-    )
+    return CutoffSpec(kind=kind, value=value)
 
 
 @dataclass(frozen=True)
@@ -136,7 +120,10 @@ def bfield_sweep(
     """Frequency shift vs magnetic field on a geometric grid.
 
     Geometry (d_a, d_c) is taken from ``config`` and held fixed; the trap
-    frequency at each point follows from the field.  Local exponents
+    frequency at each point follows from the field.  The cut-off is
+    resolved once as a spec; each field is then plain floats: its
+    frequency, the cut-off from :func:`vactrap.params._cutoff_at`, and the
+    renormalized shift ``mode`` keeps.  Local exponents
     ``d ln|shift| / d ln B`` are central differences, NaN at the ends.  A
     shift that rounds to zero at some field has no logarithm and is a
     ``ConfigurationError``.
@@ -152,17 +139,18 @@ def bfield_sweep(
     # noted past the long-wavelength bound alike
     _refuse_past_memory(73 * n_points, f"a sweep of {n_points} fields", "run")
     the_mode = parse_mode(mode) if isinstance(mode, str) else (mode or config.mode)
+    spec = _sweep_cutoff(config, cutoff)
 
+    particle, trap = config.particle, config.trap
     b_values = np.geomspace(b_lo, b_hi, n_points)
     omegas = np.empty(n_points)
     shifts = np.empty(n_points)
     lwa_exceeded = np.zeros(n_points, dtype=bool)
-    for i, b in enumerate(b_values):
-        variant = _at_field(config, b, cutoff, the_mode)
-        omegas[i] = variant.omega_c
-        omega_max, note = _resolve_cutoff(variant)
-        rates = _rate_set_at(variant, omega_max)
-        shifts[i] = rates.delta_omega / rates.omega_c * omegas[i]
+    for i, b in enumerate(b_values.tolist()):
+        w = omegas[i] = cyclotron_frequency(particle, b)
+        omega_max, note = _cutoff_at(particle, trap, spec, w)
+        # dw / w * w: the relative shift's rounding, kept to the last bit
+        shifts[i] = frequency_shift(damping_rate(particle, w), w, omega_max, the_mode) / w * w
         if shifts[i] == 0.0:
             raise ConfigurationError(f"the frequency shift at B = {b:.6g} T rounds to zero")
         lwa_exceeded[i] = note is not None
@@ -185,7 +173,7 @@ def bfield_sweep(
         delta_omega=shifts,
         local_exponents=exponents,
         mode=the_mode,
-        cutoff_kind=variant.cutoff.kind,
+        cutoff_kind=spec.kind,
         notes=notes,
     )
 
@@ -210,13 +198,15 @@ def rwa_exponent_analytic(
     ``dL/d ln B`` depends on how the cutoff rides the field: 0 when the
     cutoff is proportional to B (their ratio is fixed), ``-r/(r-1)`` for a
     field-independent cutoff, ``-r/(2(r-1))`` for a sqrt(B) cutoff, with
-    ``r = Omega/omega_c``.
+    ``r = Omega/omega_c``, read through the sweep's cut-off kernel at
+    the field's frequency.
     """
-    variant = _at_field(config, b_field, cutoff, ApproximationMode.WITH_RWA)
-    omega_max, _ = _resolve_cutoff(variant)
-    r = omega_max / variant.omega_c
+    spec = _sweep_cutoff(config, cutoff)
+    w = cyclotron_frequency(config.particle, b_field)
+    omega_max, _ = _cutoff_at(config.particle, config.trap, spec, w)
+    r = omega_max / w
     big_l = math.log(abs(r - 1.0))
-    kind = variant.cutoff.kind
+    kind = spec.kind
     if kind is CutoffKind.DE_BROGLIE:
         dl = 0.0
     elif kind is CutoffKind.ZERO_POINT:
@@ -246,7 +236,7 @@ class ValidityReport:
 
 def validity_report(config: ExperimentConfig) -> ValidityReport:
     """Positivity horizon, long-wavelength check, spin-coupling check."""
-    omega_max, note = _resolve_cutoff(config)
+    omega_max, note = _cutoff_at(config.particle, config.trap, config.cutoff, config.omega_c)
     notes = [] if note is None else [note]
     rates = _rate_set_at(config, omega_max)
     if config.mode is ApproximationMode.WITH_RWA:

@@ -95,6 +95,15 @@ def test_evolve_command_beyond_rwa(capsys):
     assert float(first[5]) == pytest.approx(0.5 * 2**0.5, rel=1e-6)  # <x> at t=0
 
 
+def test_evolve_herm_dev_column_reads_zero_on_every_row(capsys):
+    # snapshots are Hermitian by construction; the column is the text 0.0
+    argv = ["evolve", "--dim", "10", "--alpha", "0.5", "--t-end", "2", "--points", "9"]
+    assert run_cli(argv) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert len(rows) == 9
+    assert [row.split(",")[2] for row in rows] == ["0.0"] * 9
+
+
 def test_evolve_command_with_rwa(capsys):
     assert run_cli(
         [

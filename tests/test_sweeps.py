@@ -1,22 +1,35 @@
 """Shift tables, field sweeps with local scaling exponents, validity reports."""
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from vactrap.cli import run_cli
-from vactrap.errors import DimensionMismatch, GuardExceeded, LongWavelengthWarning
+from vactrap.errors import (
+    ConfigurationError,
+    DimensionMismatch,
+    GuardExceeded,
+    LongWavelengthWarning,
+    VactrapError,
+)
 from vactrap.params import (
+    ELECTRON,
     ApproximationMode,
     CutoffKind,
     CutoffSpec,
     ExperimentConfig,
     TrapSpec,
+    cutoff_frequency,
+    cyclotron_frequency,
     load_config,
+    parse_config_text,
+    parse_cutoff_kind,
+    parse_mode,
     reference_config,
 )
-from vactrap.rates import relative_shift
+from vactrap.rates import _rate_set_at, relative_shift
 from vactrap.sweeps import (
     SweepResult,
     bfield_sweep,
@@ -196,6 +209,147 @@ def test_sweep_result_validation():
             mode=ApproximationMode.BEYOND_RWA,
             cutoff_kind=CutoffKind.LARGEST_AMPLITUDE,
         )
+
+
+def _sweep_by_config(config, b_range, n_points, mode=None, cutoff=None):
+    """The sweep as a validated config and rate set at every field: the
+    reference the plain-float sweep must equal bit for bit, errors included.
+
+    Returns the ``SweepResult`` fields and, for the RWA, the closed-form
+    exponent at the midpoint field.
+    """
+    the_mode = parse_mode(mode) if isinstance(mode, str) else (mode or config.mode)
+    b_values = np.geomspace(*b_range, n_points)
+    omegas = np.empty(n_points)
+    shifts = np.empty(n_points)
+    noted = np.zeros(n_points, dtype=bool)
+    cutoffs = np.empty(n_points)
+    for i, b in enumerate(b_values):
+        kind = parse_cutoff_kind(cutoff) if isinstance(cutoff, str) else (cutoff or config.cutoff.kind)
+        value = config.cutoff.value if kind is CutoffKind.EXPLICIT else None
+        w = cyclotron_frequency(config.particle, b)
+        variant = replace(
+            config,
+            trap=TrapSpec(omega_c=w, d_a=config.trap.d_a, d_c=config.trap.d_c),
+            cutoff=CutoffSpec(kind=kind, value=value),
+            mode=the_mode,
+        )
+        omegas[i] = variant.omega_c
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cutoffs[i] = omega_max = cutoff_frequency(variant)
+        rates = _rate_set_at(variant, omega_max)
+        shifts[i] = rates.delta_omega / rates.omega_c * omegas[i]
+        if shifts[i] == 0.0:
+            raise ConfigurationError(f"the frequency shift at B = {b:.6g} T rounds to zero")
+        noted[i] = any(issubclass(c.category, LongWavelengthWarning) for c in caught)
+    lnb, lny = np.log(b_values), np.log(np.abs(shifts))
+    exponents = np.full(n_points, np.nan)
+    exponents[1:-1] = (lny[2:] - lny[:-2]) / (lnb[2:] - lnb[:-2])
+    notes = ()
+    if noted.any():
+        notes = (
+            f"cutoff exceeds the long-wavelength bound for {np.count_nonzero(noted)} "
+            f"field values starting at {b_values[noted].min():.3f} T",
+        )
+    r = float(cutoffs[n_points // 2] / omegas[n_points // 2])
+    if variant.cutoff.kind is CutoffKind.DE_BROGLIE:
+        dl = 0.0
+    elif variant.cutoff.kind is CutoffKind.ZERO_POINT:
+        dl = -r / (2.0 * (r - 1.0))
+    else:
+        dl = -r / (r - 1.0)
+    return dict(
+        omega_c_values=omegas,
+        delta_omega=shifts,
+        local_exponents=exponents,
+        notes=notes,
+        cutoff_kind=variant.cutoff.kind,
+        rwa_midpoint=2.0 + dl / math.log(abs(r - 1.0)),
+    )
+
+
+def _outcome(compute):
+    """``compute()``, or the type and message of the package error it raises."""
+    try:
+        return compute()
+    except VactrapError as exc:
+        return type(exc), str(exc)
+
+
+PARITY_CONFIGS = {
+    "sec-reference": REFERENCE,
+    # a de Broglie cut-off past the long-wavelength bound at every field
+    "lwa": parse_config_text(
+        "trap.omega_c_rad_s = 9.42e11\ntrap.d_a_m = 5.0e-6\ntrap.d_c_m = 50e-9\n"
+        "cutoff.kind = de-broglie"
+    ),
+    # an explicit cut-off and no geometry
+    "explicit": parse_config_text(
+        "trap.omega_c_rad_s = 9.42e11\ncutoff.kind = explicit\ncutoff.value_rad_s = 1.884e12"
+    ),
+    # a trap given by its field alone
+    "b-field": parse_config_text(
+        "trap.b_field_T = 5.36\ntrap.d_a_m = 5.0e-6\ntrap.d_c_m = 15e-9"
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["with-rwa", "beyond-rwa"])
+@pytest.mark.parametrize("cutoff", [None, "omega1", "omega2", "omega3", "compton", "explicit"])
+@pytest.mark.parametrize("name", sorted(PARITY_CONFIGS))
+def test_sweep_equals_the_per_field_config_path_bit_for_bit(name, cutoff, mode):
+    config = PARITY_CONFIGS[name]
+    b_range = (1.0, 100.0) if name == "lwa" else (1.0, 10.0)
+    sweep = _outcome(lambda: bfield_sweep(config, b_range, 33, mode=mode, cutoff=cutoff))
+    ref = _outcome(lambda: _sweep_by_config(config, b_range, 33, mode=mode, cutoff=cutoff))
+    # refused only where the kind needs what the config lacks
+    lacks = (cutoff == "explicit" and name != "explicit") or (
+        name == "explicit" and cutoff in ("omega1", "omega2")
+    )
+    assert isinstance(sweep, tuple) is lacks
+    if lacks:
+        assert sweep == ref
+        return
+    for field in ("omega_c_values", "delta_omega", "local_exponents"):
+        assert np.array_equal(
+            getattr(sweep, field).view(np.int64), ref[field].view(np.int64)
+        ), field
+    assert sweep.notes == ref["notes"]
+    assert sweep.cutoff_kind is ref["cutoff_kind"]
+    b_mid = sweep.b_values[len(sweep.b_values) // 2]
+    analytic = rwa_exponent_analytic(config, b_mid, cutoff=cutoff)
+    assert np.float64(analytic).view(np.int64) == np.float64(ref["rwa_midpoint"]).view(np.int64)
+
+
+# an explicit cut-off at exactly twice the trap frequency of a 5 T field,
+# where the renormalized single-quantum shift, and so the RWA shift, is zero
+_ZERO_AT_5T = parse_config_text(
+    "trap.omega_c_rad_s = 9.42e11\ncutoff.kind = explicit\n"
+    f"cutoff.value_rad_s = {2.0 * cyclotron_frequency(ELECTRON, 5.0)!r}"
+)
+
+
+@pytest.mark.parametrize(
+    "config, b_range, mode, cutoff, error",
+    [
+        (REFERENCE, (1.0, 10.0), None, "explicit", "explicit cutoff needs a positive value"),
+        (PARITY_CONFIGS["explicit"], (1.0, 10.0), None, "omega1", "needs trap.d_a"),
+        (PARITY_CONFIGS["explicit"], (1.0, 10.0), None, "omega2", "needs trap.d_c"),
+        (REFERENCE, (1e298, 1e299), None, None, "positive, finite frequency"),
+        (REFERENCE, (1e150, 1e160), None, None, "damping rate at omega_c = 1.7588"),
+        (_ZERO_AT_5T, (1.0, 5.0), "with-rwa", None, "at B = 5 T rounds to zero"),
+        (PARITY_CONFIGS["explicit"], (1e140, 1e170), None, None, "at B = 1e+140 T rounds to zero"),
+    ],
+    ids=["explicit-no-value", "no-d_a", "no-d_c", "frequency-overflow", "rate-overflow",
+         "zero-shift-last-field", "zero-shift-first-field"],
+)
+def test_sweep_errors_equal_the_per_field_config_path(config, b_range, mode, cutoff, error):
+    sweep = _outcome(lambda: bfield_sweep(config, b_range, 16, mode=mode, cutoff=cutoff))
+    ref = _outcome(lambda: _sweep_by_config(config, b_range, 16, mode=mode, cutoff=cutoff))
+    assert isinstance(sweep, tuple) and issubclass(sweep[0], ConfigurationError)
+    assert error in sweep[1]
+    assert sweep == ref
 
 
 def test_sweep_csv_layout(capsys):
