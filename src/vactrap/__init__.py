@@ -72,10 +72,7 @@ from .liouville import (
     build_lindblad_generator,
     build_redfield_generator,
     build_xp_generator,
-    sigma02_rhs,
     spectral_abscissa,
-    unvec,
-    vec,
 )
 from .evolve import EvolutionRecord, integrate
 from .observables import (
@@ -83,7 +80,6 @@ from .observables import (
     ObservableSeries,
     amplitude_peaks,
     damped_oscillator_solution,
-    expect,
     first_moment_rhs_check,
     fit_phase_slope,
     make_state,

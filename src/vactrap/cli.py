@@ -20,9 +20,11 @@ numerical-guard failure (tolerance, positivity, truncation, fit).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +37,7 @@ from .bath import (
     discrete_second_order_shift,
     make_flat_bath,
 )
-from .errors import ConfigurationError, NumericalGuard, VactrapError
+from .errors import ConfigurationError, LongWavelengthWarning, NumericalGuard
 from .evolve import integrate
 from .liouville import FockSpace, build_lindblad_generator, build_redfield_generator
 from .observables import make_state, series_from_record
@@ -394,6 +396,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+@contextlib.contextmanager
+def _long_wavelength_notes():
+    """Write each distinct ``LongWavelengthWarning`` raised in the block as
+    one ``note:`` line on stderr when the block ends, as ``validate`` and
+    ``sweep-b`` report the verdict; any other warning is shown as before."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            yield
+    finally:
+        notes = set()
+        for w in caught:
+            if not issubclass(w.category, LongWavelengthWarning):
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+            elif str(w.message) not in notes:
+                notes.add(str(w.message))
+                sys.stderr.write(f"note: {w.message}\n")
+
+
 def run_cli(argv: list[str] | None = None) -> int:
     """Parse, dispatch, deliver; map errors to the documented exit codes."""
     parser = build_parser()
@@ -402,7 +422,8 @@ def run_cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        payload = args.func(args)
+        with _long_wavelength_notes():
+            payload = args.func(args)
         _deliver(payload, args.out)
     except ConfigurationError as exc:
         sys.stderr.write(f"vactrap: input error: {exc}\n")
@@ -410,9 +431,6 @@ def run_cli(argv: list[str] | None = None) -> int:
     except NumericalGuard as exc:
         sys.stderr.write(f"vactrap: numerical guard: {exc}\n")
         return 2
-    except VactrapError as exc:
-        sys.stderr.write(f"vactrap: {exc}\n")
-        return 1
     except OSError as exc:
         sys.stderr.write(f"vactrap: cannot write output: {exc}\n")
         return 1

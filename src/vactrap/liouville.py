@@ -63,13 +63,10 @@ __all__ = [
     "DensityMatrix",
     "Superoperator",
     "build_fock_operators",
-    "vec",
-    "unvec",
     "build_redfield_generator",
     "build_lindblad_generator",
     "build_xp_generator",
     "build_2d_generator",
-    "sigma02_rhs",
     "spectral_abscissa",
 ]
 
@@ -163,16 +160,6 @@ class DensityMatrix:
 # Vectorization helpers (column-major convention, see module docstring)
 # --------------------------------------------------------------------------
 
-def vec(matrix: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix into a vector (Fortran order)."""
-    return np.asarray(matrix, dtype=complex).reshape(-1, order="F")
-
-
-def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    return np.asarray(vector, dtype=complex).reshape((dim, dim), order="F")
-
-
 def _swap(dim: int) -> np.ndarray:
     """Vec index of the entry transposed to each vec index."""
     return np.arange(dim * dim).reshape(dim, dim).T.ravel()
@@ -186,7 +173,7 @@ def _pack(matrix: np.ndarray) -> np.ndarray:
     ``Re vec`` is swap-symmetric and ``Im vec`` swap-antisymmetric, so the
     cross terms cancel.
     """
-    v = vec(matrix)
+    v = np.asarray(matrix, dtype=complex).reshape(-1, order="F")
     return v.real + v.imag
 
 
@@ -412,37 +399,6 @@ def build_2d_generator(
     left_y, right_y, jumps_y = _ladder_terms(by_full, rates, True)
     return Superoperator(
         left_x + left_y, right_x + right_y, jumps_x + jumps_y, ApproximationMode.BEYOND_RWA
-    )
-
-
-def sigma02_rhs(sigma: np.ndarray | DensityMatrix, rates: RateSet) -> complex:
-    """Time derivative of the two-quantum coherence entry ``sigma[0, 2]``.
-
-    Hand-expanded matrix element of the beyond-RWA generator; exists as an
-    independently written cross-check of the generator build (the two must
-    agree to rounding error).  The entry couples to ``sigma[0, 0]``,
-    ``sigma[1, 1]`` and ``sigma[2, 2]`` through the two-quantum channels --
-    a diagonal (hence classical-looking) state of an undamped trap acquires
-    this coherence at a rate proportional to the shifts, which is the
-    qualitative signature separating the two treatments.
-
-    Needs at least 5 levels so every coupled entry exists.
-    """
-    mat = sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma)
-    if mat.shape[0] < 5:
-        raise DimensionTooSmall(
-            f"sigma02_rhs couples entries up to sigma[0, 4]; need dim >= 5, got {mat.shape[0]}"
-        )
-    g, dp_, dm_ = _trap_rates(rates)
-    rt2 = np.sqrt(2.0)
-    rt3 = np.sqrt(3.0)
-    return (
-        (2j * (1.0 + dm_ - dp_) - g) * mat[0, 2]
-        + (rt3 * g - 2j * rt3 * dm_) * mat[0, 4]
-        + rt3 * g * mat[1, 3]
-        - (1j * rt2 * (dp_ + dm_) + g / rt2) * mat[1, 1]
-        + rt2 * (1j * dm_ + 0.5 * g) * mat[2, 2]
-        + 1j * rt2 * dp_ * mat[0, 0]
     )
 
 

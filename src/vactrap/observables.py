@@ -37,7 +37,6 @@ __all__ = [
     "ObservableSeries",
     "DampedOscillatorSolution",
     "make_state",
-    "expect",
     "witness_sum",
     "series_from_record",
     "damped_oscillator_solution",
@@ -142,25 +141,6 @@ def _reject_unknown(params: dict) -> None:
 _OP_NAMES = ("x", "p", "n", "X")
 
 
-def expect(op_name: str, state: DensityMatrix | np.ndarray,
-           space: FockSpace | None = None) -> float:
-    """Expectation value ``Tr[sigma O]`` for a named operator (real part).
-
-    ``x`` and ``p`` are the trap-unit quadratures on ``space`` (a space of
-    the state's dimension when none is given); ``n`` is the number operator
-    and ``X`` the two-quantum witness ``b^2 + (b+)^2``.
-    For the witness the trace is additionally cross-checked against the
-    independent ladder-sum expression (:func:`witness_sum`).
-    """
-    mat = state.matrix if isinstance(state, DensityMatrix) else np.asarray(state)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatch(f"expect needs one square state matrix, got shape {mat.shape}")
-    value = np.einsum("ij,ji->", mat, _operator(op_name, len(mat), space))
-    if op_name == "X":
-        _check_witness(value, witness_sum(mat))
-    return float(value.real)
-
-
 def _operator(op_name: str, dim: int, space: FockSpace | None) -> np.ndarray:
     """The named operator on ``space`` (a ``dim``-level space when none is
     given), refusing a space of another dimension."""
@@ -171,7 +151,7 @@ def _operator(op_name: str, dim: int, space: FockSpace | None) -> np.ndarray:
     if space.dim != dim:
         raise DimensionMismatch(f"state dim {dim} does not match space dim {space.dim}")
     ops = build_fock_operators(space)
-    return {"x": ops.x, "p": ops.p, "n": ops.n, "X": ops.witness}[op_name]
+    return ops.witness if op_name == "X" else getattr(ops, op_name)
 
 
 def _check_witness(values, ladder) -> None:

@@ -165,7 +165,7 @@ def bfield_sweep(
         notes = (
             f"cutoff exceeds the long-wavelength bound for "
             f"{np.count_nonzero(lwa_exceeded)} field values starting at "
-            f"{b_values[lwa_exceeded].min():.3f} T",
+            f"{b_values[lwa_exceeded].min():.4g} T",
         )
     return SweepResult(
         b_values=b_values,

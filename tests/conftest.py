@@ -4,7 +4,11 @@ The helpers here are deliberately small: a seeded generator, a factory for
 random Hermitian matrices, one for a jump that sets a single entry of a
 generator's matrix, a reference dense generator added up from Kronecker
 products, and the two-significant-figure comparator used wherever a
-computed number is pinned against a value quoted to two digits.
+computed number is pinned against a value quoted to two digits.  Beside
+them sit references the library computes another way: the column-major
+``vec`` and its inverse, which the dense generators act on, the trace
+``Tr[rho A]`` as one ``einsum``, and the hand-expanded (0, 2) row of the
+beyond-RWA generator, :func:`sigma02_rhs`.
 
 The terminal-summary hook collects the outcome of every test in
 ``test_acceptance.py`` and prints one PASS/FAIL line per criterion at the
@@ -18,6 +22,10 @@ import re
 
 import numpy as np
 import pytest
+
+from vactrap.errors import DimensionTooSmall
+from vactrap.liouville import DensityMatrix, _trap_rates
+from vactrap.rates import RateSet
 
 
 def ulp2(quoted: float) -> float:
@@ -78,6 +86,54 @@ def kron_sum():
         return gen
 
     return assemble
+
+
+def vec(matrix: np.ndarray) -> np.ndarray:
+    """Column-stack a matrix into a vector (Fortran order)."""
+    return np.asarray(matrix, dtype=complex).reshape(-1, order="F")
+
+
+def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
+    """Inverse of :func:`vec`."""
+    return np.asarray(vector, dtype=complex).reshape((dim, dim), order="F")
+
+
+def expectation(state, op: np.ndarray) -> float:
+    """``Re Tr[rho A]`` of a state (a matrix or a ``DensityMatrix``) and a
+    matrix, as one ``einsum``: a reference for the packed trace of
+    ``series_from_record``."""
+    return float(np.einsum("ij,ji->", getattr(state, "matrix", state), op).real)
+
+
+def sigma02_rhs(sigma: np.ndarray | DensityMatrix, rates: RateSet) -> complex:
+    """Time derivative of the two-quantum coherence entry ``sigma[0, 2]``.
+
+    Hand-expanded matrix element of the beyond-RWA generator; exists as an
+    independently written cross-check of the generator build (the two must
+    agree to rounding error).  The entry couples to ``sigma[0, 0]``,
+    ``sigma[1, 1]`` and ``sigma[2, 2]`` through the two-quantum channels --
+    a diagonal (hence classical-looking) state of an undamped trap acquires
+    this coherence at a rate proportional to the shifts, which is the
+    qualitative signature separating the two treatments.
+
+    Needs at least 5 levels so every coupled entry exists.
+    """
+    mat = sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma)
+    if mat.shape[0] < 5:
+        raise DimensionTooSmall(
+            f"sigma02_rhs couples entries up to sigma[0, 4]; need dim >= 5, got {mat.shape[0]}"
+        )
+    g, dp_, dm_ = _trap_rates(rates)
+    rt2 = np.sqrt(2.0)
+    rt3 = np.sqrt(3.0)
+    return (
+        (2j * (1.0 + dm_ - dp_) - g) * mat[0, 2]
+        + (rt3 * g - 2j * rt3 * dm_) * mat[0, 4]
+        + rt3 * g * mat[1, 3]
+        - (1j * rt2 * (dp_ + dm_) + g / rt2) * mat[1, 1]
+        + rt2 * (1j * dm_ + 0.5 * g) * mat[2, 2]
+        + 1j * rt2 * dp_ * mat[0, 0]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,8 @@ import warnings
 
 import pytest
 
-from vactrap import _svg
+from vactrap import _svg, rates
 from vactrap.cli import build_parser, run_cli
-from vactrap.errors import LongWavelengthWarning
 from vactrap.params import load_config
 from vactrap.sweeps import table1
 
@@ -30,10 +29,10 @@ def test_rates_emits_the_closed_form_table(capsys):
     )
 
 
-def test_rates_warns_once_past_the_long_wavelength_bound(capsys, tmp_path):
-    # a de Broglie cut-off at d_c = 50 nm lies past the long-wavelength
-    # bound; the table is read off one rate set, so the cut-off is resolved
-    # (and the warning raised) once even when no repeat is suppressed
+def _long_wavelength_run(command, capsys, tmp_path):
+    """Run ``command`` on a de Broglie cut-off at d_c = 50 nm, past the
+    long-wavelength bound, with no repeated warning suppressed; return its
+    stdout, its stderr and the warnings that escaped it."""
     config = tmp_path / "wide.cfg"
     config.write_text(
         "trap.omega_c_rad_s = 9.42e11\n"
@@ -43,9 +42,47 @@ def test_rates_warns_once_past_the_long_wavelength_bound(capsys, tmp_path):
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert run_cli(["rates", "--config", str(config)]) == 0
-    assert [w.category for w in caught] == [LongWavelengthWarning]
-    assert capsys.readouterr().out.startswith("quantity,value\n")
+        assert run_cli([command, "--config", str(config)]) == 0
+    captured = capsys.readouterr()
+    return captured.out, captured.err, caught
+
+
+_LWA_NOTE = (
+    "note: cutoff 1.220e+17 rad/s exceeds the long-wavelength bound 3.824e+16 rad/s; "
+    "dipole coupling is strained\n"
+)
+
+
+def test_rates_warns_once_past_the_long_wavelength_bound(capsys, tmp_path):
+    # the table is read off one rate set, so the cut-off is resolved once,
+    # and its warning reaches stderr as one note line, not as a warning
+    out, err, caught = _long_wavelength_run("rates", capsys, tmp_path)
+    assert err == _LWA_NOTE
+    assert caught == []
+    assert out.startswith("quantity,value\n")
+
+
+def test_table1_notes_the_long_wavelength_bound_once(capsys, tmp_path):
+    # both modes resolve the de Broglie cut-off, and warn; the one verdict
+    # is one note
+    out, err, caught = _long_wavelength_run("table1", capsys, tmp_path)
+    assert err == _LWA_NOTE
+    assert caught == []
+    assert out.startswith("cutoff,with_rwa,beyond_rwa\n")
+
+
+def test_other_warnings_pass_through_the_command(monkeypatch, capsys):
+    # only the long-wavelength verdict becomes a note
+    def build_rate_set(config):
+        warnings.warn("unrelated", UserWarning)
+        return rates.build_rate_set(config)
+
+    monkeypatch.setattr("vactrap.cli.build_rate_set", build_rate_set)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["rates"]) == 0
+    assert [(w.category, str(w.message)) for w in caught] == [(UserWarning, "unrelated")]
+    assert capsys.readouterr().err == ""
 
 
 def test_table_command_matches_library_route(capsys, tmp_path):

@@ -33,15 +33,17 @@ from vactrap.liouville import (
     _invariant_blocks,
     _swap,
     build_2d_generator,
+    build_fock_operators,
     build_lindblad_generator,
     build_redfield_generator,
     build_xp_generator,
     spectral_abscissa,
-    vec,
 )
-from vactrap.observables import expect, make_state, witness_sum
+from vactrap.observables import make_state, witness_sum
 from vactrap.params import ApproximationMode, load_config
 from vactrap.rates import RateSet, build_rate_set, gaussian_positivity_check, validity_window
+
+from conftest import expectation, vec
 
 STABLE = RateSet.scaled(1e-2, 5e-3, 8e-3)
 
@@ -677,5 +679,6 @@ def test_record_to_csv_layout(capsys):
     # the moments of the initial coherent state (alpha = 1), column by column
     space = FockSpace(dim=16)
     start = make_state("coherent", space, alpha=1.0)
-    for value, name in zip(first[5:], ("x", "p", "n", "X")):
-        assert value == pytest.approx(expect(name, start, space), abs=1e-12)
+    ops = build_fock_operators(space)
+    for value, op in zip(first[5:], (ops.x, ops.p, ops.n, ops.witness)):
+        assert value == pytest.approx(expectation(start, op), abs=1e-12)

@@ -5,22 +5,20 @@ import numpy as np
 import pytest
 
 from vactrap.errors import DimensionMismatch, TruncationRisk
-from vactrap.evolve import _CHUNK, integrate
+from vactrap.evolve import _CHUNK, EvolutionRecord, integrate
 from vactrap.liouville import (
     FockSpace,
     _act,
+    _pack,
     _unpack,
     build_fock_operators,
     build_lindblad_generator,
     build_redfield_generator,
     build_xp_generator,
-    unvec,
-    vec,
 )
 from vactrap.observables import (
     amplitude_peaks,
     damped_oscillator_solution,
-    expect,
     first_moment_rhs_check,
     fit_phase_slope,
     make_state,
@@ -29,7 +27,20 @@ from vactrap.observables import (
 )
 from vactrap.rates import RateSet
 
+from conftest import expectation, unvec, vec
+
 STABLE = RateSet.scaled(1e-2, 5e-3, 8e-3)
+
+
+def _series(op_name, *states, space=None):
+    """``series_from_record``'s values of ``op_name`` on a record whose
+    snapshots are ``states``, one value per state."""
+    w = np.array([_pack(getattr(state, "matrix", state)) for state in states])
+    n = len(w)
+    record = EvolutionRecord(
+        times=np.arange(n, dtype=float), w=w, trace_dev=np.zeros(n), guard_pop=np.zeros(n)
+    )
+    return series_from_record(record, op_name, space).values
 
 
 # ------------------------------------------------------------------- states
@@ -55,8 +66,9 @@ def test_coherent_state_moments_match_direct_sums():
     )
     amps = amps / np.linalg.norm(amps)
     n_direct = float(np.sum(np.arange(16) * amps**2))
-    assert expect("n", rho) == pytest.approx(n_direct, abs=1e-14)
-    assert expect("n", rho) == pytest.approx(1.0, abs=1e-12)  # tail is negligible
+    (n_mean,) = _series("n", rho)
+    assert n_mean == pytest.approx(n_direct, abs=1e-14)
+    assert n_mean == pytest.approx(1.0, abs=1e-12)  # tail is negligible
     assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-15)
 
 
@@ -73,7 +85,7 @@ def test_thermal_state_geometric_weights():
     weights = q ** np.arange(32)
     weights = weights / weights.sum()
     assert np.allclose(np.diag(rho.matrix).real, weights, atol=1e-15)
-    assert expect("n", rho) == pytest.approx(
+    assert _series("n", rho)[0] == pytest.approx(
         float(np.sum(np.arange(32) * weights)), abs=1e-14
     )
 
@@ -128,19 +140,17 @@ def test_quadrature_expectations_of_coherent_state():
     alpha = 1.0
     rho = make_state("coherent", space, alpha=alpha)
     # <x> = sqrt(2 hbar / m w) Re alpha, <p> = sqrt(2 hbar m w) Im alpha
-    assert expect("x", rho, space) == pytest.approx(math.sqrt(2.0) * alpha, rel=1e-10)
-    assert expect("p", rho, space) == pytest.approx(0.0, abs=1e-12)
+    assert _series("x", rho, space=space)[0] == pytest.approx(math.sqrt(2.0) * alpha, rel=1e-10)
+    assert _series("p", rho, space=space)[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_expect_validation():
+def test_series_from_record_validation():
     space = FockSpace(dim=6)
     rho = make_state("fock", space, n=1)
-    with pytest.raises(DimensionMismatch):
-        expect("y", rho, space)
-    with pytest.raises(DimensionMismatch):
-        expect("x", rho, FockSpace(dim=8))
-    with pytest.raises(DimensionMismatch, match="square"):
-        expect("x", np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatch, match="unknown observable 'y'"):
+        _series("y", rho, space=space)
+    with pytest.raises(DimensionMismatch, match="state dim 6 does not match space dim 8"):
+        _series("x", rho, space=FockSpace(dim=8))
 
 
 def test_witness_vanishes_on_diagonal_states(rng):
@@ -148,15 +158,19 @@ def test_witness_vanishes_on_diagonal_states(rng):
     weights /= weights.sum()
     sigma = np.diag(weights.astype(complex))
     assert witness_sum(sigma) == 0.0
-    assert expect("X", sigma) == 0.0
+    assert _series("X", sigma)[0] == 0.0
 
 
 def test_witness_trace_and_ladder_sum_agree(rng, herm_factory):
+    witness = build_fock_operators(FockSpace(dim=9)).witness
+    sigmas = []
     for _ in range(20):
         h = herm_factory(9)
         sigma = h @ h  # positive, nontrivial coherences
-        sigma /= np.trace(sigma).real
-        assert expect("X", sigma) == pytest.approx(witness_sum(sigma), abs=1e-12)
+        sigmas.append(sigma / np.trace(sigma).real)
+    for value, sigma in zip(_series("X", *sigmas), sigmas):
+        assert value == pytest.approx(witness_sum(sigma), abs=1e-12)
+        assert value == pytest.approx(expectation(sigma, witness), abs=1e-12)
 
 
 def test_witness_sum_on_a_stack_matches_each_state(herm_factory):
@@ -196,7 +210,7 @@ def test_series_match_per_snapshot_traces(monkeypatch, build, cap):
     record = integrate(gen, make_state("coherent", space, alpha=1.0), (0.0, 5.0), n_points=51)
     ops = build_fock_operators(space)
     for name, op in (("x", ops.x), ("p", ops.p), ("n", ops.n), ("X", ops.witness)):
-        loop = np.array([np.trace(op @ mat).real for mat in record.rho])
+        loop = np.array([expectation(mat, op) for mat in record.rho])
         values = series_from_record(record, name, space).values
         assert np.max(np.abs(values - loop)) <= 1e-13
 

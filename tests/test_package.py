@@ -48,6 +48,16 @@ def test_package_exports_every_declared_name_and_nothing_else():
     assert exported == declared
 
 
+def test_every_error_is_an_input_error_or_a_numerical_guard():
+    # run_cli maps exactly these two families to exit codes 1 and 2; an error
+    # outside both would escape it as a traceback
+    families = (errors.ConfigurationError, errors.NumericalGuard)
+    for obj in vars(errors).values():
+        if inspect.isclass(obj) and issubclass(obj, errors.VactrapError):
+            if obj not in (errors.VactrapError, *families):
+                assert sum(issubclass(obj, family) for family in families) == 1, obj
+
+
 def _imported_submodules(name: str) -> set:
     """The ``vactrap`` submodules that module ``name`` imports anywhere in
     its source, read from its syntax tree."""

@@ -125,6 +125,11 @@ def test_sweep_notes_long_wavelength_excursions():
     assert "long-wavelength" in noted.notes[0]
     clean = bfield_sweep(REFERENCE, (1.0, 10.0), 33, cutoff="omega1")
     assert clean.notes == ()
+    # below a millitesla the first noted field keeps its significant digits
+    tiny = bfield_sweep(REFERENCE, (1e-5, 1e-4), 16, cutoff="omega1")
+    assert tiny.notes == (
+        "cutoff exceeds the long-wavelength bound for 16 field values starting at 1e-05 T",
+    )
 
 
 def test_sweep_turns_long_wavelength_warnings_into_one_note():
@@ -250,7 +255,7 @@ def _sweep_by_config(config, b_range, n_points, mode=None, cutoff=None):
     if noted.any():
         notes = (
             f"cutoff exceeds the long-wavelength bound for {np.count_nonzero(noted)} "
-            f"field values starting at {b_values[noted].min():.3f} T",
+            f"field values starting at {b_values[noted].min():.4g} T",
         )
     r = float(cutoffs[n_points // 2] / omegas[n_points // 2])
     if variant.cutoff.kind is CutoffKind.DE_BROGLIE:
