@@ -64,7 +64,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatch, FitFailure
 from .errors import _refuse_past_memory, _require_count
-from .liouville import FockSpace, build_fock_operators
 
 __all__ = [
     "BathModel",
@@ -248,7 +247,7 @@ def discrete_second_order_shift(bath: BathModel) -> float:
     levels first, then the field, whose one-photon states run from the
     last mode to the first in the product space's kron order.
     """
-    b = build_fock_operators(FockSpace(dim=bath.particle_levels)).b.real
+    b = np.diag(np.sqrt(np.arange(1.0, bath.particle_levels)), 1)  # the trap's ladder
     trap = -(b + b.T) if bath.counter_rotating else -b
     modes = np.arange(bath.n_modes)
     if bath.counter_rotating:
@@ -302,7 +301,7 @@ def _hamiltonian(bath: BathModel) -> tuple:
     n_field = n_ph**m
     dim = n_p * n_field
 
-    b = build_fock_operators(FockSpace(dim=n_p)).b.real
+    b = np.diag(np.sqrt(np.arange(1.0, n_p)), 1)  # the trap's ladder
     # photons[x, k]: mode k's photon count in field state x, the base-n_ph
     # digits of x with mode 0 leading (kron order)
     strides = n_ph ** np.arange(m - 1, -1, -1)

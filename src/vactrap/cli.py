@@ -48,6 +48,7 @@ from .rates import (
     build_rate_set,
     damping_rate,
     frequency_shift,
+    level_shifts_raw,
 )
 from .sweeps import bfield_sweep, midpoint_exponent, table1, validity_report
 
@@ -155,16 +156,17 @@ def _cmd_rates(args) -> str:
     config = load_config(args.config)
     _plotless(args.format, "rates")
     rs = build_rate_set(config)
+    dp_raw, dm_raw = level_shifts_raw(rs.gamma, rs.omega_c, rs.omega_max)
     rel = rs.delta_omega / rs.omega_c
     return _csv_text(("quantity", "value"), zip(*[
         ("mode", config.mode.value),
         ("omega_c_rad_s", rs.omega_c),
         ("omega_max_rad_s", rs.omega_max),
         ("gamma_per_s", rs.gamma),
-        ("delta_plus_raw_per_s", rs.delta_plus_raw),
-        ("delta_minus_raw_per_s", rs.delta_minus_raw),
-        ("delta_plus_ren_per_s", rs.delta_plus_ren),
-        ("delta_minus_ren_per_s", rs.delta_minus_ren),
+        ("delta_plus_raw_per_s", dp_raw),
+        ("delta_minus_raw_per_s", dm_raw),
+        ("delta_plus_ren_per_s", rs.delta_plus),
+        ("delta_minus_ren_per_s", rs.delta_minus),
         ("delta_omega_per_s", rs.delta_omega),
         ("relative_shift", rel),
         ("total_frequency_rad_s", rs.omega_c * (1.0 + rel)),

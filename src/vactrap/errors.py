@@ -12,6 +12,25 @@ from __future__ import annotations
 import operator
 import os
 
+__all__ = [
+    "VactrapError",
+    "ConfigurationError",
+    "MissingParameter",
+    "ConfigParseError",
+    "SingularCutoff",
+    "DimensionMismatch",
+    "DimensionTooSmall",
+    "TruncationRisk",
+    "NumericalGuard",
+    "ToleranceFailure",
+    "PositivityBreach",
+    "GuardBandOverflow",
+    "SingularDenominator",
+    "FitFailure",
+    "GuardExceeded",
+    "LongWavelengthWarning",
+]
+
 
 class VactrapError(Exception):
     """Base class for all package-specific errors."""
@@ -42,7 +61,7 @@ class DimensionMismatch(ConfigurationError):
 
 class DimensionTooSmall(ConfigurationError):
     """The truncated level count is below the minimum needed for a given
-    operation (e.g. the two-quantum coherence row needs five levels)."""
+    operation (e.g. ``FockSpace`` needs at least two levels)."""
 
 
 class TruncationRisk(ConfigurationError):
@@ -59,9 +78,11 @@ class ToleranceFailure(NumericalGuard):
     propagator's rounding (``||G||_1 (t1 - t0)`` reaches ``1/eps``, refused
     before either propagation method runs), or the propagated trajectory is
     not finite, or its Hilbert-Schmidt norm or its trace drift passed the
-    accepted limit.  A norm or trace-drift failure carries the full record
-    of the run as ``record``; the span refusal and the non-finite check,
-    raised before a record exists, carry ``None``."""
+    accepted limit, or the witness read off it (the packed trace of
+    ``b^2 + (b+)^2``) disagrees with the ladder sum beyond rounding.  A norm
+    or trace-drift failure carries the full record of the run as
+    ``record``; the span refusal and the non-finite check, raised before a
+    record exists, and the witness check carry ``None``."""
 
     def __init__(self, message: str, record=None):
         super().__init__(message)

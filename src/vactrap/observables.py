@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, TruncationRisk, _require_count
+from .errors import DimensionMismatch, ToleranceFailure, TruncationRisk, _require_count
 from .evolve import EvolutionRecord
 from .liouville import (
     DensityMatrix,
@@ -158,7 +158,7 @@ def _check_witness(values, ladder) -> None:
     """Refuse witness values that disagree with the ladder sum beyond rounding."""
     gap = np.abs(values - ladder)
     if np.any(gap > 1e-10 * np.maximum(1.0, np.abs(values))):
-        raise DimensionMismatch(
+        raise ToleranceFailure(
             f"witness trace disagrees with the ladder sum by up to {np.max(gap):.3e}"
         )
 

@@ -180,15 +180,10 @@ _LWA_KINDS = frozenset(
     {CutoffKind.LARGEST_AMPLITUDE, CutoffKind.DE_BROGLIE, CutoffKind.ZERO_POINT}
 )
 
-_CUTOFF_ALIASES = {
-    "largest-amplitude": CutoffKind.LARGEST_AMPLITUDE,
+_CUTOFF_ALIASES = {kind.value: kind for kind in CutoffKind} | {
     "omega1": CutoffKind.LARGEST_AMPLITUDE,
-    "de-broglie": CutoffKind.DE_BROGLIE,
     "omega2": CutoffKind.DE_BROGLIE,
-    "zero-point": CutoffKind.ZERO_POINT,
     "omega3": CutoffKind.ZERO_POINT,
-    "compton": CutoffKind.COMPTON,
-    "explicit": CutoffKind.EXPLICIT,
 }
 
 

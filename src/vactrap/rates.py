@@ -15,8 +15,11 @@ angular, rad/s):
 
 The raw shifts grow linearly with the cut-off; that linear piece is exactly
 the free-particle (mass-renormalization) term ``dE_lin * w / 2`` and is
-removed by the renormalized forms.  ``free_particle_shift`` exposes the two
-dimensionless free-particle quantities and their exact factor-2 relation.
+removed by the renormalized forms.  A ``RateSet`` keeps the renormalized
+pair; the raw pair is ``level_shifts_raw``'s, evaluated at the set's own
+``gamma``, ``omega_c`` and ``omega_max``.  ``free_particle_shift`` exposes
+the two dimensionless free-particle quantities and their exact factor-2
+relation.
 """
 from __future__ import annotations
 
@@ -190,42 +193,32 @@ class RateSet:
     """All rates a generator needs, in 1/s, plus bookkeeping.
 
     ``delta_plus``/``delta_minus`` (the values the master-equation builders
-    consume) are the renormalized pair.  ``delta_omega`` is the trap-
-    frequency shift implied by ``mode``.  ``omega_c`` is the trap frequency
-    the rates are measured against: rad/s for an SI set, exactly 1 for a
-    trap-unit set from :meth:`scaled`.  ``omega_max`` is NaN for those
+    consume) are the renormalized pair; the raw pair is
+    ``level_shifts_raw(gamma, omega_c, omega_max)``.  ``delta_omega`` is the
+    trap-frequency shift implied by ``mode``.  ``omega_c`` is the trap
+    frequency the rates are measured against: rad/s for an SI set, exactly 1
+    for a trap-unit set from :meth:`scaled`.  ``omega_max`` is NaN for those
     synthetic sets, which were not derived from a cut-off.
     """
 
     gamma: float
-    delta_plus_raw: float
-    delta_minus_raw: float
-    delta_plus_ren: float
-    delta_minus_ren: float
+    delta_plus: float
+    delta_minus: float
     omega_c: float
     omega_max: float
     mode: ApproximationMode
 
     @property
-    def delta_plus(self) -> float:
-        return self.delta_plus_ren
-
-    @property
-    def delta_minus(self) -> float:
-        return self.delta_minus_ren
-
-    @property
     def delta_omega(self) -> float:
-        return _trap_shift(self.delta_plus_ren, self.delta_minus_ren, self.mode)
+        return _trap_shift(self.delta_plus, self.delta_minus, self.mode)
 
     @classmethod
     def scaled(cls, gamma: float, delta_plus: float, delta_minus: float) -> "RateSet":
         """Build a synthetic beyond-RWA rate set in trap units (``omega_c = 1``).
 
         Intended for dynamics studies where ``gamma``, ``delta_plus`` and
-        ``delta_minus`` are chosen directly (raw and renormalized values
-        coincide; no cut-off is involved).  These are the only rate sets the
-        generators accept.
+        ``delta_minus`` are chosen directly (no cut-off is involved).  These
+        are the only rate sets the generators accept.
         """
         if not all(map(math.isfinite, (gamma, delta_plus, delta_minus))):
             raise ConfigurationError(
@@ -234,10 +227,8 @@ class RateSet:
             )
         return cls(
             gamma=gamma,
-            delta_plus_raw=delta_plus,
-            delta_minus_raw=delta_minus,
-            delta_plus_ren=delta_plus,
-            delta_minus_ren=delta_minus,
+            delta_plus=delta_plus,
+            delta_minus=delta_minus,
             omega_c=1.0,
             omega_max=math.nan,
             mode=ApproximationMode.BEYOND_RWA,
@@ -253,14 +244,11 @@ def _rate_set_at(config: ExperimentConfig, W: float) -> RateSet:
     """:func:`build_rate_set` with the cut-off ``W`` already resolved."""
     w = config.omega_c
     g = damping_rate(config.particle, w)
-    dp_raw, dm_raw = level_shifts_raw(g, w, W)
-    dp_ren, dm_ren = level_shifts_renormalized(g, w, W)
+    dp, dm = level_shifts_renormalized(g, w, W)
     return RateSet(
         gamma=g,
-        delta_plus_raw=dp_raw,
-        delta_minus_raw=dm_raw,
-        delta_plus_ren=dp_ren,
-        delta_minus_ren=dm_ren,
+        delta_plus=dp,
+        delta_minus=dm,
         omega_c=w,
         omega_max=W,
         mode=config.mode,
@@ -276,7 +264,7 @@ def validity_window(rates: RateSet) -> float:
     returned.  When ``4 D^2`` underflows the same root is evaluated as
     ``(r + hypot(r, 2)) / (4 |D|)`` with ``r = G/|D|``.
     """
-    d, g = rates.delta_minus_ren, rates.gamma
+    d, g = rates.delta_minus, rates.gamma
     if d == 0.0:
         return math.inf
     four_d2 = 4.0 * d * d
@@ -294,5 +282,5 @@ def gaussian_positivity_check(rates: RateSet, t: float) -> bool:
     """
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    d = rates.delta_minus_ren
+    d = rates.delta_minus
     return rates.gamma - 2.0 * d * d * t > -1.0 / (2.0 * t)

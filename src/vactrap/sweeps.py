@@ -254,7 +254,7 @@ def validity_report(config: ExperimentConfig) -> ValidityReport:
     return ValidityReport(
         omega_c=config.omega_c,
         gamma=rates.gamma,
-        delta_minus_ren=rates.delta_minus_ren,
+        delta_minus_ren=rates.delta_minus,
         t_max=t_max,
         cutoff_kind=config.cutoff.kind,
         cutoff_rad_s=omega_max,

@@ -90,7 +90,7 @@ def test_criterion_02_positivity_horizon():
     """
     rates = build_rate_set(REFERENCE)
     t_max = validity_window(rates)
-    d, g = rates.delta_minus_ren, rates.gamma
+    d, g = rates.delta_minus, rates.gamma
 
     # defense 1: the closed form satisfies its own defining quadratic
     residual = abs(4.0 * d * d * t_max * t_max - 2.0 * g * t_max - 1.0)
@@ -393,7 +393,7 @@ def test_criterion_10_structural_invariants(herm_factory):
 
     rates = build_rate_set(REFERENCE)
     t_max = validity_window(rates)
-    d, g = rates.delta_minus_ren, rates.gamma
+    d, g = rates.delta_minus, rates.gamma
     poly = abs(4.0 * d * d * t_max * t_max - 2.0 * g * t_max - 1.0)
     assert poly < 1e-9, f"horizon polynomial residual {poly:.2e} (gate 1e-9)"
     lo, hi = t_max / 4.0, t_max * 4.0

@@ -27,6 +27,14 @@ def test_rates_emits_the_closed_form_table(capsys):
     assert float(value["total_frequency_rad_s"]) == pytest.approx(
         float(value["omega_c_rad_s"]) + float(value["delta_omega_per_s"]), rel=1e-14
     )
+    # the four shift rows are the closed forms at the printed floats
+    args = [float(value[key]) for key in ("gamma_per_s", "omega_c_rad_s", "omega_max_rad_s")]
+    for kind, pair in (
+        ("raw", rates.level_shifts_raw(*args)),
+        ("ren", rates.level_shifts_renormalized(*args)),
+    ):
+        for sign, shift in zip(("plus", "minus"), pair):
+            assert value[f"delta_{sign}_{kind}_per_s"] == repr(shift)
 
 
 def _long_wavelength_run(command, capsys, tmp_path):

@@ -629,7 +629,7 @@ def test_validity_window_for_reference_trap():
     t = validity_window(rates)
     assert t == pytest.approx(0.035644301694089886, rel=1e-12)
     # the horizon satisfies its defining quadratic
-    d, g = rates.delta_minus_ren, rates.gamma
+    d, g = rates.delta_minus, rates.gamma
     assert abs(4.0 * d * d * t * t - 2.0 * g * t - 1.0) < 1e-12
 
 

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from vactrap.errors import DimensionMismatch, TruncationRisk
+from vactrap import observables
+from vactrap.cli import run_cli
+from vactrap.errors import DimensionMismatch, NumericalGuard, TruncationRisk
 from vactrap.evolve import _CHUNK, EvolutionRecord, integrate
 from vactrap.liouville import (
     FockSpace,
@@ -176,6 +178,19 @@ def test_witness_trace_and_ladder_sum_agree(rng, herm_factory):
 def test_witness_sum_on_a_stack_matches_each_state(herm_factory):
     stack = np.array([h @ h for h in (herm_factory(9) for _ in range(5))])
     assert np.array_equal(witness_sum(stack), [witness_sum(s) for s in stack])
+
+
+def test_witness_disagreement_is_a_numerical_guard(monkeypatch, herm_factory, capsys):
+    # a packed trace that the ladder sum does not confirm is a numerical
+    # fault, exit 2, not an input error
+    monkeypatch.setattr(observables, "witness_sum", lambda state: witness_sum(state) + 1e-6)
+    h = herm_factory(9)
+    sigma = h @ h
+    with pytest.raises(NumericalGuard, match="ladder sum"):
+        _series("X", sigma / np.trace(sigma).real)
+    argv = ["witness", "--dim", "10", "--nbar", "0.2", "--t-end", "2", "--points", "21"]
+    assert run_cli(argv) == 2
+    assert "numerical guard: witness trace disagrees" in capsys.readouterr().err
 
 
 def test_series_from_record():

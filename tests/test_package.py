@@ -88,6 +88,12 @@ def test_closed_form_modules_import_no_dynamics(name):
     assert not _imported_submodules(name) & dynamics
 
 
+def test_bath_oracle_imports_no_generator_code():
+    # the oracle builds its own ladder, so a fault in the generators or the
+    # propagation they feed cannot reach the check made against them
+    assert not _imported_submodules("bath") & {"liouville", "evolve", "observables"}
+
+
 @pytest.mark.parametrize("name", ["params", "rates", "perturbation"])
 def test_closed_form_modules_import_no_numpy_at_module_level(name):
     # rates, shifts and the positivity horizon are Python-float arithmetic

@@ -5,6 +5,7 @@ at the reference trap (omega_c = 9.42e11 rad/s, electron) and the
 zero-point cutoff 3.824437515578783e16 rad/s, frozen from an independent
 arithmetic script.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -177,29 +178,33 @@ def test_free_particle_linear_piece_equals_gamma_identity():
 def test_build_rate_set_reference_fields():
     rs = build_rate_set(reference_config())
     assert rs.gamma == pytest.approx(GAMMA_REF, rel=1e-12)
-    assert rs.delta_plus_raw == pytest.approx(RAW_REF[0], rel=1e-12)
-    assert rs.delta_minus_raw == pytest.approx(RAW_REF[1], rel=1e-12)
-    assert rs.delta_plus_ren == pytest.approx(REN_REF[0], rel=1e-12)
-    assert rs.delta_minus_ren == pytest.approx(REN_REF[1], rel=1e-12)
+    # the record keeps the renormalized pair; the raw pair is evaluated at
+    # its own gamma, omega_c and omega_max
+    d_plus_raw, d_minus_raw = level_shifts_raw(rs.gamma, rs.omega_c, rs.omega_max)
+    assert d_plus_raw == pytest.approx(RAW_REF[0], rel=1e-12)
+    assert d_minus_raw == pytest.approx(RAW_REF[1], rel=1e-12)
+    assert rs.delta_plus == pytest.approx(REN_REF[0], rel=1e-12)
+    assert rs.delta_minus == pytest.approx(REN_REF[1], rel=1e-12)
     assert rs.delta_omega == pytest.approx(DW_BEYOND, rel=1e-12)
     assert rs.omega_c == W_REF
     assert rs.omega_max == pytest.approx(W_MAX, rel=1e-12)
     assert rs.mode is ApproximationMode.BEYOND_RWA
-    # the generator-facing aliases point at the renormalized pair
-    assert rs.delta_plus == rs.delta_plus_ren
-    assert rs.delta_minus == rs.delta_minus_ren
+    # one field per rate: no raw pair and no second name for a shift
+    assert [f.name for f in dataclasses.fields(rs)] == [
+        "gamma", "delta_plus", "delta_minus", "omega_c", "omega_max", "mode"
+    ]
 
 
 def test_build_rate_set_rwa_delta_omega():
     rs = build_rate_set(reference_config(mode=ApproximationMode.WITH_RWA))
-    assert rs.delta_omega == rs.delta_minus_ren
+    assert rs.delta_omega == rs.delta_minus
 
 
 def test_scaled_rate_set():
     rs = RateSet.scaled(1e-2, 5e-3, 8e-3)
     assert rs.gamma == 1e-2
-    assert rs.delta_plus == 5e-3 and rs.delta_plus_raw == 5e-3
-    assert rs.delta_minus == 8e-3 and rs.delta_minus_raw == 8e-3
+    assert rs.delta_plus == 5e-3
+    assert rs.delta_minus == 8e-3
     assert rs.delta_omega == pytest.approx(3e-3)
     assert rs.omega_c == 1.0
     assert math.isnan(rs.omega_max)
