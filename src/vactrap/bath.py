@@ -198,7 +198,7 @@ def make_flat_bath(
             f"gamma_target must be a positive finite rate, got {gamma_target}"
         )
     freqs = np.linspace(omega_min, omega_max, n_modes)
-    dw = freqs[1] - freqs[0]
+    dw = float(freqs[1] - freqs[0])  # a Python float overflows to inf silently
     kappa = math.sqrt(gamma_target * dw / (2.0 * math.pi))
     return BathModel(
         mode_frequencies=freqs,

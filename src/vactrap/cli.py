@@ -12,7 +12,9 @@ Subcommands::
     bath-oracle  brute-force discretized-bath decay check
 
 The library returns data; each handler here lays out the report it
-prints, as CSV (``_csv_text``), text or an SVG plot.
+prints, as CSV (``_csv_text``), text or an SVG plot, and writes the
+report's notes (long-wavelength verdicts) as ``note:`` lines once it is
+computed: no command raises a warning, so warning filters change nothing.
 
 Exit codes: 0 success, 1 input/configuration error (including usage), 2
 numerical-guard failure (tolerance, positivity, truncation, fit).
@@ -20,11 +22,9 @@ numerical-guard failure (tolerance, positivity, truncation, fit).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import math
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,19 +37,13 @@ from .bath import (
     discrete_second_order_shift,
     make_flat_bath,
 )
-from .errors import ConfigurationError, LongWavelengthWarning, NumericalGuard
+from .errors import ConfigurationError, NumericalGuard
 from .evolve import integrate
 from .liouville import FockSpace, build_lindblad_generator, build_redfield_generator
 from .observables import make_state, series_from_record
-from .params import ApproximationMode, load_config
+from .params import ApproximationMode, _cutoff_at, load_config
 from .perturbation import pt_frequency_shift_renormalized
-from .rates import (
-    RateSet,
-    build_rate_set,
-    damping_rate,
-    frequency_shift,
-    level_shifts_raw,
-)
+from .rates import RateSet, _rate_set_at, damping_rate, frequency_shift, level_shifts_raw
 from .sweeps import bfield_sweep, midpoint_exponent, table1, validity_report
 
 __all__ = ["main", "run_cli"]
@@ -155,10 +149,11 @@ def _oracle_report_csv(result: BathFitResult) -> str:
 def _cmd_rates(args) -> str:
     config = load_config(args.config)
     _plotless(args.format, "rates")
-    rs = build_rate_set(config)
+    omega_max, note = _cutoff_at(config.particle, config.trap, config.cutoff, config.omega_c)
+    rs = _rate_set_at(config, omega_max)
     dp_raw, dm_raw = level_shifts_raw(rs.gamma, rs.omega_c, rs.omega_max)
     rel = rs.delta_omega / rs.omega_c
-    return _csv_text(("quantity", "value"), zip(*[
+    payload = _csv_text(("quantity", "value"), zip(*[
         ("mode", config.mode.value),
         ("omega_c_rad_s", rs.omega_c),
         ("omega_max_rad_s", rs.omega_max),
@@ -171,12 +166,17 @@ def _cmd_rates(args) -> str:
         ("relative_shift", rel),
         ("total_frequency_rad_s", rs.omega_c * (1.0 + rel)),
     ]))
+    if note is not None:
+        sys.stderr.write(f"note: {note}\n")
+    return payload
 
 
 def _cmd_table1(args) -> str:
     config = load_config(args.config)
     _plotless(args.format, "table1")
     report = table1(config)
+    for note in report.notes:
+        sys.stderr.write(f"note: {note}\n")
     return _csv_text(
         ("cutoff", "with_rwa", "beyond_rwa"),
         (report.cutoff_labels, report.with_rwa, report.beyond_rwa),
@@ -398,24 +398,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-@contextlib.contextmanager
-def _long_wavelength_notes():
-    """Write each distinct ``LongWavelengthWarning`` raised in the block as
-    one ``note:`` line on stderr when the block ends, as ``validate`` and
-    ``sweep-b`` report the verdict; any other warning is shown as before."""
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            yield
-    finally:
-        notes = set()
-        for w in caught:
-            if not issubclass(w.category, LongWavelengthWarning):
-                warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
-            elif str(w.message) not in notes:
-                notes.add(str(w.message))
-                sys.stderr.write(f"note: {w.message}\n")
-
-
 def run_cli(argv: list[str] | None = None) -> int:
     """Parse, dispatch, deliver; map errors to the documented exit codes."""
     parser = build_parser()
@@ -424,8 +406,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        with _long_wavelength_notes():
-            payload = args.func(args)
+        payload = args.func(args)
         _deliver(payload, args.out)
     except ConfigurationError as exc:
         sys.stderr.write(f"vactrap: input error: {exc}\n")

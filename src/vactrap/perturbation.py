@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import SingularDenominator
+from .errors import ConfigurationError, SingularDenominator
 from .params import CODATA_2022, ParticleSpec
 from .rates import _log_tail, kappa
 
@@ -75,7 +75,8 @@ def pt_constants(
     Each pair is one row of ``_PT_TABLE`` over the shared log-plus-polynomial
     kernel ``rates._log_tail``; the coupling enters through the particle's
     own fine-structure-like ratio ``q^2/(4 pi eps0 hbar c)`` so
-    non-electron charges remain meaningful.
+    non-electron charges remain meaningful.  A constant that is not finite
+    (``kappa**power`` overflows on a light particle) is a ``ConfigurationError``.
     """
     if omega_c <= 0 or omega_max < 0:
         raise SingularDenominator(
@@ -85,11 +86,15 @@ def pt_constants(
     a_q = CODATA_2022.fine_structure(particle.charge)
     k = kappa(particle, omega_c)
     pairs = []
-    for _, coefficient, power, n, order in _PT_TABLE:
-        pref = coefficient * a_q * k**power / math.pi
-        pairs.append(tuple(
-            pref * _log_tail(omega_c, omega_max, sign, n, order) for sign in (1.0, -1.0)
-        ))
+    for name, coefficient, power, n, order in _PT_TABLE:
+        try:  # as a Python float, a power past the float range raises
+            pref = coefficient * a_q * k**power / math.pi
+        except OverflowError:
+            pref = math.inf
+        pair = tuple(pref * _log_tail(omega_c, omega_max, sign, n, order) for sign in (1.0, -1.0))
+        if not all(map(math.isfinite, pair)):
+            raise ConfigurationError(f"perturbation constant {name} is not finite at kappa = {k!r}")
+        pairs.append(pair)
     return PerturbationShifts(*pairs)
 
 

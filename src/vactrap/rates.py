@@ -62,14 +62,14 @@ def damping_rate(particle: ParticleSpec, omega_c: float) -> float:
 
     Equals ``(4/3) alpha_q kappa w`` with ``alpha_q`` the charge-generalized
     fine-structure constant; the identity is exercised in the tests.  A
-    rate that is not finite is a ``ConfigurationError``.
+    rate that is not finite, as over an underflowed mass, is a ``ConfigurationError``.
     """
     _require_positive_frequency(omega_c)
     k = CODATA_2022
     denominator = 3.0 * math.pi * k.eps0 * particle.mass * k.c**3
     try:  # as a Python float, an overflow raises or gives inf instead of warning
         rate = particle.charge**2 * float(omega_c) ** 2 / denominator
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         rate = math.inf
     if not math.isfinite(rate):
         raise ConfigurationError(f"damping rate at omega_c = {omega_c} is not finite")
@@ -103,7 +103,7 @@ def _log_tail(w: float, W: float, sign: float, n: int, order: int) -> float:
     term plus ``(-1)**(j+1) n**(order-j) (sign W)**j / (j w**(j-1))`` for
     ``j = 1 .. order`` in turn.  The raw level shifts are ``n = order = 1``;
     :func:`vactrap.perturbation.pt_constants` tabulates the rest.  A power
-    ``W**j`` past the float range is a ``ConfigurationError``.
+    ``W**j`` past the float range, or ``w**(j-1)`` rounding to 0, is a ``ConfigurationError``.
     """
     total = -(n**order * w) * _log_ratio(w, W, sign, n)
     try:  # as a Python float, a power past the float range raises
@@ -112,6 +112,10 @@ def _log_tail(w: float, W: float, sign: float, n: int, order: int) -> float:
     except OverflowError:
         raise ConfigurationError(
             f"cutoff {W!r} rad/s overflows the order-{order} shift integral"
+        ) from None
+    except ZeroDivisionError:
+        raise ConfigurationError(
+            f"trap frequency {w!r} rad/s underflows the order-{order} shift integral"
         ) from None
     return total
 

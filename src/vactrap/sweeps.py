@@ -19,7 +19,7 @@ closed-form derivative of the shift itself, which is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -37,7 +37,7 @@ from .params import (
     parse_mode,
     spin_coupling_ratio,
 )
-from .rates import _rate_set_at, damping_rate, frequency_shift, relative_shift, validity_window
+from .rates import _rate_set_at, damping_rate, frequency_shift, validity_window
 
 __all__ = [
     "SweepResult",
@@ -64,28 +64,30 @@ def _sweep_cutoff(config: ExperimentConfig, cutoff: CutoffKind | str | None) -> 
 @dataclass(frozen=True)
 class Table1Report:
     """Relative frequency shifts on the 3 x 2 (cutoff x mode) grid, one per
-    fixed ``cutoff_labels`` entry in each mode's row."""
+    fixed ``cutoff_labels`` entry in each mode's row, and the cut-offs' notes."""
 
     cutoff_labels: ClassVar[tuple[str, str, str]] = ("omega1", "omega2", "omega3")
     with_rwa: tuple[float, float, float]
     beyond_rwa: tuple[float, float, float]
+    notes: tuple[str, ...] = ()
 
 
 def table1(config: ExperimentConfig) -> Table1Report:
     """The six relative shifts at the configuration's trap parameters.
 
     The cutoff choice in ``config`` is ignored: the grid runs over all
-    three physical cutoffs by construction.
+    three physical cutoffs by construction.  Each cut-off's long-wavelength
+    verdict, from :func:`vactrap.params._cutoff_at`, is a note, not a warning.
     """
-    rows = {}
+    w = config.omega_c
+    rows, notes = [], []
     for kind in _GRID_KINDS:
-        for mode in (ApproximationMode.WITH_RWA, ApproximationMode.BEYOND_RWA):
-            variant = replace(config, cutoff=CutoffSpec(kind=kind), mode=mode)
-            rows[(kind, mode)] = relative_shift(variant)
-    return Table1Report(
-        with_rwa=tuple(rows[(k, ApproximationMode.WITH_RWA)] for k in _GRID_KINDS),
-        beyond_rwa=tuple(rows[(k, ApproximationMode.BEYOND_RWA)] for k in _GRID_KINDS),
-    )
+        omega_max, note = _cutoff_at(config.particle, config.trap, CutoffSpec(kind=kind), w)
+        gamma = damping_rate(config.particle, w)
+        rows.append([frequency_shift(gamma, w, omega_max, mode) / w for mode in ApproximationMode])
+        notes.append(note)
+    with_rwa, beyond_rwa = zip(*rows)  # ApproximationMode lists WITH_RWA first
+    return Table1Report(with_rwa, beyond_rwa, notes=tuple(dict.fromkeys(filter(None, notes))))
 
 
 @dataclass(frozen=True)
@@ -143,6 +145,8 @@ def bfield_sweep(
 
     particle, trap = config.particle, config.trap
     b_values = np.geomspace(b_lo, b_hi, n_points)
+    if np.any(np.diff(b_values) <= 0):  # a span of a few ulps repeats fields
+        raise DimensionMismatch("field values must be strictly increasing")
     omegas = np.empty(n_points)
     shifts = np.empty(n_points)
     lwa_exceeded = np.zeros(n_points, dtype=bool)

@@ -134,7 +134,6 @@ def test_criterion_03_long_wavelength_bound():
     assert report.cutoff_within_lwa, "reference cutoff must sit at/below the bound"
 
 
-@pytest.mark.filterwarnings("ignore::vactrap.errors.LongWavelengthWarning")
 def test_criterion_04_field_scaling_exponents():
     """Shift-vs-field exponents: 3, 2, 5/2 beyond the RWA; log-corrected RWA
     slopes match the closed-form derivative."""

@@ -44,7 +44,9 @@ def test_flat_bath_needs_a_spacing():
 @pytest.mark.parametrize(
     "omega_min, omega_max, gamma_target",
     [(5.0, 0.2, 5e-3), (1.0, 1.0, 5e-3), (0.2, 5.0, 0.0), (0.2, 5.0, math.inf),
-     (-1.0, 0.5, 5e-3), (0.0, 0.5, 5e-3), (0.2, math.inf, 5e-3)],
+     (-1.0, 0.5, 5e-3), (0.0, 0.5, 5e-3), (0.2, math.inf, 5e-3),
+     # gamma_target * dw overflows to inf, with no RuntimeWarning first
+     (0.2, 15.0, 1e308)],
 )
 def test_flat_bath_needs_an_ordered_band_and_a_positive_rate(
     omega_min, omega_max, gamma_target

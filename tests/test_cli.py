@@ -37,10 +37,10 @@ def test_rates_emits_the_closed_form_table(capsys):
             assert value[f"delta_{sign}_{kind}_per_s"] == repr(shift)
 
 
-def _long_wavelength_run(command, capsys, tmp_path):
+def _long_wavelength_run(command, action, capsys, tmp_path):
     """Run ``command`` on a de Broglie cut-off at d_c = 50 nm, past the
-    long-wavelength bound, with no repeated warning suppressed; return its
-    stdout, its stderr and the warnings that escaped it."""
+    long-wavelength bound, with every warning under the filter ``action``;
+    return its stdout, its stderr and the warnings that escaped it."""
     config = tmp_path / "wide.cfg"
     config.write_text(
         "trap.omega_c_rad_s = 9.42e11\n"
@@ -49,7 +49,7 @@ def _long_wavelength_run(command, capsys, tmp_path):
         "cutoff.kind = de-broglie\n"
     )
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+        warnings.simplefilter(action)
         assert run_cli([command, "--config", str(config)]) == 0
     captured = capsys.readouterr()
     return captured.out, captured.err, caught
@@ -60,32 +60,53 @@ _LWA_NOTE = (
     "dipole coupling is strained\n"
 )
 
-
 def test_rates_warns_once_past_the_long_wavelength_bound(capsys, tmp_path):
     # the table is read off one rate set, so the cut-off is resolved once,
-    # and its warning reaches stderr as one note line, not as a warning
-    out, err, caught = _long_wavelength_run("rates", capsys, tmp_path)
+    # and its verdict reaches stderr as one note line, not as a warning
+    out, err, caught = _long_wavelength_run("rates", "always", capsys, tmp_path)
     assert err == _LWA_NOTE
     assert caught == []
     assert out.startswith("quantity,value\n")
 
 
 def test_table1_notes_the_long_wavelength_bound_once(capsys, tmp_path):
-    # both modes resolve the de Broglie cut-off, and warn; the one verdict
-    # is one note
-    out, err, caught = _long_wavelength_run("table1", capsys, tmp_path)
+    # both modes read the one de Broglie cut-off; its verdict is one note
+    out, err, caught = _long_wavelength_run("table1", "always", capsys, tmp_path)
     assert err == _LWA_NOTE
     assert caught == []
     assert out.startswith("cutoff,with_rwa,beyond_rwa\n")
 
 
-def test_other_warnings_pass_through_the_command(monkeypatch, capsys):
-    # only the long-wavelength verdict becomes a note
-    def build_rate_set(config):
-        warnings.warn("unrelated", UserWarning)
-        return rates.build_rate_set(config)
+@pytest.mark.parametrize("action", ["error", "ignore"])
+@pytest.mark.parametrize("command", ["rates", "table1"])
+def test_long_wavelength_notes_do_not_depend_on_the_warning_filter(
+    command, action, capsys, tmp_path
+):
+    # the verdict is a value of the report, so no filter moves the output
+    out, err, caught = _long_wavelength_run(command, action, capsys, tmp_path)
+    assert err == _LWA_NOTE
+    assert caught == []
+    assert out == _long_wavelength_run(command, "always", capsys, tmp_path)[0]
 
-    monkeypatch.setattr("vactrap.cli.build_rate_set", build_rate_set)
+
+def test_a_failing_report_writes_only_its_error_line(capsys, tmp_path):
+    # the largest-amplitude cut-off is noted past the bound, then the de
+    # Broglie one has no orbit diameter: the error is the whole of stderr
+    config = tmp_path / "no-orbit.cfg"
+    config.write_text("trap.omega_c_rad_s = 9.42e11\ntrap.d_a_m = 1e-12\n")
+    assert run_cli(["table1", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "vactrap: input error: de-broglie cutoff needs trap.d_c\n"
+
+
+def test_other_warnings_pass_through_the_command(monkeypatch, capsys):
+    # a warning the command did not expect is shown, not turned into a note
+    def rate_set_at(config, omega_max):
+        warnings.warn("unrelated", UserWarning)
+        return rates._rate_set_at(config, omega_max)
+
+    monkeypatch.setattr("vactrap.cli._rate_set_at", rate_set_at)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run_cli(["rates"]) == 0
@@ -345,6 +366,11 @@ def test_out_of_domain_values_are_input_errors(argv, capsys):
         ["sweep-b", "--b-min", "1e-300"],  # the damping rate underflows to 0
         # the dense generator (381 GiB) is refused before it is allocated
         ["evolve", "--dim", "400", "--points", "3"],
+        # a span of one ulp rounds to repeated fields, refused before any
+        # slope is taken (a RuntimeWarning fails the test)
+        ["sweep-b", "--b-min", "1", "--b-max", "1.0000000000000002", "--points", "16"],
+        # gamma_target * dw overflows to inf, refused as a coupling
+        ["bath-oracle", "--modes", "3", "--gamma-target", "1e308"],
     ],
 )
 def test_closed_form_range_ends_are_one_line_input_errors(argv, capsys):
@@ -352,6 +378,32 @@ def test_closed_form_range_ends_are_one_line_input_errors(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("vactrap: input error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, config, words",
+    [
+        # kappa**2 of the perturbation constants overflows on a light particle
+        ("pt-compare", "particle.mass_kg = 1e-300\ntrap.omega_c_rad_s = 1e10\n",
+         "perturbation constant delta1 is not finite"),
+        # omega_c**2 of the order-3 shift integral underflows to zero
+        ("pt-compare", "trap.omega_c_rad_s = 1e-300\n", "trap frequency 1e-300 rad/s underflows"),
+        # the damping rate's denominator underflows to zero
+        ("rates", "particle.mass_kg = 1e-320\ntrap.omega_c_rad_s = 1e10\n",
+         "damping rate at omega_c = 10000000000.0 is not finite"),
+    ],
+    ids=["pt-light", "pt-slow", "rates-tiny-mass"],
+)
+def test_configs_past_the_float_range_are_one_line_input_errors(
+    command, config, words, capsys, tmp_path
+):
+    path = tmp_path / "extreme.cfg"
+    path.write_text(config)
+    assert run_cli([command, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"vactrap: input error: {words}")
     assert captured.err.count("\n") == 1
 
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from vactrap.errors import SingularDenominator
+from vactrap.errors import ConfigurationError, SingularDenominator
 from vactrap.params import CODATA_2022, ELECTRON, ParticleSpec
 from vactrap.perturbation import (
     pt_constants,
@@ -50,6 +50,21 @@ def test_constants_hierarchy_in_recoil_parameter():
     assert abs(shifts.delta1_pm[0]) / d0 == pytest.approx(3.2593e-5, rel=1e-3)
     assert abs(shifts.delta2c_pm[0]) / d0 == pytest.approx(3.2714e-5, rel=1e-3)
     assert abs(shifts.delta2a_pm[0]) < abs(shifts.delta1_pm[0])
+
+
+@pytest.mark.parametrize(
+    "particle, omega_c, words",
+    [
+        # kappa**2 past the float range on a light particle
+        (ParticleSpec(mass=1e-300, charge=ELECTRON.charge), 1e10, "delta1 is not finite"),
+        # omega_c**2 of the order-3 integral underflows to zero on a slow trap
+        (ELECTRON, 1e-300, "trap frequency 1e-300 rad/s underflows the order-3"),
+    ],
+    ids=["light", "slow"],
+)
+def test_constants_past_the_float_range_are_configuration_errors(particle, omega_c, words):
+    with pytest.raises(ConfigurationError, match=words):
+        pt_constants(particle, omega_c, 20.0 * omega_c)
 
 
 def test_zero_cutoff_gives_zero_constants():

@@ -18,6 +18,7 @@ from vactrap.params import (
     ELECTRON,
     ApproximationMode,
     CutoffKind,
+    ParticleSpec,
     reference_config,
 )
 from vactrap.rates import (
@@ -71,6 +72,13 @@ def test_overflowing_damping_rate_is_a_configuration_error(omega_c):
     # with no OverflowError (Python float) or RuntimeWarning (numpy float) first
     with pytest.raises(ConfigurationError, match="not finite"):
         damping_rate(ELECTRON, omega_c)
+
+
+def test_underflowed_damping_denominator_is_a_configuration_error():
+    # 3 pi eps0 m c**3 rounds to zero at a mass near the float floor
+    light = ParticleSpec(mass=1e-320, charge=ELECTRON.charge)
+    with pytest.raises(ConfigurationError, match="not finite"):
+        damping_rate(light, 1e10)
 
 
 @pytest.mark.parametrize("bad", [0.0, -W_REF, math.inf])

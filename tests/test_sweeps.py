@@ -90,6 +90,21 @@ def test_table_csv_is_deterministic(capsys):
         assert float(rwa) < 0.0 < float(beyond)
 
 
+def test_table_carries_the_long_wavelength_verdict_as_one_note():
+    # both modes read the one de Broglie cut-off past the bound; the verdict
+    # is a value of the report, and no warning is raised
+    config = replace(
+        REFERENCE,
+        trap=TrapSpec(omega_c=REFERENCE.omega_c, d_a=REFERENCE.trap.d_a, d_c=50e-9),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = table1(config)
+    assert len(report.notes) == 1
+    assert "long-wavelength" in report.notes[0]
+    assert table1(REFERENCE).notes == ()
+
+
 # ------------------------------------------------------------------ sweeps
 
 
@@ -106,7 +121,6 @@ def test_sweep_shapes_and_grid():
     assert result.notes == ()
 
 
-@pytest.mark.filterwarnings("ignore::vactrap.errors.LongWavelengthWarning")
 def test_sweep_accepts_string_mode_and_cutoff():
     result = bfield_sweep(
         REFERENCE, (1.0, 10.0), 17, mode="with-rwa", cutoff="omega2"
@@ -115,7 +129,6 @@ def test_sweep_accepts_string_mode_and_cutoff():
     assert result.cutoff_kind is CutoffKind.DE_BROGLIE
 
 
-@pytest.mark.filterwarnings("ignore::vactrap.errors.LongWavelengthWarning")
 def test_sweep_notes_long_wavelength_excursions():
     # the geometry-fixed de Broglie cutoff rides linearly with B while the
     # bound only grows like sqrt(B), so the top of this range strains the
@@ -141,7 +154,6 @@ def test_sweep_turns_long_wavelength_warnings_into_one_note():
     assert not [w for w in caught if issubclass(w.category, LongWavelengthWarning)]
 
 
-@pytest.mark.filterwarnings("ignore::vactrap.errors.LongWavelengthWarning")
 def test_midpoint_exponents_beyond_rwa():
     # fixed cutoff -> B^3, cutoff ~ B -> B^2, cutoff ~ sqrt(B) -> B^(5/2)
     expected = {"omega1": 3.0, "omega2": 2.0, "omega3": 2.5}
@@ -152,7 +164,6 @@ def test_midpoint_exponents_beyond_rwa():
         assert midpoint_exponent(result) == pytest.approx(value, abs=2e-6), kind
 
 
-@pytest.mark.filterwarnings("ignore::vactrap.errors.LongWavelengthWarning")
 def test_midpoint_exponents_with_rwa_match_closed_form():
     # the RWA scaling carries a log correction, so the slopes are compared
     # against the analytic derivative instead of a clean power
@@ -181,6 +192,10 @@ def test_sweep_validation():
         bfield_sweep(REFERENCE, (10.0, 1.0), 33)
     with pytest.raises(DimensionMismatch):
         bfield_sweep(REFERENCE, (0.0, 10.0), 33)
+    # a span of one ulp rounds to repeated fields, refused before a slope
+    # over them would raise a RuntimeWarning
+    with pytest.raises(DimensionMismatch, match="strictly increasing"):
+        bfield_sweep(REFERENCE, (1.0, 1.0000000000000002), 16)
 
 
 def test_sweep_past_physical_memory_is_refused(monkeypatch):
