@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatch, FitFailure
-from .errors import _refuse_past_memory, _require_count
+from .errors import _refuse_past_memory, _require_count, _require_positive
 
 __all__ = [
     "BathModel",
@@ -115,22 +115,14 @@ class BathModel:
         object.__setattr__(self, "couplings", coups)
         if freqs.ndim != 1 or len(freqs) < 1:
             raise DimensionMismatch("need at least one bath mode")
-        _require_count(self.particle_levels, "particle_levels")
-        _require_count(self.photons_per_mode, "photons_per_mode")
+        _require_count(self.particle_levels, "particle_levels", minimum=2)
+        _require_count(self.photons_per_mode, "photons_per_mode", minimum=1)
         if coups.shape != freqs.shape:
             raise DimensionMismatch(
                 f"{len(coups)} couplings for {len(freqs)} modes"
             )
         if not (np.isfinite(freqs).all() and np.isfinite(coups).all()):
             raise DimensionMismatch("mode frequencies and couplings must be finite")
-        if self.particle_levels < 2:
-            raise DimensionMismatch(
-                f"particle needs >= 2 levels, got {self.particle_levels}"
-            )
-        if self.photons_per_mode < 1:
-            raise DimensionMismatch(
-                f"photons_per_mode must be >= 1, got {self.photons_per_mode}"
-            )
         if not self.counter_rotating and (
             self.particle_levels != 2 or self.photons_per_mode != 1
         ):
@@ -186,17 +178,12 @@ def make_flat_bath(
     The golden rule for a flat discretization gives
     ``Gamma = 2 pi kappa^2 / dw``, so ``kappa = sqrt(Gamma dw / 2 pi)``.
     """
-    _require_count(n_modes, "n_modes")
-    if n_modes < 2:
-        raise DimensionMismatch("flat bath needs >= 2 modes to define a spacing")
+    _require_count(n_modes, "n_modes", minimum=2)  # two modes define a spacing
     if not 0.0 < omega_min < omega_max < math.inf:
         raise DimensionMismatch(
             f"flat bath needs 0 < omega_min < omega_max < inf, got {omega_min} and {omega_max}"
         )
-    if not (gamma_target > 0.0 and math.isfinite(gamma_target)):
-        raise DimensionMismatch(
-            f"gamma_target must be a positive finite rate, got {gamma_target}"
-        )
+    _require_positive(gamma_target, "gamma_target", DimensionMismatch)
     freqs = np.linspace(omega_min, omega_max, n_modes)
     dw = float(freqs[1] - freqs[0])  # a Python float overflows to inf silently
     kappa = math.sqrt(gamma_target * dw / (2.0 * math.pi))
@@ -214,8 +201,7 @@ def discrete_golden_rule(bath: BathModel) -> float:
     and the local spacing taken from its neighbours.  Requires >= 2 modes.
     """
     freqs = bath.mode_frequencies
-    if len(freqs) < 2:
-        raise FitFailure("golden rule needs a mode density: >= 2 modes")
+    _require_count(len(freqs), "n_modes", FitFailure, minimum=2)  # for a mode density
     k = int(np.argmin(np.abs(freqs - 1.0)))
     lo = max(k - 1, 0)
     hi = min(k + 1, len(freqs) - 1)
@@ -441,11 +427,8 @@ def bath_brute_force(
     ``duration`` must be positive and finite, with a grid sum of ``t**2``
     that neither overflows nor vanishes, and ``n_points`` at least 2.
     """
-    if not 0.0 < duration < math.inf:
-        raise ConfigurationError(f"duration must be positive and finite, got {duration}")
-    _require_count(n_points, "n_points", ConfigurationError)
-    if n_points < 2:
-        raise ConfigurationError(f"n_points must be at least 2, got {n_points}")
+    _require_positive(duration, "duration")
+    _require_count(n_points, "n_points", ConfigurationError, minimum=2)
     times = np.linspace(0.0, duration, n_points)
     with np.errstate(over="ignore", under="ignore"):  # both fits scale t by sqrt(sum t**2)
         if not 0.0 < np.sum(times * times) < math.inf:

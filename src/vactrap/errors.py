@@ -3,12 +3,18 @@
 Every guard in the package raises one of these types so callers (and the
 command-line tool) can map failures onto exit codes without string matching:
 configuration problems are ``ConfigurationError`` subclasses, numerical
-guards are ``NumericalGuard`` subclasses.  A count that is not an integer
-is refused in one place, ``_require_count``, and a request for more bytes
-than the machine has in one place, ``_refuse_past_memory``.
+guards are ``NumericalGuard`` subclasses.  Three refusals are stated once
+each: a count that is not an integer or is below its minimum (levels, modes,
+grid points), ``_require_count``; a quantity that is not positive and finite,
+given (mass, trap fields, frequencies, durations, the bath rate) or derived
+(the damping rate, each shift logarithm's argument, ``m omega_c / hbar``, so
+that a closed form past the float range is an input error, not a printed
+``inf``, ``0`` or ``nan``), ``_require_positive``; and a request for more
+bytes than the machine has, ``_refuse_past_memory``.
 """
 from __future__ import annotations
 
+import math
 import operator
 import os
 
@@ -74,15 +80,15 @@ class NumericalGuard(VactrapError):
 
 
 class ToleranceFailure(NumericalGuard):
-    """A propagation that cannot be trusted: its span is too long for the
-    propagator's rounding (``||G||_1 (t1 - t0)`` reaches ``1/eps``, refused
-    before either propagation method runs), or the propagated trajectory is
-    not finite, or its Hilbert-Schmidt norm or its trace drift passed the
-    accepted limit, or the witness read off it (the packed trace of
-    ``b^2 + (b+)^2``) disagrees with the ladder sum beyond rounding.  A norm
-    or trace-drift failure carries the full record of the run as
-    ``record``; the span refusal and the non-finite check, raised before a
-    record exists, and the witness check carry ``None``."""
+    """A propagation that cannot be trusted: its generator overflows (refused
+    when it is built), or its span is too long for the propagator's
+    rounding (``||G||_1 (t1 - t0)`` reaches ``1/eps``, refused before either
+    propagation method runs), or the propagated trajectory is not finite, or
+    its Hilbert-Schmidt norm or its trace drift passed the accepted limit,
+    or the witness read off it (the packed trace of ``b^2 + (b+)^2``)
+    disagrees with the ladder sum beyond rounding.  A norm or trace-drift
+    failure carries the full record of the run as ``record``; the other
+    checks carry ``None``."""
 
     def __init__(self, message: str, record=None):
         super().__init__(message)
@@ -135,13 +141,24 @@ class LongWavelengthWarning(UserWarning):
     still produced but the dipole-coupling premise is strained."""
 
 
-def _require_count(value, name: str, error: type[VactrapError] = DimensionMismatch) -> None:
-    """Refuse a count that is not an integer (a numpy integer is one) with
-    ``error``, before a float reaches ``range`` or ``linspace``."""
+def _require_count(
+    value, name: str, error: type[VactrapError] = DimensionMismatch, minimum: int | None = None
+) -> None:
+    """Refuse with ``error`` a count below ``minimum`` or not an integer (a
+    numpy integer is one), before a float reaches ``range`` or ``linspace``."""
     try:
         operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be at least {minimum}, got {value}")
+
+
+def _require_positive(value, name, error: type[VactrapError] = ConfigurationError) -> None:
+    """Refuse with ``error`` anything but a positive finite number.  ``name``
+    is a string, or a function giving one, called only on refusal."""
+    if not 0.0 < value < math.inf:
+        raise error(f"{name() if callable(name) else name} must be positive and finite, got {value}")
 
 
 def _refuse_past_memory(peak: int, what: str, task: str) -> None:

@@ -221,9 +221,7 @@ def integrate(
     # a nan or infinite end, or two finite ends too far apart, leaves t1 - t0 not finite
     if not (t1 > t0 and math.isfinite(t1 - t0)):
         raise ConfigurationError(f"t_span must be finite and increasing, got {t_span}")
-    _require_count(n_points, "n_points", ConfigurationError)
-    if n_points < 2:
-        raise ConfigurationError(f"n_points must be at least 2, got {n_points}")
+    _require_count(n_points, "n_points", ConfigurationError, minimum=2)
     dim = generator.dim
     # bytes per grid point: w, the complex diagonal and the diagnostics; tracemalloc
     # read this for both builders and methods at dim 6-16, 2001 and 8001 points

@@ -51,6 +51,7 @@ from .errors import (
     ConfigurationError,
     DimensionMismatch,
     DimensionTooSmall,
+    ToleranceFailure,
     _refuse_past_memory,
     _require_count,
 )
@@ -208,7 +209,9 @@ class Superoperator:
     in row-major order (:func:`_coo`).  ``matrix``, the dense ``L``, is the
     COO scattered on first read only, one ``16 dim**4``-byte array, and a
     generator whose dense matrix would not fit in physical memory is
-    refused when it is built, with ``GuardExceeded``.
+    refused when it is built, with ``GuardExceeded``; one whose ``L`` has a
+    non-finite entry, which the builders leave to this check unwarned, with
+    ``ToleranceFailure``.
     """
 
     def __init__(self, left, right, jumps: list[_Jump], mode: ApproximationMode):
@@ -221,6 +224,8 @@ class Superoperator:
         )
         self._triple = (left, right, jumps)
         self.coo = _coo(left, right, jumps)
+        if not np.isfinite(self.coo[2]).all():
+            raise ToleranceFailure(f"the generator on {levels} levels overflows the float range")
         self.mode = mode
         self.dim = levels
 
@@ -253,6 +258,7 @@ def _act(left: np.ndarray, right: np.ndarray, jumps: list[_Jump], sigma: np.ndar
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _coo(left: np.ndarray, right: np.ndarray, jumps: list[_Jump]):
     """The nonzeros of ``L``, the Kronecker sum ``kron(I, left) +
     kron(right.T, I) + sum c kron(R.T, L)`` of the triple ``(left, right,
@@ -299,6 +305,7 @@ def _trap_rates(rates: RateSet) -> tuple[float, float, float]:
     return rates.gamma, rates.delta_plus, rates.delta_minus
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _ladder_terms(
     b: np.ndarray, rates: RateSet, counter_rotating: bool
 ) -> tuple[np.ndarray, np.ndarray, list[_Jump]]:
@@ -349,6 +356,7 @@ def build_lindblad_generator(space: FockSpace, rates: RateSet) -> Superoperator:
     return Superoperator(*triple, ApproximationMode.WITH_RWA)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def build_xp_generator(space: FockSpace, rates: RateSet) -> Superoperator:
     """The beyond-RWA generator written in position/momentum operators.
 
@@ -383,6 +391,7 @@ def build_xp_generator(space: FockSpace, rates: RateSet) -> Superoperator:
     return Superoperator(left, right, jumps, ApproximationMode.BEYOND_RWA)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def build_2d_generator(
     space_x: FockSpace, space_y: FockSpace, rates: RateSet
 ) -> Superoperator:

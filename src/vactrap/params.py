@@ -37,6 +37,7 @@ from .errors import (
     ConfigurationError,
     LongWavelengthWarning,
     MissingParameter,
+    _require_positive,
 )
 
 __all__ = [
@@ -123,8 +124,7 @@ class ParticleSpec:
     g_factor: float = 2.0
 
     def __post_init__(self):
-        if not (self.mass > 0.0 and math.isfinite(self.mass)):
-            raise ConfigurationError(f"particle mass must be positive, got {self.mass}")
+        _require_positive(self.mass, "particle mass")
         if self.charge == 0.0 or not math.isfinite(self.charge):
             raise ConfigurationError(f"particle charge must be nonzero, got {self.charge}")
 
@@ -154,9 +154,8 @@ class TrapSpec:
         if self.omega_c is None and self.b_field is None:
             raise ConfigurationError("trap needs omega_c or b_field")
         for name in ("omega_c", "b_field", "d_a", "d_c"):
-            v = getattr(self, name)
-            if v is not None and not (v > 0.0 and math.isfinite(v)):
-                raise ConfigurationError(f"trap.{name} must be positive, got {v}")
+            if (v := getattr(self, name)) is not None:
+                _require_positive(v, "trap." + name)
         if self.d_a is not None and self.d_c is not None and not self.d_a > self.d_c:
             raise ConfigurationError(
                 f"trap geometry must satisfy d_a > d_c, got d_a={self.d_a}, d_c={self.d_c}"
@@ -290,8 +289,7 @@ def lwa_bound(particle: ParticleSpec, omega_c: float) -> float:
     zero-point spread, so the dipole (long-wavelength) coupling used
     throughout stops being trustworthy there.
     """
-    if not (omega_c > 0.0 and math.isfinite(omega_c)):
-        raise ConfigurationError(f"omega_c must be positive, got {omega_c}")
+    _require_positive(omega_c, "omega_c")
     k = CODATA_2022
     return math.sqrt(2.0 * particle.mass * k.c**2 * omega_c / k.hbar)
 
@@ -374,11 +372,11 @@ def spin_coupling_ratio(
     negligible while this is much larger than one.  O(1) polarization
     factors are intentionally dropped.
     """
-    if not (mode_frequency > 0.0 and math.isfinite(mode_frequency)):
-        raise ConfigurationError(f"mode_frequency must be positive, got {mode_frequency}")
+    _require_positive(mode_frequency, "mode_frequency")
     k = CODATA_2022
-    num = k.c**2 * math.sqrt(particle.mass * omega_c / k.hbar)
-    return num / mode_frequency
+    inverse_area = particle.mass * omega_c / k.hbar
+    _require_positive(inverse_area, "m omega_c / hbar")
+    return k.c**2 * math.sqrt(inverse_area) / mode_frequency
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, SingularCutoff
+from .errors import ConfigurationError, SingularCutoff, _require_positive
 from .params import (
     CODATA_2022,
     ApproximationMode,
@@ -53,7 +53,7 @@ __all__ = [
 
 def kappa(particle: ParticleSpec, omega_c: float) -> float:
     """Trap-quantum to rest-energy ratio ``hbar w / (m c^2)`` (dimensionless)."""
-    _require_positive_frequency(omega_c)
+    _require_positive(omega_c, "omega_c")
     return CODATA_2022.hbar * omega_c / (particle.mass * CODATA_2022.c**2)
 
 
@@ -62,28 +62,22 @@ def damping_rate(particle: ParticleSpec, omega_c: float) -> float:
 
     Equals ``(4/3) alpha_q kappa w`` with ``alpha_q`` the charge-generalized
     fine-structure constant; the identity is exercised in the tests.  A
-    rate that is not finite, as over an underflowed mass, is a ``ConfigurationError``.
+    rate past the float range (inf, or 0) is a ``ConfigurationError``.
     """
-    _require_positive_frequency(omega_c)
+    _require_positive(omega_c, "omega_c")
     k = CODATA_2022
     denominator = 3.0 * math.pi * k.eps0 * particle.mass * k.c**3
     try:  # as a Python float, an overflow raises or gives inf instead of warning
         rate = particle.charge**2 * float(omega_c) ** 2 / denominator
     except (OverflowError, ZeroDivisionError):
         rate = math.inf
-    if not math.isfinite(rate):
-        raise ConfigurationError(f"damping rate at omega_c = {omega_c} is not finite")
+    _require_positive(rate, lambda: f"damping rate at omega_c = {omega_c}")
     return rate
 
 
-def _require_positive_frequency(value: float, name: str = "omega_c") -> None:
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ConfigurationError(f"{name} must be a positive finite frequency, got {value}")
-
-
 def _guard_cutoff(omega_c: float, omega_max: float) -> None:
-    _require_positive_frequency(omega_c)
-    _require_positive_frequency(omega_max, "omega_max")
+    _require_positive(omega_c, "omega_c")
+    _require_positive(omega_max, "omega_max")
     if abs(omega_max - omega_c) <= 1e-12 * omega_c:
         raise SingularCutoff(
             f"cutoff {omega_max} coincides with the trap frequency {omega_c}; "
@@ -93,7 +87,9 @@ def _guard_cutoff(omega_c: float, omega_max: float) -> None:
 
 def _log_ratio(w: float, W: float, sign: float, n: int) -> float:
     """``ln|(n w + sign W) / (n w)|``, the logarithm of every shift integral."""
-    return math.log(abs((n * w + sign * W) / (n * w)))
+    ratio = abs((n * w + sign * W) / (n * w))
+    _require_positive(ratio, lambda: f"the shift logarithm's argument at w = {w!r}, W = {W!r}")
+    return math.log(ratio)
 
 
 def _log_tail(w: float, W: float, sign: float, n: int, order: int) -> float:
@@ -186,7 +182,7 @@ class FreeParticleShift:
 
 def free_particle_shift(particle: ParticleSpec, omega_max: float) -> FreeParticleShift:
     """Free-particle relative energy shift pair for a cut-off ``W``."""
-    _require_positive_frequency(omega_max, "omega_max")
+    _require_positive(omega_max, "omega_max")
     k = CODATA_2022
     lin = particle.charge**2 * omega_max / (3.0 * math.pi**2 * k.eps0 * particle.mass * k.c**3)
     return FreeParticleShift(delta_e_fp=2.0 * lin, delta_e_lin=lin)

@@ -133,9 +133,7 @@ def bfield_sweep(
     b_lo, b_hi = b_range
     if not (0 < b_lo < b_hi < math.inf):
         raise DimensionMismatch(f"need 0 < b_min < b_max < inf, got {b_range!r}")
-    _require_count(n_points, "n_points")
-    if n_points < 16:
-        raise DimensionMismatch(f"need >= 16 points for stable slopes, got {n_points}")
+    _require_count(n_points, "n_points", minimum=16)  # for stable slopes
     # bytes per field: the tracemalloc peak grows by 73 a field between 1000
     # and 5000 points, over the reference range and where every field is
     # noted past the long-wavelength bound alike

@@ -37,7 +37,7 @@ def test_flat_bath_coupling_matches_golden_rule_inversion():
 
 
 def test_flat_bath_needs_a_spacing():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="n_modes must be at least 2, got 1"):
         make_flat_bath(1, 0.5, 1.5, gamma_target=1e-3)
 
 
@@ -60,9 +60,9 @@ def test_bath_model_validation():
         BathModel(mode_frequencies=[], couplings=[])
     with pytest.raises(DimensionMismatch):
         BathModel(mode_frequencies=[1.0, 2.0], couplings=[0.1])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="particle_levels must be at least 2, got 1"):
         BathModel(mode_frequencies=[1.0], couplings=[0.1], particle_levels=1)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="photons_per_mode must be at least 1, got 0"):
         BathModel(mode_frequencies=[1.0], couplings=[0.1], photons_per_mode=0)
 
 

@@ -387,11 +387,13 @@ def test_closed_form_range_ends_are_one_line_input_errors(argv, capsys):
         # kappa**2 of the perturbation constants overflows on a light particle
         ("pt-compare", "particle.mass_kg = 1e-300\ntrap.omega_c_rad_s = 1e10\n",
          "perturbation constant delta1 is not finite"),
-        # omega_c**2 of the order-3 shift integral underflows to zero
-        ("pt-compare", "trap.omega_c_rad_s = 1e-300\n", "trap frequency 1e-300 rad/s underflows"),
+        # omega_c**2 of the damping rate underflows to zero, before the
+        # order-3 shift integral's
+        ("pt-compare", "trap.omega_c_rad_s = 1e-300\n",
+         "damping rate at omega_c = 1e-300 must be positive and finite, got 0.0"),
         # the damping rate's denominator underflows to zero
         ("rates", "particle.mass_kg = 1e-320\ntrap.omega_c_rad_s = 1e10\n",
-         "damping rate at omega_c = 10000000000.0 is not finite"),
+         "damping rate at omega_c = 10000000000.0 must be positive and finite, got inf"),
     ],
     ids=["pt-light", "pt-slow", "rates-tiny-mass"],
 )

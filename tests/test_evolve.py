@@ -590,7 +590,7 @@ def test_integrate_argument_validation():
     for t_span in ((1.0, 1.0), (0.0, math.inf), (math.nan, 1.0), (-1e308, 1e308)):
         with pytest.raises(ConfigurationError, match="t_span"):
             integrate(gen, rho0, t_span)
-    with pytest.raises(ConfigurationError, match="n_points"):
+    with pytest.raises(ConfigurationError, match="n_points must be at least 2, got 1"):
         integrate(gen, rho0, (0.0, 1.0), n_points=1)
     with pytest.raises(DimensionMismatch):
         integrate(gen, make_state("fock", FockSpace(dim=8), n=0), (0.0, 1.0))

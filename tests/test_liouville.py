@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vactrap.errors import ConfigurationError, DimensionMismatch, DimensionTooSmall, GuardExceeded
+from vactrap.cli import run_cli
+from vactrap.errors import (
+    ConfigurationError,
+    DimensionMismatch,
+    DimensionTooSmall,
+    GuardExceeded,
+    ToleranceFailure,
+)
 from vactrap.liouville import (
     DensityMatrix,
     FockSpace,
@@ -540,6 +547,21 @@ def test_generator_build_past_physical_memory_is_refused(monkeypatch):
     refused = "to scatter its dense matrix, more than .* physical memory"
     with pytest.raises(GuardExceeded, match=refused):
         build_redfield_generator(FockSpace(dim=5), RATES)
+
+
+def test_an_overflowing_generator_is_refused_when_built(capsys):
+    # 1e308 times a ladder entry overflows; the build warned, and the span
+    # guard then blamed a nan norm of ||G||_1 (a RuntimeWarning fails the test)
+    space, rates = FockSpace(dim=6), RateSet.scaled(1e-2, 1e308, 0.0)
+    for build in (build_redfield_generator, build_xp_generator,
+                  lambda space, rates: build_2d_generator(space, space, rates)):
+        with pytest.raises(ToleranceFailure, match="levels overflows the float range"):
+            build(space, rates)
+    assert run_cli(["evolve", "--dim", "6", "--points", "11", "--delta-plus", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    words = "the generator on 6 levels overflows the float range"
+    assert captured.err == f"vactrap: numerical guard: {words}\n"
 
 
 def _generator_on(build, levels):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vactrap.cli import run_cli
 from vactrap.errors import (
     ConfigParseError,
     ConfigurationError,
@@ -242,6 +243,21 @@ def test_spin_coupling_ratio_reference_values():
     for bad in (0.0, -1e15, math.inf, math.nan):
         with pytest.raises(ConfigurationError, match="mode_frequency must be positive"):
             spin_coupling_ratio(ELECTRON, W_REF, bad)
+
+
+def test_an_underflowed_spin_coupling_ratio_is_an_input_error(capsys, tmp_path):
+    # m omega_c / hbar rounds to zero at a damping rate of about 1e-133 1/s;
+    # the ratio printed as 0.0 and spin_negligible as false, with exit 0
+    light = ParticleSpec(mass=1e-200, charge=ELECTRON.charge)
+    words = "m omega_c / hbar must be positive and finite, got 0.0"
+    with pytest.raises(ConfigurationError, match=words):
+        spin_coupling_ratio(light, 1e-140, 1e-150)
+    path = tmp_path / "spin.cfg"
+    path.write_text("particle.mass_kg = 1e-200\ntrap.omega_c_rad_s = 1e-140\n")
+    assert run_cli(["validate", "--format", "csv", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"vactrap: input error: {words}\n"
 
 
 def test_parse_cutoff_kind_aliases():

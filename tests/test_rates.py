@@ -19,6 +19,7 @@ from vactrap.params import (
     ApproximationMode,
     CutoffKind,
     ParticleSpec,
+    parse_config_text,
     reference_config,
 )
 from vactrap.rates import (
@@ -70,15 +71,62 @@ def test_damping_rate_scales_with_frequency_squared():
 )
 def test_overflowing_damping_rate_is_a_configuration_error(omega_c):
     # with no OverflowError (Python float) or RuntimeWarning (numpy float) first
-    with pytest.raises(ConfigurationError, match="not finite"):
+    with pytest.raises(ConfigurationError, match="damping rate .* positive and finite, got inf"):
         damping_rate(ELECTRON, omega_c)
 
 
 def test_underflowed_damping_denominator_is_a_configuration_error():
     # 3 pi eps0 m c**3 rounds to zero at a mass near the float floor
     light = ParticleSpec(mass=1e-320, charge=ELECTRON.charge)
-    with pytest.raises(ConfigurationError, match="not finite"):
+    with pytest.raises(ConfigurationError, match="damping rate .* positive and finite, got inf"):
         damping_rate(light, 1e10)
+
+
+_TINY_CHARGE = "trap.omega_c_rad_s = 9.42e11\nparticle.charge_C = 1e-320\n"
+_SLOW_TRAP = "trap.omega_c_rad_s = 1e-300\n"
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [(_TINY_CHARGE, ["sweep-b", "--cutoff", "compton", "--points", "16"]),
+     (_TINY_CHARGE, ["rates"]),
+     (_TINY_CHARGE, ["validate", "--format", "csv"]),
+     (_SLOW_TRAP, ["validate", "--format", "csv"])],
+    ids=["sweep-tiny-charge", "rates-tiny-charge", "validate-tiny-charge", "validate-slow"],
+)
+def test_an_underflowed_damping_rate_is_an_input_error(config, argv, capsys, tmp_path):
+    # q**2 w**2 rounds to zero; a zero rate printed gamma 0 and zero shifts,
+    # and every sweep shift and exponent as nan, with exit 0
+    parsed = parse_config_text(config)
+    with pytest.raises(ConfigurationError, match="damping rate .* positive and finite, got 0.0"):
+        damping_rate(parsed.particle, parsed.omega_c)
+    path = tmp_path / "underflow.cfg"
+    path.write_text(config)
+    assert run_cli([*argv, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("vactrap: input error: damping rate at omega_c = ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["rates"], ["validate", "--format", "csv"]], ids=["rates", "validate"]
+)
+def test_an_overflowing_shift_logarithm_is_an_input_error(argv, capsys, tmp_path):
+    # W / w = 1e310 overflows; the shifts printed as -inf and the relative
+    # shift and positivity horizon as nan, with exit 0
+    words = "the shift logarithm's argument .* must be positive and finite, got inf"
+    with pytest.raises(ConfigurationError, match=words):
+        level_shifts_renormalized(1.0, 1e-10, 1e300)
+    path = tmp_path / "wide.cfg"
+    path.write_text(
+        "trap.omega_c_rad_s = 1e-10\ncutoff.kind = explicit\ncutoff.value_rad_s = 1e300\n"
+    )
+    assert run_cli([*argv, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("vactrap: input error: the shift logarithm's argument ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("bad", [0.0, -W_REF, math.inf])

@@ -186,7 +186,7 @@ def test_de_broglie_rwa_exponent_is_exactly_two():
 
 
 def test_sweep_validation():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="n_points must be at least 16, got 15"):
         bfield_sweep(REFERENCE, (1.0, 10.0), 15)
     with pytest.raises(DimensionMismatch):
         bfield_sweep(REFERENCE, (10.0, 1.0), 33)
