@@ -7,9 +7,11 @@ guards are ``NumericalGuard`` subclasses.  Three refusals are stated once
 each: a count that is not an integer or is below its minimum (levels, modes,
 grid points), ``_require_count``; a quantity that is not positive and finite,
 given (mass, trap fields, frequencies, durations, the bath rate) or derived
-(the damping rate, each shift logarithm's argument, ``m omega_c / hbar``, so
-that a closed form past the float range is an input error, not a printed
-``inf``, ``0`` or ``nan``), ``_require_positive``; and a request for more
+(the damping rate, the long-wavelength bound, the Compton frequency, each
+shift logarithm's argument, ``m omega_c / hbar``, so that a closed form past
+the float range is an input error, not a printed ``inf``, ``0`` or ``nan``;
+the damping rate is also held to the smallest normal double, below which
+its shifts keep few digits), ``_require_positive``; and a request for more
 bytes than the machine has, ``_refuse_past_memory``.
 """
 from __future__ import annotations
@@ -154,11 +156,19 @@ def _require_count(
         raise error(f"{name} must be at least {minimum}, got {value}")
 
 
-def _require_positive(value, name, error: type[VactrapError] = ConfigurationError) -> None:
-    """Refuse with ``error`` anything but a positive finite number.  ``name``
-    is a string, or a function giving one, called only on refusal."""
+def _require_positive(
+    value, name, error: type[VactrapError] = ConfigurationError, minimum: float | None = None
+) -> None:
+    """Refuse with ``error`` anything but a positive finite number, and one
+    below ``minimum`` when it is given.  ``name`` is a string, or a function
+    giving one, called only on refusal."""
     if not 0.0 < value < math.inf:
-        raise error(f"{name() if callable(name) else name} must be positive and finite, got {value}")
+        rule = "positive and finite"
+    elif minimum is not None and value < minimum:
+        rule = f"at least {minimum}"
+    else:
+        return
+    raise error(f"{name() if callable(name) else name} must be {rule}, got {value}")
 
 
 def _refuse_past_memory(peak: int, what: str, task: str) -> None:

@@ -287,16 +287,24 @@ def lwa_bound(particle: ParticleSpec, omega_c: float) -> float:
 
     Field modes above this frequency vary appreciably across the particle's
     zero-point spread, so the dipole (long-wavelength) coupling used
-    throughout stops being trustworthy there.
+    throughout stops being trustworthy there.  A bound past the float range
+    (inf, or 0) is a ``ConfigurationError``.
     """
     _require_positive(omega_c, "omega_c")
     k = CODATA_2022
-    return math.sqrt(2.0 * particle.mass * k.c**2 * omega_c / k.hbar)
+    bound = math.sqrt(2.0 * particle.mass * k.c**2 * omega_c / k.hbar)
+    _require_positive(
+        bound, lambda: f"long-wavelength bound of mass {particle.mass} kg at omega_c = {omega_c}"
+    )
+    return bound
 
 
 def compton_frequency(particle: ParticleSpec) -> float:
-    """Relativistic ceiling ``m c^2 / hbar`` in rad/s."""
-    return particle.mass * CODATA_2022.c**2 / CODATA_2022.hbar
+    """Relativistic ceiling ``m c^2 / hbar`` in rad/s; one past the float
+    range is a ``ConfigurationError``."""
+    value = particle.mass * CODATA_2022.c**2 / CODATA_2022.hbar
+    _require_positive(value, lambda: f"Compton frequency of mass {particle.mass} kg")
+    return value
 
 
 def cutoff_frequency(config: ExperimentConfig) -> float:

@@ -24,6 +24,7 @@ relation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, SingularCutoff, _require_positive
@@ -62,7 +63,9 @@ def damping_rate(particle: ParticleSpec, omega_c: float) -> float:
 
     Equals ``(4/3) alpha_q kappa w`` with ``alpha_q`` the charge-generalized
     fine-structure constant; the identity is exercised in the tests.  A
-    rate past the float range (inf, or 0) is a ``ConfigurationError``.
+    rate past the float range (inf, or 0) is a ``ConfigurationError``, and
+    so is a subnormal one, below ``sys.float_info.min``: its shifts would
+    keep few digits.
     """
     _require_positive(omega_c, "omega_c")
     k = CODATA_2022
@@ -71,7 +74,9 @@ def damping_rate(particle: ParticleSpec, omega_c: float) -> float:
         rate = particle.charge**2 * float(omega_c) ** 2 / denominator
     except (OverflowError, ZeroDivisionError):
         rate = math.inf
-    _require_positive(rate, lambda: f"damping rate at omega_c = {omega_c}")
+    _require_positive(
+        rate, lambda: f"damping rate at omega_c = {omega_c}", minimum=sys.float_info.min
+    )
     return rate
 
 

@@ -1,12 +1,18 @@
 """End-to-end command-line checks via run_cli (no subprocesses)."""
+import io
 import math
+import re
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+import cli_contract
 from vactrap import _svg, rates
 from vactrap.cli import build_parser, run_cli
-from vactrap.params import load_config
+from vactrap.params import load_config, parse_config_text
 from vactrap.sweeps import table1
 
 
@@ -381,6 +387,9 @@ def test_closed_form_range_ends_are_one_line_input_errors(argv, capsys):
     assert captured.err.count("\n") == 1
 
 
+_HEAVY = "particle.mass_kg = 1e280\ntrap.omega_c_rad_s = 9.42e11\n"
+
+
 @pytest.mark.parametrize(
     "command, config, words",
     [
@@ -394,8 +403,18 @@ def test_closed_form_range_ends_are_one_line_input_errors(argv, capsys):
         # the damping rate's denominator underflows to zero
         ("rates", "particle.mass_kg = 1e-320\ntrap.omega_c_rad_s = 1e10\n",
          "damping rate at omega_c = 10000000000.0 must be positive and finite, got inf"),
+        # the long-wavelength bound of the zero-point cut-off overflows
+        *[(command, _HEAVY, "long-wavelength bound of mass 1e+280 kg at omega_c = "
+           "942000000000.0 must be positive and finite, got inf")
+          for command in ("rates", "validate")],
+        # below an explicit cut-off, the damping rate is subnormal
+        *[(command, _HEAVY + "cutoff.kind = explicit\ncutoff.value_rad_s = 1e14\n",
+           "damping rate at omega_c = 942000000000.0 must be at least "
+           "2.2250738585072014e-308, got 1.013072733618227e-309")
+          for command in ("rates", "pt-compare", "validate")],
     ],
-    ids=["pt-light", "pt-slow", "rates-tiny-mass"],
+    ids=["pt-light", "pt-slow", "rates-tiny-mass", "rates-heavy", "validate-heavy",
+         "rates-subnormal-rate", "pt-subnormal-rate", "validate-subnormal-rate"],
 )
 def test_configs_past_the_float_range_are_one_line_input_errors(
     command, config, words, capsys, tmp_path
@@ -494,3 +513,171 @@ def test_in_process_calls_share_no_state(capsys):
     assert "--alpha" in capsys.readouterr().out
     assert run_cli(["rates"]) == 0
     assert capsys.readouterr().out.startswith("quantity,value\nmode,")
+
+
+def test_the_contract_tables_parse():
+    # every argv row of tests/cli_contract.py parses, names a config file the
+    # tool writes, and every config file parses: a mistyped row fails here,
+    # not only in the job that runs the table
+    for name in cli_contract.CONFIGS:
+        parse_config_text(cli_contract.config_text(name))
+    tables = {
+        "NO_SCIPY": [(name, argv) for name, _, _, argv in cli_contract.NO_SCIPY],
+        "PARITY": cli_contract.PARITY,
+        "NUMERIC": cli_contract.NUMERIC,
+    }
+    for table, rows in tables.items():
+        names = [name for name, _ in rows]
+        assert len(set(names)) == len(names), f"{table} repeats a row name"
+        for name, argv in rows:
+            try:
+                args = build_parser().parse_args(argv.split())
+            except SystemExit as exc:
+                assert exc.code == 0 and "--help" in argv, f"{table} row {name}: {argv}"
+                continue
+            config = getattr(args, "config", "sec-reference")
+            assert config in {"sec-reference", "/", *cli_contract.CONFIGS}, (
+                f"{table} row {name} names no config file of the tool: {config}"
+            )
+
+
+# ---------------------------------------------------- the argv contract
+
+# reference values of the config fields, each drawn within 1, 10 or 300
+# decades of its own
+_FIELDS = {
+    "particle.mass_kg": 9.1093837139e-31,
+    "particle.charge_C": -1.602176634e-19,
+    "trap.omega_c_rad_s": 9.42e11,
+    "trap.b_field_T": 5.36,
+    "trap.d_a_m": 5.0e-6,
+    "trap.d_c_m": 15e-9,
+}
+_SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-310, -5e-324)
+
+
+def _near(reference):
+    # mostly within one decade, where most runs succeed
+    return st.sampled_from((1, 1, 1, 10, 300)).flatmap(
+        lambda decades: st.floats(-decades, decades)
+    ).map(lambda exponent: reference * 10.0**exponent)
+
+
+def _number(reference):
+    """A value within 1, 10 or 300 decades of ``reference`` half the time;
+    otherwise its negative, or one of nan, +-inf, 0, a negative and the
+    subnormals."""
+    return st.one_of(_near(reference), st.one_of(_near(-reference), st.sampled_from(_SPECIAL)))
+
+
+@st.composite
+def _drawn_config(draw):
+    fields = draw(st.dictionaries(st.sampled_from(sorted(_FIELDS)), st.just(None)))
+    lines = [f"{key} = {draw(_near(_FIELDS[key]))!r}" for key in sorted(fields)]
+    if "trap.b_field_T" not in fields or draw(st.booleans()):
+        lines.append(f"trap.omega_c_rad_s = {draw(_near(9.42e11))!r}")
+    kind = draw(st.sampled_from(
+        ("zero-point", "de-broglie", "largest-amplitude", "compton", "explicit")))
+    lines.append(f"cutoff.kind = {kind}")
+    if kind == "explicit":
+        lines.append(f"cutoff.value_rad_s = {draw(_near(3.8e16))!r}")
+    lines.append(f"mode = {draw(st.sampled_from(('with-rwa', 'beyond-rwa')))}")
+    # a drawn key may repeat trap.omega_c_rad_s, which the parser refuses
+    return "".join(line + "\n" for line in lines)
+
+
+_CONFIG = st.one_of(
+    st.none(),
+    st.sampled_from(sorted(cli_contract.CONFIGS)).map(cli_contract.config_text),
+    _drawn_config(),
+)
+_FORMAT = st.sampled_from(((), ("--format", "csv"), ("--format", "svg")))
+_SCALED = {"--gamma": 1e-2, "--delta-plus": 5e-3, "--delta-minus": 8e-3}
+_COMMANDS = {
+    "rates": ({}, True),
+    "table1": ({}, True),
+    "validate": ({}, True),
+    "sweep-b": ({"--b-min": _number(1.0), "--b-max": _number(10.0),
+                 "--cutoff": st.sampled_from(("omega1", "omega2", "omega3", "compton",
+                                              "explicit")),
+                 "--mode": st.sampled_from(("with-rwa", "beyond-rwa"))}, True),
+    "pt-compare": ({"--ratios": st.lists(_number(5.0), min_size=1, max_size=3)}, True),
+    "evolve": ({**{flag: _number(value) for flag, value in _SCALED.items()},
+                "--alpha": _number(1.0), "--t-end": _number(50.0),
+                "--mode": st.sampled_from(("with-rwa", "beyond-rwa"))}, False),
+    "witness": ({**{flag: _number(value) for flag, value in _SCALED.items()},
+                 "--t-end": _number(10.0)}, False),
+    "bath-oracle": ({"--omega-min": _number(0.2), "--omega-max": _number(5.0),
+                     "--gamma-target": _number(5e-3), "--duration": _number(80.0)}, False),
+}
+# what each command always takes: counts within these bounds, sampled so
+# that a refused count comes about one time in ten (st.integers favours the
+# ends), and a thermal start that fits them (the default nbar of 1
+# overfills dim 10)
+_DIMS = st.sampled_from((6, *range(2, 11), *range(2, 11), 0, 1))
+_POINTS = st.sampled_from((17, *range(34)))
+_SIZES = {
+    "sweep-b": {"--points": _POINTS},
+    "evolve": {"--dim": _DIMS, "--points": _POINTS},
+    "witness": {"--dim": _DIMS, "--points": _POINTS, "--nbar": _number(0.2)},
+    "bath-oracle": {"--modes": st.sampled_from((8, *range(2, 9), *range(2, 9), 0, 1))},
+}
+
+
+@st.composite
+def _invocations(draw):
+    """An argv over the eight subcommands and the config text it reads."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    options, takes_config = _COMMANDS[command]
+    chosen = draw(st.fixed_dictionaries(_SIZES.get(command, {}), optional=options))
+    argv = [command, *draw(_FORMAT)]
+    for flag, value in chosen.items():
+        values = value if isinstance(value, list) else [value]
+        # "--flag=value" keeps a value such as -inf from reading as a flag
+        argv += [f"{flag}={values[0]}", *map(str, values[1:])]
+    return argv, draw(_CONFIG) if takes_config else None
+
+
+# the documented non-finite values of a successful report
+_DOCUMENTED = re.compile(r"t_max_s,inf|positivity horizon +inf s")
+_NON_FINITE = re.compile(r"\b(?:nan|inf)\b")
+_ERROR_LINE = re.compile(r"vactrap(?: [\w-]+)?: (?:error|input error|numerical guard): ")
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(invocation=_invocations())
+# a fault once shipped: a damping rate that underflowed to 0 gave `nan` in
+# every sweep cell and a nan midpoint exponent, with exit 0
+@example(invocation=(["sweep-b", "--cutoff", "compton", "--points", "16"],
+                     cli_contract.config_text("tiny-charge.cfg")))
+def test_every_argv_keeps_the_exit_code_contract(invocation, tmp_path_factory):
+    # exit 0, 1 or 2; a failure writes one error line, after at most usage
+    # or note lines, and no traceback; no warning reaches stderr; a success
+    # prints no nan or inf but the documented horizon and end exponents
+    argv, config = invocation
+    if config is not None:
+        path = tmp_path_factory.getbasetemp() / "contract.cfg"
+        path.write_text(config)
+        argv = [*argv, "--config", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), \
+            redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = run_cli(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert [str(w.message) for w in caught] == [], argv
+    assert "Traceback" not in err and "Warning" not in err, argv
+    if code == 0:
+        lines = out.splitlines()
+        if argv[0] == "sweep-b" and lines[0].startswith("b_tesla,"):
+            # the central-difference exponent has no value at either end
+            lines = [lines[1].removesuffix(",nan"), *lines[2:-1], lines[-1].removesuffix(",nan")]
+        shown = [line for line in lines + err.splitlines() if not _DOCUMENTED.fullmatch(line)]
+        assert not [line for line in shown if _NON_FINITE.search(line)], argv
+        return
+    assert code in (1, 2), argv
+    assert out == "", argv
+    *before, last = err.splitlines() or [""]
+    assert err.endswith("\n") and _ERROR_LINE.match(last), argv
+    assert all(line.startswith(("usage: ", " ", "note: ")) for line in before), argv

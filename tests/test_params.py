@@ -233,6 +233,24 @@ def test_lwa_bound_reference_value():
             lwa_bound(ELECTRON, bad)
 
 
+def test_a_bound_past_the_float_range_is_refused_under_its_own_name():
+    # at a mass of 1e280 kg both overflow to inf, and a mass near the float
+    # floor on a slow trap takes the bound to 0; the default zero-point
+    # cut-off was refused as "omega_max must be positive and finite, got
+    # inf", naming neither the bound nor the mass (the CLI's refusal is
+    # pinned in test_cli.py)
+    heavy = ParticleSpec(mass=1e280, charge=ELECTRON.charge)
+    with pytest.raises(ConfigurationError, match=r"^long-wavelength bound of mass 1e\+280 kg "
+                       r"at omega_c = 942000000000.0 must be positive and finite, got inf$"):
+        lwa_bound(heavy, W_REF)
+    with pytest.raises(ConfigurationError, match=r"^Compton frequency of mass 1e\+280 kg "
+                       r"must be positive and finite, got inf$"):
+        compton_frequency(heavy)
+    light = ParticleSpec(mass=1e-320, charge=ELECTRON.charge)
+    with pytest.raises(ConfigurationError, match="long-wavelength bound .* got 0.0$"):
+        lwa_bound(light, 1e-300)
+
+
 def test_spin_coupling_ratio_reference_values():
     ratio = spin_coupling_ratio(ELECTRON, W_REF, CUTOFF_VALUES[CutoffKind.ZERO_POINT])
     assert ratio == pytest.approx(211985280.00038326, rel=1e-12)

@@ -82,6 +82,21 @@ def test_underflowed_damping_denominator_is_a_configuration_error():
         damping_rate(light, 1e10)
 
 
+def test_a_subnormal_damping_rate_is_a_configuration_error():
+    # at a mass of 1e280 kg the rate is 1.0e-309 1/s, below the smallest
+    # normal double: `rates` printed relative_shift 5e-324, and `pt-compare`
+    # PT/ME ratios from 3.06 to 2524 where the closed form says 3, exit 0
+    # (the CLI's refusal is pinned in test_cli.py)
+    heavy = ParticleSpec(mass=1e280, charge=ELECTRON.charge)
+    with pytest.raises(ConfigurationError, match=r"^damping rate at omega_c = 942000000000.0 "
+                       r"must be at least 2.2250738585072014e-308, got 1.013072733618227e-309$"):
+        damping_rate(heavy, W_REF)
+    # a hundred times lighter, the rate is normal and keeps its closed form
+    lighter = ParticleSpec(mass=1e278, charge=ELECTRON.charge)
+    assert damping_rate(lighter, W_REF) == pytest.approx(GAMMA_REF * ELECTRON.mass / 1e278,
+                                                         rel=1e-14)
+
+
 _TINY_CHARGE = "trap.omega_c_rad_s = 9.42e11\nparticle.charge_C = 1e-320\n"
 _SLOW_TRAP = "trap.omega_c_rad_s = 1e-300\n"
 
