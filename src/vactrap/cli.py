@@ -11,10 +11,15 @@ Subcommands::
     pt-compare   perturbation-theory shift against the master-equation shift
     bath-oracle  brute-force discretized-bath decay check
 
-The library returns data; each handler here lays out the report it
-prints, as CSV (``_csv_text``), text or an SVG plot, and writes the
-report's notes (long-wavelength verdicts) as ``note:`` lines once it is
-computed: no command raises a warning, so warning filters change nothing.
+The library returns data; each ``_cmd_*`` handler lays out its report, as
+CSV (``_csv_text``), text or an SVG plot, and returns it with its stderr
+lines (long-wavelength ``note:`` lines, the sweep's midpoint exponent, the
+oracle's norm drift), writing neither.  ``run_cli`` alone writes, once the
+handler has returned: the report to stdout or ``--out``, then the stderr
+lines, led by a note naming the form written where a command has no plot
+form.  argparse writes usage, help and usage errors itself.  A refused
+command so prints its error line alone; no command raises a warning, so
+warning filters change nothing.
 
 Exit codes: 0 success, 1 input/configuration error (including usage), 2
 numerical-guard failure (tolerance, positivity, truncation, fit).
@@ -91,18 +96,6 @@ def _scaled_run(args) -> tuple[FockSpace, RateSet]:
     return FockSpace(dim=args.dim), RateSet.scaled(args.gamma, args.delta_plus, args.delta_minus)
 
 
-def _deliver(payload: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(payload)
-    else:
-        Path(out).write_text(payload)
-
-
-def _plotless(fmt: str | None, name: str, form: str = "csv") -> None:
-    if fmt == "svg":
-        sys.stderr.write(f"note: {name} has no plot form; emitting {form}\n")
-
-
 def _csv_text(header, columns) -> str:
     """``header`` and the table of ``columns`` as comma-separated,
     newline-terminated lines.
@@ -146,9 +139,8 @@ def _oracle_report_csv(result: BathFitResult) -> str:
 # ---------------------------------------------------------------- handlers
 
 
-def _cmd_rates(args) -> str:
+def _cmd_rates(args) -> tuple[str, list[str]]:
     config = load_config(args.config)
-    _plotless(args.format, "rates")
     omega_max, note = _cutoff_at(config.particle, config.trap, config.cutoff, config.omega_c)
     rs = _rate_set_at(config, omega_max)
     dp_raw, dm_raw = level_shifts_raw(rs.gamma, rs.omega_c, rs.omega_max)
@@ -166,24 +158,18 @@ def _cmd_rates(args) -> str:
         ("relative_shift", rel),
         ("total_frequency_rad_s", rs.omega_c * (1.0 + rel)),
     ]))
-    if note is not None:
-        sys.stderr.write(f"note: {note}\n")
-    return payload
+    return payload, [] if note is None else [f"note: {note}"]
 
 
-def _cmd_table1(args) -> str:
-    config = load_config(args.config)
-    _plotless(args.format, "table1")
-    report = table1(config)
-    for note in report.notes:
-        sys.stderr.write(f"note: {note}\n")
+def _cmd_table1(args) -> tuple[str, list[str]]:
+    report = table1(load_config(args.config))
     return _csv_text(
         ("cutoff", "with_rwa", "beyond_rwa"),
         (report.cutoff_labels, report.with_rwa, report.beyond_rwa),
-    )
+    ), [f"note: {note}" for note in report.notes]
 
 
-def _cmd_sweep_b(args) -> str:
+def _cmd_sweep_b(args) -> tuple[str, list[str]]:
     config = load_config(args.config)
     result = bfield_sweep(
         config,
@@ -192,9 +178,8 @@ def _cmd_sweep_b(args) -> str:
         mode=args.mode,
         cutoff=args.cutoff,
     )
-    for note in result.notes:
-        sys.stderr.write(f"note: {note}\n")
-    sys.stderr.write(f"midpoint exponent: {midpoint_exponent(result):.6f}\n")
+    lines = [*(f"note: {note}" for note in result.notes),
+             f"midpoint exponent: {midpoint_exponent(result):.6f}"]
     if args.format == "svg":
         return _svg.line_plot(
             result.b_values,
@@ -205,14 +190,14 @@ def _cmd_sweep_b(args) -> str:
             y_label="|shift| [1/s]",
             log_x=True,
             log_y=True,
-        )
+        ), lines
     return _csv_text(
         ("b_tesla", "omega_c_rad_s", "delta_omega_rad_s", "local_exponent"),
         (result.b_values, result.omega_c_values, result.delta_omega, result.local_exponents),
-    )
+    ), lines
 
 
-def _cmd_evolve(args) -> str:
+def _cmd_evolve(args) -> tuple[str, list[str]]:
     space, rates = _scaled_run(args)
     if args.mode == ApproximationMode.WITH_RWA.value:
         gen = build_lindblad_generator(space, rates)
@@ -227,7 +212,7 @@ def _cmd_evolve(args) -> str:
             ["<x>", "<n>"],
             title=f"scaled-regime evolution ({args.mode})",
             x_label="t (units of 1/omega_c)",
-        )
+        ), []
     moments = [series_from_record(record, name, space).values for name in ("x", "p", "n", "X")]
     # snapshots are exactly Hermitian by construction, so the Hermiticity
     # drift column is printed as the text 0.0
@@ -236,10 +221,10 @@ def _cmd_evolve(args) -> str:
     return _csv_text(
         ("time", "trace_dev", "herm_dev", "min_eig", "guard_pop", "x", "p", "n", "witness"),
         columns,
-    )
+    ), []
 
 
-def _cmd_witness(args) -> str:
+def _cmd_witness(args) -> tuple[str, list[str]]:
     space, rates = _scaled_run(args)
     state = make_state("thermal", space, nbar=args.nbar)
     span = (0.0, args.t_end)
@@ -259,13 +244,13 @@ def _cmd_witness(args) -> str:
             title="two-quantum coherence witness from a thermal start",
             x_label="t (units of 1/omega_c)",
             y_label="<b^2 + b+^2>",
-        )
+        ), []
     return _csv_text(
         ("time", "beyond_rwa", "with_rwa"), (rec_beyond.times, beyond.values, rwa.values)
-    )
+    ), []
 
 
-def _cmd_validate(args) -> str:
+def _cmd_validate(args) -> tuple[str, list[str]]:
     config = load_config(args.config)
     report = validity_report(config)
     if args.format == "csv":
@@ -281,8 +266,7 @@ def _cmd_validate(args) -> str:
             ("cutoff_within_lwa", str(report.cutoff_within_lwa).lower()),
             ("spin_ratio", report.spin_ratio),
             ("spin_negligible", str(report.spin_negligible).lower()),
-        ]))
-    _plotless(args.format, "validate", "text")
+        ])), []
     lines = [
         f"trap frequency          {report.omega_c!r} rad/s",
         f"damping rate            {report.gamma!r} 1/s",
@@ -295,12 +279,11 @@ def _cmd_validate(args) -> str:
         f"spin coupling negligible: {str(report.spin_negligible).lower()}",
     ]
     lines.extend(f"note: {n}" for n in report.notes)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", []
 
 
-def _cmd_pt_compare(args) -> str:
+def _cmd_pt_compare(args) -> tuple[str, list[str]]:
     config = load_config(args.config)
-    _plotless(args.format, "pt-compare")
     w = config.omega_c
     g = damping_rate(config.particle, w)
     rows = []
@@ -316,11 +299,10 @@ def _cmd_pt_compare(args) -> str:
     return _csv_text(
         ("cutoff_ratio", "omega_max_rad_s", "pt_shift_per_s", "me_shift_per_s", "ratio"),
         zip(*rows),
-    )
+    ), []
 
 
-def _cmd_bath_oracle(args) -> str:
-    _plotless(args.format, "bath-oracle")
+def _cmd_bath_oracle(args) -> tuple[str, list[str]]:
     bath = make_flat_bath(
         n_modes=args.modes,
         omega_min=args.omega_min,
@@ -329,8 +311,7 @@ def _cmd_bath_oracle(args) -> str:
     )
     expected = (discrete_golden_rule(bath), discrete_second_order_shift(bath))
     result = bath_brute_force(bath, rates_expected=expected, duration=args.duration)
-    sys.stderr.write(f"norm drift: {result.norm_drift:.3e}\n")
-    return _oracle_report_csv(result)
+    return _oracle_report_csv(result), [f"norm drift: {result.norm_drift:.3e}"]
 
 
 # ---------------------------------------------------------------- wiring
@@ -341,15 +322,16 @@ def build_parser() -> _Parser:
     """The ``vactrap`` parser, built on first use and shared by every later
     call in the process; parsing leaves no state on it."""
     parser = _Parser(prog="vactrap", description=__doc__.splitlines()[0])
+    parser.set_defaults(plotless=None)  # the form a command without a plot writes
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("rates", parents=[], help="closed-form rates and shifts")
     _add_common(p)
-    p.set_defaults(func=_cmd_rates)
+    p.set_defaults(func=_cmd_rates, plotless="csv")
 
     p = subs.add_parser("table1", help="relative-shift grid (3 cutoffs x 2 modes)")
     _add_common(p)
-    p.set_defaults(func=_cmd_table1)
+    p.set_defaults(func=_cmd_table1, plotless="csv")
 
     p = subs.add_parser("sweep-b", help="magnetic-field sweep with local exponents")
     _add_common(p)
@@ -373,7 +355,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("validate", help="positivity / long-wavelength / spin report")
     _add_common(p)
-    p.set_defaults(func=_cmd_validate)
+    p.set_defaults(func=_cmd_validate, plotless="text")
 
     p = subs.add_parser("pt-compare", help="perturbation theory vs master equation")
     _add_common(p)
@@ -384,7 +366,7 @@ def build_parser() -> _Parser:
         default=[5.0, 20.0, 80.0, 320.0, 1000.0],
         help="cutoff/trap frequency ratios to scan",
     )
-    p.set_defaults(func=_cmd_pt_compare)
+    p.set_defaults(func=_cmd_pt_compare, plotless="csv")
 
     p = subs.add_parser("bath-oracle", help="brute-force discretized-bath check")
     _add_common(p, config=False)
@@ -393,21 +375,26 @@ def build_parser() -> _Parser:
     p.add_argument("--omega-max", type=float, default=5.0)
     p.add_argument("--gamma-target", type=float, default=5e-3)
     p.add_argument("--duration", type=float, default=80.0)
-    p.set_defaults(func=_cmd_bath_oracle)
+    p.set_defaults(func=_cmd_bath_oracle, plotless="csv")
 
     return parser
 
 
 def run_cli(argv: list[str] | None = None) -> int:
-    """Parse, dispatch, deliver; map errors to the documented exit codes."""
+    """Parse, dispatch, then write the report and its stderr lines; map
+    errors to the documented exit codes, writing only the error line."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        payload = args.func(args)
-        _deliver(payload, args.out)
+        payload, lines = args.func(args)
+        if args.out is None:
+            sys.stdout.write(payload)
+            sys.stdout.flush()  # ahead of the stderr lines where both share a file
+        else:
+            Path(args.out).write_text(payload)
     except ConfigurationError as exc:
         sys.stderr.write(f"vactrap: input error: {exc}\n")
         return 1
@@ -417,6 +404,9 @@ def run_cli(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"vactrap: cannot write output: {exc}\n")
         return 1
+    if args.format == "svg" and args.plotless is not None:
+        lines = [f"note: {args.command} has no plot form; emitting {args.plotless}", *lines]
+    sys.stderr.writelines(line + "\n" for line in lines)
     return 0
 
 

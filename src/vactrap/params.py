@@ -20,9 +20,13 @@ Compton frequency and an explicit user value:
 * ``COMPTON`` - the relativistic ceiling ``m c^2 / hbar``.
 * ``EXPLICIT`` - a user-supplied value.
 
-The three device-motivated rules are capped at the Compton frequency, and a
-``LongWavelengthWarning`` is emitted if the resolved value exceeds the
-long-wavelength bound.
+The three device-motivated rules are capped at the Compton frequency and
+checked against the long-wavelength bound.  A resolved value past the bound
+is reported by what the caller gets back: a function that returns a number
+(``cutoff_frequency``, ``rates.build_rate_set``, ``rates.relative_shift``)
+emits a ``LongWavelengthWarning``, while a report (``sweeps.table1``,
+``sweeps.validity_report``, ``sweeps.bfield_sweep``) carries the verdict in
+its ``notes`` and warns nothing.
 """
 from __future__ import annotations
 

@@ -5,7 +5,8 @@ tree's ``src``, in a scratch directory holding the config files of
 ``CONFIGS``.  What each table gates:
 
 - ``NO_SCIPY`` (this tree, numpy alone): each row's exit code, no
-  traceback, and its words on stderr where it gives any;
+  traceback, its words on stderr where it gives any, and on a refusal its
+  error line alone on stderr, after at most usage lines;
 - ``ABSCISSA_PROBE`` (this tree, numpy alone): the spectral abscissa of a
   generator past the stepper's cap;
 - ``PARITY`` (this tree against a base tree): stdout, stderr and exit code
@@ -73,7 +74,8 @@ CONFIGS = {
 
 # Commands run with numpy alone, at its floor and at its latest release.
 # Each must exit with its code, with no traceback, and where words are
-# given, stderr must contain them:
+# given, stderr must contain them; a row that exits 1 or 2 must write its
+# error line alone, after at most usage lines (`error_alone`):
 # - the integrating commands and the bath oracle exit 0;
 # - growing: beyond-RWA at dim 28 takes the stepper (two blocks of 392
 #   entries); at these negative shifts the state's norm passes its limit at
@@ -211,10 +213,21 @@ BATH_TOLERANCE = 1e-12
 #: Diff lines printed per stream of a moved row; the rest are counted.
 DIFF_LINES = 60
 
+#: The line a refused command ends its stderr with.
+ERROR_LINE = re.compile(r"vactrap(?: [\w-]+)?: (?:error|input error|numerical guard): ")
+
 
 def config_text(name: str) -> str:
     """The text of the config file ``name``, one key per line."""
     return "".join(line + "\n" for line in CONFIGS[name])
+
+
+def error_alone(err: str) -> bool:
+    """Whether stderr ``err`` is one error line after at most argparse's
+    usage lines (``usage: `` and its indented continuations)."""
+    *before, last = err.splitlines() or [""]
+    return (err.endswith("\n") and ERROR_LINE.match(last) is not None
+            and all(line.startswith(("usage: ", " ")) for line in before))
 
 
 # ---------------------------------------------------------------- runner
@@ -364,9 +377,11 @@ def no_scipy(work: Path) -> bool:
         err = _text(run.err)
         print(f"{name}: exit {run.code}")
         sys.stdout.write(err)
-        if run.code != expected or "Traceback" in err or words not in err:
+        if (run.code != expected or "Traceback" in err or words not in err
+                or (expected != 0 and not error_alone(err))):
             print(f"{name} exited {run.code} (expected {expected}"
-                  + (f", with {words!r} on stderr" if words else "") + ")")
+                  + (f", with {words!r} on stderr" if words else "")
+                  + (", its error line alone" if expected != 0 else "") + ")")
             ok = False
     return ok
 
