@@ -86,11 +86,9 @@ class ToleranceFailure(NumericalGuard):
     when it is built), or its span is too long for the propagator's
     rounding (``||G||_1 (t1 - t0)`` reaches ``1/eps``, refused before either
     propagation method runs), or the propagated trajectory is not finite, or
-    its Hilbert-Schmidt norm or its trace drift passed the accepted limit,
-    or the witness read off it (the packed trace of ``b^2 + (b+)^2``)
-    disagrees with the ladder sum beyond rounding.  A norm or trace-drift
-    failure carries the full record of the run as ``record``; the other
-    checks carry ``None``."""
+    its Hilbert-Schmidt norm or its trace drift passed the accepted limit.
+    A norm or trace-drift failure carries the full record of the run as
+    ``record``; the other checks carry ``None``."""
 
     def __init__(self, message: str, record=None):
         super().__init__(message)
@@ -134,8 +132,9 @@ class FitFailure(NumericalGuard):
 
 class GuardExceeded(ConfigurationError):
     """A model too large for the machine: a bath oracle's run, a generator's
-    dense matrix or a time or field grid that would need more bytes than
-    the machine's physical memory.  Refused before anything is allocated."""
+    dense matrix, a time or field grid or a record's unpacked ``rho`` that
+    would need more bytes than the machine's physical memory.  Refused
+    before anything is allocated."""
 
 
 class LongWavelengthWarning(UserWarning):

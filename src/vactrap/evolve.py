@@ -111,7 +111,8 @@ class EvolutionRecord:
     dim*dim)`` array as the propagator returns it; the first row carries
     the Hermitian part of the supplied initial state.  ``rho`` is the same
     trajectory as a ``(n_points, dim, dim)`` complex stack, each snapshot
-    exactly Hermitian, unpacked on its first read and kept.
+    exactly Hermitian, unpacked on its first read and kept (``GuardExceeded``
+    where ``w`` and the stack, 24 bytes an entry of ``w``, exceed memory).
     Diagnostics arrays align with ``times``: absolute trace deviation,
     guard-band population, and the lowest eigenvalue ``min_eig``, which
     is computed on its first read, unpacking ``_CHUNK`` rows at a time,
@@ -127,6 +128,9 @@ class EvolutionRecord:
     @cached_property
     def rho(self) -> np.ndarray:
         """Snapshots as one complex stack, unpacked on first read."""
+        n_points, size = self.w.shape
+        what = f"a trajectory of {n_points} points on {math.isqrt(size)} levels"
+        _refuse_past_memory(24 * self.w.size, what, "unpack rho")
         return _unpack(self.w)
 
     @cached_property
@@ -224,7 +228,7 @@ def integrate(
     _require_count(n_points, "n_points", ConfigurationError, minimum=2)
     dim = generator.dim
     # bytes per grid point: w, the complex diagonal and the diagnostics; tracemalloc
-    # read this for both builders and methods at dim 6-16, 2001 and 8001 points
+    # read this for both builders and methods at dim 6-28, 2001 and 8001 points
     peak = (8 * dim**2 + 16 * dim + 33) * n_points
     _refuse_past_memory(peak, f"a grid of {n_points} points on {dim} levels", "integrate")
 
@@ -238,7 +242,8 @@ def integrate(
         "either the generator is unstable (check spectral_abscissa) or the span "
         "is longer than the propagator's rounding can resolve"
     )
-    finite = np.isfinite(w).all(axis=1)
+    # a nan reaches its row's max and an inf its max or min: no mask of w is made
+    finite = np.isfinite(w.max(axis=1)) & np.isfinite(w.min(axis=1))
     if not finite.all():
         k = int(np.argmin(finite))
         raise ToleranceFailure(f"propagated state is not finite at t = {float(times[k])!r}; {causes}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ToleranceFailure, TruncationRisk, _require_count
+from .errors import DimensionMismatch, TruncationRisk, _require_count
 from .evolve import EvolutionRecord
 from .liouville import (
     DensityMatrix,
@@ -154,22 +154,13 @@ def _operator(op_name: str, dim: int, space: FockSpace | None) -> np.ndarray:
     return ops.witness if op_name == "X" else getattr(ops, op_name)
 
 
-def _check_witness(values, ladder) -> None:
-    """Refuse witness values that disagree with the ladder sum beyond rounding."""
-    gap = np.abs(values - ladder)
-    if np.any(gap > 1e-10 * np.maximum(1.0, np.abs(values))):
-        raise ToleranceFailure(
-            f"witness trace disagrees with the ladder sum by up to {np.max(gap):.3e}"
-        )
-
-
 def witness_sum(state: DensityMatrix | np.ndarray) -> float | np.ndarray:
     """Witness expectation from the explicit ladder sum.
 
     ``sum_n sqrt(n(n-1)) sigma[n, n-2] + sqrt((n+1)(n+2)) sigma[n, n+2]``
-    -- an independent code path from the trace evaluation, kept for
-    cross-checking.  Accepts one state or a ``(..., dim, dim)`` stack;
-    real part returned.
+    -- independent of the packed trace of :func:`series_from_record`, the
+    reference that trace is tested against.  Accepts one state or a
+    ``(..., dim, dim)`` stack; real part returned.
     """
     mat = state.matrix if isinstance(state, DensityMatrix) else np.asarray(state)
     ns = np.arange(2, mat.shape[-1])
@@ -186,15 +177,10 @@ def series_from_record(
 
     Read from the record's Hermitian coordinates without unpacking ``rho``:
     ``Tr[rho A] = w @ (Re vec A + Im vec A)`` for Hermitian ``rho`` and
-    ``A``.  The witness is cross-checked against :func:`witness_sum` on
-    ``W = w.reshape(n, dim, dim)`` transposed, a view, whose ``W + W.T``
-    is ``2 Re rho``, all the ladder sum reads.
+    ``A``, one product for every operator, the witness included.
     """
-    w = record.w
-    dim = math.isqrt(w.shape[1])
-    values = w @ _pack(_operator(op_name, dim, space))
-    if op_name == "X":
-        _check_witness(values, witness_sum(w.reshape(-1, dim, dim).transpose(0, 2, 1)))
+    dim = math.isqrt(record.w.shape[1])
+    values = record.w @ _pack(_operator(op_name, dim, space))
     return ObservableSeries(times=record.times, values=values, label=op_name)
 
 

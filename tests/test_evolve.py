@@ -1,5 +1,6 @@
 """Propagation, diagnostics, breach policy, and the Gaussian positivity window."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -619,6 +620,43 @@ def test_grid_past_physical_memory_is_refused(monkeypatch):
     assert len(integrate(gen, rho0, (0.0, 1.0), n_points=72).times) == 72
     with pytest.raises(GuardExceeded, match="a grid of 73 points on 4 levels .* physical memory"):
         integrate(gen, rho0, (0.0, 1.0), n_points=73)
+
+
+@pytest.mark.parametrize("dim", [20, 24, 28])
+@pytest.mark.parametrize("build", [build_lindblad_generator, build_redfield_generator])
+def test_grid_bytes_per_point_stay_within_the_model(build, dim):
+    # the grid guard's 8 d**2 + 16 d + 33 bytes a point bound the traced
+    # peak's growth per point; past dim 16 a dim**2-byte mask a point would not
+    space = FockSpace(dim=dim)
+    gen = build(space, STABLE)
+    rho0 = make_state("coherent", space, alpha=0.5)
+    integrate(gen, rho0, (0.0, 1.0), n_points=2)  # caches filled outside the trace
+    peaks = {}
+    for n_points in (1001, 4001):
+        tracemalloc.start()
+        try:
+            integrate(gen, rho0, (0.0, 1.0), n_points=n_points)
+            peaks[n_points] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[4001] - peaks[1001]) / 3000 <= 8 * dim**2 + 16 * dim + 33
+
+
+def test_unpacking_rho_past_physical_memory_is_refused(monkeypatch):
+    # w and its complex stack take 24 bytes an entry, 864 a point at dim 6:
+    # 16 pages of 1 KiB unpack 18 points and refuse 19, whose min_eig,
+    # unpacked a chunk at a time, is still read
+    space = FockSpace(dim=6)
+    gen = build_redfield_generator(space, STABLE)
+    rho0 = make_state("fock", space, n=0)
+    monkeypatch.setattr("vactrap.errors.os.sysconf", lambda name: {"SC_PAGE_SIZE": 1024}.get(name, 16))
+    assert integrate(gen, rho0, (0.0, 1.0), n_points=18).rho.shape == (18, 6, 6)
+    record = integrate(gen, rho0, (0.0, 1.0), n_points=19)
+    with pytest.raises(GuardExceeded, match="a trajectory of 19 points on 6 levels .* unpack rho"):
+        record.rho
+    with pytest.raises(GuardExceeded):
+        record.states
+    assert record.min_eig.shape == (19,)
 
 
 # ------------------------------------------------------------------ window

@@ -4,6 +4,7 @@ commands loads, and how a count that is not an integer is refused."""
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import pytest
 import vactrap
 from vactrap import errors
 from vactrap.bath import BathModel, bath_brute_force, make_flat_bath
+from vactrap.cli import run_cli
 from vactrap.errors import ConfigurationError, DimensionMismatch
 from vactrap.evolve import integrate
 from vactrap.liouville import FockSpace, build_lindblad_generator
@@ -151,6 +153,22 @@ def test_a_count_must_be_an_integer(entry):
     for bad in (float(admitted), admitted + 0.5):
         with pytest.raises(refusal, match="must be an integer"):
             call(bad)
+
+
+@pytest.mark.parametrize("module", ["vactrap", "vactrap.cli"])
+def test_module_run_writes_the_report(module, capsys, tmp_path):
+    # the package imports cli, so runpy warns before running vactrap.cli;
+    # the report is the same either way, and `python -m vactrap` adds nothing
+    assert run_cli(["rates"]) == 0
+    report = capsys.readouterr().out
+    path = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "rates"], capture_output=True, text=True,
+        timeout=60, cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stdout) == (0, report), proc.stderr
+    if module == "vactrap":
+        assert proc.stderr == ""
 
 
 def _scipy_modules_after(code: str) -> subprocess.CompletedProcess:
