@@ -131,10 +131,12 @@ class FitFailure(NumericalGuard):
 
 
 class GuardExceeded(ConfigurationError):
-    """A model too large for the machine: a bath oracle's run, a generator's
-    dense matrix, a time or field grid or a record's unpacked ``rho`` that
-    would need more bytes than the machine's physical memory.  Refused
-    before anything is allocated."""
+    """A model too large for the machine: a bath oracle's run, a ladder's
+    dense operators, an initial state, a generator's triple or sparse
+    build, a time or field grid, or, on first read, a generator's dense
+    matrix, a dense invariant block or a record's unpacked ``rho``, that
+    would need more bytes than the machine's physical memory.  Each is
+    refused before the allocation its byte model sizes."""
 
 
 class LongWavelengthWarning(UserWarning):

@@ -19,7 +19,8 @@ blocks are kept there too; this module only propagates.  How ``G`` is
 propagated, block by block or by ``expm_multiply``, and which spans are
 too long for either to resolve, is set out once, in :func:`_propagate`.
 Below the stepper's cap numpy does all the work; SciPy is imported only
-where ``expm_multiply`` runs, so no other path loads it.
+where ``expm_multiply`` runs, so no other path loads it, and a run that
+needs it where it cannot be imported is refused as an input error.
 
 The propagated state is never projected, renormalized or symmetrized:
 whatever the propagator produces is stored, and its defects (trace drift,
@@ -185,10 +186,12 @@ def integrate(
     ------
     ConfigurationError
         If ``t_span`` is not increasing with a finite length ``t1 - t0``,
-        or ``n_points`` is not an integer of at least 2, or its grid would
-        not fit in physical memory (``GuardExceeded``), or if the generator
-        does not preserve Hermiticity (``max|conj(L) - L[swap][:, swap]|``
-        above ``1e-12 max|L|``).
+        or ``n_points`` is not an integer of at least 2, or its grid with
+        the propagator's set-up would not fit in physical memory
+        (``GuardExceeded``), or if the generator does not preserve
+        Hermiticity (``max|conj(L) - L[swap][:, swap]|`` above ``1e-12
+        max|L|``), or if a block past the stepper's cap needs SciPy and
+        SciPy cannot be imported.
     ToleranceFailure
         If the propagated trajectory has a non-finite entry.  For a
         generator that conserves the trace (the verdict of
@@ -227,13 +230,21 @@ def integrate(
         raise ConfigurationError(f"t_span must be finite and increasing, got {t_span}")
     _require_count(n_points, "n_points", ConfigurationError, minimum=2)
     dim = generator.dim
+    coords = _hermitian_coordinates(generator)
     # bytes per grid point: w, the complex diagonal and the diagnostics; tracemalloc
-    # read this for both builders and methods at dim 6-28, 2001 and 8001 points
-    peak = (8 * dim**2 + 16 * dim + 33) * n_points
+    # read this for both builders and methods at dim 6-28, 2001 and 8001 points.  Past
+    # them: _CHUNK rows of w at 16 bytes an entry (the stepper puts its columns back
+    # in place through them, the positivity gate unpacks them as complex), and either
+    # the stepper's eight m x m arrays for its largest block of m entries (7.3-7.5
+    # traced beyond the RWA at dims 20-28) or expm_multiply's copies of G, 96 bytes a
+    # nonzero (89-94 traced at dims 30-80, 101 points)
+    (_, _, vals), blocks, _ = coords
+    largest = max(len(idx) for idx in blocks)
+    setup = 64 * largest**2 if largest <= _STEPPER_MAX_SIZE else 96 * len(vals)
+    peak = (8 * dim**2 + 16 * dim + 33) * n_points + 16 * _CHUNK * dim**2 + setup
     _refuse_past_memory(peak, f"a grid of {n_points} points on {dim} levels", "integrate")
 
     times = np.linspace(t0, t1, n_points)
-    coords = _hermitian_coordinates(generator)
     # an overflow is reported below as ToleranceFailure, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         w = _propagate(coords, _pack((rho0.matrix + rho0.matrix.conj().T) / 2.0), times)
@@ -336,7 +347,8 @@ def _propagate(coords, w0: np.ndarray, times: np.ndarray) -> np.ndarray:
       a CSR array built from the triple, in about ``||G||_1 (t_1 - t_0) /
       10`` steps, a count the guard above keeps from overflowing.  SciPy's
       trajectory is returned as it is.  This is the one place SciPy is
-      imported.
+      imported; where it cannot be, the run is refused with
+      ``ConfigurationError``.
     """
     (rows, cols, vals), blocks, _ = coords
     size = len(w0)
@@ -348,9 +360,16 @@ def _propagate(coords, w0: np.ndarray, times: np.ndarray) -> np.ndarray:
             f"||G||_1 (t1 - t0) = {norm_span:.3e} reaches 1/eps, past what the "
             "propagator's rounding can resolve"
         )
-    if max(len(idx) for idx in blocks) > _STEPPER_MAX_SIZE:
-        from scipy.sparse import csr_array
-        from scipy.sparse.linalg import expm_multiply
+    largest = max(len(idx) for idx in blocks)
+    if largest > _STEPPER_MAX_SIZE:
+        try:
+            from scipy.sparse import csr_array
+            from scipy.sparse.linalg import expm_multiply
+        except ImportError:
+            raise ConfigurationError(
+                f"an invariant block of {largest} entries is past the stepper's cap of "
+                f"{_STEPPER_MAX_SIZE}, and propagating it needs SciPy, which cannot be imported"
+            ) from None
 
         gen = csr_array((vals, (rows, cols)), shape=(size, size))
         return expm_multiply(gen, w0, start=0.0, stop=span, num=n_points, endpoint=True)

@@ -106,9 +106,12 @@ def build_fock_operators(space: FockSpace) -> FockOperators:
     ``b[n-1, n] = sqrt(n)``;  ``x = sqrt(1/2) (b + b+)``;
     ``p = -i sqrt(1/2) (b - b+)`` (trap units, so ``[x, p] = i`` away from
     the corner);  ``n = b+ b`` (exact ladder on the first ``dim-1`` levels,
-    corner-truncated at the top).
+    corner-truncated at the top).  Refused with ``GuardExceeded`` where
+    these five complex ``dim x dim`` arrays, the peak tracemalloc reads at
+    dims 300-3000, exceed physical memory.
     """
     dim = space.dim
+    _refuse_past_memory(80 * dim**2, f"a ladder on {dim} levels", "build its operators")
     b = np.zeros((dim, dim), dtype=complex)
     ns = np.arange(1, dim)
     b[ns - 1, ns] = np.sqrt(ns)
@@ -206,12 +209,15 @@ class Superoperator:
     counts.  ``apply`` reads the triple.  ``coo`` is ``(rows, cols,
     vals)``, the nonzeros of the ``(dim**2, dim**2)`` matrix ``L``, the
     Kronecker sum ``kron(I, left) + kron(right.T, I) + sum c kron(R.T, L)``,
-    in row-major order (:func:`_coo`).  ``matrix``, the dense ``L``, is the
-    COO scattered on first read only, one ``16 dim**4``-byte array, and a
-    generator whose dense matrix would not fit in physical memory is
-    refused when it is built, with ``GuardExceeded``; one whose ``L`` has a
-    non-finite entry, which the builders leave to this check unwarned, with
-    ``ToleranceFailure``.
+    in row-major order (:func:`_coo`).  A generator is refused when it is
+    built with ``GuardExceeded`` where 256 bytes for each product of a
+    nonzero of ``A`` with a nonzero of ``B`` over its terms ``kron(B.T,
+    A)`` exceed physical memory: its COO and the reading of
+    :func:`_hermitian_coordinates` trace 122-249 bytes a product for
+    every builder at dims 20-128 (planar 6 x 6 to 12 x 12).  One whose
+    ``L`` has a non-finite entry, which the builders leave to this check
+    unwarned, is refused with ``ToleranceFailure``.  ``matrix``, the dense
+    ``L``, is the COO scattered on first read only, and guarded there.
     """
 
     def __init__(self, left, right, jumps: list[_Jump], mode: ApproximationMode):
@@ -219,8 +225,10 @@ class Superoperator:
         shapes = {np.shape(op) for op in (left, right, *(op for _, *ops in jumps for op in ops))}
         if shapes != {(levels, levels)}:
             raise DimensionMismatch(f"triple shapes are not one (dim, dim): {sorted(shapes)}")
+        products = levels * (np.count_nonzero(left) + np.count_nonzero(right))
+        products += sum(np.count_nonzero(a) * np.count_nonzero(b) for _, a, b in jumps)
         _refuse_past_memory(
-            16 * levels**4, f"a generator on {levels} levels", "scatter its dense matrix"
+            256 * products, f"a generator on {levels} levels", "build its sparse matrix"
         )
         self._triple = (left, right, jumps)
         self.coo = _coo(left, right, jumps)
@@ -232,7 +240,10 @@ class Superoperator:
     @cached_property
     def matrix(self) -> np.ndarray:
         """The dense complex ``L``, the COO scattered into zeros on first
-        read."""
+        read: one ``16 dim**4``-byte array, refused with ``GuardExceeded``
+        where it would not fit in physical memory."""
+        what = f"a generator on {self.dim} levels"
+        _refuse_past_memory(16 * self.dim**4, what, "scatter its dense matrix")
         rows, cols, vals = self.coo
         dense = np.zeros((self.dim**2, self.dim**2), dtype=complex)
         dense[rows, cols] = vals
@@ -311,8 +322,14 @@ def _ladder_terms(
 ) -> tuple[np.ndarray, np.ndarray, list[_Jump]]:
     """Generator triple for one ladder matrix ``b`` (may be embedded): the
     rotating part, plus the counter-rotating part when asked for, whose
-    ``b sigma b`` and ``b+ sigma b+`` jumps keep ``gamma/2`` at zero shifts."""
+    ``b sigma b`` and ``b+ sigma b+`` jumps keep ``gamma/2`` at zero shifts.
+    Refused with ``GuardExceeded`` where the complex ``dim x dim`` arrays
+    it makes past ``b``, 8 of them (4 under the RWA) in tracemalloc, exceed
+    physical memory."""
     g, dp_, dm_ = _trap_rates(rates)
+    dim = len(b)
+    arrays = 8 if counter_rotating else 4
+    _refuse_past_memory(16 * arrays * dim**2, f"a generator on {dim} levels", "build its triple")
     bdag = b.conj().T
     n = bdag @ b
     omega = 1.0 + dm_ - (dp_ if counter_rotating else 0.0)
@@ -425,7 +442,9 @@ def spectral_abscissa(superop: Superoperator) -> float:
     of :func:`_hermitian_coordinates`, which is ``L`` acting on Hermitian
     matrices, whose complex span is every matrix: the same spectrum, at a
     fraction of the cost of one dense ``eigvals`` of ``L``.  A generator
-    that does not preserve Hermiticity is refused with ``ConfigurationError``.
+    that does not preserve Hermiticity is refused with ``ConfigurationError``,
+    and one whose largest block would not fit densely with ``GuardExceeded``
+    (:func:`_dense_blocks`).
     """
     coords = _hermitian_coordinates(superop)
     return max(float(np.linalg.eigvals(block).real.max()) for _, block in _dense_blocks(coords))
@@ -530,8 +549,16 @@ def _hermitian_coordinates(superop: Superoperator):
 def _dense_blocks(coords):
     """Yield ``(idx, G[idx][:, idx])``, dense and real, for each invariant
     block ``idx`` of the result of :func:`_hermitian_coordinates`, one at a
-    time."""
+    time.  Refused with ``GuardExceeded``, before the first is filled,
+    where three ``8 m**2``-byte copies of the largest block exceed physical
+    memory: ``spectral_abscissa``'s ``eigvals`` raised ru_maxrss by 2.2-2.3
+    of them at ``m`` = 1152 and 2048.  The stepper's blocks, at most
+    ``_STEPPER_MAX_SIZE`` entries, are far below it."""
     (rows, cols, vals), blocks, _ = coords
+    largest = max(len(idx) for idx in blocks)
+    _refuse_past_memory(
+        24 * largest**2, f"an invariant block of {largest} entries", "fill densely"
+    )
     size = sum(len(idx) for idx in blocks)
     # each nonzero's block, and its row and column within that block
     block_of = np.empty(size, dtype=int)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, TruncationRisk, _require_count
+from .errors import DimensionMismatch, TruncationRisk, _refuse_past_memory, _require_count
 from .evolve import EvolutionRecord
 from .liouville import (
     DensityMatrix,
@@ -72,9 +72,13 @@ def make_state(kind: str, space: FockSpace, **params) -> DensityMatrix:
     A ``TruncationRisk`` is raised when the requested state carries its
     weight too close to the truncation edge (mean excitation above
     ``dim/4``, echoing the guard-band policy, or a number state inside the
-    guard band itself).
+    guard band itself).  ``GuardExceeded`` is raised, before any state is
+    made, where three complex ``dim x dim`` arrays, the state and the two
+    its validation takes (tracemalloc and ru_maxrss at dims 300-3000),
+    exceed physical memory.
     """
     dim = space.dim
+    _refuse_past_memory(48 * dim**2, f"a state on {dim} levels", "be made")
     if kind == "fock":
         n = _required(params, "n", kind)
         _reject_unknown(params)

@@ -82,11 +82,14 @@ CONFIGS = {
 #   t = 610 while the trace and the guard band stay healthy, and the run
 #   ends as a numerical guard, exit 2;
 # - the refusals come before any propagation: a rate of 1e300 puts
-#   ||G||_1 (t1 - t0) past 1/eps, exit 2 naming 1/eps; a dim-400 generator
-#   would need more than physical memory for the one dense matrix it
-#   promises, a 60000-mode bath oracle more than physical memory to run,
+#   ||G||_1 (t1 - t0) past 1/eps, exit 2 naming 1/eps; a generator on 1e6
+#   levels would need more than physical memory for its dense ladder
+#   operators, a 60000-mode bath oracle more than physical memory to run,
 #   and a 1e12-point time or field grid more than physical memory to hold,
 #   exit 1, refused before anything is allocated;
+# - past-cap: at dim 30 each invariant block has 450 entries, past the
+#   stepper's cap of 392, and with no SciPy to propagate it the run is one
+#   input-error line naming SciPy, exit 1;
 # - a config path that cannot be read as text (here a directory) is an
 #   input error, exit 1;
 # - a cut-off past the long-wavelength bound is reported as a note line,
@@ -112,7 +115,8 @@ NO_SCIPY = (
     ("growing", 2, "", "evolve --gamma 0.01 --delta-plus -0.02 --delta-minus -0.015 --dim 28 "
                        "--t-end 1000 --points 101"),
     ("huge-rate", 2, "1/eps", "evolve --dim 6 --gamma 1e300 --points 11"),
-    ("huge-dim", 1, "physical memory", "evolve --dim 400 --points 3"),
+    ("huge-dim", 1, "physical memory", "evolve --dim 1000000 --points 3"),
+    ("past-cap", 1, "SciPy", "evolve --dim 30 --t-end 1 --points 3"),
     ("huge-bath", 1, "physical memory", "bath-oracle --modes 60000"),
     ("huge-points", 1, "physical memory", "evolve --dim 4 --points 1000000000000"),
     ("huge-sweep", 1, "physical memory", "sweep-b --points 1000000000000"),

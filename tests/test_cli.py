@@ -370,8 +370,9 @@ def test_out_of_domain_values_are_input_errors(argv, capsys):
         ["pt-compare", "--ratios", "1e40"],  # the master-equation shift rounds to 0
         ["sweep-b", "--b-max", "1e70"],  # ln|1 +- W/w| rounds to 0 past Compton
         ["sweep-b", "--b-min", "1e-300"],  # the damping rate underflows to 0
-        # the dense generator (381 GiB) is refused before it is allocated
-        ["evolve", "--dim", "400", "--points", "3"],
+        # the dense ladder operators (7.5e4 GiB) are refused before they
+        # are allocated
+        ["evolve", "--dim", "1000000", "--points", "3"],
         # a span of one ulp rounds to repeated fields, refused before any
         # slope is taken (a RuntimeWarning fails the test)
         ["sweep-b", "--b-min", "1", "--b-max", "1.0000000000000002", "--points", "16"],
@@ -681,6 +682,10 @@ _NON_FINITE = re.compile(r"\b(?:nan|inf)\b")
                      cli_contract.config_text("tiny-charge.cfg")))
 # a refused command once noted the form of a report it never wrote
 @example(invocation=(["pt-compare", "--format", "svg", "--ratios", "2"], None))
+# the dense ladder operators and initial state once ended in a numpy
+# allocation traceback, before any guard ran
+@example(invocation=(["evolve", "--dim", "1000000", "--points", "3"], None))
+@example(invocation=(["witness", "--dim", "1000000", "--points", "3"], None))
 def test_every_argv_keeps_the_exit_code_contract(invocation, tmp_path_factory):
     # exit 0, 1 or 2; a failure writes one error line, after at most usage
     # lines, and no traceback; no warning reaches stderr; a success

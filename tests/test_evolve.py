@@ -610,27 +610,32 @@ def test_overflowing_generator_raises_tolerance_failure(monkeypatch, n_points, c
 
 
 def test_grid_past_physical_memory_is_refused(monkeypatch):
-    # the grid's peak, 8 d**2 + 16 d + 33 bytes a point, is checked against
-    # physical memory before the grid is made; 16 pages of 1 KiB hold 72
-    # points at dim 4 and refuse 73
+    # the grid's peak, 8 d**2 + 16 d + 33 bytes a point past a set-up of
+    # 16 * 64 d**2 bytes and the stepper's 64 m**2 for its largest block of
+    # m entries (6 at dim 4), is checked against physical memory before the
+    # grid is made; 32 pages of 1 KiB hold 62 points at dim 4 and refuse 63
     space = FockSpace(dim=4)
     gen = build_lindblad_generator(space, STABLE)
     rho0 = make_state("fock", space, n=0)
-    monkeypatch.setattr("vactrap.errors.os.sysconf", lambda name: {"SC_PAGE_SIZE": 1024}.get(name, 16))
-    assert len(integrate(gen, rho0, (0.0, 1.0), n_points=72).times) == 72
-    with pytest.raises(GuardExceeded, match="a grid of 73 points on 4 levels .* physical memory"):
-        integrate(gen, rho0, (0.0, 1.0), n_points=73)
+    monkeypatch.setattr("vactrap.errors.os.sysconf", lambda name: {"SC_PAGE_SIZE": 1024}.get(name, 32))
+    assert len(integrate(gen, rho0, (0.0, 1.0), n_points=62).times) == 62
+    with pytest.raises(GuardExceeded, match="a grid of 63 points on 4 levels .* physical memory"):
+        integrate(gen, rho0, (0.0, 1.0), n_points=63)
 
 
 @pytest.mark.parametrize("dim", [20, 24, 28])
 @pytest.mark.parametrize("build", [build_lindblad_generator, build_redfield_generator])
-def test_grid_bytes_per_point_stay_within_the_model(build, dim):
+def test_grid_bytes_per_point_stay_within_the_model(build, dim, monkeypatch):
     # the grid guard's 8 d**2 + 16 d + 33 bytes a point bound the traced
-    # peak's growth per point; past dim 16 a dim**2-byte mask a point would not
+    # peak's growth per point; past dim 16 a dim**2-byte mask a point would
+    # not.  The whole peak, the stepper's set-up included, stays at or under
+    # the bytes the guard checks
     space = FockSpace(dim=dim)
     gen = build(space, STABLE)
     rho0 = make_state("coherent", space, alpha=0.5)
     integrate(gen, rho0, (0.0, 1.0), n_points=2)  # caches filled outside the trace
+    checked = []
+    monkeypatch.setattr("vactrap.evolve._refuse_past_memory", lambda peak, *_: checked.append(peak))
     peaks = {}
     for n_points in (1001, 4001):
         tracemalloc.start()
@@ -639,19 +644,22 @@ def test_grid_bytes_per_point_stay_within_the_model(build, dim):
             peaks[n_points] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peaks[n_points] <= checked[-1]
     assert (peaks[4001] - peaks[1001]) / 3000 <= 8 * dim**2 + 16 * dim + 33
 
 
 def test_unpacking_rho_past_physical_memory_is_refused(monkeypatch):
     # w and its complex stack take 24 bytes an entry, 864 a point at dim 6:
     # 16 pages of 1 KiB unpack 18 points and refuse 19, whose min_eig,
-    # unpacked a chunk at a time, is still read
+    # unpacked a chunk at a time, is still read (both runs are made first,
+    # since their set-up alone passes 16 KiB)
     space = FockSpace(dim=6)
     gen = build_redfield_generator(space, STABLE)
     rho0 = make_state("fock", space, n=0)
-    monkeypatch.setattr("vactrap.errors.os.sysconf", lambda name: {"SC_PAGE_SIZE": 1024}.get(name, 16))
-    assert integrate(gen, rho0, (0.0, 1.0), n_points=18).rho.shape == (18, 6, 6)
+    fits = integrate(gen, rho0, (0.0, 1.0), n_points=18)
     record = integrate(gen, rho0, (0.0, 1.0), n_points=19)
+    monkeypatch.setattr("vactrap.errors.os.sysconf", lambda name: {"SC_PAGE_SIZE": 1024}.get(name, 16))
+    assert fits.rho.shape == (18, 6, 6)
     with pytest.raises(GuardExceeded, match="a trajectory of 19 points on 6 levels .* unpack rho"):
         record.rho
     with pytest.raises(GuardExceeded):

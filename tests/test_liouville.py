@@ -538,15 +538,93 @@ def test_trace_verdict_of_the_generator_reader(build):
     assert conserving is False
 
 
+def _memory_pages(monkeypatch, pages):
+    """Make physical memory ``pages`` pages of 1 KiB."""
+    monkeypatch.setattr(
+        "vactrap.errors.os.sysconf", lambda name: {"SC_PAGE_SIZE": 1024}.get(name, pages)
+    )
+
+
 def test_generator_build_past_physical_memory_is_refused(monkeypatch):
-    # the dense matrix a generator promises, one (d**2, d**2) complex array,
-    # is checked against physical memory before anything is allocated; 8
-    # pages of 1 KiB hold it at dim 4 (4 KiB) and refuse it at dim 5 (9.8 KiB)
-    monkeypatch.setattr("vactrap.errors.os.sysconf", lambda name: {"SC_PAGE_SIZE": 1024}.get(name, 8))
+    # the build is checked against physical memory before its COO is made,
+    # at 256 bytes for each product of a nonzero of A with one of B over the
+    # terms kron(B.T, A), 9 d**2 - 16 d + 3 of them beyond the RWA: 32 pages
+    # of 1 KiB hold the 83 at dim 4 (21.2 kB) and refuse the 148 at dim 5
+    # (37.9 kB)
+    _memory_pages(monkeypatch, 32)
     assert build_redfield_generator(FockSpace(dim=4), RATES).dim == 4
-    refused = "to scatter its dense matrix, more than .* physical memory"
+    refused = "a generator on 5 levels needs .* to build its sparse matrix, more than .* physical"
     with pytest.raises(GuardExceeded, match=refused):
         build_redfield_generator(FockSpace(dim=5), RATES)
+
+
+@pytest.mark.parametrize(
+    "pages, make, refused",
+    [
+        # five complex ladder arrays at dim 8, 5.1 kB
+        (4, lambda: build_fock_operators(FockSpace(dim=8)), "a ladder on 8 levels .* operators"),
+        # the ladder at dim 10 (8 kB) fits, the beyond-RWA triple's eight
+        # arrays past it (12.8 kB) do not
+        (10, lambda: build_redfield_generator(FockSpace(dim=10), RATES),
+         "a generator on 10 levels .* to build its triple"),
+        # a state and the two copies its validation takes, 4.8 kB at dim 10
+        (4, lambda: make_state("thermal", FockSpace(dim=10), nbar=0.5),
+         "a state on 10 levels .* to be made"),
+    ],
+    ids=["ladder", "triple", "state"],
+)
+def test_dense_ladders_triples_and_states_are_refused_before_they_exist(
+    monkeypatch, pages, make, refused
+):
+    _memory_pages(monkeypatch, pages)
+    with pytest.raises(GuardExceeded, match=refused):
+        make()
+
+
+@pytest.mark.parametrize(
+    "build", [build_redfield_generator, build_lindblad_generator, build_xp_generator,
+              build_2d_generator]
+)
+def test_build_and_its_reading_stay_within_the_build_guard(build, monkeypatch):
+    # from the triple on, the COO and the one reader of it peak at or under
+    # the bytes the build guard checks
+    gen = _generator_on(build, 24)
+    checked = {}
+    monkeypatch.setattr(
+        "vactrap.liouville._refuse_past_memory",
+        lambda peak, what, task: checked.setdefault(task, peak),
+    )
+    tracemalloc.start()
+    try:
+        _hermitian_coordinates(Superoperator(*gen._triple, gen.mode))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= checked["build its sparse matrix"]
+
+
+def test_a_generator_past_its_dense_matrix_builds_and_integrates(monkeypatch):
+    # 512 pages of 1 KiB hold the dim-16 RWA generator's build (705
+    # products, 180 kB) and an 11-point run, but not its dense L (1 MiB),
+    # whose first read is refused
+    _memory_pages(monkeypatch, 512)
+    space = FockSpace(dim=16)
+    gen = build_lindblad_generator(space, RATES)
+    record = integrate(gen, make_state("coherent", space, alpha=1.0), (0.0, 1.0), n_points=11)
+    assert record.w.shape == (11, 256)
+    with pytest.raises(GuardExceeded, match="a generator on 16 levels .* scatter its dense matrix"):
+        gen.matrix
+    assert "matrix" not in vars(gen)
+
+
+def test_spectral_abscissa_past_physical_memory_is_refused(monkeypatch):
+    # three copies of the largest dense block, 24 m**2 bytes: 1536 pages of
+    # 1 KiB hold the dim-24 beyond-RWA build (4803 products, 1.23 MB) but
+    # not its 288-entry blocks (1.99 MB), refused before either is filled
+    _memory_pages(monkeypatch, 1536)
+    gen = build_redfield_generator(FockSpace(dim=24), RATES)
+    with pytest.raises(GuardExceeded, match="an invariant block of 288 entries .* fill densely"):
+        spectral_abscissa(gen)
 
 
 def test_an_overflowing_generator_is_refused_when_built(capsys):
@@ -601,8 +679,8 @@ def test_coo_is_the_nonzeros_of_the_assembled_matrix(build, levels, kron_sum):
 
 @pytest.mark.parametrize("levels", [20, 32])
 def test_dense_matrix_is_one_array(levels):
-    # reading .matrix allocates the one (d**2, d**2) complex array the
-    # build guard is sized for, 16 d**4 bytes, and no Kronecker term
+    # reading .matrix allocates the one (d**2, d**2) complex array its
+    # guard is sized for, 16 d**4 bytes, and no Kronecker term
     gen = build_redfield_generator(FockSpace(dim=levels), RATES)
     tracemalloc.start()
     try:

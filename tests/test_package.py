@@ -244,6 +244,24 @@ def test_integrating_commands_below_the_cap_load_no_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_past_the_stepper_cap_without_scipy_is_one_input_error():
+    # at dim 30 each block has 450 entries, past the stepper's cap of 392,
+    # and expm_multiply cannot be imported: one error line, exit 1
+    code = (
+        "import contextlib, io\n"
+        "from vactrap.cli import run_cli\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        "    code = run_cli(['evolve', '--dim', '30', '--t-end', '1', '--points', '3'])\n"
+        "err = err.getvalue()\n"
+        "assert code == 1 and err.startswith('vactrap: input error: '), err\n"
+        "assert err.count('\\n') == 1 and 'SciPy' in err, err\n"
+        "assert 'block of 450 entries' in err and 'cap of 392' in err, err"
+    )
+    proc = _without_scipy(code)
+    assert proc.returncode == 0, proc.stderr
+
+
 # at dim 30 each block has 450 entries, past the stepper's cap
 @pytest.mark.parametrize("dim", [20, 30])
 def test_spectral_abscissa_loads_no_scipy(dim):
